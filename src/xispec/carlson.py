@@ -8,11 +8,10 @@ certified by finite sampling, the auditor demands beta <= pi - margin for
 a declared positive margin, which rejects the sharp case sin(pi z) for
 every margin.
 
-The log-linear audits live here too: the asserted pure exponential (fit
-in log space, so the slope comes back as pi with zero structural
-residual), the exponential model fitted to the true xi on a real
-interval (the residual is the finding, never a pass/fail), and the
-difference-function audit that feeds the verdict machinery.
+The log-linear audits live here too: the exponential model fitted to the
+true xi on a real interval (the residual is the finding, never a
+pass/fail), and the difference-function audit that feeds the verdict
+machinery.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import SingularFitError
-from .hadamard import PrefactorFit
+from .hadamard import PrefactorFit, linear_fit
 from .specfun import xi
 
 #: Fraction of the radius covered by the geometric sample grid.
@@ -134,20 +133,14 @@ def estimate_type(
             samples_used=len(rs),
             all_near_zero=True,
         )
-    x = np.asarray(rs)
-    y = np.asarray(ys)
-    count = float(x.size)
-    det = count * float(np.sum(x * x)) - float(np.sum(x)) ** 2
-    slope = (count * float(np.sum(x * y)) - float(np.sum(x)) * float(np.sum(y))) / det
-    intercept = (float(np.sum(y)) - slope * float(np.sum(x))) / count
-    residual = float(np.max(np.abs(intercept + slope * x - y)))
+    slope, intercept, residual = linear_fit(rs, ys)
     return GrowthComponent(
         axis=axis,
         slope=slope,
         intercept=intercept,
         residual=residual,
         radius=radius,
-        samples_used=x.size,
+        samples_used=len(rs),
         all_near_zero=False,
     )
 
@@ -230,38 +223,6 @@ def carlson_verdict(
 # ----------------------- log-linear regression audits -----------------------
 
 
-def _linear_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    if xs.size < 2 or float(np.max(xs)) == float(np.min(xs)):
-        raise SingularFitError("need at least two distinct sample points")
-    count = float(xs.size)
-    sx = float(np.sum(xs))
-    det = count * float(np.sum(xs * xs)) - sx * sx
-    slope = (count * float(np.sum(xs * ys)) - sx * float(np.sum(ys))) / det
-    intercept = (float(np.sum(ys)) - slope * sx) / count
-    residual = float(np.max(np.abs(intercept + slope * xs - ys)))
-    return slope, intercept, residual
-
-
-def audit_eq8(samples: np.ndarray) -> PrefactorFit:
-    """Fit the asserted pure exponential e^{pi s'} in log space.
-
-    The boundary-function values enter the difference audit as given; this
-    fit only confirms the representation is exactly log-linear with slope
-    pi and intercept 0 (up to float rounding).
-    """
-    xs = np.asarray(samples, dtype=np.float64)
-    ys = math.pi * xs  # log of the asserted exponential, exactly linear
-    slope, intercept, residual = _linear_fit(xs, ys)
-    return PrefactorFit(
-        B=intercept,
-        D=slope,
-        max_residual=residual,
-        sample_range=(float(np.min(xs)), float(np.max(xs))),
-    )
-
-
 def audit_eq9(
     s_max: float,
     samples: int,
@@ -283,7 +244,7 @@ def audit_eq9(
     )
     if np.any(values <= 0.0):
         raise SingularFitError("target must be positive for the log fit")
-    slope, intercept, residual = _linear_fit(shifted + 1.0, np.log(values))
+    slope, intercept, residual = linear_fit(shifted + 1.0, np.log(values))
     return PrefactorFit(
         B=intercept,
         D=slope,

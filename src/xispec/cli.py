@@ -8,13 +8,15 @@ Exit codes are exhaustive and disjoint:
     4  numerical non-convergence
 
 All outputs are deterministic: reports are canonical JSON with sorted
-keys, plots are hand-rendered SVG, and parallel scans merge in grid
-order, so identical configurations produce byte-identical files.
+keys, plots are hand-rendered SVG, and the zero scan, which evaluates its
+grid on one thread per CPU, merges the values in grid order, so identical
+configurations produce byte-identical files on any machine.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -24,12 +26,7 @@ import numpy as np
 from . import __version__
 from .carlson import Conclusion, audit_difference, audit_eq9
 from .config import ConfigError, RunConfig, build_config
-from .coupling import (
-    CLAIMED_NORM_COEFF,
-    STANDARD_NORM_COEFF,
-    audit_eq5,
-    summarize_eq5,
-)
+from .coupling import CLAIMED_NORM_COEFF, STANDARD_NORM_COEFF, audit_eq5
 from .errors import (
     AccuracyError,
     CacheCorruptionError,
@@ -66,6 +63,13 @@ HADAMARD_MISFIT_TOL = 2e-2
 COINCIDENCE_PROBES = 5
 CARLSON_INTEGER_COUNT = 10
 CARLSON_FIT_SMAX = 10.0
+
+#: Orders of the eq5 ratio audit and its plot: real 0.1..0.9, then
+#: imaginary 0.5, 1, 2.
+EQ5_ORDERS = tuple(
+    [BesselOrder.real_order(k / 10.0) for k in range(1, 10)]
+    + [BesselOrder.imaginary_order(m) for m in (0.5, 1.0, 2.0)]
+)
 
 _AUDIT_NAMES = ("eq5", "eq9", "hadamard", "coincidence", "carlson")
 
@@ -105,12 +109,9 @@ def _t_for_zero_count(count: int) -> float:
     return hi + 2.0
 
 
-def _gather_zeros(
-    cfg: RunConfig,
-    t_max: float,
-    need_count: int | None = None,
-) -> list[CriticalZero]:
-    """Zeros up to t_max (or covering need_count), via cache when valid."""
+def _gather_zeros(cfg: RunConfig, need_count: int | None = None) -> list[CriticalZero]:
+    """Zeros up to cfg.t_max (or covering need_count), via cache when valid."""
+    t_max = cfg.t_max
     if need_count is not None:
         t_max = max(t_max, _t_for_zero_count(need_count))
     if cfg.cache and os.path.exists(cfg.cache):
@@ -119,10 +120,10 @@ def _gather_zeros(
             zeros = [z for z in cache.zeros if z.gamma <= t_max]
             if need_count is None or len(zeros) >= need_count:
                 return zeros
-    zeros = scan_zeros(t_max, cfg.tol, threads=cfg.worker_count)
+    zeros = scan_zeros(t_max, cfg.tol)
     while need_count is not None and len(zeros) < need_count:
         t_max *= 1.15
-        zeros = scan_zeros(t_max, cfg.tol, threads=cfg.worker_count)
+        zeros = scan_zeros(t_max, cfg.tol)
     if cfg.cache:
         # Work with the serialized precision from the start, so this run's
         # outputs are byte-identical to a later cache-hitting run's.
@@ -131,14 +132,31 @@ def _gather_zeros(
     return zeros
 
 
+def _product_zero_count(cfg: RunConfig) -> int:
+    """Zeros the product audits need: the largest truncation, capped by n_zeros."""
+    return min(max(HADAMARD_TRUNCATIONS), cfg.n_zeros)
+
+
+class _Run:
+    """One command: its configuration and the zeros its product audits share.
+
+    The zeros are gathered on first use, so audits that need none run (and
+    write their reports) before a scan or a cache read can fail.
+    """
+
+    def __init__(self, cfg: RunConfig) -> None:
+        self.cfg = cfg
+
+    @functools.cached_property
+    def zeros(self) -> list[CriticalZero]:
+        return _gather_zeros(self.cfg, need_count=_product_zero_count(self.cfg))
+
+
 # ------------------------------- audits -------------------------------
 
 
-def _run_eq5(cfg: RunConfig) -> tuple[AuditReport, list[str]]:
-    orders = [BesselOrder.real_order(k / 10.0) for k in range(1, 10)]
-    orders += [BesselOrder.imaginary_order(m) for m in (0.5, 1.0, 2.0)]
-    audits = audit_eq5(orders, threads=cfg.worker_count)
-    report = summarize_eq5(audits)
+def _run_eq5(run: _Run) -> tuple[AuditReport, list[str]]:
+    audits, report = audit_eq5(list(EQ5_ORDERS))
     rows = ["order_kind,order_magnitude,quadrature,closed_form,ratio,verdict,error"]
     for a in audits:
         rows.append(
@@ -151,7 +169,7 @@ def _run_eq5(cfg: RunConfig) -> tuple[AuditReport, list[str]]:
     return report, rows
 
 
-def _run_eq9(cfg: RunConfig) -> tuple[AuditReport, list[str]]:
+def _run_eq9(run: _Run) -> tuple[AuditReport, list[str]]:
     fit = audit_eq9(CARLSON_FIT_SMAX, 51)
     report = AuditReport(
         name="log-linear-exponential-fit",
@@ -177,7 +195,6 @@ def _run_eq9(cfg: RunConfig) -> tuple[AuditReport, list[str]]:
 
 
 def _hadamard_curve(
-    cfg: RunConfig,
     zeros: list[CriticalZero],
     grid: tuple[int, ...] = HADAMARD_TRUNCATIONS,
 ) -> tuple[list[int], list[float], list[float], list[float]]:
@@ -194,10 +211,9 @@ def _hadamard_curve(
     return truncations, misfits, fit_b, fit_d
 
 
-def _run_hadamard(cfg: RunConfig) -> tuple[AuditReport, list[str]]:
-    need = min(max(HADAMARD_TRUNCATIONS), cfg.n_zeros)
-    zeros = _gather_zeros(cfg, cfg.t_max, need_count=need)
-    truncations, misfits, fit_b, fit_d = _hadamard_curve(cfg, zeros)
+def _run_hadamard(run: _Run) -> tuple[AuditReport, list[str]]:
+    zeros = run.zeros
+    truncations, misfits, fit_b, fit_d = _hadamard_curve(zeros)
     non_increasing = all(
         b <= a + 1e-12 for a, b in zip(misfits, misfits[1:])
     )
@@ -228,9 +244,8 @@ def _run_hadamard(cfg: RunConfig) -> tuple[AuditReport, list[str]]:
     return report, rows
 
 
-def _run_coincidence(cfg: RunConfig) -> tuple[AuditReport, list[str]]:
-    need = min(max(HADAMARD_TRUNCATIONS), cfg.n_zeros)
-    zeros = _gather_zeros(cfg, cfg.t_max, need_count=need)
+def _run_coincidence(run: _Run) -> tuple[AuditReport, list[str]]:
+    cfg, zeros = run.cfg, run.zeros
     spec = ProductSpec(zero_ordinates=tuple(z.gamma for z in zeros))
     n = min(len(zeros), cfg.n_zeros)
     probes = [z.gamma for z in zeros[:COINCIDENCE_PROBES]]
@@ -246,7 +261,8 @@ def _run_coincidence(cfg: RunConfig) -> tuple[AuditReport, list[str]]:
     return report, rows
 
 
-def _run_carlson(cfg: RunConfig) -> tuple[AuditReport, list[str]]:
+def _run_carlson(run: _Run) -> tuple[AuditReport, list[str]]:
+    cfg = run.cfg
     audit = audit_difference(
         CARLSON_INTEGER_COUNT, CARLSON_FIT_SMAX, scale=float(cfg.m)
     )
@@ -296,7 +312,7 @@ _AUDIT_RUNNERS = {
 
 
 def _metadata(cfg: RunConfig) -> dict:
-    t_scan = max(cfg.t_max, _t_for_zero_count(min(max(HADAMARD_TRUNCATIONS), cfg.n_zeros)))
+    t_scan = max(cfg.t_max, _t_for_zero_count(_product_zero_count(cfg)))
     return {
         "tool": "xispec",
         "version": __version__,
@@ -307,8 +323,8 @@ def _metadata(cfg: RunConfig) -> dict:
             "claimed": CLAIMED_NORM_COEFF,
             "standard": STANDARD_NORM_COEFF,
         },
-        # thread count deliberately omitted: parallelism must not change
-        # any output byte, so it is not part of the report's identity.
+        # The scan's thread count (one per CPU) is deliberately omitted: the
+        # grid merges in order, so no output byte depends on it.
         "config": {
             "t_max": cfg.t_max,
             "tol": cfg.tol,
@@ -324,7 +340,7 @@ def _metadata(cfg: RunConfig) -> dict:
 
 def _cmd_zeros(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    zeros = _gather_zeros(cfg, cfg.t_max)
+    zeros = _gather_zeros(cfg)
     rows = [f"{z.index},{z.gamma:.15g},{z.abs_err:.3e}" for z in zeros]
     for row in rows:
         print(row)
@@ -346,9 +362,10 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     out_dir = cfg.out or "reports"
     os.makedirs(out_dir, exist_ok=True)
 
+    run = _Run(cfg)
     reports: list[AuditReport] = []
     for name in names:
-        report, rows = _AUDIT_RUNNERS[name](cfg)
+        report, rows = _AUDIT_RUNNERS[name](run)
         reports.append(report)
         if cfg.format == "json":
             write_report(report, os.path.join(out_dir, f"audit_{name}.json"))
@@ -413,9 +430,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
             ylabel="Xi(t)",
         )
     elif args.target == "eq5-ratio":
-        orders = [BesselOrder.real_order(k / 10.0) for k in range(1, 10)]
-        orders += [BesselOrder.imaginary_order(m) for m in (0.5, 1.0, 2.0)]
-        audits = audit_eq5(orders)
+        audits, _ = audit_eq5(list(EQ5_ORDERS))
         xs = list(range(1, len(audits) + 1))
         ys = [a.ratio if a.ratio is not None else float("nan") for a in audits]
         svg = render_line_plot(
@@ -424,11 +439,8 @@ def _cmd_plot(args: argparse.Namespace) -> int:
             ylabel="quadrature / closed form",
         )
     elif args.target == "product-convergence":
-        zeros = _gather_zeros(
-            cfg, cfg.t_max, need_count=min(max(HADAMARD_TRUNCATIONS), cfg.n_zeros)
-        )
         truncations, misfits, _, _ = _hadamard_curve(
-            cfg, zeros, grid=(10, 25) + HADAMARD_TRUNCATIONS
+            _Run(cfg).zeros, grid=(10, 25) + HADAMARD_TRUNCATIONS
         )
         svg = render_line_plot(
             [float(n) for n in truncations],
@@ -465,18 +477,24 @@ def _cmd_report(args: argparse.Namespace) -> int:
     paths = args.paths
     if not paths:
         out_dir = args.out or "reports"
-        paths = sorted(
-            os.path.join(out_dir, p)
-            for p in os.listdir(out_dir)
-            if p.endswith(".json")
-        )
+        try:
+            names = os.listdir(out_dir)
+        except OSError as exc:
+            raise ConfigError(f"{out_dir}: {exc}") from exc
+        paths = sorted(os.path.join(out_dir, p) for p in names if p.endswith(".json"))
     failed = False
     for path in paths:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        entries = payload["audits"] if "audits" in payload else [payload]
-        for entry in entries:
-            report = AuditReport.from_dict(entry)
+        # A missing or malformed file is a bad argument, never an audit failure.
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                payload = json.load(handle)
+            entries = payload["audits"] if "audits" in payload else [payload]
+            reports = [AuditReport.from_dict(entry) for entry in entries]
+        except KeyError as exc:
+            raise ConfigError(f"{path}: missing key {exc}") from exc
+        except (OSError, ValueError, TypeError) as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+        for report in reports:
             failed = failed or report.failed
             print(
                 f"{os.path.basename(path)}: {report.name}: "
@@ -495,7 +513,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n-zeros", dest="n_zeros", type=int, default=None)
     parser.add_argument("--perturb", type=float, default=None)
     parser.add_argument("--m", type=int, default=None, help="integer grid scale")
-    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--format", choices=("json", "csv"), default=None)
     parser.add_argument("--out", default=None)
     parser.add_argument("--cache", default=None)
@@ -511,7 +528,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             "n_zeros",
             "perturb",
             "m",
-            "threads",
             "format",
             "out",
             "cache",

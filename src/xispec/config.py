@@ -7,13 +7,12 @@ fast with a usage error.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 
 _POSITIVE_FLOAT_KEYS = {"t_max", "tol"}
-_POSITIVE_INT_KEYS = {"n_zeros", "m", "threads"}
+_POSITIVE_INT_KEYS = {"n_zeros", "m"}
 _FLOAT_KEYS = {"perturb"}
 _STRING_KEYS = {"format", "out", "cache"}
 _ALL_KEYS = _POSITIVE_FLOAT_KEYS | _POSITIVE_INT_KEYS | _FLOAT_KEYS | _STRING_KEYS
@@ -28,7 +27,6 @@ class RunConfig:
     n_zeros: int = 200
     perturb: float = 0.0
     m: int = 1
-    threads: int = 0          # 0 = use available cores
     format: str = "json"
     out: str | None = None
     cache: str | None = None
@@ -42,14 +40,8 @@ class RunConfig:
             raise ConfigError(f"n_zeros must be positive, got {self.n_zeros!r}")
         if self.m < 1:
             raise ConfigError(f"m must be a positive integer, got {self.m!r}")
-        if self.threads < 0:
-            raise ConfigError(f"threads must be non-negative, got {self.threads!r}")
         if self.format not in _FORMATS:
             raise ConfigError(f"format must be one of {_FORMATS}, got {self.format!r}")
-
-    @property
-    def worker_count(self) -> int:
-        return self.threads if self.threads > 0 else (os.cpu_count() or 1)
 
 
 def _coerce(key: str, raw: str):

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import DivergenceError, NonConvergenceError, PoleError
 from .report import AuditReport, Verdict
@@ -171,94 +170,58 @@ class NormIntegralAudit:
         return self.error == ""
 
 
-def _eq5_entry(order: BesselOrder, tol: float) -> dict:
-    entry: dict = {"order": order}
+def _eq5_entry(order: BesselOrder, tol: float) -> NormIntegralAudit:
+    """Quadrature against closed form at one order, before the batch verdict."""
+    quad = closed = None
+    error = ""
     try:
-        entry["quad"] = norm_integral_quadrature(order, tol)
+        quad = norm_integral_quadrature(order, tol)
     except (DivergenceError, NonConvergenceError) as exc:
-        entry["error"] = f"{type(exc).__name__}: {exc}"
+        error = f"{type(exc).__name__}: {exc}"
     try:
-        entry["closed"] = norm_integral_paper(order)
+        closed = norm_integral_paper(order)
     except PoleError as exc:
-        entry.setdefault("error", f"{type(exc).__name__}: {exc}")
-    return entry
+        error = error or f"{type(exc).__name__}: {exc}"
+    return NormIntegralAudit(
+        order=order,
+        quadrature_value=None if quad is None else quad.value,
+        quadrature_err=None if quad is None else quad.err_estimate,
+        paper_closed_form=closed,
+        ratio=None if error else quad.value / closed,
+        verdict=Verdict.NOT_APPLICABLE,
+        error=error,
+    )
 
 
 def audit_eq5(
-    orders: list[BesselOrder], tol: float = 1e-9, threads: int = 1
-) -> list[NormIntegralAudit]:
+    orders: list[BesselOrder], tol: float = 1e-9
+) -> tuple[list[NormIntegralAudit], AuditReport]:
     """Ratio audit quadrature/closed-form over a batch of orders.
 
-    Divergences and closed-form poles become per-entry failures, never
-    batch aborts.  Successful entries share one batch verdict:
-    CONSISTENT_UP_TO_CONSTANT when their ratios agree to RATIO_SPREAD_TOL.
-    Per-order evaluations are independent and may run on a thread pool;
-    results keep the caller's order either way.
+    Divergences and closed-form poles become per-entry failures
+    (NOT_APPLICABLE), never batch aborts.  Successful entries share one
+    batch verdict: CONSISTENT_UP_TO_CONSTANT when their ratios agree to
+    RATIO_SPREAD_TOL.  Returns the per-order audits, in the caller's order,
+    and the batch report with the measured common constant next to both
+    coefficient readings.
     """
-    if threads > 1 and len(orders) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = list(pool.map(lambda o: _eq5_entry(o, tol), orders))
-    else:
-        entries = [_eq5_entry(order, tol) for order in orders]
-
-    ratios = [
-        e["quad"].value / e["closed"]
-        for e in entries
-        if "error" not in e and e["closed"] != 0.0
-    ]
+    entries = [_eq5_entry(order, tol) for order in orders]
+    ratios = [a.ratio for a in entries if a.ok]
     if ratios:
         mean = sum(ratios) / len(ratios)
         spread = max(abs(r - mean) for r in ratios) / abs(mean)
-        batch = (
+        verdict = (
             Verdict.CONSISTENT_UP_TO_CONSTANT
             if spread <= RATIO_SPREAD_TOL
             else Verdict.FAIL
         )
-    else:
-        batch = Verdict.INCONCLUSIVE
-
-    audits = []
-    for e in entries:
-        if "error" in e:
-            audits.append(
-                NormIntegralAudit(
-                    order=e["order"],
-                    quadrature_value=e["quad"].value if "quad" in e else None,
-                    quadrature_err=e["quad"].err_estimate if "quad" in e else None,
-                    paper_closed_form=e.get("closed"),
-                    ratio=None,
-                    verdict=Verdict.NOT_APPLICABLE,
-                    error=e["error"],
-                )
-            )
-        else:
-            audits.append(
-                NormIntegralAudit(
-                    order=e["order"],
-                    quadrature_value=e["quad"].value,
-                    quadrature_err=e["quad"].err_estimate,
-                    paper_closed_form=e["closed"],
-                    ratio=e["quad"].value / e["closed"],
-                    verdict=batch,
-                )
-            )
-    return audits
-
-
-def summarize_eq5(audits: list[NormIntegralAudit]) -> AuditReport:
-    """Batch report: measured common constant plus both coefficient readings."""
-    ok = [a for a in audits if a.ok]
-    ratios = [a.ratio for a in ok]
-    if ratios:
-        mean = sum(ratios) / len(ratios)
-        spread = max(abs(r - mean) for r in ratios) / abs(mean)
-        verdict = ok[0].verdict
         implied = CLAIMED_NORM_COEFF * mean
     else:
         spread = float("nan")
         implied = None  # params must stay strict-JSON encodable
         verdict = Verdict.INCONCLUSIVE
-    return AuditReport(
+    audits = [replace(a, verdict=verdict) if a.ok else a for a in entries]
+    report = AuditReport(
         name="norm-integral-ratio",
         params={
             "orders": [
@@ -269,13 +232,14 @@ def summarize_eq5(audits: list[NormIntegralAudit]) -> AuditReport:
             "implied_coefficient": implied,
             "failures": [a.error for a in audits if not a.ok],
         },
-        measured=[a.ratio for a in ok],
+        measured=ratios,
         reference=[1.0, STANDARD_NORM_COEFF / CLAIMED_NORM_COEFF],
-        ratio_or_residual=spread if ratios else float("nan"),
+        ratio_or_residual=spread,
         tolerance=RATIO_SPREAD_TOL,
         verdict=verdict,
         provenance="eq5",
     )
+    return audits, report
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,32 @@ class PrefactorFit:
     sample_range: tuple[float, float]
 
 
+def linear_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line ys ~ intercept + slope * xs.
+
+    Returns (slope, intercept, max absolute residual).
+
+    Raises:
+        SingularFitError: fewer than two samples, or all sample points coincide.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    if xs.size < 2:
+        raise SingularFitError("need at least two samples to fit a line")
+    count = float(xs.size)
+    sx = float(np.sum(xs))
+    sxx = float(np.sum(xs * xs))
+    sy = float(np.sum(ys))
+    sxy = float(np.sum(xs * ys))
+    det = count * sxx - sx * sx
+    if det <= 1e-14 * max(count * sxx, sx * sx, 1e-300):
+        raise SingularFitError("degenerate sample grid (all points coincide)")
+    slope = (count * sxy - sx * sy) / det
+    intercept = (sxx * sy - sx * sxy) / det
+    residual = float(np.max(np.abs(intercept + slope * xs - ys)))
+    return slope, intercept, residual
+
+
 def _pair_data(spec: ProductSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     g = spec.truncated(n)
     denom = 0.25 + g * g            # 1/4 + gamma^2 = -lambda
@@ -157,8 +183,6 @@ def fit_prefactor(
     ts = np.asarray(target_values, dtype=np.float64)
     if xs.size != ts.size:
         raise DomainError("sample points and target values differ in length")
-    if xs.size < 2:
-        raise SingularFitError("need at least two samples to fit (B, D)")
     if np.any(ts <= 0.0):
         raise DomainError("target must be positive on all fit samples")
 
@@ -171,18 +195,7 @@ def fit_prefactor(
             )
         bare[i] = value.real
 
-    y = np.log(ts) - np.log(bare)
-    count = float(xs.size)
-    sx = float(np.sum(xs))
-    sxx = float(np.sum(xs * xs))
-    sy = float(np.sum(y))
-    sxy = float(np.sum(xs * y))
-    det = count * sxx - sx * sx
-    if det <= 1e-14 * max(count * sxx, sx * sx, 1e-300):
-        raise SingularFitError("degenerate sample grid (all points coincide)")
-    b = (sxx * sy - sx * sxy) / det
-    d = (count * sxy - sx * sy) / det
-    residual = float(np.max(np.abs(b + d * xs - y)))
+    d, b, residual = linear_fit(xs, np.log(ts) - np.log(bare))
     return PrefactorFit(
         B=b,
         D=d,
@@ -209,27 +222,6 @@ def fitted_misfit(
         model = paired_product(complex(x, 0.0), fitted, n).real
         worst = max(worst, abs(model / t - 1.0))
     return fit, worst
-
-
-def audit_equality(fit_a: PrefactorFit, fit_b: PrefactorFit) -> AuditReport:
-    """Compare the constant terms of two fits (the s = 0 evaluation)."""
-    difference = abs(fit_a.B - fit_b.B)
-    bound = fit_a.max_residual + fit_b.max_residual + 1e-12
-    return AuditReport(
-        name="prefactor-constant-equality",
-        params={
-            "B_a": fit_a.B,
-            "B_b": fit_b.B,
-            "residual_a": fit_a.max_residual,
-            "residual_b": fit_b.max_residual,
-        },
-        measured=[difference],
-        reference=[bound],
-        ratio_or_residual=difference,
-        tolerance=bound,
-        verdict=Verdict.PASS if difference <= bound else Verdict.FAIL,
-        provenance="hadamard",
-    )
 
 
 def coincidence_threshold(

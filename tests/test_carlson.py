@@ -1,20 +1,17 @@
 import cmath
 import math
 
-import numpy as np
 import pytest
 
 from xispec.carlson import (
     Axis,
     Conclusion,
     audit_difference,
-    audit_eq8,
     audit_eq9,
     carlson_verdict,
     check_integer_vanishing,
     estimate_type,
 )
-from xispec.errors import SingularFitError
 
 
 @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 3.0])
@@ -80,17 +77,6 @@ def test_no_integer_samples_is_inconclusive():
 def test_margin_must_be_positive():
     with pytest.raises(ValueError):
         carlson_verdict(lambda z: 0.0, 10, 20.0, margin=0.0)
-
-
-def test_exponential_boundary_fit():
-    fit = audit_eq8(np.array([0.0, 1.0, 2.0]))
-    assert fit.D == pytest.approx(math.pi, abs=1e-12)
-    assert fit.B == pytest.approx(0.0, abs=1e-12)
-    assert fit.max_residual < 1e-12
-    with pytest.raises(SingularFitError):
-        audit_eq8(np.array([0.0]))
-    fit = audit_eq8(np.linspace(0.0, 7.0, 12))
-    assert fit.B == pytest.approx(0.0, abs=1e-12)
 
 
 def test_exponential_model_fit_synthetic():

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -9,6 +10,7 @@ from xispec import cli
 from xispec.errors import NonConvergenceError
 from xispec.report import get_report_schema
 from xispec.specfun import xi_critical
+from xispec.zeros import fnv1a64
 
 
 @pytest.fixture(autouse=True)
@@ -50,6 +52,15 @@ def test_cache_corruption_exit_code(capsys):
     raw = open("zeros.csv", "rb").read().replace(b"14.13", b"14.15", 1)
     with open("zeros.csv", "wb") as handle:
         handle.write(raw)
+    assert run(["zeros", "--t-max", "30", "--cache", "zeros.csv"]) == 3
+
+
+def test_cache_rows_out_of_order_exit_code(capsys):
+    assert run(["zeros", "--t-max", "30", "--cache", "zeros.csv"]) == 0
+    header, first, second, *rest = Path("zeros.csv").read_text().splitlines()
+    data = "".join(row + "\n" for row in [second, first, *rest]).encode()
+    header = header.rsplit("=", 1)[0] + f"={fnv1a64(data):016x}\n"
+    Path("zeros.csv").write_bytes(header.encode() + data)
     assert run(["zeros", "--t-max", "30", "--cache", "zeros.csv"]) == 3
 
 
@@ -95,12 +106,40 @@ def test_audit_all_aggregate_and_determinism():
     assert "em_order_cap" in aggregate["metadata"]
 
 
-def test_parallelism_does_not_change_bytes():
-    args = ["audit", "all", "--t-max", "40", "--n-zeros", "50", "--cache", "zeros_thr.csv"]
-    assert run(args + ["--threads", "1", "--out", "t1"]) == 0
-    assert run(args + ["--threads", "4", "--out", "t4"]) == 0
-    for name in sorted(os.listdir("t1")):
-        assert open(f"t1/{name}", "rb").read() == open(f"t4/{name}", "rb").read()
+def test_count_driven_cache_is_reused(monkeypatch):
+    args = ["audit", "all", "--t-max", "40", "--n-zeros", "50", "--cache", "C"]
+    assert run(args + ["--out", "r1"]) == 0
+    # 50 zeros need t = 149.6953125, which the header must keep exactly.
+    assert " tmax=149.6953125 " in Path("C").read_text().splitlines()[0]
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the cache covers this run; no scan is needed")
+
+    monkeypatch.setattr(cli, "scan_zeros", no_scan)
+    assert run(args + ["--out", "r2"]) == 0
+    names = sorted(os.listdir("r1"))
+    assert names == sorted(os.listdir("r2"))
+    for name in names:
+        assert Path("r1", name).read_bytes() == Path("r2", name).read_bytes()
+
+
+def test_audit_all_scans_once(monkeypatch):
+    calls = []
+    scan = cli.scan_zeros
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "scan_zeros", counted)
+    assert run(["audit", "all", "--t-max", "40", "--n-zeros", "50", "--out", "r"]) == 0
+    assert len(calls) == 1
+
+
+def test_threads_flag_is_a_usage_error():
+    with pytest.raises(SystemExit) as excinfo:
+        run(["zeros", "--t-max", "30", "--threads", "2"])
+    assert excinfo.value.code == 2
 
 
 def test_plot_remaining_targets():
@@ -211,6 +250,21 @@ def test_report_command_flags_failures(capsys):
     )
     capsys.readouterr()
     assert run(["report", "--out", "rfail"]) == 1
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, "{not json", '{"name": "x"}'],
+    ids=["missing", "not-json", "missing-keys"],
+)
+def test_report_bad_file_is_a_usage_error(capsys, content):
+    if content is not None:
+        with open("bad.json", "w") as handle:
+            handle.write(content)
+    assert run(["report", "bad.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("xispec: usage error: bad.json: ")
+    assert err.count("\n") == 1
 
 
 def test_config_file_flow(tmp_path, capsys):

@@ -9,7 +9,6 @@ def test_defaults():
     assert cfg.t_max == 50.0
     assert cfg.tol == 1e-8
     assert cfg.format == "json"
-    assert cfg.worker_count >= 1
 
 
 def test_flag_overrides():
@@ -20,10 +19,18 @@ def test_flag_overrides():
 
 def test_file_then_flags(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("t-max = 40\nthreads = 2   # worker pool\n\n# comment\n")
+    path.write_text("t-max = 40\nn-zeros = 300   # product zeros\n\n# comment\n")
     cfg = build_config(str(path), {"t_max": 60.0})
     assert cfg.t_max == 60.0       # flag wins
-    assert cfg.threads == 2
+    assert cfg.n_zeros == 300
+
+
+def test_threads_key_rejected(tmp_path):
+    # The zero scan sizes its pool from the CPU count; there is no knob.
+    path = tmp_path / "run.cfg"
+    path.write_text("threads = 2\n")
+    with pytest.raises(ConfigError, match="threads"):
+        parse_config_file(str(path))
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -55,7 +62,7 @@ def test_unparsable_value_rejected(tmp_path):
         {"tol": 0.0},
         {"n_zeros": 0},
         {"m": 0},
-        {"threads": -1},
+        {"t_max": float("nan")},
         {"format": "xml"},
     ],
 )

@@ -15,7 +15,6 @@ from xispec.coupling import (
     norm_integral_quadrature,
     nu_from_lambda,
     s_from_lambda,
-    summarize_eq5,
 )
 from xispec.errors import DivergenceError, PoleError
 from xispec.report import Verdict
@@ -125,7 +124,7 @@ def test_closed_form_pole():
 def test_ratio_audit_batch():
     orders = [BesselOrder.real_order(k / 10.0) for k in range(1, 10)]
     orders += [BesselOrder.imaginary_order(m) for m in (0.5, 1.0, 2.0)]
-    audits = audit_eq5(orders)
+    audits, _ = audit_eq5(orders)
     assert all(a.ok for a in audits)
     ratios = [a.ratio for a in audits]
     mean = sum(ratios) / len(ratios)
@@ -136,13 +135,13 @@ def test_ratio_audit_batch():
 
 
 def test_ratio_audit_single_elementary_order():
-    audits = audit_eq5([BesselOrder.real_order(0.5)])
+    audits, _ = audit_eq5([BesselOrder.real_order(0.5)])
     assert audits[0].ratio == pytest.approx(4.0, rel=1e-9)
 
 
 def test_ratio_audit_isolates_failures():
     orders = [BesselOrder.real_order(0.5), BesselOrder.real_order(1.5)]
-    audits = audit_eq5(orders)
+    audits, _ = audit_eq5(orders)
     assert audits[0].ok and audits[0].verdict is Verdict.CONSISTENT_UP_TO_CONSTANT
     assert not audits[1].ok
     assert "DivergenceError" in audits[1].error
@@ -150,8 +149,7 @@ def test_ratio_audit_isolates_failures():
 
 
 def test_summary_reports_both_hypotheses():
-    audits = audit_eq5([BesselOrder.real_order(0.5), BesselOrder.imaginary_order(1.0)])
-    summary = summarize_eq5(audits)
+    _, summary = audit_eq5([BesselOrder.real_order(0.5), BesselOrder.imaginary_order(1.0)])
     assert summary.params["claimed_coefficient"] == 0.125
     assert summary.params["standard_coefficient"] == 0.5
     assert summary.params["implied_coefficient"] == pytest.approx(0.5, rel=1e-9)
@@ -159,8 +157,7 @@ def test_summary_reports_both_hypotheses():
 
 
 def test_summary_of_all_failed_batch_still_serializes():
-    audits = audit_eq5([BesselOrder.real_order(1.5)])
-    summary = summarize_eq5(audits)
+    _, summary = audit_eq5([BesselOrder.real_order(1.5)])
     assert summary.verdict is Verdict.INCONCLUSIVE
     assert summary.params["implied_coefficient"] is None
     summary.to_json()  # must stay strict JSON

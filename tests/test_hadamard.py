@@ -10,10 +10,10 @@ from xispec.errors import DomainError, SingularFitError
 from xispec.hadamard import (
     ProductSpec,
     audit_coincidence,
-    audit_equality,
     correction_sum,
     fit_prefactor,
     fitted_misfit,
+    linear_fit,
     paired_product,
     paired_product_bare,
     tail_bound,
@@ -129,21 +129,16 @@ def test_product_approximates_xi_at_two(zeros_for_products, xi_samples):
     assert abs(value / (math.pi / 6.0) - 1.0) < 2e-2
 
 
-def test_equality_audit_pass_and_fail():
-    xs1 = np.linspace(-1.0, 2.0, 21)
-    xs2 = np.linspace(-0.5, 1.5, 33)
-    target = lambda xs: np.exp(0.7 - 0.4 * xs)
-    fit1 = fit_prefactor(xs1, target(xs1), EMPTY_SPEC, 0)
-    fit2 = fit_prefactor(xs2, target(xs2), EMPTY_SPEC, 0)
-    report = audit_equality(fit1, fit1)
-    assert report.verdict is Verdict.PASS
-    assert report.ratio_or_residual == 0.0
-    report = audit_equality(fit1, fit2)
-    assert report.verdict is Verdict.PASS
-    fit3 = fit_prefactor(xs1, math.e * target(xs1), EMPTY_SPEC, 0)
-    report = audit_equality(fit1, fit3)
-    assert report.verdict is Verdict.FAIL
-    assert report.ratio_or_residual == pytest.approx(1.0, abs=1e-10)
+def test_linear_fit():
+    xs = np.linspace(0.0, 7.0, 12)
+    slope, intercept, residual = linear_fit(xs, math.pi * xs - 0.25)
+    assert slope == pytest.approx(math.pi, abs=1e-12)
+    assert intercept == pytest.approx(-0.25, abs=1e-12)
+    assert residual < 1e-12
+    with pytest.raises(SingularFitError):
+        linear_fit(np.array([0.0]), np.array([1.0]))
+    with pytest.raises(SingularFitError):
+        linear_fit(np.full(4, 3.0), np.arange(4.0))
 
 
 def test_coincidence_own_ordinates(zeros_for_products):

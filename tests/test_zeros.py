@@ -1,13 +1,17 @@
 import mpmath as mp
+import numpy as np
 import pytest
 
 from conftest import KNOWN_ZEROS_10
 from xispec.errors import BracketError, CacheCorruptionError
 from xispec.report import Verdict
-from xispec.specfun import xi_critical
+from xispec.specfun import hardy_z, xi_critical
+from xispec import zeros as zeros_module
 from xispec.zeros import (
+    POOL_MIN_POINTS,
     CriticalZero,
     ZeroCache,
+    _evaluate_grid,
     count_check,
     fnv1a64,
     refine_zero,
@@ -74,11 +78,11 @@ def test_tolerance_refinement_stability():
         assert abs(a.gamma - b.gamma) < 1e-6
 
 
-def test_parallel_scan_matches_serial(zeros_to_100):
-    parallel = scan_zeros(100.0, 1e-8, threads=4)
-    assert [(z.index, z.gamma, z.abs_err) for z in parallel] == [
-        (z.index, z.gamma, z.abs_err) for z in zeros_to_100
-    ]
+def test_parallel_scan_matches_serial(monkeypatch):
+    # Long enough for the thread pool, which runs even on a one-CPU host.
+    monkeypatch.setattr(zeros_module.os, "cpu_count", lambda: 4)
+    grid = np.linspace(900.0, 1000.0, POOL_MIN_POINTS + 1)
+    assert _evaluate_grid(grid, 1).tolist() == [hardy_z(float(t)) for t in grid]
 
 
 def test_refine_known_brackets():
@@ -165,6 +169,37 @@ def test_cache_checksum_detects_corruption(tmp_path, zeros_to_100):
         handle.write(raw)
     with pytest.raises(CacheCorruptionError):
         ZeroCache.load(path)
+
+
+def test_cache_keeps_full_tmax(tmp_path, zeros_to_100):
+    # Count-driven runs ask for heights such as 149.6953125; a header that
+    # rounds them (to 149.695) would make every later run miss the cache.
+    path = str(tmp_path / "zeros.csv")
+    ZeroCache(t_max=149.6953125, tol=1e-8, zeros=zeros_to_100).save(path)
+    loaded = ZeroCache.load(path)
+    assert loaded.t_max == 149.6953125
+    assert loaded.matches(149.6953125, 1e-8)
+
+
+@pytest.mark.parametrize(
+    "reorder",
+    [
+        lambda rows: [rows[1], rows[0]] + rows[2:],               # rows swapped
+        lambda rows: [rows[0]] + rows[2:],                        # index skipped
+        lambda rows: ["1," + rows[1].split(",", 1)[1],
+                      "2," + rows[0].split(",", 1)[1]] + rows[2:],  # gamma falls
+    ],
+    ids=["swapped", "skipped", "gamma-falls"],
+)
+def test_cache_rejects_rows_out_of_order(tmp_path, zeros_to_100, reorder):
+    path = tmp_path / "zeros.csv"
+    ZeroCache(t_max=100.0, tol=1e-8, zeros=zeros_to_100).save(str(path))
+    header, *rows = path.read_text().splitlines()
+    data = "".join(row + "\n" for row in reorder(rows)).encode()
+    header = header.rsplit("=", 1)[0] + f"={fnv1a64(data):016x}\n"
+    path.write_bytes(header.encode() + data)
+    with pytest.raises(CacheCorruptionError):
+        ZeroCache.load(str(path))
 
 
 def test_cache_rejects_malformed_header(tmp_path):
