@@ -43,7 +43,7 @@ from .report import (
     write_aggregate,
     write_report,
 )
-from .specfun import BesselOrder, EM_ORDER_CAP, EM_TERMS_CAP, em_truncation, xi, xi_critical
+from .specfun import BesselOrder, EM_ORDER_CAP, EM_TERMS_CAP, hardy_z_method, xi, xi_critical
 from .zeros import (
     CriticalZero,
     ZeroCache,
@@ -313,12 +313,14 @@ _AUDIT_RUNNERS = {
 
 def _metadata(cfg: RunConfig) -> dict:
     t_scan = max(cfg.t_max, _t_for_zero_count(_product_zero_count(cfg)))
+    z_method, z_terms = hardy_z_method(t_scan)
     return {
         "tool": "xispec",
         "version": __version__,
         "em_order_cap": EM_ORDER_CAP,
         "em_terms_cap": EM_TERMS_CAP,
-        "em_truncation_at_scan_top": em_truncation(complex(0.5, t_scan)),
+        "z_method_at_scan_top": z_method,
+        "z_terms_at_scan_top": z_terms,
         "norm_coefficients": {
             "claimed": CLAIMED_NORM_COEFF,
             "standard": STANDARD_NORM_COEFF,
@@ -475,6 +477,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     import json
 
     paths = args.paths
+    # In a directory, `audit all` leaves each audit both in its own file and
+    # in audit_all.json; a directory listing shows each distinct entry once.
+    seen: set[str] | None = None
     if not paths:
         out_dir = args.out or "reports"
         try:
@@ -482,6 +487,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise ConfigError(f"{out_dir}: {exc}") from exc
         paths = sorted(os.path.join(out_dir, p) for p in names if p.endswith(".json"))
+        seen = set()
     failed = False
     for path in paths:
         # A missing or malformed file is a bad argument, never an audit failure.
@@ -494,6 +500,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
             raise ConfigError(f"{path}: missing key {exc}") from exc
         except (OSError, ValueError, TypeError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
+        if seen is not None:
+            keys = [r.to_json() for r in reports]
+            reports = [r for r, key in zip(reports, keys) if key not in seen]
+            seen.update(keys)
         for report in reports:
             failed = failed or report.failed
             print(

@@ -9,8 +9,10 @@ from .besselk import BesselOrder, OrderKind, bessel_k, bessel_k_with_error
 from .gamma import gamma, log_gamma
 from .quadrature import QuadratureResult, integrate_semiinfinite
 from .xi import (
+    RS_MIN_T,
     XI_SIGN_FROM_Z,
     hardy_z,
+    hardy_z_method,
     log_abs_xi_critical,
     riemann_siegel_theta,
     xi,
@@ -24,12 +26,14 @@ __all__ = [
     "QuadratureResult",
     "EM_ORDER_CAP",
     "EM_TERMS_CAP",
+    "RS_MIN_T",
     "XI_SIGN_FROM_Z",
     "bessel_k",
     "bessel_k_with_error",
     "em_truncation",
     "gamma",
     "hardy_z",
+    "hardy_z_method",
     "integrate_semiinfinite",
     "log_abs_xi_critical",
     "log_gamma",

@@ -2,9 +2,11 @@
 
 Scanning runs on Hardy's Z(t) rather than Xi(t) directly: the two share
 their zeros and signs up to a fixed flip, but Z stays O(1) where
-|Xi(t)| ~ e^{-pi t/4} underflows.  Brackets are refined by a
-bisection/secant hybrid that always keeps a sign change enclosed, so the
-final interval width bounds the error.
+|Xi(t)| ~ e^{-pi t/4} underflows.  Brackets are refined by Chandrupatla's
+method (inverse quadratic interpolation with a bisection fallback), which
+always keeps a sign change enclosed, so the final interval width bounds the
+error.  Refinement starts from the Z values the scan grid already holds at
+the bracket ends.
 
 The persistent cache is a plain text CSV with a checksummed header
 (64-bit FNV-1a over the data-line bytes, newline included), written
@@ -66,11 +68,20 @@ def refine_zero(
     tol: float,
     depth: int = 1,
     index: int = 1,
+    *,
+    z_ends: tuple[float, float] | None = None,
 ) -> CriticalZero:
     """Refine a sign-change bracket of Xi (equivalently Z) to width <= tol.
 
-    Uses secant steps clamped into the live bracket, falling back to
-    bisection whenever the secant stalls, so progress is unconditional.
+    A tol below four times the spacing of doubles at the bracket is raised
+    to it: a tighter bracket cannot be resolved.
+
+    Chandrupatla's method: inverse quadratic interpolation through the two
+    bracket ends and the last point dropped, falling back to bisection
+    when the interpolant is not trusted.  Each trial point stays at least
+    tol/2 inside the bracket, so once the estimate has converged the next
+    step straddles the root and closes the bracket.  ``z_ends`` passes
+    already known Z values at the two ends, saving their evaluation.
 
     Raises:
         BracketError: if the endpoints do not straddle a sign change.
@@ -80,8 +91,11 @@ def refine_zero(
         raise ValueError("tol must be positive")
     if not (t_lo < t_hi):
         raise BracketError(f"empty bracket ({t_lo!r}, {t_hi!r})")
-    f_lo = hardy_z(t_lo, depth)
-    f_hi = hardy_z(t_hi, depth)
+    tol = max(tol, 4.0 * math.ulp(max(abs(t_lo), abs(t_hi))))
+    if z_ends is None:
+        f_lo, f_hi = hardy_z(t_lo, depth), hardy_z(t_hi, depth)
+    else:
+        f_lo, f_hi = float(z_ends[0]), float(z_ends[1])
     if f_lo == 0.0:
         t_lo_adj = max(t_lo - tol, 0.5 * t_lo)
         return CriticalZero(index, t_lo, (t_lo_adj, t_hi), tol)
@@ -93,37 +107,50 @@ def refine_zero(
             f"Z={f_lo:.3e} and {f_hi:.3e}"
         )
 
-    original = (t_lo, t_hi)
-    while t_hi - t_lo > tol:
-        mid = 0.5 * (t_lo + t_hi)
-        trial = mid
-        denom = f_hi - f_lo
-        if denom != 0.0:
-            secant = t_lo - f_lo * (t_hi - t_lo) / denom
-            # Accept the secant point only if it lands safely inside.
-            margin = 0.05 * (t_hi - t_lo)
-            if t_lo + margin < secant < t_hi - margin:
-                trial = secant
+    # a: the newest bracket end; b: the other end; c: the end a replaced.
+    a, f_a, b, f_b = t_hi, f_hi, t_lo, f_lo
+    step = 0.5  # fraction of the way from a to b
+    while abs(b - a) > tol:
+        trial = a + step * (b - a)
         f_trial = hardy_z(trial, depth)
         if f_trial == 0.0:
             half = 0.5 * tol
             return CriticalZero(
-                index, trial, (max(trial - half, original[0]), trial + half), half
+                index, trial, (max(trial - half, t_lo), trial + half), half
             )
-        if math.copysign(1.0, f_trial) == math.copysign(1.0, f_lo):
-            t_lo, f_lo = trial, f_trial
+        if math.copysign(1.0, f_trial) == math.copysign(1.0, f_a):
+            c, f_c = a, f_a
         else:
-            t_hi, f_hi = trial, f_trial
+            c, f_c = b, f_b
+            b, f_b = a, f_a
+        a, f_a = trial, f_trial
+        xi = (a - b) / (c - b)
+        phi = (f_a - f_b) / (f_c - f_b)
+        if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
+            step = (f_a / (f_b - f_a)) * (f_c / (f_b - f_c)) + (
+                (c - a) / (b - a)
+            ) * (f_a / (f_c - f_a)) * (f_b / (f_c - f_b))
+        else:
+            step = 0.5
+        clamp = 0.5 * tol / abs(b - a)
+        step = min(max(step, clamp), 1.0 - clamp)
 
+    t_lo, t_hi = min(a, b), max(a, b)
     gamma = 0.5 * (t_lo + t_hi)
     return CriticalZero(index, gamma, (t_lo, t_hi), 0.5 * (t_hi - t_lo))
 
 
-def _grid(t_max: float, step: float) -> np.ndarray:
+def _grid(t_max: float, step: float, t_min: float = 0.0) -> np.ndarray:
+    """The points k * step in [t_min, t_max], ending exactly at t_max.
+
+    Every point is the same double whatever t_min is, so a sub-grid lines
+    up with the full grid it is cut from.
+    """
     count = int(math.ceil(t_max / step))
-    grid = np.arange(0, count + 1, dtype=np.float64) * step
+    first = max(int(math.floor(t_min / step)) - 1, 0)
+    grid = np.arange(first, count + 1, dtype=np.float64) * step
     grid[-1] = min(grid[-1], t_max)
-    return grid
+    return grid[(grid >= t_min) & (grid <= t_max)]
 
 
 def _local_mean_gap(t: float) -> float:
@@ -154,11 +181,15 @@ def _evaluate_grid(grid: np.ndarray, depth: int) -> np.ndarray:
 
 def _brackets_from_values(
     grid: np.ndarray, values: np.ndarray
-) -> list[tuple[float, float]]:
+) -> dict[tuple[float, float], tuple[float, float]]:
+    """Each sign-change bracket of the grid, mapped to Z at its two ends."""
     sign = np.sign(values)
     sign[sign == 0.0] = 1.0
     flips = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]
-    return [(float(grid[i]), float(grid[i + 1])) for i in flips]
+    return {
+        (float(grid[i]), float(grid[i + 1])): (float(values[i]), float(values[i + 1]))
+        for i in flips
+    }
 
 
 def scan_zeros(
@@ -187,15 +218,14 @@ def scan_zeros(
     # wide bracket can hide an odd number beyond the one it reports.  Both
     # kinds of suspicious region get a step/8 sweep; duplicates are removed
     # after refinement.
-    fine_brackets: list[tuple[float, float]] = []
+    fine_brackets: dict[tuple[float, float], tuple[float, float]] = {}
     edges = [0.0] + [e for br in brackets for e in br] + [float(t_max)]
     suspicious = [(edges[i], edges[i + 1]) for i in range(0, len(edges), 2)]
     suspicious += [br for br in brackets if br[1] - br[0] > 1.7 * _local_mean_gap(br[1])]
     for lo, hi in suspicious:
         if hi <= lo or hi - lo < 1.7 * _local_mean_gap(hi):
             continue
-        sub = _grid(hi, step / 8.0)
-        sub = sub[(sub >= lo) & (sub <= hi)]
+        sub = _grid(hi, step / 8.0, lo)
         if sub.size < 3:
             continue
         sub_vals = _evaluate_grid(sub, depth)
@@ -207,12 +237,12 @@ def scan_zeros(
                 StepResolutionWarning,
                 stacklevel=2,
             )
-        fine_brackets.extend(extra)
+        fine_brackets.update(extra)
 
-    all_brackets = sorted(set(brackets + fine_brackets))
+    ends = {**brackets, **fine_brackets}
     refined = [
-        refine_zero(br, tol, depth, index=i)
-        for i, br in enumerate(all_brackets, start=1)
+        refine_zero(br, tol, depth, index=i, z_ends=ends[br])
+        for i, br in enumerate(sorted(ends), start=1)
     ]
     refined.sort(key=lambda z: z.gamma)
     deduped: list[CriticalZero] = []

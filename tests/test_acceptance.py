@@ -9,6 +9,7 @@ import math
 import os
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -188,7 +189,7 @@ def test_criterion_9_determinism_and_interfaces(tmp_path, monkeypatch):
         ) as fb:
             ok = ok and fa.read() == fb.read()
 
-    payload = json.loads(open("r1/audit_all.json").read())
+    payload = json.loads(Path("r1/audit_all.json").read_text())
     ok = ok and len(payload["audits"]) == 5
 
     # exit codes: 1 audit failure, 2 usage, 3 cache corruption
@@ -197,9 +198,8 @@ def test_criterion_9_determinism_and_interfaces(tmp_path, monkeypatch):
          "--cache", "zeros.csv", "--out", "r3"]
     ) == 1
     ok = ok and cli.main(["zeros", "--t-max", "-5"]) == 2
-    raw = open("zeros.csv", "rb").read()
-    with open("zeros.csv", "wb") as handle:
-        handle.write(raw.replace(b"14.13", b"14.19", 1))
+    raw = Path("zeros.csv").read_bytes()
+    Path("zeros.csv").write_bytes(raw.replace(b"14.13", b"14.19", 1))
     ok = ok and cli.main(["zeros", "--t-max", "40", "--cache", "zeros.csv"]) == 3
 
     from xispec.errors import NonConvergenceError

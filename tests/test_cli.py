@@ -49,9 +49,8 @@ def test_zeros_bad_flag_exit_code():
 
 def test_cache_corruption_exit_code(capsys):
     assert run(["zeros", "--t-max", "30", "--cache", "zeros.csv"]) == 0
-    raw = open("zeros.csv", "rb").read().replace(b"14.13", b"14.15", 1)
-    with open("zeros.csv", "wb") as handle:
-        handle.write(raw)
+    raw = Path("zeros.csv").read_bytes().replace(b"14.13", b"14.15", 1)
+    Path("zeros.csv").write_bytes(raw)
     assert run(["zeros", "--t-max", "30", "--cache", "zeros.csv"]) == 3
 
 
@@ -66,7 +65,7 @@ def test_cache_rows_out_of_order_exit_code(capsys):
 
 def test_audit_eq5_report(capsys):
     assert run(["audit", "eq5", "--out", "reports"]) == 0
-    payload = json.loads(open("reports/audit_eq5.json").read())
+    payload = json.loads(Path("reports/audit_eq5.json").read_text())
     jsonschema.validate(payload, get_report_schema())
     assert payload["verdict"] == "CONSISTENT_UP_TO_CONSTANT"
     assert payload["params"]["claimed_coefficient"] == 0.125
@@ -85,7 +84,7 @@ def test_audit_coincidence_perturbed_fails(capsys):
         ]
     )
     assert code == 1
-    payload = json.loads(open("reports/audit_coincidence.json").read())
+    payload = json.loads(Path("reports/audit_coincidence.json").read_text())
     assert payload["verdict"] == "DISTINCT"
     assert payload["params"]["perturb"] == 0.01
 
@@ -97,13 +96,15 @@ def test_audit_all_aggregate_and_determinism():
     names = sorted(os.listdir("r1"))
     assert "audit_all.json" in names
     for name in names:
-        assert open(f"r1/{name}", "rb").read() == open(f"r2/{name}", "rb").read()
-    aggregate = json.loads(open("r1/audit_all.json").read())
+        assert Path("r1", name).read_bytes() == Path("r2", name).read_bytes()
+    aggregate = json.loads(Path("r1/audit_all.json").read_text())
     assert len(aggregate["audits"]) == 5
     for entry in aggregate["audits"]:
         jsonschema.validate(entry, get_report_schema())
     assert aggregate["metadata"]["tool"] == "xispec"
     assert "em_order_cap" in aggregate["metadata"]
+    # 50 zeros need t = 149.7, below the Riemann-Siegel crossover.
+    assert aggregate["metadata"]["z_method_at_scan_top"] == "euler-maclaurin"
 
 
 def test_count_driven_cache_is_reused(monkeypatch):
@@ -153,7 +154,7 @@ def test_audit_csv_format():
     assert run(
         ["audit", "eq5", "--format", "csv", "--out", "reports_csv"]
     ) == 0
-    rows = open("reports_csv/audit_eq5.csv").read().strip().splitlines()
+    rows = Path("reports_csv/audit_eq5.csv").read_text().strip().splitlines()
     assert rows[0].startswith("order_kind,order_magnitude")
     assert len(rows) == 13
 
@@ -165,7 +166,7 @@ def test_audit_all_csv_aggregate():
             "--n-zeros", "50", "--cache", "zeros_csv.csv", "--out", "allcsv",
         ]
     ) == 0
-    rows = open("allcsv/audit_all.csv").read().strip().splitlines()
+    rows = Path("allcsv/audit_all.csv").read_text().strip().splitlines()
     assert rows[0].startswith("name,verdict")
     assert len(rows) == 6
     assert sorted(os.listdir("allcsv")) == [
@@ -185,7 +186,7 @@ def test_cache_mismatch_recomputes(capsys):
     assert run(["zeros", "--t-max", "30", "--cache", "zc.csv", "--tol", "1e-8"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert len(out) == 3
-    header = open("zc.csv").readline()
+    header = Path("zc.csv").read_text().splitlines()[0]
     assert "tol=1e-08" in header
 
 
@@ -199,7 +200,7 @@ def test_audit_exit_4_on_numerical_failure(monkeypatch):
 
 def test_plot_xi_critical_crosses_zero_three_times():
     assert run(["plot", "xi-critical", "--t", "0:30", "--out", "xi.svg"]) == 0
-    svg = open("xi.svg").read()
+    svg = Path("xi.svg").read_text()
     assert svg.startswith("<?xml")
     assert "<polyline" in svg
     # the plotted data: recompute on the same grid and count sign changes
@@ -209,7 +210,7 @@ def test_plot_xi_critical_crosses_zero_three_times():
     crossings = int(np.sum(signs[:-1] * signs[1:] < 0))
     assert crossings == 3
     assert run(["plot", "xi-critical", "--t", "0:30", "--out", "xi2.svg"]) == 0
-    assert open("xi.svg", "rb").read() == open("xi2.svg", "rb").read()
+    assert Path("xi.svg").read_bytes() == Path("xi2.svg").read_bytes()
 
 
 def test_plot_empty_range_exit_code():
@@ -236,6 +237,16 @@ def test_report_command(capsys):
     # explicit path form
     assert run(["report", "reports/audit_eq5.json"]) == 0
     assert "norm-integral-ratio" in capsys.readouterr().out
+
+
+def test_report_lists_each_audit_once(capsys):
+    args = ["audit", "all", "--t-max", "40", "--n-zeros", "50", "--out", "reports"]
+    assert run(args) == 0
+    capsys.readouterr()
+    assert run(["report", "--out", "reports"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5
+    assert len({line.split(": ")[1] for line in lines}) == 5
 
 
 def test_report_command_flags_failures(capsys):
@@ -283,6 +294,6 @@ def test_config_unknown_key_exit_code(tmp_path):
 
 def test_zeros_out_file(capsys):
     assert run(["zeros", "--t-max", "30", "--out", "table.csv"]) == 0
-    rows = open("table.csv").read().strip().splitlines()
+    rows = Path("table.csv").read_text().strip().splitlines()
     assert rows[0] == "n,gamma,abs_err"
     assert len(rows) == 4

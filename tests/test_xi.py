@@ -1,16 +1,24 @@
+import cmath
 import math
 import random
 
+import mpmath as mp
 import pytest
 
 from conftest import rel_err
 from xispec.specfun import (
+    RS_MIN_T,
     XI_SIGN_FROM_Z,
+    em_truncation,
     hardy_z,
+    hardy_z_method,
     log_abs_xi_critical,
+    riemann_siegel_theta,
     xi,
     xi_critical,
+    zeta,
 )
+from xispec.specfun.xi import _RS_C
 
 # Product of Gamma(1/4), zeta(1/2), pi^(-1/4) at 30 significant digits,
 # frozen from the arbitrary-precision oracle.
@@ -76,3 +84,63 @@ def test_log_abs_consistency():
     for t in (5.0, 30.0, 80.0):
         direct = math.log(abs(xi_critical(t)))
         assert abs(log_abs_xi_critical(t) - direct) < 1e-8 * max(1.0, abs(direct))
+
+
+def _euler_maclaurin_z(t, depth):
+    value = cmath.exp(1j * riemann_siegel_theta(t)) * zeta(complex(0.5, t), depth)
+    return value.real
+
+
+def test_riemann_siegel_coefficients_match_regeneration():
+    # C_j from Psi(p) = cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p), expanded
+    # about p = 1/2 (z = p - 1/2) by mpmath at 40 digits.
+    with mp.workdps(40):
+        pi = mp.pi
+        psi = mp.taylor(
+            lambda p: mp.cos(2 * pi * (p * p - p - mp.mpf(1) / 16)) / mp.cos(2 * pi * p),
+            mp.mpf(0.5),
+            56,
+        )
+
+        def d(k, i):  # coefficient of z^i in Psi^(k)
+            return mp.factorial(i + k) / mp.factorial(i) * psi[i + k]
+
+        recipes = (
+            ((0, 1),),
+            ((3, -1 / (96 * pi**2)),),
+            ((2, 1 / (64 * pi**2)), (6, 1 / (18432 * pi**4))),
+            ((1, -1 / (64 * pi**2)), (5, -1 / (3840 * pi**4)),
+             (9, -1 / (5308416 * pi**6))),
+            ((0, 1 / (128 * pi**2)), (4, 19 / (24576 * pi**4)),
+             (8, 11 / (5898240 * pi**6)), (12, 1 / (2038431744 * pi**8))),
+        )
+        for j, (literal, recipe) in enumerate(zip(_RS_C, recipes)):
+            for m, value in enumerate(literal):
+                i = 2 * m + j % 2
+                expected = sum(w * d(k, i) for k, w in recipe)
+                assert abs(value - expected) <= 1e-15 * abs(expected), (j, i)
+
+
+def test_riemann_siegel_z_against_oracle():
+    rng = random.Random(2008)
+    heights = [rng.uniform(RS_MIN_T, 6000.0) for _ in range(50)]
+    heights += [RS_MIN_T - 1e-9, RS_MIN_T, RS_MIN_T + 1e-9, 6000.0]
+    with mp.workdps(20):
+        for t in heights:
+            assert abs(hardy_z(t) - float(mp.siegelz(t))) <= 1e-10, t
+
+
+def test_z_method_switches_at_rs_min_t():
+    assert hardy_z_method(RS_MIN_T - 1e-9) == (
+        "euler-maclaurin", em_truncation(complex(0.5, RS_MIN_T - 1e-9)))
+    assert hardy_z_method(RS_MIN_T) == ("riemann-siegel", 11)
+    assert hardy_z_method(5000.0) == ("riemann-siegel", 28)
+    assert hardy_z_method(5000.0, depth=2)[0] == "euler-maclaurin"
+    assert hardy_z(RS_MIN_T - 1e-9) == _euler_maclaurin_z(RS_MIN_T - 1e-9, 1)
+
+
+def test_depth_two_oracle_stays_on_euler_maclaurin():
+    for t in (100.0, RS_MIN_T, 1150.0, 4321.5):
+        assert hardy_z(t, depth=2) == _euler_maclaurin_z(t, 2)
+    # The two formulas agree where both apply.
+    assert abs(hardy_z(1150.0) - hardy_z(1150.0, depth=2)) <= 1e-10

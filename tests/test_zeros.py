@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -8,10 +10,12 @@ from xispec.report import Verdict
 from xispec.specfun import hardy_z, xi_critical
 from xispec import zeros as zeros_module
 from xispec.zeros import (
+    DEFAULT_SCAN_STEP,
     POOL_MIN_POINTS,
     CriticalZero,
     ZeroCache,
     _evaluate_grid,
+    _grid,
     count_check,
     fnv1a64,
     refine_zero,
@@ -92,6 +96,79 @@ def test_refine_known_brackets():
     assert z.gamma == pytest.approx(21.022039638771555, abs=2e-9)
 
 
+def _count_z_calls(monkeypatch) -> dict[str, int]:
+    """Count Z evaluations made through ``xispec.zeros``, split by phase."""
+    calls = {"scan": 0, "refine": 0}
+    phase = ["scan"]
+    refine = zeros_module.refine_zero
+
+    def counted_z(t, depth=1):
+        calls[phase[0]] += 1
+        return hardy_z(t, depth)
+
+    def counted_refine(*args, **kwargs):
+        phase[0] = "refine"
+        try:
+            return refine(*args, **kwargs)
+        finally:
+            phase[0] = "scan"
+
+    monkeypatch.setattr(zeros_module, "hardy_z", counted_z)
+    monkeypatch.setattr(zeros_module, "refine_zero", counted_refine)
+    return calls
+
+
+def test_refine_reuses_known_end_values(monkeypatch):
+    calls = _count_z_calls(monkeypatch)
+    plain = refine_zero((14.0, 15.0), 1e-9)
+    first = calls["scan"]
+    ends = (hardy_z(14.0), hardy_z(15.0))
+    reused = refine_zero((14.0, 15.0), 1e-9, z_ends=ends)
+    assert reused == plain
+    assert calls["scan"] - first == first - 2
+
+
+def test_refinement_budget_per_zero(monkeypatch):
+    # Grid values come from the pool's threads; refinement runs serially.
+    calls = _count_z_calls(monkeypatch)
+    found = scan_zeros(1190.0, 1e-8)
+    assert len(found) == 805
+    assert calls["refine"] / len(found) <= 6.0
+
+
+def test_zeros_to_1190_against_independent_oracle(zeros_for_products):
+    # 805 zeros to t = 1190 (mpmath.nzeros agrees); both Z formulas are
+    # exercised: zero 491 is the last below RS_MIN_T = 800.
+    assert len(zeros_for_products) == 805
+    for k in (1, 300, 491, 492, 700, 805):
+        oracle = float(mp.zetazero(k).imag)
+        assert abs(zeros_for_products[k - 1].gamma - oracle) <= 1e-8, k
+
+
+def test_fine_subgrid_matches_masked_full_grid():
+    fine = DEFAULT_SCAN_STEP / 8.0
+    rng = np.random.default_rng(2008)
+    cases = [(0.0, 3.0), (fine, 2 * fine), (1000 * fine, 1200 * fine)]
+    for _ in range(500):
+        lo = float(rng.uniform(0.0, 5000.0))
+        cases.append((lo, lo + float(rng.uniform(1e-3, 40.0))))
+    for lo, hi in cases:
+        # The full-grid construction the sub-grid replaces, as reference.
+        full = np.arange(0, int(np.ceil(hi / fine)) + 1, dtype=np.float64) * fine
+        full[-1] = min(full[-1], hi)
+        expected = full[(full >= lo) & (full <= hi)]
+        sub = _grid(hi, fine, lo)
+        assert sub.tobytes() == expected.tobytes(), (lo, hi)
+
+
+def test_refine_below_double_spacing_terminates():
+    z = refine_zero((14.0, 15.0), 1e-20)
+    lo, hi = z.bracket
+    assert hi - lo <= 4 * np.spacing(15.0)
+    assert z.abs_err == 0.5 * (hi - lo)
+    assert z.gamma == pytest.approx(14.134725141734693, abs=1e-13)
+
+
 def test_refine_rejects_bad_bracket():
     with pytest.raises(BracketError):
         refine_zero((14.0, 14.0001), 1e-9)
@@ -164,9 +241,8 @@ def test_cache_roundtrip(tmp_path, zeros_to_100):
 def test_cache_checksum_detects_corruption(tmp_path, zeros_to_100):
     path = str(tmp_path / "zeros.csv")
     ZeroCache(t_max=100.0, tol=1e-8, zeros=zeros_to_100).save(path)
-    raw = open(path, "rb").read().replace(b"14.13", b"14.14", 1)
-    with open(path, "wb") as handle:
-        handle.write(raw)
+    raw = Path(path).read_bytes().replace(b"14.13", b"14.14", 1)
+    Path(path).write_bytes(raw)
     with pytest.raises(CacheCorruptionError):
         ZeroCache.load(path)
 
