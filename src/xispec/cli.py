@@ -8,9 +8,8 @@ Exit codes are exhaustive and disjoint:
     4  numerical non-convergence
 
 All outputs are deterministic: reports are canonical JSON with sorted
-keys, plots are hand-rendered SVG, and the zero scan, which evaluates its
-grid on one thread per CPU, merges the values in grid order, so identical
-configurations produce byte-identical files on any machine.
+keys, plots are hand-rendered SVG, and the zero scan runs in one thread,
+so identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -325,8 +324,6 @@ def _metadata(cfg: RunConfig) -> dict:
             "claimed": CLAIMED_NORM_COEFF,
             "standard": STANDARD_NORM_COEFF,
         },
-        # The scan's thread count (one per CPU) is deliberately omitted: the
-        # grid merges in order, so no output byte depends on it.
         "config": {
             "t_max": cfg.t_max,
             "tol": cfg.tol,

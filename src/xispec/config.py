@@ -7,6 +7,7 @@ fast with a usage error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -18,6 +19,10 @@ _STRING_KEYS = {"format", "out", "cache"}
 _ALL_KEYS = _POSITIVE_FLOAT_KEYS | _POSITIVE_INT_KEYS | _FLOAT_KEYS | _STRING_KEYS
 
 _FORMATS = ("json", "csv")
+
+#: Highest t_max a run accepts.  The zero scan holds its whole grid, four
+#: points per unit of t, so t_max = 1e6 already means 4M-point arrays.
+T_MAX_CEILING = 1e6
 
 
 @dataclass
@@ -32,10 +37,13 @@ class RunConfig:
     cache: str | None = None
 
     def __post_init__(self) -> None:
-        if not (self.t_max > 0.0):
-            raise ConfigError(f"t_max must be positive, got {self.t_max!r}")
-        if not (self.tol > 0.0):
-            raise ConfigError(f"tol must be positive, got {self.tol!r}")
+        if not (0.0 < self.t_max <= T_MAX_CEILING):
+            raise ConfigError(
+                f"t_max must be positive and at most {T_MAX_CEILING:g}, "
+                f"got {self.t_max!r}"
+            )
+        if not (self.tol > 0.0 and math.isfinite(self.tol)):
+            raise ConfigError(f"tol must be positive and finite, got {self.tol!r}")
         if self.n_zeros < 1:
             raise ConfigError(f"n_zeros must be positive, got {self.n_zeros!r}")
         if self.m < 1:

@@ -5,8 +5,12 @@ their zeros and signs up to a fixed flip, but Z stays O(1) where
 |Xi(t)| ~ e^{-pi t/4} underflows.  Brackets are refined by Chandrupatla's
 method (inverse quadratic interpolation with a bisection fallback), which
 always keeps a sign change enclosed, so the final interval width bounds the
-error.  Refinement starts from the Z values the scan grid already holds at
-the bracket ends.
+error of the located sign change (not the error of Z itself).  Refinement
+starts from the Z values the scan grid already holds at the bracket ends.
+
+Every Z evaluation is one array call to ``hardy_z``: the scan grid, each
+fine-rescan grid, and, per refinement step, the trial points of all the
+brackets still open, which advance in lockstep.
 
 The persistent cache is a plain text CSV with a checksummed header
 (64-bit FNV-1a over the data-line bytes, newline included), written
@@ -19,8 +23,8 @@ import math
 import os
 import tempfile
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,10 +33,6 @@ from .report import AuditReport, Verdict
 from .specfun import hardy_z
 
 DEFAULT_SCAN_STEP = 0.25
-#: Grids shorter than this are evaluated serially: below it the thread
-#: pool's start-up and GIL hand-offs cost more than they save (on 2 CPUs,
-#: 64 points took 1.3x the serial time and 512 points at t ~ 5000 took 0.8x).
-POOL_MIN_POINTS = 512
 CACHE_VERSION = "v1"
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -63,6 +63,117 @@ class CriticalZero:
             raise ValueError("indices start at 1")
 
 
+def refine_brackets(
+    brackets: Sequence[tuple[float, float]],
+    tol: float,
+    depth: int = 1,
+    *,
+    z_ends: Sequence[tuple[float, float]] | None = None,
+) -> list[CriticalZero]:
+    """Refine sign-change brackets of Xi (equivalently Z) to width <= tol.
+
+    The k-th bracket gives the zero with index k.  A tol below four times
+    the spacing of doubles at a bracket is raised to it there: a tighter
+    bracket cannot be resolved.
+
+    Chandrupatla's method: inverse quadratic interpolation through the two
+    bracket ends and the last point dropped, falling back to bisection
+    when the interpolant is not trusted.  Each trial point stays at least
+    tol/2 inside its bracket, so once the estimate has converged the next
+    step straddles the root and closes the bracket.  All brackets advance
+    in lockstep: each iteration evaluates Z in one array call, at the trial
+    points of the brackets still open.  ``z_ends`` passes already known Z
+    values at the two ends of each bracket, saving their evaluation.
+
+    Raises:
+        BracketError: if a bracket is empty or its ends do not straddle a
+            sign change.
+    """
+    if not (tol > 0.0):
+        raise ValueError("tol must be positive")
+    ends = np.array(brackets, dtype=np.float64).reshape(-1, 2)
+    lo, hi = ends[:, 0], ends[:, 1]
+    empty = np.flatnonzero(~(lo < hi))
+    if empty.size:
+        i = empty[0]
+        raise BracketError(f"empty bracket ({float(lo[i])!r}, {float(hi[i])!r})")
+    tols = np.maximum(tol, 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
+    if z_ends is None:
+        f_ends = hardy_z(np.concatenate([lo, hi]), depth).reshape(2, -1).T
+    else:
+        f_ends = np.array(z_ends, dtype=np.float64).reshape(-1, 2)
+    f_lo, f_hi = f_ends[:, 0], f_ends[:, 1]
+    zero_lo, zero_hi = f_lo == 0.0, f_hi == 0.0
+    same_sign = np.flatnonzero(
+        ~zero_lo & ~zero_hi & (np.signbit(f_lo) == np.signbit(f_hi))
+    )
+    if same_sign.size:
+        i = same_sign[0]
+        raise BracketError(
+            f"no sign change on ({float(lo[i])!r}, {float(hi[i])!r}): "
+            f"Z={f_lo[i]:.3e} and {f_hi[i]:.3e}"
+        )
+
+    found: list[CriticalZero | None] = [None] * len(lo)
+    for i in np.flatnonzero(zero_lo).tolist():
+        t_lo, t_hi, width = float(lo[i]), float(hi[i]), float(tols[i])
+        found[i] = CriticalZero(
+            i + 1, t_lo, (max(t_lo - width, 0.5 * t_lo), t_hi), width
+        )
+    for i in np.flatnonzero(zero_hi & ~zero_lo).tolist():
+        t_lo, t_hi, width = float(lo[i]), float(hi[i]), float(tols[i])
+        found[i] = CriticalZero(i + 1, t_hi, (t_lo, t_hi + width), width)
+
+    # Per open bracket (its position in `live`): a, the newest end; b, the
+    # other end; c, the end a replaced; step, the fraction of the way from
+    # a to b of the next trial point.
+    live = np.flatnonzero(~zero_lo & ~zero_hi)
+    a, f_a, b, f_b = hi[live], f_hi[live], lo[live], f_lo[live]
+    step = np.full(live.size, 0.5)
+    while True:
+        closed = ~(np.abs(b - a) > tols[live])
+        for j in np.flatnonzero(closed):
+            i = int(live[j])
+            t_lo, t_hi = float(min(a[j], b[j])), float(max(a[j], b[j]))
+            found[i] = CriticalZero(
+                i + 1, 0.5 * (t_lo + t_hi), (t_lo, t_hi), 0.5 * (t_hi - t_lo)
+            )
+        live, a, f_a, b, f_b, step = (
+            x[~closed] for x in (live, a, f_a, b, f_b, step)
+        )
+        if live.size == 0:
+            return found  # every entry is set by now
+
+        trial = a + step * (b - a)
+        f_trial = hardy_z(trial, depth)
+        hit = f_trial == 0.0
+        for j in np.flatnonzero(hit):
+            i = int(live[j])
+            t, half = float(trial[j]), 0.5 * float(tols[i])
+            found[i] = CriticalZero(
+                i + 1, t, (max(t - half, float(lo[i])), t + half), half
+            )
+        live, a, f_a, b, f_b, trial, f_trial = (
+            x[~hit] for x in (live, a, f_a, b, f_b, trial, f_trial)
+        )
+
+        same = np.signbit(f_trial) == np.signbit(f_a)
+        c, f_c = np.where(same, a, b), np.where(same, f_a, f_b)
+        b, f_b = np.where(same, b, a), np.where(same, f_b, f_a)
+        a, f_a = trial, f_trial
+        xi = (a - b) / (c - b)
+        phi = (f_a - f_b) / (f_c - f_b)
+        step = np.full(live.size, 0.5)
+        # Interpolate only where trusted: elsewhere f_c may equal f_a.
+        q = (phi * phi < xi) & ((1.0 - phi) * (1.0 - phi) < 1.0 - xi)
+        a_q, b_q, c_q, fa_q, fb_q, fc_q = a[q], b[q], c[q], f_a[q], f_b[q], f_c[q]
+        step[q] = (fa_q / (fb_q - fa_q)) * (fc_q / (fb_q - fc_q)) + (
+            (c_q - a_q) / (b_q - a_q)
+        ) * (fa_q / (fc_q - fa_q)) * (fb_q / (fc_q - fb_q))
+        clamp = 0.5 * tols[live] / np.abs(b - a)
+        step = np.minimum(np.maximum(step, clamp), 1.0 - clamp)
+
+
 def refine_zero(
     bracket: tuple[float, float],
     tol: float,
@@ -71,73 +182,15 @@ def refine_zero(
     *,
     z_ends: tuple[float, float] | None = None,
 ) -> CriticalZero:
-    """Refine a sign-change bracket of Xi (equivalently Z) to width <= tol.
-
-    A tol below four times the spacing of doubles at the bracket is raised
-    to it: a tighter bracket cannot be resolved.
-
-    Chandrupatla's method: inverse quadratic interpolation through the two
-    bracket ends and the last point dropped, falling back to bisection
-    when the interpolant is not trusted.  Each trial point stays at least
-    tol/2 inside the bracket, so once the estimate has converged the next
-    step straddles the root and closes the bracket.  ``z_ends`` passes
-    already known Z values at the two ends, saving their evaluation.
+    """Refine one sign-change bracket: ``refine_brackets`` on that bracket.
 
     Raises:
         BracketError: if the endpoints do not straddle a sign change.
     """
-    t_lo, t_hi = float(bracket[0]), float(bracket[1])
-    if not (tol > 0.0):
-        raise ValueError("tol must be positive")
-    if not (t_lo < t_hi):
-        raise BracketError(f"empty bracket ({t_lo!r}, {t_hi!r})")
-    tol = max(tol, 4.0 * math.ulp(max(abs(t_lo), abs(t_hi))))
-    if z_ends is None:
-        f_lo, f_hi = hardy_z(t_lo, depth), hardy_z(t_hi, depth)
-    else:
-        f_lo, f_hi = float(z_ends[0]), float(z_ends[1])
-    if f_lo == 0.0:
-        t_lo_adj = max(t_lo - tol, 0.5 * t_lo)
-        return CriticalZero(index, t_lo, (t_lo_adj, t_hi), tol)
-    if f_hi == 0.0:
-        return CriticalZero(index, t_hi, (t_lo, t_hi + tol), tol)
-    if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
-        raise BracketError(
-            f"no sign change on ({t_lo!r}, {t_hi!r}): "
-            f"Z={f_lo:.3e} and {f_hi:.3e}"
-        )
-
-    # a: the newest bracket end; b: the other end; c: the end a replaced.
-    a, f_a, b, f_b = t_hi, f_hi, t_lo, f_lo
-    step = 0.5  # fraction of the way from a to b
-    while abs(b - a) > tol:
-        trial = a + step * (b - a)
-        f_trial = hardy_z(trial, depth)
-        if f_trial == 0.0:
-            half = 0.5 * tol
-            return CriticalZero(
-                index, trial, (max(trial - half, t_lo), trial + half), half
-            )
-        if math.copysign(1.0, f_trial) == math.copysign(1.0, f_a):
-            c, f_c = a, f_a
-        else:
-            c, f_c = b, f_b
-            b, f_b = a, f_a
-        a, f_a = trial, f_trial
-        xi = (a - b) / (c - b)
-        phi = (f_a - f_b) / (f_c - f_b)
-        if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
-            step = (f_a / (f_b - f_a)) * (f_c / (f_b - f_c)) + (
-                (c - a) / (b - a)
-            ) * (f_a / (f_c - f_a)) * (f_b / (f_c - f_b))
-        else:
-            step = 0.5
-        clamp = 0.5 * tol / abs(b - a)
-        step = min(max(step, clamp), 1.0 - clamp)
-
-    t_lo, t_hi = min(a, b), max(a, b)
-    gamma = 0.5 * (t_lo + t_hi)
-    return CriticalZero(index, gamma, (t_lo, t_hi), 0.5 * (t_hi - t_lo))
+    (zero,) = refine_brackets(
+        [bracket], tol, depth, z_ends=None if z_ends is None else [z_ends]
+    )
+    return replace(zero, index=index)
 
 
 def _grid(t_max: float, step: float, t_min: float = 0.0) -> np.ndarray:
@@ -156,27 +209,6 @@ def _grid(t_max: float, step: float, t_min: float = 0.0) -> np.ndarray:
 def _local_mean_gap(t: float) -> float:
     """Asymptotic mean spacing of critical-line zeros near height t."""
     return 2.0 * math.pi / math.log(max(t, 20.0) / (2.0 * math.pi))
-
-
-def _evaluate_grid(grid: np.ndarray, depth: int) -> np.ndarray:
-    """Z(t) at every grid point, on one thread per CPU for long grids.
-
-    Above t ~ 1000 the Euler-Maclaurin sums spend most of their time in
-    numpy, which releases the GIL, so threads pay off there.  Values are
-    merged back in grid order: the result equals the serial pass exactly.
-    """
-    threads = os.cpu_count() or 1
-    if threads <= 1 or grid.size < POOL_MIN_POINTS:
-        return np.array([hardy_z(float(t), depth) for t in grid])
-    chunks = np.array_split(np.arange(grid.size), threads * 4)
-    def work(idx: np.ndarray) -> list[float]:
-        return [hardy_z(float(grid[i]), depth) for i in idx]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(work, chunks))
-    out = np.empty(grid.size, dtype=np.float64)
-    for idx, part in zip(chunks, parts):
-        out[idx] = part
-    return out
 
 
 def _brackets_from_values(
@@ -210,7 +242,7 @@ def scan_zeros(
         raise ValueError("tol must be positive")
 
     grid = _grid(t_max, step)
-    values = _evaluate_grid(grid, depth)
+    values = hardy_z(grid, depth)
     brackets = _brackets_from_values(grid, values)
 
     # Local rescan: an anomalously long stretch without a sign change can
@@ -228,7 +260,7 @@ def scan_zeros(
         sub = _grid(hi, step / 8.0, lo)
         if sub.size < 3:
             continue
-        sub_vals = _evaluate_grid(sub, depth)
+        sub_vals = hardy_z(sub, depth)
         extra = _brackets_from_values(sub, sub_vals)
         if len(extra) > (1 if (lo, hi) in brackets else 0):
             warnings.warn(
@@ -240,10 +272,8 @@ def scan_zeros(
         fine_brackets.update(extra)
 
     ends = {**brackets, **fine_brackets}
-    refined = [
-        refine_zero(br, tol, depth, index=i, z_ends=ends[br])
-        for i, br in enumerate(sorted(ends), start=1)
-    ]
+    order = sorted(ends)
+    refined = refine_brackets(order, tol, depth, z_ends=[ends[br] for br in order])
     refined.sort(key=lambda z: z.gamma)
     deduped: list[CriticalZero] = []
     for z in refined:

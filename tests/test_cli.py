@@ -47,6 +47,13 @@ def test_zeros_bad_flag_exit_code():
     assert run(["zeros", "--t-max", "-1"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--t-max", "--tol"])
+def test_zeros_infinite_value_is_a_usage_error(capsys, flag):
+    assert run(["zeros", flag, "inf"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("xispec: usage error:")
+
+
 def test_cache_corruption_exit_code(capsys):
     assert run(["zeros", "--t-max", "30", "--cache", "zeros.csv"]) == 0
     raw = Path("zeros.csv").read_bytes().replace(b"14.13", b"14.15", 1)

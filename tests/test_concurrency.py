@@ -5,6 +5,8 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
+
 from xispec.specfun import RS_MIN_T, hardy_z, xi, zeta
 from xispec.specfun.zeta import _logs_up_to
 
@@ -40,18 +42,28 @@ def test_log_table_growth_is_consistent():
 
 def test_concurrent_riemann_siegel_matches_serial(monkeypatch):
     # Riemann-Siegel heights whose main sums (up to 57 terms) outgrow the
-    # 16-entry n-table twice while the threads run.
+    # 16-entry n-table twice while the threads run, first in scalar calls,
+    # then in array calls of 8 heights each.
     heights = [RS_MIN_T + 250.0 * k + 0.125 for k in range(80)]
+    arrays = [np.array(heights[k : k + 8]) for k in range(0, len(heights), 8)]
     small = xi_module._RS_TERMS[:16]
     monkeypatch.setattr(xi_module, "_RS_TERMS", small)
     serial = [hardy_z(t) for t in heights]
     monkeypatch.setattr(xi_module, "_RS_TERMS", small)
+    serial_arrays = [hardy_z(t).tolist() for t in arrays]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
+        monkeypatch.setattr(xi_module, "_RS_TERMS", small)
         with ThreadPoolExecutor(max_workers=8) as pool:
             threaded = list(pool.map(hardy_z, heights, timeout=60))
+        monkeypatch.setattr(xi_module, "_RS_TERMS", small)
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            threaded_arrays = [v.tolist() for v in pool.map(hardy_z, arrays, timeout=60)]
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
+    assert threaded_arrays == serial_arrays
+    flat = np.concatenate(serial_arrays)
+    assert np.abs(flat - np.array(serial)).max() <= 1e-12
     assert len(xi_module._RS_TERMS) >= int(math.sqrt(heights[-1] / (2 * math.pi)))

@@ -1,6 +1,6 @@
 import pytest
 
-from xispec.config import RunConfig, build_config, parse_config_file
+from xispec.config import T_MAX_CEILING, RunConfig, build_config, parse_config_file
 from xispec.errors import ConfigError
 
 
@@ -64,11 +64,18 @@ def test_unparsable_value_rejected(tmp_path):
         {"m": 0},
         {"t_max": float("nan")},
         {"format": "xml"},
+        {"t_max": float("inf")},
+        {"tol": float("inf")},
+        {"t_max": 2.0 * T_MAX_CEILING},
     ],
 )
 def test_validation(kwargs):
     with pytest.raises(ConfigError):
         RunConfig(**kwargs)
+
+
+def test_t_max_ceiling_accepted():
+    assert RunConfig(t_max=T_MAX_CEILING).t_max == T_MAX_CEILING
 
 
 def test_missing_config_file():

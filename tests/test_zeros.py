@@ -1,3 +1,5 @@
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath as mp
@@ -7,17 +9,16 @@ import pytest
 from conftest import KNOWN_ZEROS_10
 from xispec.errors import BracketError, CacheCorruptionError
 from xispec.report import Verdict
-from xispec.specfun import hardy_z, xi_critical
+from xispec.specfun import RS_MIN_T, hardy_z, xi_critical
 from xispec import zeros as zeros_module
 from xispec.zeros import (
     DEFAULT_SCAN_STEP,
-    POOL_MIN_POINTS,
     CriticalZero,
     ZeroCache,
-    _evaluate_grid,
     _grid,
     count_check,
     fnv1a64,
+    refine_brackets,
     refine_zero,
     scan_zeros,
     zero_count_estimate,
@@ -82,11 +83,22 @@ def test_tolerance_refinement_stability():
         assert abs(a.gamma - b.gamma) < 1e-6
 
 
-def test_parallel_scan_matches_serial(monkeypatch):
-    # Long enough for the thread pool, which runs even on a one-CPU host.
-    monkeypatch.setattr(zeros_module.os, "cpu_count", lambda: 4)
-    grid = np.linspace(900.0, 1000.0, POOL_MIN_POINTS + 1)
-    assert _evaluate_grid(grid, 1).tolist() == [hardy_z(float(t)) for t in grid]
+def test_array_z_matches_scalar():
+    # The 20,001-point scan grid to t = 5000 crosses RS_MIN_T: its
+    # Euler-Maclaurin points go through the scalar code, its Riemann-Siegel
+    # points through the block formula.
+    grid = _grid(5000.0, DEFAULT_SCAN_STEP)
+    assert grid.size == 20001
+    values = hardy_z(grid)
+    assert isinstance(values, np.ndarray) and values.shape == grid.shape
+    scalar = np.array([hardy_z(float(t)) for t in grid])
+    em = grid < RS_MIN_T
+    assert values[em].tolist() == scalar[em].tolist()
+    assert np.abs(values[~em] - scalar[~em]).max() <= 1e-12
+    oracle = grid[::50]
+    assert hardy_z(oracle, depth=2).tolist() == [hardy_z(float(t), 2) for t in oracle]
+    empty = hardy_z(np.array([]))
+    assert empty.shape == (0,) and empty.dtype == np.float64
 
 
 def test_refine_known_brackets():
@@ -96,14 +108,14 @@ def test_refine_known_brackets():
     assert z.gamma == pytest.approx(21.022039638771555, abs=2e-9)
 
 
-def _count_z_calls(monkeypatch) -> dict[str, int]:
-    """Count Z evaluations made through ``xispec.zeros``, split by phase."""
+def _count_z_points(monkeypatch) -> dict[str, int]:
+    """Count the heights Z is evaluated at through ``xispec.zeros``, by phase."""
     calls = {"scan": 0, "refine": 0}
     phase = ["scan"]
-    refine = zeros_module.refine_zero
+    refine = zeros_module.refine_brackets
 
     def counted_z(t, depth=1):
-        calls[phase[0]] += 1
+        calls[phase[0]] += np.size(t)
         return hardy_z(t, depth)
 
     def counted_refine(*args, **kwargs):
@@ -114,26 +126,127 @@ def _count_z_calls(monkeypatch) -> dict[str, int]:
             phase[0] = "scan"
 
     monkeypatch.setattr(zeros_module, "hardy_z", counted_z)
-    monkeypatch.setattr(zeros_module, "refine_zero", counted_refine)
+    monkeypatch.setattr(zeros_module, "refine_brackets", counted_refine)
     return calls
 
 
 def test_refine_reuses_known_end_values(monkeypatch):
-    calls = _count_z_calls(monkeypatch)
+    calls = _count_z_points(monkeypatch)
     plain = refine_zero((14.0, 15.0), 1e-9)
-    first = calls["scan"]
+    first = calls["refine"]
     ends = (hardy_z(14.0), hardy_z(15.0))
     reused = refine_zero((14.0, 15.0), 1e-9, z_ends=ends)
     assert reused == plain
-    assert calls["scan"] - first == first - 2
+    assert first > 2
+    assert calls["refine"] - first == first - 2
+    assert calls["scan"] == 0
 
 
 def test_refinement_budget_per_zero(monkeypatch):
-    # Grid values come from the pool's threads; refinement runs serially.
-    calls = _count_z_calls(monkeypatch)
+    calls = _count_z_points(monkeypatch)
     found = scan_zeros(1190.0, 1e-8)
     assert len(found) == 805
+    assert calls["refine"] > 0
     assert calls["refine"] / len(found) <= 6.0
+
+
+def test_scan_z_point_count(monkeypatch):
+    # Array evaluation makes each point cheaper, not fewer: the scalar scan
+    # it replaced evaluated Z at exactly these many heights.
+    calls = _count_z_points(monkeypatch)
+    scan_zeros(1190.0, 1e-8)
+    assert calls["scan"] + calls["refine"] == 11085
+
+
+def _scalar_chandrupatla(bracket, tol, z):
+    """One bracket at a time, in Python floats: the lockstep loop's reference."""
+    t_lo, t_hi = bracket
+    tol = max(tol, 4.0 * math.ulp(max(abs(t_lo), abs(t_hi))))
+    f_lo, f_hi = z(t_lo), z(t_hi)
+    a, f_a, b, f_b = t_hi, f_hi, t_lo, f_lo
+    step = 0.5
+    while abs(b - a) > tol:
+        trial = a + step * (b - a)
+        f_trial = z(trial)
+        if math.copysign(1.0, f_trial) == math.copysign(1.0, f_a):
+            c, f_c = a, f_a
+        else:
+            c, f_c = b, f_b
+            b, f_b = a, f_a
+        a, f_a = trial, f_trial
+        xi = (a - b) / (c - b)
+        phi = (f_a - f_b) / (f_c - f_b)
+        if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
+            step = (f_a / (f_b - f_a)) * (f_c / (f_b - f_c)) + (
+                (c - a) / (b - a)
+            ) * (f_a / (f_c - f_a)) * (f_b / (f_c - f_b))
+        else:
+            step = 0.5
+        clamp = 0.5 * tol / abs(b - a)
+        step = min(max(step, clamp), 1.0 - clamp)
+    t_lo, t_hi = min(a, b), max(a, b)
+    return 0.5 * (t_lo + t_hi), (t_lo, t_hi), 0.5 * (t_hi - t_lo)
+
+
+def _scalar_z(t, depth=1):
+    """Z through the scalar code only, for arrays too."""
+    if isinstance(t, np.ndarray):
+        return np.array([hardy_z(float(x), depth) for x in t])
+    return hardy_z(t, depth)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-20])
+def test_lockstep_refinement_matches_scalar_loop(monkeypatch, tol):
+    # Brackets on both sides of RS_MIN_T in one call; the same Z values
+    # must give the same trial points, so the results are equal exactly.
+    monkeypatch.setattr(zeros_module, "hardy_z", _scalar_z)
+    grid = _grid(830.0, DEFAULT_SCAN_STEP, 770.0)
+    values = _scalar_z(grid)
+    flips = np.flatnonzero(np.sign(values[:-1]) != np.sign(values[1:]))
+    brackets = [(float(grid[i]), float(grid[i + 1])) for i in flips]
+    brackets += [(14.0, 15.0), (801.5, 801.75)]
+    assert min(b[0] for b in brackets) < RS_MIN_T < max(b[1] for b in brackets)
+    found = refine_brackets(brackets, tol)
+    assert [z.index for z in found] == list(range(1, len(brackets) + 1))
+    for z, bracket in zip(found, brackets):
+        assert (z.gamma, z.bracket, z.abs_err) == _scalar_chandrupatla(
+            bracket, tol, _scalar_z
+        )
+        if tol < 1e-15:
+            assert z.bracket[1] - z.bracket[0] <= 4 * np.spacing(bracket[1])
+
+
+def test_lockstep_zero_at_bracket_end():
+    found = refine_brackets(
+        [(14.0, 15.0), (20.0, 21.0), (21.0, 22.0)],
+        1e-9,
+        z_ends=[(0.0, 1.0), (-1.0, 0.0), (hardy_z(21.0), hardy_z(22.0))],
+    )
+    assert found[0] == CriticalZero(1, 14.0, (14.0 - 1e-9, 15.0), 1e-9)
+    assert found[1] == CriticalZero(2, 21.0, (20.0, 21.0 + 1e-9), 1e-9)
+    assert found[2].gamma == pytest.approx(21.022039638771555, abs=1e-9)
+    assert [type(z.index) for z in found] == [int, int, int]
+
+
+def test_lockstep_zero_at_trial_point(monkeypatch):
+    # sin(pi (t - 14.5)) vanishes exactly at the first trial point of
+    # (14, 15); the bracket (15.25, 16) refines on to 15.5 meanwhile.
+    monkeypatch.setattr(
+        zeros_module, "hardy_z", lambda t, depth=1: np.sin(np.pi * (np.asarray(t) - 14.5))
+    )
+    first, second = refine_brackets([(14.0, 15.0), (15.25, 16.0)], 1e-9)
+    assert first == CriticalZero(1, 14.5, (14.5 - 0.5e-9, 14.5 + 0.5e-9), 0.5e-9)
+    assert second.index == 2
+    assert second.gamma == pytest.approx(15.5, abs=1e-9)
+    assert replace(refine_zero((15.25, 16.0), 1e-9), index=2) == second
+
+
+def test_lockstep_rejects_bad_bracket():
+    with pytest.raises(BracketError, match="no sign change"):
+        refine_brackets([(14.0, 15.0), (14.0, 14.0001)], 1e-9)
+    with pytest.raises(BracketError, match="empty bracket"):
+        refine_brackets([(14.0, 15.0), (15.0, 14.0)], 1e-9)
+    assert refine_brackets([], 1e-9) == []
 
 
 def test_zeros_to_1190_against_independent_oracle(zeros_for_products):
