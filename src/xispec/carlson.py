@@ -77,6 +77,7 @@ class VanishingCheck:
     at_point: float
     tolerance: float
     count: int
+    magnitudes: tuple[float, ...]
 
 
 class Conclusion(enum.Enum):
@@ -152,11 +153,11 @@ def check_integer_vanishing(
     scale: float = 1.0,
 ) -> VanishingCheck:
     """True iff |f| stays within tol on the scaled integer grid scale*{1..count}."""
+    points = [scale * k for k in range(1, count + 1)]
+    magnitudes = tuple(abs(complex(f(complex(point, 0.0)))) for point in points)
     worst = 0.0
     at = 0.0
-    for k in range(1, count + 1):
-        point = scale * k
-        mag = abs(complex(f(complex(point, 0.0))))
+    for point, mag in zip(points, magnitudes):
         if mag > worst:
             worst, at = mag, point
     return VanishingCheck(
@@ -165,6 +166,7 @@ def check_integer_vanishing(
         at_point=at,
         tolerance=tol,
         count=count,
+        magnitudes=magnitudes,
     )
 
 
@@ -290,9 +292,6 @@ def audit_difference(
     def difference(z: complex) -> complex:
         return _model_exp(a, b, z) - complex(target(z))
 
-    residuals = tuple(
-        abs(difference(complex(scale * k, 0.0))) for k in range(1, count + 1)
-    )
     verdict = carlson_verdict(
         difference, count, radius, margin=margin, tol=vanish_tol, scale=scale
     )
@@ -301,7 +300,7 @@ def audit_difference(
         a=a,
         b=b,
         scale=scale,
-        residuals=residuals,
+        residuals=verdict.vanish_check.magnitudes if verdict.vanish_check else (),
         verdict=verdict,
     )
 

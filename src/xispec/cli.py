@@ -3,7 +3,8 @@
 Exit codes are exhaustive and disjoint:
     0  success (all verdicts passing or merely flagged)
     1  audit failure (any FAIL or DISTINCT verdict)
-    2  usage error (bad flags, bad config, empty plot range)
+    2  usage error (bad flags, bad config, empty plot range, unusable
+       output path)
     3  cache corruption (checksum or structure mismatch)
     4  numerical non-convergence
 
@@ -19,12 +20,13 @@ import functools
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
 from .carlson import Conclusion, audit_difference, audit_eq9
-from .config import ConfigError, RunConfig, build_config
+from .config import OPTION_TYPES, ConfigError, RunConfig, build_config
 from .coupling import CLAIMED_NORM_COEFF, STANDARD_NORM_COEFF, audit_eq5
 from .errors import (
     AccuracyError,
@@ -46,6 +48,7 @@ from .specfun import BesselOrder, EM_ORDER_CAP, EM_TERMS_CAP, hardy_z_method, xi
 from .zeros import (
     CriticalZero,
     ZeroCache,
+    format_rows,
     roundtrip_precision,
     scan_zeros,
     zero_count_estimate,
@@ -340,7 +343,7 @@ def _metadata(cfg: RunConfig) -> dict:
 def _cmd_zeros(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     zeros = _gather_zeros(cfg)
-    rows = [f"{z.index},{z.gamma:.15g},{z.abs_err:.3e}" for z in zeros]
+    rows = format_rows(zeros)
     for row in rows:
         print(row)
     if cfg.out:
@@ -515,32 +518,19 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--t-max", dest="t_max", type=float, default=None)
-    parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--n-zeros", dest="n_zeros", type=int, default=None)
-    parser.add_argument("--perturb", type=float, default=None)
-    parser.add_argument("--m", type=int, default=None, help="integer grid scale")
-    parser.add_argument("--format", choices=("json", "csv"), default=None)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--cache", default=None)
-    parser.add_argument("--config", default=None, help="flat key = value file")
+    for option in fields(RunConfig):
+        parser.add_argument(
+            "--" + option.name.replace("_", "-"),
+            dest=option.name,
+            type=OPTION_TYPES[option.name],
+            help=option.metadata.get("help"),
+        )
+    parser.add_argument("--config", help="flat key = value file")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {
-        key: getattr(args, key, None)
-        for key in (
-            "t_max",
-            "tol",
-            "n_zeros",
-            "perturb",
-            "m",
-            "format",
-            "out",
-            "cache",
-        )
-    }
-    return build_config(getattr(args, "config", None), overrides)
+    overrides = {name: getattr(args, name) for name in OPTION_TYPES}
+    return build_config(args.config, overrides)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -601,6 +591,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERICAL
     except XispecError as exc:
         print(f"xispec: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        # Every read maps its own OSError (config and report files to 2, the
+        # cache to 3), so one that gets here comes from an output path.
+        print(f"xispec: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

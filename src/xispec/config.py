@@ -1,5 +1,9 @@
 """Run configuration: defaults < config file < explicit flags.
 
+``RunConfig``'s fields are the only list of run options: ``OPTION_TYPES``
+derives from them the CLI's common flags and the config-file keys, and
+``RunConfig.__post_init__`` validates every value, whichever source gave it.
+
 The config file is a flat ``key = value`` text file; ``#`` starts a
 comment.  Unknown keys are rejected rather than ignored, so typos fail
 fast with a usage error.
@@ -8,21 +12,19 @@ fast with a usage error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
-
-_POSITIVE_FLOAT_KEYS = {"t_max", "tol"}
-_POSITIVE_INT_KEYS = {"n_zeros", "m"}
-_FLOAT_KEYS = {"perturb"}
-_STRING_KEYS = {"format", "out", "cache"}
-_ALL_KEYS = _POSITIVE_FLOAT_KEYS | _POSITIVE_INT_KEYS | _FLOAT_KEYS | _STRING_KEYS
 
 _FORMATS = ("json", "csv")
 
 #: Highest t_max a run accepts.  The zero scan holds its whole grid, four
 #: points per unit of t, so t_max = 1e6 already means 4M-point arrays.
 T_MAX_CEILING = 1e6
+
+#: Highest m a run accepts.  The Carlson audit samples xi at m*1 .. m*10,
+#: and xi's Gamma factor overflows double precision at 35*10 = 350.
+M_CEILING = 34
 
 
 @dataclass
@@ -31,7 +33,7 @@ class RunConfig:
     tol: float = 1e-8
     n_zeros: int = 200
     perturb: float = 0.0
-    m: int = 1
+    m: int = field(default=1, metadata={"help": "integer grid scale"})
     format: str = "json"
     out: str | None = None
     cache: str | None = None
@@ -46,21 +48,21 @@ class RunConfig:
             raise ConfigError(f"tol must be positive and finite, got {self.tol!r}")
         if self.n_zeros < 1:
             raise ConfigError(f"n_zeros must be positive, got {self.n_zeros!r}")
-        if self.m < 1:
-            raise ConfigError(f"m must be a positive integer, got {self.m!r}")
+        if not math.isfinite(self.perturb):
+            raise ConfigError(f"perturb must be finite, got {self.perturb!r}")
+        if not (1 <= self.m <= M_CEILING):
+            raise ConfigError(
+                f"m must be an integer from 1 to {M_CEILING}, got {self.m!r}"
+            )
         if self.format not in _FORMATS:
             raise ConfigError(f"format must be one of {_FORMATS}, got {self.format!r}")
 
 
-def _coerce(key: str, raw: str):
-    try:
-        if key in _POSITIVE_FLOAT_KEYS or key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _POSITIVE_INT_KEYS:
-            return int(raw)
-        return raw
-    except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: cannot parse {raw!r}") from exc
+#: Option name -> the type its text parses to: the type of the field's
+#: default, or str for the paths whose default is None.
+OPTION_TYPES = {
+    f.name: str if f.default is None else type(f.default) for f in fields(RunConfig)
+}
 
 
 def parse_config_file(path: str) -> dict:
@@ -79,24 +81,17 @@ def parse_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in text.split("=", 1))
         key = key.replace("-", "_")
-        if key not in _ALL_KEYS:
+        if key not in OPTION_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        overrides[key] = _coerce(key, raw)
+        try:
+            overrides[key] = OPTION_TYPES[key](raw)
+        except ValueError as exc:
+            raise ConfigError(f"config key {key!r}: cannot parse {raw!r}") from exc
     return overrides
 
 
-def build_config(
-    file_path: str | None, flag_overrides: dict
-) -> RunConfig:
+def build_config(file_path: str | None, flag_overrides: dict) -> RunConfig:
     """Merge defaults, config file, then explicit flags (None = not given)."""
-    merged: dict = {}
-    if file_path is not None:
-        merged.update(parse_config_file(file_path))
-    for key, value in flag_overrides.items():
-        if value is not None:
-            merged[key] = value
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(merged) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    merged = parse_config_file(file_path) if file_path is not None else {}
+    merged.update((k, v) for k, v in flag_overrides.items() if v is not None)
     return RunConfig(**merged)

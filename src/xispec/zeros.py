@@ -322,7 +322,8 @@ def fnv1a64(data: bytes) -> int:
     return acc
 
 
-def _format_rows(zeros: list[CriticalZero]) -> list[str]:
+def format_rows(zeros: list[CriticalZero]) -> list[str]:
+    """One `index,gamma,abs_err` row per zero: the cache and `xispec zeros` format."""
     return [f"{z.index},{z.gamma:.15g},{z.abs_err:.3e}" for z in zeros]
 
 
@@ -350,7 +351,7 @@ class ZeroCache:
     version: str = CACHE_VERSION
 
     def data_bytes(self) -> bytes:
-        return "".join(row + "\n" for row in _format_rows(self.zeros)).encode("utf-8")
+        return "".join(row + "\n" for row in format_rows(self.zeros)).encode("utf-8")
 
     def save(self, path: str) -> None:
         data = self.data_bytes()
@@ -359,16 +360,19 @@ class ZeroCache:
             f"checksum={fnv1a64(data):016x}\n"
         )
         directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".zeros-", suffix=".tmp")
+        tmp = None
         try:
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".zeros-", suffix=".tmp")
             with os.fdopen(fd, "wb") as handle:
                 handle.write(header.encode("utf-8"))
                 handle.write(data)
             os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
+        except OSError as exc:
+            # Name the cache the caller asked for, not the temp file.
+            raise OSError(exc.errno, exc.strerror, path) from exc
+        finally:
+            if tmp is not None and os.path.exists(tmp):
                 os.unlink(tmp)
-            raise
 
     @classmethod
     def load(cls, path: str) -> "ZeroCache":

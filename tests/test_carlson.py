@@ -12,6 +12,10 @@ from xispec.carlson import (
     check_integer_vanishing,
     estimate_type,
 )
+from xispec.cli import CARLSON_FIT_SMAX, CARLSON_INTEGER_COUNT
+from xispec.config import M_CEILING
+from xispec.errors import GammaOverflowError
+from xispec.specfun import xi
 
 
 @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 3.0])
@@ -127,3 +131,22 @@ def test_difference_audit_scaled_grid():
     audit = audit_difference(5, 10.0, scale=2.0)
     assert len(audit.residuals) == 5
     assert audit.verdict.vanish_check.at_point in {2.0 * k for k in range(1, 6)}
+
+
+def test_difference_audit_evaluates_each_integer_once():
+    calls = []
+
+    def target(z):
+        calls.append(z)
+        return xi(z)
+
+    audit_difference(10, 10.0, scale=2.0, target=target)
+    # 12 .. 20 lie beyond the eq9 fit interval and off the growth grids.
+    assert [calls.count(complex(2.0 * k, 0.0)) for k in range(6, 11)] == [1] * 5
+
+
+def test_m_ceiling_is_the_last_scale_xi_survives():
+    audit = audit_difference(CARLSON_INTEGER_COUNT, CARLSON_FIT_SMAX, scale=M_CEILING)
+    assert len(audit.residuals) == CARLSON_INTEGER_COUNT
+    with pytest.raises(GammaOverflowError):
+        audit_difference(CARLSON_INTEGER_COUNT, CARLSON_FIT_SMAX, scale=M_CEILING + 1)

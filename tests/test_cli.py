@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import jsonschema
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from xispec import cli
+from xispec.config import RunConfig, parse_config_file
 from xispec.errors import NonConvergenceError
 from xispec.report import get_report_schema
 from xispec.specfun import xi_critical
@@ -304,3 +306,67 @@ def test_zeros_out_file(capsys):
     rows = Path("table.csv").read_text().strip().splitlines()
     assert rows[0] == "n,gamma,abs_err"
     assert len(rows) == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "coincidence", "--perturb", "nan"],
+        ["audit", "coincidence", "--perturb", "inf"],
+        ["audit", "carlson", "--m", "35"],
+        ["audit", "carlson", "--m", "10000"],
+        ["zeros", "--format", "xml"],
+    ],
+)
+def test_bad_option_value_is_one_usage_line(capsys, argv):
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("xispec: usage error:")
+
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["zeros", "--t-max", "30", "--out", "taken_dir"], "taken_dir"),
+        (["audit", "eq9", "--out", "taken_file"], "taken_file"),
+        (["zeros", "--t-max", "30", "--cache", "missing_dir/z.csv"], "missing_dir/z.csv"),
+        (["plot", "xi-critical", "--out", "missing_dir/x.svg"], "missing_dir/x.svg"),
+    ],
+    ids=["zeros-out-dir", "audit-out-file", "cache-missing-dir", "plot-missing-dir"],
+)
+def test_unusable_output_path_is_one_usage_line(capsys, argv, path):
+    os.mkdir("taken_dir")
+    Path("taken_file").write_text("")
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"'{path}'" in err[0]
+    assert err[0].startswith("xispec: cannot write output:")
+    assert not [name for name in os.listdir(".") if name.endswith(".tmp")]
+
+
+_SAMPLE_TEXT = {float: "2.5", int: "3", str: "json"}
+
+
+@pytest.mark.parametrize(
+    "argv, own",
+    [(["zeros"], set()), (["audit", "eq5"], {"which"}), (["plot", "residuals"], {"target", "t"})],
+    ids=["zeros", "audit", "plot"],
+)
+def test_common_flags_are_the_run_config_fields(argv, own):
+    parser = cli.build_parser()
+    flags = set(vars(parser.parse_args(argv))) - own - {"command", "func", "config"}
+    assert flags == {f.name for f in fields(RunConfig)}
+    for f in fields(RunConfig):
+        kind = str if f.default is None else type(f.default)
+        flag = "--" + f.name.replace("_", "-")
+        value = getattr(parser.parse_args([*argv, flag, _SAMPLE_TEXT[kind]]), f.name)
+        assert type(value) is kind and value == kind(_SAMPLE_TEXT[kind])
+
+
+def test_config_keys_are_the_run_config_fields(tmp_path):
+    path = tmp_path / "run.cfg"
+    kinds = {f.name: str if f.default is None else type(f.default) for f in fields(RunConfig)}
+    path.write_text("".join(f"{name} = {_SAMPLE_TEXT[kind]}\n" for name, kind in kinds.items()))
+    parsed = parse_config_file(str(path))
+    assert parsed == {name: kind(_SAMPLE_TEXT[kind]) for name, kind in kinds.items()}
+    assert {name: type(value) for name, value in parsed.items()} == kinds

@@ -1,6 +1,12 @@
 import pytest
 
-from xispec.config import T_MAX_CEILING, RunConfig, build_config, parse_config_file
+from xispec.config import (
+    M_CEILING,
+    T_MAX_CEILING,
+    RunConfig,
+    build_config,
+    parse_config_file,
+)
 from xispec.errors import ConfigError
 
 
@@ -67,6 +73,9 @@ def test_unparsable_value_rejected(tmp_path):
         {"t_max": float("inf")},
         {"tol": float("inf")},
         {"t_max": 2.0 * T_MAX_CEILING},
+        {"perturb": float("nan")},
+        {"perturb": float("inf")},
+        {"m": M_CEILING + 1},
     ],
 )
 def test_validation(kwargs):
@@ -76,6 +85,10 @@ def test_validation(kwargs):
 
 def test_t_max_ceiling_accepted():
     assert RunConfig(t_max=T_MAX_CEILING).t_max == T_MAX_CEILING
+
+
+def test_m_ceiling_accepted():
+    assert RunConfig(m=M_CEILING).m == M_CEILING
 
 
 def test_missing_config_file():
