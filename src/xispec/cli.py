@@ -8,6 +8,8 @@ Exit codes are exhaustive and disjoint:
     3  cache corruption (checksum or structure mismatch)
     4  numerical non-convergence
 
+Errors and warnings go to stderr as one ``xispec: ...`` line each.
+
 All outputs are deterministic: reports are canonical JSON with sorted
 keys, plots are hand-rendered SVG, and the zero scan runs in one thread,
 so identical configurations produce byte-identical files.
@@ -16,17 +18,19 @@ so identical configurations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
 import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
 from .carlson import Conclusion, audit_difference, audit_eq9
-from .config import OPTION_TYPES, ConfigError, RunConfig, build_config
+from .config import OPTION_TYPES, ConfigError, RunConfig, build_config, parse_option
 from .coupling import CLAIMED_NORM_COEFF, STANDARD_NORM_COEFF, audit_eq5
 from .errors import (
     AccuracyError,
@@ -327,13 +331,7 @@ def _metadata(cfg: RunConfig) -> dict:
             "claimed": CLAIMED_NORM_COEFF,
             "standard": STANDARD_NORM_COEFF,
         },
-        "config": {
-            "t_max": cfg.t_max,
-            "tol": cfg.tol,
-            "n_zeros": cfg.n_zeros,
-            "perturb": cfg.perturb,
-            "m": cfg.m,
-        },
+        "config": {k: getattr(cfg, k) for k in ("t_max", "tol", "n_zeros", "perturb", "m")},
     }
 
 
@@ -342,12 +340,18 @@ def _metadata(cfg: RunConfig) -> dict:
 
 def _cmd_zeros(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    zeros = _gather_zeros(cfg)
-    rows = format_rows(zeros)
-    for row in rows:
-        print(row)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as handle:
+    # Opened before the scan, so an unusable path fails before any output.
+    out = (
+        open(cfg.out, "w", encoding="utf-8", newline="\n")
+        if cfg.out
+        else contextlib.nullcontext()
+    )
+    with out as handle:
+        zeros = _gather_zeros(cfg)
+        rows = format_rows(zeros)
+        for row in rows:
+            print(row)
+        if handle is not None:
             handle.write("n,gamma,abs_err\n")
             handle.write("".join(row + "\n" for row in rows))
     check = zero_count_estimate(cfg.t_max)
@@ -356,6 +360,11 @@ def _cmd_zeros(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     return EXIT_OK
+
+
+def _write_lines(path: str, lines: list[str]) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("".join(line + "\n" for line in lines))
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
@@ -372,13 +381,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         if cfg.format == "json":
             write_report(report, os.path.join(out_dir, f"audit_{name}.json"))
         else:
-            with open(
-                os.path.join(out_dir, f"audit_{name}.csv"),
-                "w",
-                encoding="utf-8",
-                newline="\n",
-            ) as handle:
-                handle.write("".join(row + "\n" for row in rows))
+            _write_lines(os.path.join(out_dir, f"audit_{name}.csv"), rows)
         flag = " (flagged)" if report.verdict in (
             Verdict.INCONCLUSIVE,
             Verdict.NOT_APPLICABLE,
@@ -394,13 +397,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
                 reports, _metadata(cfg), os.path.join(out_dir, "audit_all.json")
             )
         else:
-            with open(
-                os.path.join(out_dir, "audit_all.csv"),
-                "w",
-                encoding="utf-8",
-                newline="\n",
-            ) as handle:
-                handle.write("".join(r + "\n" for r in report_csv_rows(reports)))
+            _write_lines(os.path.join(out_dir, "audit_all.csv"), report_csv_rows(reports))
 
     if any(r.failed for r in reports):
         return EXIT_AUDIT_FAILURE
@@ -517,19 +514,25 @@ def _cmd_report(args: argparse.Namespace) -> int:
 # ------------------------------- plumbing -------------------------------
 
 
+def _flag(option: str) -> str:
+    return "--" + option.replace("_", "-")
+
+
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+    # No argparse type: parse_option parses flag text as it parses file text.
     for option in fields(RunConfig):
         parser.add_argument(
-            "--" + option.name.replace("_", "-"),
-            dest=option.name,
-            type=OPTION_TYPES[option.name],
-            help=option.metadata.get("help"),
+            _flag(option.name), dest=option.name, help=option.metadata.get("help")
         )
     parser.add_argument("--config", help="flat key = value file")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {name: getattr(args, name) for name in OPTION_TYPES}
+    overrides = {
+        name: parse_option(name, getattr(args, name), _flag(name))
+        for name in OPTION_TYPES
+        if getattr(args, name) is not None
+    }
     return build_config(args.config, overrides)
 
 
@@ -570,11 +573,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"xispec: warning: {category.__name__}: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            return args.func(args)
     except ConfigError as exc:
         print(f"xispec: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

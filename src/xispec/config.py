@@ -1,8 +1,10 @@
 """Run configuration: defaults < config file < explicit flags.
 
 ``RunConfig``'s fields are the only list of run options: ``OPTION_TYPES``
-derives from them the CLI's common flags and the config-file keys, and
-``RunConfig.__post_init__`` validates every value, whichever source gave it.
+derives from them the CLI's common flags and the config-file keys,
+``parse_option`` turns the text of a flag or of a file value into its type,
+and ``RunConfig.__post_init__`` validates every value, whichever source gave
+it.
 
 The config file is a flat ``key = value`` text file; ``#`` starts a
 comment.  Unknown keys are rejected rather than ignored, so typos fail
@@ -83,11 +85,16 @@ def parse_config_file(path: str) -> dict:
         key = key.replace("-", "_")
         if key not in OPTION_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        try:
-            overrides[key] = OPTION_TYPES[key](raw)
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: cannot parse {raw!r}") from exc
+        overrides[key] = parse_option(key, raw, f"{path}:{lineno}: config key {key!r}")
     return overrides
+
+
+def parse_option(key: str, raw: str, source: str):
+    """The text of option ``key`` as its type; ``source`` names the text's origin."""
+    try:
+        return OPTION_TYPES[key](raw)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: cannot parse {raw!r}") from exc
 
 
 def build_config(file_path: str | None, flag_overrides: dict) -> RunConfig:

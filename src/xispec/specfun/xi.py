@@ -28,10 +28,10 @@ terms.  From ``RS_MIN_T`` up, ``depth=1`` uses the Riemann-Siegel formula
 
 which needs only N = 28 terms at t = 5000.
 
-``hardy_z`` also takes a 1-D array of heights.  Its Riemann-Siegel points
-are then evaluated together, in blocks of ``RS_BLOCK`` points, with the
-same terms and coefficients as the scalar formula; its Euler-Maclaurin
-points go through the scalar code one at a time.
+``hardy_z`` takes a 1-D array of heights; a scalar height is a one-point
+array.  The Riemann-Siegel points are evaluated together, in blocks of
+``RS_BLOCK`` points sorted by N, so each point sums only its own N terms;
+the Euler-Maclaurin points are evaluated one at a time.
 """
 
 from __future__ import annotations
@@ -146,12 +146,14 @@ def xi_critical(t: float, depth: int = 1) -> float:
     Raises:
         RealnessError: when the imaginary residue exceeds the bound.
     """
-    value = xi(complex(0.5, float(t)), depth)
-    bound = 1e-10 * (1.0 + abs(value))
+    return _real_part(xi(complex(0.5, float(t)), depth), 1e-10, f"xi_critical({t!r})")
+
+
+def _real_part(value: complex, rel_bound: float, label: str) -> float:
+    bound = rel_bound * (1.0 + abs(value))
     if abs(value.imag) > bound:
         raise RealnessError(
-            f"xi_critical({t!r}): imaginary residue {value.imag:.3e} "
-            f"exceeds bound {bound:.3e}"
+            f"{label}: imaginary residue {value.imag:.3e} exceeds bound {bound:.3e}"
         )
     return value.real
 
@@ -172,57 +174,38 @@ def _rs_terms(n: int) -> tuple[tuple[float, float], ...]:
     return terms
 
 
-def _uses_riemann_siegel(t: float, depth: int) -> bool:
-    return depth == 1 and RS_MIN_T <= t < math.inf
+def _uses_riemann_siegel(t, depth: int):
+    """Whether Z at ``t`` (a float or an array of heights) is Riemann-Siegel."""
+    return (depth == 1) & (t >= RS_MIN_T) & (t < math.inf)
 
 
-def _hardy_z_riemann_siegel(t: float) -> float:
-    tau = math.sqrt(t / _TWO_PI)
-    n = int(tau)
-    # theta(t) from its asymptotic series: within 2e-12 of the exact value
-    # for t >= RS_MIN_T, and much cheaper than log Gamma.
-    inv2 = 1.0 / (t * t)
-    theta = (
-        0.5 * t * math.log(t / _TWO_PI) - 0.5 * t - 0.125 * math.pi
-        + (1.0 / 48.0 + inv2 * (7.0 / 5760.0 + inv2 * (31.0 / 80640.0))) / t
-    )
-    cos = math.cos
-    main = 0.0
-    for inv_sqrt, log_k in _rs_terms(n)[:n]:
-        main += inv_sqrt * cos(theta - t * log_k)
+def _hardy_z_riemann_siegel(t: np.ndarray) -> np.ndarray:
+    """The Riemann-Siegel formula of the module docstring on an array of heights.
 
-    z = tau - n - 0.5
-    w = z * z
-    inv_tau = 1.0 / tau
-    correction = 0.0
-    for j in range(4, -1, -1):
-        c_j = 0.0
-        for coeff in reversed(_RS_C[j]):
-            c_j = c_j * w + coeff
-        if j % 2:
-            c_j *= z
-        correction = correction * inv_tau + c_j
-    sign = 1.0 if n % 2 else -1.0  # (-1)^(N-1)
-    return 2.0 * main + sign * correction / math.sqrt(tau)
-
-
-def _hardy_z_riemann_siegel_block(t: np.ndarray) -> np.ndarray:
-    """The scalar formula above, term for term, on an array of heights."""
+    The points are sorted by N, largest first, so term k of the main sum is
+    added only to the prefix of points with N >= k; the values are returned
+    in the order of ``t``.
+    """
     tau = np.sqrt(t / _TWO_PI)
     n = tau.astype(np.int64)
+    order = np.argsort(-n, kind="stable")
+    t, tau, n = t[order], tau[order], n[order]
+    # theta(t) from its asymptotic series: within 2e-12 of the exact value
+    # for t >= RS_MIN_T, and much cheaper than log Gamma.  math.log, not
+    # np.log: theta multiplies the log by t / 2, so numpy's occasional 1-ulp
+    # difference would move Z by up to 1e-12 at t = 5000.
     inv2 = 1.0 / (t * t)
-    # math.log, not np.log: theta multiplies the log by t / 2, so numpy's
-    # occasional 1-ulp difference would move Z by up to 1e-12 at t = 5000.
     log_t = np.fromiter(map(math.log, (t / _TWO_PI).tolist()), np.float64, t.size)
     theta = (
         0.5 * t * log_t - 0.5 * t - 0.125 * math.pi
         + (1.0 / 48.0 + inv2 * (7.0 / 5760.0 + inv2 * (31.0 / 80640.0))) / t
     )
-    n_max = int(n.max())
+    n_max = int(n[0])
+    # reach[k - 1] = number of points with N >= k, a prefix of the sorted points.
+    reach = np.searchsorted(-n, -np.arange(1, n_max + 1), side="right")
     main = np.zeros_like(t)
-    for k, (inv_sqrt, log_k) in enumerate(_rs_terms(n_max)[:n_max], start=1):
-        # Points whose sum has ended add 0.0, which leaves them unchanged.
-        main += np.where(k <= n, inv_sqrt * np.cos(theta - t * log_k), 0.0)
+    for (inv_sqrt, log_k), m in zip(_rs_terms(n_max), reach):
+        main[:m] += inv_sqrt * np.cos(theta[:m] - t[:m] * log_k)
 
     z = tau - n - 0.5
     w = z * z
@@ -236,7 +219,14 @@ def _hardy_z_riemann_siegel_block(t: np.ndarray) -> np.ndarray:
             c_j *= z
         correction = correction * inv_tau + c_j
     sign = np.where(n % 2 == 1, 1.0, -1.0)  # (-1)^(N-1)
-    return 2.0 * main + sign * correction / np.sqrt(tau)
+    values = np.empty_like(t)
+    values[order] = 2.0 * main + sign * correction / np.sqrt(tau)
+    return values
+
+
+def _hardy_z_euler_maclaurin(t: float, depth: int) -> float:
+    value = cmath.exp(1j * riemann_siegel_theta(t)) * zeta(complex(0.5, t), depth)
+    return _real_part(value, 1e-8, f"hardy_z({t!r})")
 
 
 def hardy_z_method(t: float, depth: int = 1) -> tuple[str, int]:
@@ -252,38 +242,27 @@ def hardy_z(t: float | np.ndarray, depth: int = 1) -> float | np.ndarray:
 
     sign(Xi(t)) = XI_SIGN_FROM_Z * sign(Z(t)).  Riemann-Siegel for depth 1
     from RS_MIN_T up, Euler-Maclaurin otherwise (see the module docstring).
-    A 1-D numpy array of heights gives the array of Z values: equal to the
-    scalar values at Euler-Maclaurin points, and within 1e-12 of them at
-    Riemann-Siegel points.
+    A 1-D numpy array of heights gives the array of Z values; a scalar
+    height is evaluated as a one-point array and gives a float.
 
     Raises:
         RealnessError: when the rotated zeta value fails to be real.
     """
     if isinstance(t, np.ndarray) and t.ndim == 1:
         return _hardy_z_array(t, depth)
-    t = float(t)
-    if _uses_riemann_siegel(t, depth):
-        return _hardy_z_riemann_siegel(t)
-    value = cmath.exp(1j * riemann_siegel_theta(t)) * zeta(complex(0.5, t), depth)
-    bound = 1e-8 * (1.0 + abs(value))
-    if abs(value.imag) > bound:
-        raise RealnessError(
-            f"hardy_z({t!r}): imaginary residue {value.imag:.3e} "
-            f"exceeds bound {bound:.3e}"
-        )
-    return value.real
+    return float(_hardy_z_array(np.array([float(t)]), depth)[0])
 
 
 def _hardy_z_array(t: np.ndarray, depth: int) -> np.ndarray:
     t = t.astype(np.float64, copy=False)
     out = np.empty_like(t)
-    rs = (depth == 1) & (t >= RS_MIN_T) & (t < math.inf)
+    rs = _uses_riemann_siegel(t, depth)
     for i in np.flatnonzero(~rs):
-        out[i] = hardy_z(float(t[i]), depth)
+        out[i] = _hardy_z_euler_maclaurin(float(t[i]), depth)
     rs_index = np.flatnonzero(rs)
     for start in range(0, rs_index.size, RS_BLOCK):
         block = rs_index[start : start + RS_BLOCK]
-        out[block] = _hardy_z_riemann_siegel_block(t[block])
+        out[block] = _hardy_z_riemann_siegel(t[block])
     return out
 
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 from dataclasses import fields
@@ -316,6 +317,7 @@ def test_zeros_out_file(capsys):
         ["audit", "carlson", "--m", "35"],
         ["audit", "carlson", "--m", "10000"],
         ["zeros", "--format", "xml"],
+        ["audit", "carlson", "--t-max", "soon"],
     ],
 )
 def test_bad_option_value_is_one_usage_line(capsys, argv):
@@ -359,8 +361,47 @@ def test_common_flags_are_the_run_config_fields(argv, own):
     for f in fields(RunConfig):
         kind = str if f.default is None else type(f.default)
         flag = "--" + f.name.replace("_", "-")
-        value = getattr(parser.parse_args([*argv, flag, _SAMPLE_TEXT[kind]]), f.name)
+        cfg = cli._config_from_args(parser.parse_args([*argv, flag, _SAMPLE_TEXT[kind]]))
+        value = getattr(cfg, f.name)
         assert type(value) is kind and value == kind(_SAMPLE_TEXT[kind])
+
+
+def test_unparsable_value_names_its_source(tmp_path, capsys):
+    assert run(["zeros", "--m", "abc"]) == 2
+    assert capsys.readouterr().err == "xispec: usage error: --m: cannot parse 'abc'\n"
+    path = tmp_path / "run.cfg"
+    path.write_text("# scale\nm = abc\n")
+    assert run(["zeros", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"xispec: usage error: {path}:2: config key 'm': cannot parse 'abc'\n"
+    )
+
+
+def test_zeros_out_is_opened_before_the_scan(capsys, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned before opening --out")
+
+    monkeypatch.setattr(cli, "scan_zeros", no_scan)
+    os.mkdir("taken_dir")
+    assert run(["zeros", "--t-max", "30", "--out", "taken_dir"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("xispec: cannot write output:")
+
+
+def test_warning_is_one_line(capsys, monkeypatch):
+    # A step of 12 hides sign changes in single cells, so the rescan warns.
+    monkeypatch.setattr(cli, "scan_zeros", functools.partial(cli.scan_zeros, step=12.0))
+    assert run(["zeros", "--t-max", "30"]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 3
+    *warned, summary = captured.err.splitlines()
+    assert warned and summary.startswith("# 3 zeros")
+    for line in warned:
+        assert line.startswith(
+            "xispec: warning: StepResolutionWarning: scan step 12.0 under-resolved"
+        )
 
 
 def test_config_keys_are_the_run_config_fields(tmp_path):
