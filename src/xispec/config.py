@@ -17,12 +17,14 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
+from .specfun.xi import EM_MAX_T
 
 _FORMATS = ("json", "csv")
 
-#: Highest t_max a run accepts.  The zero scan holds its whole grid, four
-#: points per unit of t, so t_max = 1e6 already means 4M-point arrays.
-T_MAX_CEILING = 1e6
+#: Highest t_max a run accepts: the height up to which Euler-Maclaurin
+#: settles every Z sign the zero finder is in doubt of, so every zero a run
+#: reports lies within its abs_err.
+T_MAX_CEILING = EM_MAX_T
 
 #: Highest m a run accepts.  The Carlson audit samples xi at m*1 .. m*10,
 #: and xi's Gamma factor overflows double precision at 35*10 = 350.

@@ -13,6 +13,7 @@ from .xi import (
     XI_SIGN_FROM_Z,
     hardy_z,
     hardy_z_method,
+    hardy_z_with_bound,
     log_abs_xi_critical,
     riemann_siegel_theta,
     xi,
@@ -34,6 +35,7 @@ __all__ = [
     "gamma",
     "hardy_z",
     "hardy_z_method",
+    "hardy_z_with_bound",
     "integrate_semiinfinite",
     "log_abs_xi_critical",
     "log_gamma",

@@ -26,7 +26,27 @@ terms.  From ``RS_MIN_T`` up, ``depth=1`` uses the Riemann-Siegel formula
     Z(t) = 2 sum_{n<=N} n^{-1/2} cos(theta(t) - t log n)
            + (-1)^{N-1} tau^{-1/2} sum_{j=0..4} C_j(p) tau^{-j},
 
-which needs only N = 28 terms at t = 5000.
+which needs only N = 28 terms at t = 5000.  Each Riemann-Siegel value
+comes with a bound B(t) on its error, the sum of two parts:
+
+    0.017 tau^{-11/2}, Gabcke's remainder bound after C4 for t >= 200
+        (Gabcke 1979; the constants are tabulated in Gourdon 2004, sec. 2);
+    2 (2 sqrt(N) - 1) * 2^-50 t (1 + log(t / 2 pi)), which bounds the
+        rounding error of the cos arguments theta(t) - t log n, theta's
+        series and the rest of the arithmetic, weighted by the
+        2 sum n^{-1/2} <= 2 (2 sqrt(N) - 1) they enter the sum with.
+
+B is 1.3e-6 at t = 200, 2.8e-8 at 800 and 8.3e-10 at 5000, and at least
+30 times the error measured against mpmath at 2,003 heights in [200, 6000].
+So from t = 200 up, Z values are accurate to B(t), not to the 1e-12 or so
+of Euler-Maclaurin.  ``hardy_z`` returns the Riemann-Siegel value only where
+|Z_RS| > B(t), so its sign is certain, and Euler-Maclaurin elsewhere: the
+doubt rule.  Euler-Maclaurin settles a doubtful sign only up to
+``EM_MAX_T`` = 5e5, where its correction series still converges; above it
+no reference is left and the Riemann-Siegel value stands, sign and all.
+``hardy_z_with_bound`` gives the values before that rule together with B
+(0.0 for Euler-Maclaurin values) and the points the rule would settle, for
+callers that can do better than Euler-Maclaurin with a doubtful sign.
 
 ``hardy_z`` takes a 1-D array of heights; a scalar height is a one-point
 array.  The Riemann-Siegel points are evaluated together, in blocks of
@@ -43,16 +63,27 @@ import numpy as np
 
 from ..errors import RealnessError
 from .gamma import gamma, log_gamma
-from .zeta import em_truncation, zeta
+from .zeta import EM_TERMS_CAP, em_truncation, zeta
 
 _QUARTER_LOG_PI = 0.25 * math.log(math.pi)
 _TWO_PI = 2.0 * math.pi
 
-#: Lowest height at which ``hardy_z`` (depth 1) uses Riemann-Siegel.  Against
-#: mpmath.siegelz at t = 700, 700.1, ..., 1000, the C0..C4 formula's error
-#: exceeds 1e-10 for the last time at t = 795.0 (9.4e-11 worst from 800 on);
-#: sampled windows up to t = 6000 stay below 6.1e-11.
-RS_MIN_T = 800.0
+#: Lowest height at which ``hardy_z`` (depth 1) uses Riemann-Siegel: Gabcke's
+#: remainder bound for the C0..C4 formula holds from t = 200 on.
+RS_MIN_T = 200.0
+
+# The two constants of B(t) (module docstring): Gabcke's d_4 for t >= 200,
+# and 2^-50 = 8 unit roundoffs, the rounding error of a cos argument per
+# unit of t (1 + log(t / 2 pi)) with a factor of 2 to spare.
+_GABCKE_D4 = 0.017
+_ARG_ROUNDING = 8.881784197001252e-16
+
+#: Highest height at which Euler-Maclaurin settles a doubtful sign.  With its
+#: truncation point capped at N = EM_TERMS_CAP, each correction term shrinks
+#: by only about (t / 2 pi N)^2, 0.16 at this height.  Near a zero, where the
+#: doubtful points lie, the capped orders stop converging between t = 5.7e5
+#: and 5.8e5 and Euler-Maclaurin raises NonConvergenceError.
+EM_MAX_T = 2.5 * EM_TERMS_CAP
 
 #: Heights per block of the array Riemann-Siegel path: each temporary then
 #: takes 32 KiB, whatever the length of the array.
@@ -118,6 +149,14 @@ _RS_C = (
     ),
 )
 
+# _RS_C as one Horner table: row i holds the coefficients of w^(21 - i) of
+# C0..C4, shorter polynomials padded with leading zeros, which keep their
+# partial sums exactly 0.0.  Shape (22, 5, 1), so a row broadcasts over a
+# (5, n) array of partial sums.
+_RS_HORNER = np.array(
+    [[0.0] * (22 - len(c)) + list(reversed(c)) for c in _RS_C]
+).T[:, :, None].copy()
+
 # Main-sum terms (n^{-1/2}, log n) for n = 1, 2, ...: grown on demand and
 # replaced whole, so concurrent readers always see a consistent tuple.
 _RS_TERMS = tuple((1.0 / math.sqrt(n), math.log(n)) for n in range(1, 17))
@@ -179,21 +218,22 @@ def _uses_riemann_siegel(t, depth: int):
     return (depth == 1) & (t >= RS_MIN_T) & (t < math.inf)
 
 
-def _hardy_z_riemann_siegel(t: np.ndarray) -> np.ndarray:
+def _hardy_z_riemann_siegel(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Riemann-Siegel formula of the module docstring on an array of heights.
 
-    The points are sorted by N, largest first, so term k of the main sum is
-    added only to the prefix of points with N >= k; the values are returned
-    in the order of ``t``.
+    Returns the values and their error bounds B(t).  The points are sorted
+    by N, largest first, so term k of the main sum is added only to the
+    prefix of points with N >= k; the results are returned in the order of
+    ``t``.
     """
     tau = np.sqrt(t / _TWO_PI)
     n = tau.astype(np.int64)
     order = np.argsort(-n, kind="stable")
     t, tau, n = t[order], tau[order], n[order]
-    # theta(t) from its asymptotic series: within 2e-12 of the exact value
-    # for t >= RS_MIN_T, and much cheaper than log Gamma.  math.log, not
-    # np.log: theta multiplies the log by t / 2, so numpy's occasional 1-ulp
-    # difference would move Z by up to 1e-12 at t = 5000.
+    # theta(t) from its asymptotic series: the first term left out is below
+    # 1e-18 for t >= RS_MIN_T, and the series is much cheaper than log Gamma.
+    # math.log, not np.log: theta multiplies the log by t / 2, so numpy's
+    # occasional 1-ulp difference would move Z by up to 1e-12 at t = 5000.
     inv2 = 1.0 / (t * t)
     log_t = np.fromiter(map(math.log, (t / _TWO_PI).tolist()), np.float64, t.size)
     theta = (
@@ -209,19 +249,23 @@ def _hardy_z_riemann_siegel(t: np.ndarray) -> np.ndarray:
 
     z = tau - n - 0.5
     w = z * z
+    c = np.zeros((5, t.size))
+    for row in _RS_HORNER:  # C0..C4 in w, in one pass
+        c *= w
+        c += row
+    c[1::2] *= z
     inv_tau = 1.0 / tau
     correction = np.zeros_like(t)
-    for j in range(4, -1, -1):
-        c_j = np.zeros_like(t)
-        for coeff in reversed(_RS_C[j]):
-            c_j = c_j * w + coeff
-        if j % 2:
-            c_j *= z
+    for c_j in c[::-1]:
         correction = correction * inv_tau + c_j
     sign = np.where(n % 2 == 1, 1.0, -1.0)  # (-1)^(N-1)
     values = np.empty_like(t)
     values[order] = 2.0 * main + sign * correction / np.sqrt(tau)
-    return values
+    bounds = np.empty_like(t)
+    bounds[order] = (4.0 * np.sqrt(n) - 2.0) * (_ARG_ROUNDING * t) * (
+        1.0 + log_t
+    ) + _GABCKE_D4 * tau**-5.5
+    return values, bounds
 
 
 def _hardy_z_euler_maclaurin(t: float, depth: int) -> float:
@@ -230,20 +274,28 @@ def _hardy_z_euler_maclaurin(t: float, depth: int) -> float:
 
 
 def hardy_z_method(t: float, depth: int = 1) -> tuple[str, int]:
-    """The formula ``hardy_z(t, depth)`` uses and its number of main-sum terms."""
+    """The formula ``hardy_z(t, depth)`` uses and its number of main-sum terms.
+
+    Riemann-Siegel only where it applies and the doubt rule keeps its value;
+    Euler-Maclaurin otherwise, the doubtful points it settles included.
+    """
     t = float(t)
     if _uses_riemann_siegel(t, depth):
-        return "riemann-siegel", int(math.sqrt(t / _TWO_PI))
+        _, _, (doubt,) = hardy_z_with_bound(np.array([t]), depth)
+        if not doubt:
+            return "riemann-siegel", int(math.sqrt(t / _TWO_PI))
     return "euler-maclaurin", em_truncation(complex(0.5, t), depth)
 
 
 def hardy_z(t: float | np.ndarray, depth: int = 1) -> float | np.ndarray:
     """Hardy's Z(t): real, O(1), with the same critical-line zeros as Xi.
 
-    sign(Xi(t)) = XI_SIGN_FROM_Z * sign(Z(t)).  Riemann-Siegel for depth 1
-    from RS_MIN_T up, Euler-Maclaurin otherwise (see the module docstring).
-    A 1-D numpy array of heights gives the array of Z values; a scalar
-    height is evaluated as a one-point array and gives a float.
+    sign(Xi(t)) = XI_SIGN_FROM_Z * sign(Z(t)).  Depth 1 uses Riemann-Siegel
+    from RS_MIN_T up, accurate to its bound B(t), and Euler-Maclaurin below
+    it and where the doubt rule settles a Riemann-Siegel sign (see the
+    module docstring), so every sign is certain up to EM_MAX_T.  A 1-D numpy
+    array of heights gives the array of Z values; a scalar height is
+    evaluated as a one-point array and gives a float.
 
     Raises:
         RealnessError: when the rotated zeta value fails to be real.
@@ -253,21 +305,49 @@ def hardy_z(t: float | np.ndarray, depth: int = 1) -> float | np.ndarray:
     return float(_hardy_z_array(np.array([float(t)]), depth)[0])
 
 
-def _hardy_z_array(t: np.ndarray, depth: int) -> np.ndarray:
+def hardy_z_with_bound(
+    t: np.ndarray, depth: int = 1
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Z at a 1-D array of heights before the doubt rule: values, bounds, doubt.
+
+    Riemann-Siegel values where ``hardy_z`` would try it, each with its
+    bound B(t); Euler-Maclaurin values elsewhere, with bound 0.0 (they are
+    the reference).  ``doubt`` marks the Riemann-Siegel values whose sign
+    the doubt rule settles, |Z| <= B(t) at heights up to EM_MAX_T: exactly
+    the points at which ``hardy_z`` returns Euler-Maclaurin instead.  Every
+    other sign is certain, except a Riemann-Siegel one with |Z| <= B above
+    EM_MAX_T.
+
+    Raises:
+        RealnessError: when the rotated zeta value fails to be real.
+    """
     t = t.astype(np.float64, copy=False)
-    out = np.empty_like(t)
+    values = np.empty_like(t)
+    bounds = np.zeros_like(t)
     rs = _uses_riemann_siegel(t, depth)
     for i in np.flatnonzero(~rs):
-        out[i] = _hardy_z_euler_maclaurin(float(t[i]), depth)
+        values[i] = _hardy_z_euler_maclaurin(float(t[i]), depth)
     rs_index = np.flatnonzero(rs)
     for start in range(0, rs_index.size, RS_BLOCK):
         block = rs_index[start : start + RS_BLOCK]
-        out[block] = _hardy_z_riemann_siegel(t[block])
-    return out
+        values[block], bounds[block] = _hardy_z_riemann_siegel(t[block])
+    doubt = (bounds > 0.0) & ~(np.abs(values) > bounds) & (t <= EM_MAX_T)
+    return values, bounds, doubt
+
+
+def _hardy_z_array(t: np.ndarray, depth: int) -> np.ndarray:
+    values, _, doubt = hardy_z_with_bound(t, depth)
+    for i in np.flatnonzero(doubt):
+        values[i] = _hardy_z_euler_maclaurin(float(t[i]), depth)
+    return values
 
 
 def log_abs_xi_critical(t: float) -> float:
-    """log |Xi(t)|, computable far past the underflow range of xi itself."""
+    """log |Xi(t)|, computable far past the underflow range of xi itself.
+
+    Z comes from ``hardy_z``, so from RS_MIN_T up its relative error is
+    B(t)/|Z|: about 1e-6/|Z| at t = 200 and 1e-9/|Z| at t = 5000.
+    """
     t = float(t)
     z = abs(hardy_z(t))
     if z == 0.0:

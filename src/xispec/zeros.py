@@ -4,13 +4,20 @@ Scanning runs on Hardy's Z(t) rather than Xi(t) directly: the two share
 their zeros and signs up to a fixed flip, but Z stays O(1) where
 |Xi(t)| ~ e^{-pi t/4} underflows.  Brackets are refined by Chandrupatla's
 method (inverse quadratic interpolation with a bisection fallback), which
-always keeps a sign change enclosed, so the final interval width bounds the
-error of the located sign change (not the error of Z itself).  Refinement
-starts from the Z values the scan grid already holds at the bracket ends.
+always keeps a sign change enclosed.  Every sign it sees is certain: a
+Riemann-Siegel value counts only where it exceeds its error bound B(t), and
+Euler-Maclaurin, the reference, settles the others.  So the final bracket's
+half-width bounds the distance to the zero of Z as Euler-Maclaurin computes
+it.  That holds up to ``specfun.xi.EM_MAX_T`` = 5e5, the highest t_max a run
+accepts; above it Euler-Maclaurin no longer converges, doubtful
+Riemann-Siegel signs are taken as they are, and the half-width leaves out
+their error.  Refinement starts from the Z values the scan grid already
+holds at the bracket ends.
 
-Every Z evaluation is one array call to ``hardy_z``: the scan grid, each
-fine-rescan grid, and, per refinement step, the trial points of all the
-brackets still open, which advance in lockstep.
+Every Z evaluation is one array call: ``hardy_z`` for the scan grid and
+each fine-rescan grid, and, per refinement step, ``hardy_z_with_bound`` for
+the trial points of all the brackets still open, which advance in
+lockstep, then ``hardy_z`` for the points where a sign was in doubt.
 
 The persistent cache is a plain text CSV with a checksummed header
 (64-bit FNV-1a over the data-line bytes, newline included), written
@@ -30,7 +37,7 @@ import numpy as np
 
 from .errors import BracketError, CacheCorruptionError
 from .report import AuditReport, Verdict
-from .specfun import hardy_z
+from .specfun import hardy_z, hardy_z_with_bound
 
 DEFAULT_SCAN_STEP = 0.25
 CACHE_VERSION = "v1"
@@ -80,9 +87,14 @@ def refine_brackets(
     bracket ends and the last point dropped, falling back to bisection
     when the interpolant is not trusted.  Each trial point stays at least
     tol/2 inside its bracket, so once the estimate has converged the next
-    step straddles the root and closes the bracket.  All brackets advance
-    in lockstep: each iteration evaluates Z in one array call, at the trial
-    points of the brackets still open.  ``z_ends`` passes already known Z
+    step straddles the root and closes the bracket.  A trial point whose
+    Riemann-Siegel sign is in doubt lies within about B(t)/|Z'| of the
+    root: Z at trial -+ tol/4 closes its bracket if their certain signs
+    differ, and only otherwise is the trial point's own sign settled by
+    Euler-Maclaurin (up to EM_MAX_T; see the module docstring).  All
+    brackets advance in lockstep: each iteration evaluates Z in one array
+    call at the trial points of the brackets still open, and at most two
+    more for the brackets in doubt.  ``z_ends`` passes already known Z
     values at the two ends of each bracket, saving their evaluation.
 
     Raises:
@@ -130,31 +142,58 @@ def refine_brackets(
     live = np.flatnonzero(~zero_lo & ~zero_hi)
     a, f_a, b, f_b = hi[live], f_hi[live], lo[live], f_lo[live]
     step = np.full(live.size, 0.5)
+    seen = np.zeros(live.size)  # B(t) at the bracket's last Riemann-Siegel point
     while True:
         closed = ~(np.abs(b - a) > tols[live])
         for j in np.flatnonzero(closed):
             i = int(live[j])
-            t_lo, t_hi = float(min(a[j], b[j])), float(max(a[j], b[j]))
-            found[i] = CriticalZero(
-                i + 1, 0.5 * (t_lo + t_hi), (t_lo, t_hi), 0.5 * (t_hi - t_lo)
-            )
-        live, a, f_a, b, f_b, step = (
-            x[~closed] for x in (live, a, f_a, b, f_b, step)
+            found[i] = _closed_zero(i, float(min(a[j], b[j])), float(max(a[j], b[j])))
+        live, a, f_a, b, f_b, step, seen = (
+            x[~closed] for x in (live, a, f_a, b, f_b, step, seen)
         )
         if live.size == 0:
             return found  # every entry is set by now
 
         trial = a + step * (b - a)
-        f_trial = hardy_z(trial, depth)
-        hit = f_trial == 0.0
+        # A trial point whose Riemann-Siegel sign is in doubt lies near the
+        # root.  It is in doubt where hardy_z_with_bound says so, and taken to
+        # be, unevaluated, where the line through the ends puts |Z| <= B(t)
+        # of the last Riemann-Siegel point already: an interpolated point is
+        # closer to the root than that.
+        f_line = f_a + (trial - a) * ((f_b - f_a) / (b - a))
+        near = (seen > 0.0) & ~(np.abs(f_line) > seen)
+        f_trial, bound, doubt = np.zeros_like(trial), np.zeros_like(trial), near.copy()
+        f_trial[~near], bound[~near], doubt[~near] = hardy_z_with_bound(
+            trial[~near], depth
+        )
+        seen = np.where(near, seen, bound)
+        doubt = np.flatnonzero(doubt)
+        straddled = np.zeros(live.size, dtype=bool)
+        if doubt.size:
+            # Certain signs of Z at trial -+ tol/4 that differ close the
+            # bracket; where they agree, hardy_z gives the trial point's own.
+            quarter = 0.25 * tols[live[doubt]]
+            side_lo = np.maximum(trial[doubt] - quarter, np.minimum(a[doubt], b[doubt]))
+            side_hi = np.minimum(trial[doubt] + quarter, np.maximum(a[doubt], b[doubt]))
+            f_side = hardy_z(np.concatenate([side_lo, side_hi]), depth).reshape(2, -1)
+            closes = np.signbit(f_side[0]) != np.signbit(f_side[1])
+            shut, settle = doubt[closes], doubt[~closes]
+            for i, t_lo, t_hi in zip(
+                live[shut].tolist(), side_lo[closes].tolist(), side_hi[closes].tolist()
+            ):
+                found[i] = _closed_zero(i, t_lo, t_hi)
+            straddled[shut] = True
+            f_trial[settle] = hardy_z(trial[settle], depth)
+        hit = (f_trial == 0.0) & ~straddled
         for j in np.flatnonzero(hit):
             i = int(live[j])
             t, half = float(trial[j]), 0.5 * float(tols[i])
             found[i] = CriticalZero(
                 i + 1, t, (max(t - half, float(lo[i])), t + half), half
             )
-        live, a, f_a, b, f_b, trial, f_trial = (
-            x[~hit] for x in (live, a, f_a, b, f_b, trial, f_trial)
+        keep = ~(hit | straddled)
+        live, a, f_a, b, f_b, trial, f_trial, seen = (
+            x[keep] for x in (live, a, f_a, b, f_b, trial, f_trial, seen)
         )
 
         same = np.signbit(f_trial) == np.signbit(f_a)
@@ -172,6 +211,11 @@ def refine_brackets(
         ) * (fa_q / (fc_q - fa_q)) * (fb_q / (fc_q - fb_q))
         clamp = 0.5 * tols[live] / np.abs(b - a)
         step = np.minimum(np.maximum(step, clamp), 1.0 - clamp)
+
+
+def _closed_zero(i: int, t_lo: float, t_hi: float) -> CriticalZero:
+    """Zero i + 1 from its closed bracket: the midpoint, within half the width."""
+    return CriticalZero(i + 1, 0.5 * (t_lo + t_hi), (t_lo, t_hi), 0.5 * (t_hi - t_lo))
 
 
 def refine_zero(

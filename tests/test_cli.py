@@ -1,6 +1,8 @@
 import functools
 import json
 import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import xispec
 from xispec import cli
 from xispec.config import RunConfig, parse_config_file
 from xispec.errors import NonConvergenceError
@@ -44,6 +47,21 @@ def test_zeros_cache_reuse_is_identical(capsys):
     assert run(["zeros", "--t-max", "30", "--cache", "zeros.csv"]) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_zeros_run_does_not_import_mpmath():
+    # mpmath is the tests' oracle only; a Riemann-Siegel scan must not need it.
+    src = str(Path(xispec.__file__).resolve().parents[1])
+    code = (
+        "import xispec.cli, sys; xispec.cli.main(['zeros', '--t-max', '300']); "
+        "assert 'mpmath' not in sys.modules"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.splitlines()) == 138
 
 
 def test_zeros_bad_flag_exit_code():

@@ -8,6 +8,7 @@ from xispec.config import (
     parse_config_file,
 )
 from xispec.errors import ConfigError
+from xispec.specfun.xi import EM_MAX_T
 
 
 def test_defaults():
@@ -85,6 +86,11 @@ def test_validation(kwargs):
 
 def test_t_max_ceiling_accepted():
     assert RunConfig(t_max=T_MAX_CEILING).t_max == T_MAX_CEILING
+
+
+def test_t_max_ceiling_is_where_every_z_sign_is_certain():
+    # Above EM_MAX_T Euler-Maclaurin cannot settle a doubtful Z sign.
+    assert T_MAX_CEILING == EM_MAX_T == 5e5
 
 
 def test_m_ceiling_accepted():

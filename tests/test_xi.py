@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import random
 
@@ -7,19 +8,22 @@ import numpy as np
 import pytest
 
 from conftest import rel_err
+from xispec.errors import NonConvergenceError
+from make_siegelz_oracle import PATH as ORACLE_PATH, oracle_heights, siegelz
 from xispec.specfun import (
     RS_MIN_T,
     XI_SIGN_FROM_Z,
     em_truncation,
     hardy_z,
     hardy_z_method,
+    hardy_z_with_bound,
     log_abs_xi_critical,
     riemann_siegel_theta,
     xi,
     xi_critical,
     zeta,
 )
-from xispec.specfun.xi import _RS_C
+from xispec.specfun.xi import EM_MAX_T, _RS_C
 
 # Product of Gamma(1/4), zeta(1/2), pi^(-1/4) at 30 significant digits,
 # frozen from the arbitrary-precision oracle.
@@ -124,8 +128,8 @@ def test_riemann_siegel_coefficients_match_regeneration():
 
 def test_riemann_siegel_z_against_oracle():
     rng = random.Random(2008)
-    heights = [rng.uniform(RS_MIN_T, 6000.0) for _ in range(50)]
-    heights += [RS_MIN_T - 1e-9, RS_MIN_T, RS_MIN_T + 1e-9, 6000.0]
+    heights = [rng.uniform(800.0, 6000.0) for _ in range(50)]
+    heights += [800.0 - 1e-9, 800.0, 800.0 + 1e-9, 6000.0]
     with mp.workdps(20):
         oracle = [float(mp.siegelz(t)) for t in heights]
     for t, expected in zip(heights, oracle):
@@ -135,10 +139,77 @@ def test_riemann_siegel_z_against_oracle():
     assert np.abs(values - np.array(oracle)).max() <= 1e-10
 
 
+def test_riemann_siegel_bound_against_oracle():
+    # The oracle table holds mpmath.siegelz at 2,003 heights in [200, 6000]
+    # (tests/make_siegelz_oracle.py); three are recomputed here.
+    rows = json.loads(ORACLE_PATH.read_text())
+    heights = np.array([t for t, _ in rows])
+    assert heights.tolist() == oracle_heights()
+    for k in (0, 1000, len(rows) - 1):
+        assert abs(rows[k][1] - siegelz(rows[k][0])) <= 1e-15
+    values, bounds, doubt = hardy_z_with_bound(heights)
+    assert (bounds > 0.0).all()
+    assert (doubt == ~(np.abs(values) > bounds)).all()
+    assert (np.abs(values - np.array([z for _, z in rows])) <= bounds / 4.0).all()
+    (b_5000,) = hardy_z_with_bound(np.array([5000.0]))[1]
+    assert b_5000 <= 1e-9
+    # Below RS_MIN_T and at depth 2, Euler-Maclaurin is the reference.
+    values, bounds, doubt = hardy_z_with_bound(np.array([150.0, 199.75]))
+    assert bounds.tolist() == [0.0, 0.0] and not doubt.any()
+    assert values.tolist() == [_euler_maclaurin_z(150.0, 1), _euler_maclaurin_z(199.75, 1)]
+    assert hardy_z_with_bound(np.array([5000.0]), depth=2)[1].tolist() == [0.0]
+
+
+def test_doubtful_riemann_siegel_sign_falls_back():
+    # At the double nearest zero 100, |Z_RS| is below its bound B(t): the
+    # sign is in doubt, so hardy_z and hardy_z_method use Euler-Maclaurin.
+    t = float(mp.zetazero(100).imag)
+    (z_rs,), (bound,), (doubt,) = hardy_z_with_bound(np.array([t]))
+    assert RS_MIN_T < t and abs(z_rs) <= bound and doubt
+    assert hardy_z(t) == _euler_maclaurin_z(t, 1)
+    assert hardy_z(np.array([250.0, t])).tolist() == [hardy_z(250.0), hardy_z(t)]
+    assert hardy_z_method(t) == ("euler-maclaurin", em_truncation(complex(0.5, t)))
+    assert hardy_z_method(250.0) == ("riemann-siegel", 6)
+
+
+def _doubtful_height(t_min):
+    """A height just above t_min where |Z_RS| <= B(t): bisect a sign change."""
+    grid = t_min + 0.01 * np.arange(200)
+    values = hardy_z_with_bound(grid)[0]
+    i = np.flatnonzero(np.signbit(values[:-1]) != np.signbit(values[1:]))[0]
+    lo, hi = float(grid[i]), float(grid[i + 1])
+    while True:
+        mid = 0.5 * (lo + hi)
+        (value,), (bound,), _ = hardy_z_with_bound(np.array([mid]))
+        if not abs(value) > bound:
+            return mid
+        if np.signbit(value) == np.signbit(values[i]):
+            lo = mid
+        else:
+            hi = mid
+
+
+def test_doubt_rule_stops_where_euler_maclaurin_does():
+    # Up to EM_MAX_T Euler-Maclaurin settles a doubtful sign; above it its
+    # capped corrections stop converging, and the Riemann-Siegel value stands.
+    below = _doubtful_height(EM_MAX_T - 2.0)
+    assert below <= EM_MAX_T
+    assert hardy_z_with_bound(np.array([below]))[2].tolist() == [True]
+    assert hardy_z(below) == _euler_maclaurin_z(below, 1)
+    assert hardy_z_method(below)[0] == "euler-maclaurin"
+    above = _doubtful_height(1e6 - 2.0)
+    (z_rs,), (bound,), (doubt,) = hardy_z_with_bound(np.array([above]))
+    assert abs(z_rs) <= bound and not doubt
+    assert hardy_z(above) == z_rs
+    assert hardy_z_method(above) == ("riemann-siegel", int(math.sqrt(above / (2 * math.pi))))
+    with pytest.raises(NonConvergenceError):
+        _euler_maclaurin_z(above, 1)
+
+
 def test_z_method_switches_at_rs_min_t():
     assert hardy_z_method(RS_MIN_T - 1e-9) == (
         "euler-maclaurin", em_truncation(complex(0.5, RS_MIN_T - 1e-9)))
-    assert hardy_z_method(RS_MIN_T) == ("riemann-siegel", 11)
+    assert hardy_z_method(RS_MIN_T) == ("riemann-siegel", 5)
     assert hardy_z_method(5000.0) == ("riemann-siegel", 28)
     assert hardy_z_method(5000.0, depth=2)[0] == "euler-maclaurin"
     assert hardy_z(RS_MIN_T - 1e-9) == _euler_maclaurin_z(RS_MIN_T - 1e-9, 1)

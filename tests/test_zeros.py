@@ -1,3 +1,4 @@
+import importlib
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from conftest import KNOWN_ZEROS_10
 from xispec.errors import BracketError, CacheCorruptionError
 from xispec.report import Verdict
-from xispec.specfun import RS_MIN_T, hardy_z, xi_critical
+from xispec.specfun import RS_MIN_T, hardy_z, hardy_z_with_bound, xi_critical
 from xispec import zeros as zeros_module
 from xispec.zeros import (
     DEFAULT_SCAN_STEP,
@@ -23,6 +24,8 @@ from xispec.zeros import (
     scan_zeros,
     zero_count_estimate,
 )
+
+xi_module = importlib.import_module("xispec.specfun.xi")
 
 
 def test_no_zeros_below_ten():
@@ -113,7 +116,10 @@ def test_refine_known_brackets():
 
 
 def _count_z_points(monkeypatch) -> dict[str, int]:
-    """Count the heights Z is evaluated at through ``xispec.zeros``, by phase."""
+    """Count the heights Z is evaluated at through ``xispec.zeros``, by phase.
+
+    Both entry points count: ``hardy_z`` and refinement's ``hardy_z_with_bound``.
+    """
     calls = {"scan": 0, "refine": 0}
     phase = ["scan"]
     refine = zeros_module.refine_brackets
@@ -121,6 +127,10 @@ def _count_z_points(monkeypatch) -> dict[str, int]:
     def counted_z(t, depth=1):
         calls[phase[0]] += np.size(t)
         return hardy_z(t, depth)
+
+    def counted_bounded(t, depth=1):
+        calls[phase[0]] += np.size(t)
+        return hardy_z_with_bound(t, depth)
 
     def counted_refine(*args, **kwargs):
         phase[0] = "refine"
@@ -130,6 +140,7 @@ def _count_z_points(monkeypatch) -> dict[str, int]:
             phase[0] = "scan"
 
     monkeypatch.setattr(zeros_module, "hardy_z", counted_z)
+    monkeypatch.setattr(zeros_module, "hardy_z_with_bound", counted_bounded)
     monkeypatch.setattr(zeros_module, "refine_brackets", counted_refine)
     return calls
 
@@ -154,24 +165,65 @@ def test_refinement_budget_per_zero(monkeypatch):
     assert calls["refine"] / len(found) <= 6.0
 
 
+def _count_em_heights(monkeypatch) -> list[float]:
+    """Record the heights at which Z is evaluated by Euler-Maclaurin."""
+    heights = []
+    em = xi_module._hardy_z_euler_maclaurin
+
+    def counted_em(t, depth):
+        heights.append(t)
+        return em(t, depth)
+
+    monkeypatch.setattr(xi_module, "_hardy_z_euler_maclaurin", counted_em)
+    return heights
+
+
 def test_scan_z_point_count(monkeypatch):
-    # Array evaluation makes each point cheaper, not fewer: the scalar scan
-    # it replaced evaluated Z at exactly these many heights.
+    # Array evaluation makes each point cheaper, not fewer.  Riemann-Siegel
+    # from RS_MIN_T leaves Euler-Maclaurin the heights below it and the few
+    # where a Riemann-Siegel sign is in doubt.
     calls = _count_z_points(monkeypatch)
+    em_heights = _count_em_heights(monkeypatch)
     scan_zeros(1190.0, 1e-8)
-    assert calls["scan"] + calls["refine"] == 11085
+    assert calls["scan"] + calls["refine"] == 11477
+    assert len(em_heights) == 3440
+    assert sum(t < RS_MIN_T for t in em_heights) == 1863
 
 
-def _scalar_chandrupatla(bracket, tol, z):
+def test_euler_maclaurin_share_to_5000(monkeypatch):
+    # The scan-grid, fine-rescan and refinement points of a 1e-6 scan to
+    # t = 5000 used Euler-Maclaurin 7,023 times when Riemann-Siegel started
+    # at t = 800; from RS_MIN_T = 200 only the doubtful signs above it do.
+    em_heights = _count_em_heights(monkeypatch)
+    with pytest.warns(zeros_module.StepResolutionWarning):
+        found = scan_zeros(5000.0, 1e-6)
+    assert len(found) == 4520
+    assert len(em_heights) <= 2000
+    assert sum(t >= RS_MIN_T for t in em_heights) <= 150
+
+
+def _scalar_chandrupatla(bracket, tol, z, z_bound):
     """One bracket at a time, in Python floats: the lockstep loop's reference."""
     t_lo, t_hi = bracket
     tol = max(tol, 4.0 * math.ulp(max(abs(t_lo), abs(t_hi))))
     f_lo, f_hi = z(t_lo), z(t_hi)
     a, f_a, b, f_b = t_hi, f_hi, t_lo, f_lo
-    step = 0.5
+    step, seen = 0.5, 0.0
     while abs(b - a) > tol:
         trial = a + step * (b - a)
-        f_trial = z(trial)
+        # The doubt rule: a Riemann-Siegel sign in doubt, found or foreseen
+        # on the line through the ends, makes Z at trial -+ tol/4 close the
+        # bracket if their signs differ, and z settle the trial otherwise.
+        f_line = f_a + (trial - a) * ((f_b - f_a) / (b - a))
+        doubt = seen > 0.0 and not abs(f_line) > seen
+        if not doubt:
+            (f_trial,), (seen,), (doubt,) = z_bound(np.array([trial]))
+        if doubt:
+            s_lo = max(trial - 0.25 * tol, min(a, b))
+            s_hi = min(trial + 0.25 * tol, max(a, b))
+            if math.copysign(1.0, z(s_lo)) != math.copysign(1.0, z(s_hi)):
+                return 0.5 * (s_lo + s_hi), (s_lo, s_hi), 0.5 * (s_hi - s_lo)
+            f_trial = z(trial)
         if math.copysign(1.0, f_trial) == math.copysign(1.0, f_a):
             c, f_c = a, f_a
         else:
@@ -199,22 +251,31 @@ def _scalar_z(t, depth=1):
     return hardy_z(t, depth)
 
 
+def _scalar_z_with_bound(t, depth=1):
+    """``hardy_z_with_bound`` one height per call."""
+    points = [hardy_z_with_bound(np.array([x]), depth) for x in t.tolist()]
+    return tuple(np.array([p[k][0] for p in points]) for k in range(3))
+
+
 @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-20])
 def test_lockstep_refinement_matches_scalar_loop(monkeypatch, tol):
-    # Brackets on both sides of RS_MIN_T in one call; the same Z values
-    # must give the same trial points, so the results are equal exactly.
+    # Brackets on both sides of RS_MIN_T and t = 800 in one call; the same Z
+    # values must give the same trial points, so the results are equal
+    # exactly.  Near t = 800 the bound B(t) is 2.8e-8, so at the two tighter
+    # tolerances the doubt rule decides the last steps.
     monkeypatch.setattr(zeros_module, "hardy_z", _scalar_z)
+    monkeypatch.setattr(zeros_module, "hardy_z_with_bound", _scalar_z_with_bound)
     grid = _grid(830.0, DEFAULT_SCAN_STEP, 770.0)
     values = _scalar_z(grid)
     flips = np.flatnonzero(np.sign(values[:-1]) != np.sign(values[1:]))
     brackets = [(float(grid[i]), float(grid[i + 1])) for i in flips]
-    brackets += [(14.0, 15.0), (801.5, 801.75)]
+    brackets += [(14.0, 15.0), (801.5, 801.75), (199.75, 201.5)]
     assert min(b[0] for b in brackets) < RS_MIN_T < max(b[1] for b in brackets)
     found = refine_brackets(brackets, tol)
     assert [z.index for z in found] == list(range(1, len(brackets) + 1))
     for z, bracket in zip(found, brackets):
         assert (z.gamma, z.bracket, z.abs_err) == _scalar_chandrupatla(
-            bracket, tol, _scalar_z
+            bracket, tol, _scalar_z, _scalar_z_with_bound
         )
         if tol < 1e-15:
             assert z.bracket[1] - z.bracket[0] <= 4 * np.spacing(bracket[1])
@@ -235,8 +296,14 @@ def test_lockstep_zero_at_bracket_end():
 def test_lockstep_zero_at_trial_point(monkeypatch):
     # sin(pi (t - 14.5)) vanishes exactly at the first trial point of
     # (14, 15); the bracket (15.25, 16) refines on to 15.5 meanwhile.
+    def sine(t, depth=1):
+        return np.sin(np.pi * (np.asarray(t) - 14.5))
+
+    monkeypatch.setattr(zeros_module, "hardy_z", sine)
     monkeypatch.setattr(
-        zeros_module, "hardy_z", lambda t, depth=1: np.sin(np.pi * (np.asarray(t) - 14.5))
+        zeros_module,
+        "hardy_z_with_bound",
+        lambda t, depth=1: (sine(t), np.zeros(t.size), np.zeros(t.size, dtype=bool)),
     )
     first, second = refine_brackets([(14.0, 15.0), (15.25, 16.0)], 1e-9)
     assert first == CriticalZero(1, 14.5, (14.5 - 0.5e-9, 14.5 + 0.5e-9), 0.5e-9)
@@ -255,9 +322,9 @@ def test_lockstep_rejects_bad_bracket():
 
 def test_zeros_to_1190_against_independent_oracle(zeros_for_products):
     # 805 zeros to t = 1190 (mpmath.nzeros agrees); both Z formulas are
-    # exercised: zero 491 is the last below RS_MIN_T = 800.
+    # exercised: zero 79 is the last below RS_MIN_T = 200.
     assert len(zeros_for_products) == 805
-    for k in (1, 300, 491, 492, 700, 805):
+    for k in (1, 79, 80, 300, 491, 492, 700, 805):
         oracle = float(mp.zetazero(k).imag)
         assert abs(zeros_for_products[k - 1].gamma - oracle) <= 1e-8, k
 
@@ -284,6 +351,18 @@ def test_refine_below_double_spacing_terminates():
     assert hi - lo <= 4 * np.spacing(15.0)
     assert z.abs_err == 0.5 * (hi - lo)
     assert z.gamma == pytest.approx(14.134725141734693, abs=1e-13)
+
+
+@pytest.mark.parametrize(
+    "bracket,index", [((801.5, 801.75), 492), ((1189.75, 1190.0), 805)]
+)
+def test_abs_err_bounds_the_true_error(bracket, index):
+    # Every sign refinement sees is certain, so the final bracket holds the
+    # zero even at the resolution of doubles, far below Z's bound B(t) of
+    # about 2.8e-8 near t = 800 and 9.4e-9 near t = 1190.
+    z = refine_zero(bracket, 1e-20)
+    assert z.bracket[1] - z.bracket[0] <= 4 * np.spacing(bracket[1])
+    assert abs(mp.mpf(z.gamma) - mp.zetazero(index).imag) <= z.abs_err
 
 
 def test_refine_rejects_bad_bracket():
