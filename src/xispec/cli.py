@@ -203,11 +203,18 @@ def _run_eq9(run: _Run) -> tuple[AuditReport, list[str]]:
 def _hadamard_curve(
     zeros: list[CriticalZero],
     grid: tuple[int, ...] = HADAMARD_TRUNCATIONS,
+    min_points: int = 1,
 ) -> tuple[list[int], list[float], list[float], list[float]]:
+    """Misfit per truncation in grid; ConfigError if fewer than min_points fit."""
+    truncations = [n for n in grid if n <= len(zeros)]
+    if len(truncations) < min_points:
+        raise ConfigError(
+            f"the product needs at least {grid[min_points - 1]} zeros, "
+            f"got {len(zeros)}; raise --n-zeros or --t-max"
+        )
     spec = ProductSpec(zero_ordinates=tuple(z.gamma for z in zeros))
     xs = np.linspace(-1.0, 2.0, 21)
     targets = np.array([xi(complex(x, 0.0)).real for x in xs])
-    truncations = [n for n in grid if n <= len(zeros)]
     misfits, fit_b, fit_d = [], [], []
     for n in truncations:
         fit, worst = fitted_misfit(xs, targets, spec, n)
@@ -254,7 +261,8 @@ def _run_coincidence(run: _Run) -> tuple[AuditReport, list[str]]:
     cfg, zeros = run.cfg, run.zeros
     spec = ProductSpec(zero_ordinates=tuple(z.gamma for z in zeros))
     n = min(len(zeros), cfg.n_zeros)
-    probes = [z.gamma for z in zeros[:COINCIDENCE_PROBES]]
+    # Probe only zeros the truncated product keeps as factors.
+    probes = [z.gamma for z in zeros[: min(COINCIDENCE_PROBES, n)]]
     if cfg.perturb != 0.0:
         probes[0] += cfg.perturb
     report = audit_coincidence(spec, probes, n)
@@ -410,6 +418,8 @@ def _parse_range(text: str) -> tuple[float, float]:
         lo, hi = float(lo_s), float(hi_s)
     except ValueError as exc:
         raise ConfigError(f"bad range {text!r}, expected a:b") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"bad range {text!r}, expected finite a:b")
     if not (hi > lo):
         raise ConfigError(f"empty plot range {text!r}")
     return lo, hi
@@ -439,7 +449,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         )
     elif args.target == "product-convergence":
         truncations, misfits, _, _ = _hadamard_curve(
-            _Run(cfg).zeros, grid=(10, 25) + HADAMARD_TRUNCATIONS
+            _Run(cfg).zeros, grid=(10, 25) + HADAMARD_TRUNCATIONS, min_points=2
         )
         svg = render_line_plot(
             [float(n) for n in truncations],

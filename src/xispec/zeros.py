@@ -14,10 +14,12 @@ Riemann-Siegel signs are taken as they are, and the half-width leaves out
 their error.  Refinement starts from the Z values the scan grid already
 holds at the bracket ends.
 
-Every Z evaluation is one array call: ``hardy_z`` for the scan grid and
-each fine-rescan grid, and, per refinement step, ``hardy_z_with_bound`` for
-the trial points of all the brackets still open, which advance in
-lockstep, then ``hardy_z`` for the points where a sign was in doubt.
+Every Z evaluation is one array call: ``hardy_z`` for the scan grid, one
+more for the fine-rescan grids of all suspiciously wide gaps together,
+and, per refinement step, ``hardy_z_with_bound`` for the trial points of
+all the brackets still open, which advance in lockstep, then ``hardy_z``
+for the points where a sign was in doubt.  A gap's fine brackets replace
+it in the one bracket list the scan refines, so no zero is found twice.
 
 The persistent cache is a plain text CSV with a checksummed header
 (64-bit FNV-1a over the data-line bytes, newline included), written
@@ -255,79 +257,64 @@ def _local_mean_gap(t: float) -> float:
     return 2.0 * math.pi / math.log(max(t, 20.0) / (2.0 * math.pi))
 
 
-def _brackets_from_values(
-    grid: np.ndarray, values: np.ndarray
-) -> dict[tuple[float, float], tuple[float, float]]:
-    """Each sign-change bracket of the grid, mapped to Z at its two ends."""
+def _sign_changes(values: np.ndarray) -> np.ndarray:
+    """The indices i at which Z changes sign between points i and i + 1."""
     sign = np.sign(values)
     sign[sign == 0.0] = 1.0
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]
-    return {
-        (float(grid[i]), float(grid[i + 1])): (float(values[i]), float(values[i + 1]))
-        for i in flips
-    }
+    return np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
 
 
-def scan_zeros(
-    t_max: float,
-    tol: float,
-    step: float = DEFAULT_SCAN_STEP,
-    depth: int = 1,
-) -> list[CriticalZero]:
+def scan_zeros(t_max: float, tol: float, depth: int = 1) -> list[CriticalZero]:
     """All zeros of Xi on (0, t_max], in increasing order, refined to tol.
 
-    After the primary scan, any suspiciously wide gap between consecutive
-    zeros is rescanned at step/8; finding extra zeros there emits a
-    StepResolutionWarning and the fine pass is folded in.
+    Z is scanned at DEFAULT_SCAN_STEP.  Every gap between sign changes
+    wider than 1.7 mean zero spacings is rescanned at step/8, all gaps in
+    one Z call; a gap whose rescan finds sign changes emits a
+    StepResolutionWarning, and its fine brackets take its place in the one
+    bracket list that is refined.
     """
     if not (t_max > 0.0):
         raise ValueError("t_max must be positive")
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
 
-    grid = _grid(t_max, step)
+    grid = _grid(t_max, DEFAULT_SCAN_STEP)
     values = hardy_z(grid, depth)
-    brackets = _brackets_from_values(grid, values)
+    flips = _sign_changes(values)
 
-    # Local rescan: an anomalously long stretch without a sign change can
-    # hide an even number of them inside single steps, and an anomalously
-    # wide bracket can hide an odd number beyond the one it reports.  Both
-    # kinds of suspicious region get a step/8 sweep; duplicates are removed
-    # after refinement.
-    fine_brackets: dict[tuple[float, float], tuple[float, float]] = {}
-    edges = [0.0] + [e for br in brackets for e in br] + [float(t_max)]
-    suspicious = [(edges[i], edges[i + 1]) for i in range(0, len(edges), 2)]
-    suspicious += [br for br in brackets if br[1] - br[0] > 1.7 * _local_mean_gap(br[1])]
-    for lo, hi in suspicious:
-        if hi <= lo or hi - lo < 1.7 * _local_mean_gap(hi):
-            continue
-        sub = _grid(hi, step / 8.0, lo)
-        if sub.size < 3:
-            continue
-        sub_vals = hardy_z(sub, depth)
-        extra = _brackets_from_values(sub, sub_vals)
-        if len(extra) > (1 if (lo, hi) in brackets else 0):
+    # An anomalously long stretch without a sign change can hide an even
+    # number of them inside single steps.  Its ends have the same sign, so
+    # any sign change its rescan finds lies strictly inside it.
+    gaps = [
+        (lo, hi)
+        for lo, hi in zip(
+            [0.0, *grid[flips + 1].tolist()], [*grid[flips].tolist(), float(t_max)]
+        )
+        if hi - lo >= 1.7 * _local_mean_gap(hi)
+    ]
+    subs = [_grid(hi, DEFAULT_SCAN_STEP / 8.0, lo) for lo, hi in gaps]
+    sub_values = hardy_z(np.concatenate(subs), depth) if subs else np.empty(0)
+    scans = [(grid, values, flips)]
+    for (lo, hi), sub, vals in zip(
+        gaps, subs, np.split(sub_values, np.cumsum([s.size for s in subs[:-1]]))
+    ):
+        fine = _sign_changes(vals)
+        if fine.size:
             warnings.warn(
-                f"scan step {step} under-resolved ({lo:.3f}, {hi:.3f}): "
-                f"{len(extra)} sign change(s) in the fine rescan",
+                f"scan step {DEFAULT_SCAN_STEP} under-resolved ({lo:.3f}, {hi:.3f}): "
+                f"{fine.size} sign change(s) in the fine rescan",
                 StepResolutionWarning,
                 stacklevel=2,
             )
-        fine_brackets.update(extra)
+            scans.append((sub, vals, fine))
 
-    ends = {**brackets, **fine_brackets}
-    order = sorted(ends)
-    refined = refine_brackets(order, tol, depth, z_ends=[ends[br] for br in order])
-    refined.sort(key=lambda z: z.gamma)
-    deduped: list[CriticalZero] = []
-    for z in refined:
-        if deduped and z.gamma - deduped[-1].gamma <= 100.0 * tol:
-            continue
-        deduped.append(z)
-    return [
-        CriticalZero(i, z.gamma, z.bracket, z.abs_err)
-        for i, z in enumerate(deduped, start=1)
-    ]
+    # Brackets never overlap, so in order of their lower ends the k-th
+    # holds zero k.
+    rows = np.concatenate(
+        [np.column_stack([ts[i], ts[i + 1], zs[i], zs[i + 1]]) for ts, zs, i in scans]
+    )
+    rows = rows[np.argsort(rows[:, 0])]
+    return refine_brackets(rows[:, :2], tol, depth, z_ends=rows[:, 2:])
 
 
 def zero_count_estimate(t_max: float) -> int:

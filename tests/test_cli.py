@@ -1,4 +1,3 @@
-import functools
 import json
 import os
 import subprocess
@@ -115,6 +114,16 @@ def test_audit_coincidence_perturbed_fails(capsys):
     payload = json.loads(Path("reports/audit_coincidence.json").read_text())
     assert payload["verdict"] == "DISTINCT"
     assert payload["params"]["perturb"] == 0.01
+
+
+def test_audit_coincidence_probes_only_kept_factors():
+    # With fewer factors than probes, a probe beyond the product's zeros
+    # must not read as a foreign zero.
+    assert run(["audit", "coincidence", "--n-zeros", "4", "--out", "reports"]) == 0
+    payload = json.loads(Path("reports/audit_coincidence.json").read_text())
+    assert payload["verdict"] == "COINCIDE"
+    assert payload["params"]["probe_count"] == 4
+    assert all(payload["params"]["probe_is_member"])
 
 
 def test_audit_all_aggregate_and_determinism():
@@ -336,6 +345,10 @@ def test_zeros_out_file(capsys):
         ["audit", "carlson", "--m", "10000"],
         ["zeros", "--format", "xml"],
         ["audit", "carlson", "--t-max", "soon"],
+        ["audit", "hadamard", "--n-zeros", "3"],
+        ["audit", "all", "--n-zeros", "30"],
+        ["plot", "product-convergence", "--n-zeros", "20"],
+        ["plot", "xi-critical", "--t", "0:inf"],
     ],
 )
 def test_bad_option_value_is_one_usage_line(capsys, argv):
@@ -408,18 +421,17 @@ def test_zeros_out_is_opened_before_the_scan(capsys, monkeypatch):
     assert captured.err.startswith("xispec: cannot write output:")
 
 
-def test_warning_is_one_line(capsys, monkeypatch):
-    # A step of 12 hides sign changes in single cells, so the rescan warns.
-    monkeypatch.setattr(cli, "scan_zeros", functools.partial(cli.scan_zeros, step=12.0))
-    assert run(["zeros", "--t-max", "30"]) == 0
+def test_warning_is_one_line(capsys):
+    # Zeros 922 and 923 share one scan cell, so the fine rescan warns.
+    assert run(["zeros", "--t-max", "1331"]) == 0
     captured = capsys.readouterr()
-    assert len(captured.out.splitlines()) == 3
-    *warned, summary = captured.err.splitlines()
-    assert warned and summary.startswith("# 3 zeros")
-    for line in warned:
-        assert line.startswith(
-            "xispec: warning: StepResolutionWarning: scan step 12.0 under-resolved"
-        )
+    assert len(captured.out.splitlines()) == 924
+    warned, summary = captured.err.splitlines()
+    assert warned == (
+        "xispec: warning: StepResolutionWarning: scan step 0.25 under-resolved "
+        "(1327.750, 1330.250): 2 sign change(s) in the fine rescan"
+    )
+    assert summary.startswith("# 924 zeros <= 1331 ")
 
 
 def test_config_keys_are_the_run_config_fields(tmp_path):

@@ -116,20 +116,23 @@ def test_refine_known_brackets():
 
 
 def _count_z_points(monkeypatch) -> dict[str, int]:
-    """Count the heights Z is evaluated at through ``xispec.zeros``, by phase.
+    """Count the heights Z is evaluated at through ``xispec.zeros``, by phase,
+    and (under "<phase> calls") the array calls that evaluate them.
 
     Both entry points count: ``hardy_z`` and refinement's ``hardy_z_with_bound``.
     """
-    calls = {"scan": 0, "refine": 0}
+    calls = {"scan": 0, "refine": 0, "scan calls": 0, "refine calls": 0}
     phase = ["scan"]
     refine = zeros_module.refine_brackets
 
     def counted_z(t, depth=1):
         calls[phase[0]] += np.size(t)
+        calls[phase[0] + " calls"] += 1
         return hardy_z(t, depth)
 
     def counted_bounded(t, depth=1):
         calls[phase[0]] += np.size(t)
+        calls[phase[0] + " calls"] += 1
         return hardy_z_with_bound(t, depth)
 
     def counted_refine(*args, **kwargs):
@@ -179,13 +182,15 @@ def _count_em_heights(monkeypatch) -> list[float]:
 
 
 def test_scan_z_point_count(monkeypatch):
-    # Array evaluation makes each point cheaper, not fewer.  Riemann-Siegel
-    # from RS_MIN_T leaves Euler-Maclaurin the heights below it and the few
-    # where a Riemann-Siegel sign is in doubt.
+    # Array evaluation makes each point cheaper, not fewer: one call for the
+    # scan grid and one for all fine rescans.  Riemann-Siegel from RS_MIN_T
+    # leaves Euler-Maclaurin the heights below it and the few where a
+    # Riemann-Siegel sign is in doubt.
     calls = _count_z_points(monkeypatch)
     em_heights = _count_em_heights(monkeypatch)
     scan_zeros(1190.0, 1e-8)
     assert calls["scan"] + calls["refine"] == 11477
+    assert calls["scan calls"] <= 2
     assert len(em_heights) == 3440
     assert sum(t < RS_MIN_T for t in em_heights) == 1863
 
@@ -392,18 +397,34 @@ def test_count_estimate_values():
 
 
 def test_coarse_step_recovers_hidden_zeros():
-    # A deliberately absurd step hides several sign changes per cell; the
-    # anomaly rescan must find them all and say so.
+    # Zeros 922 and 923 share the scan cell (1329.0, 1329.25), so the gap
+    # around them shows no sign change; its fine rescan must find both, say
+    # so once, and leave every zero mpmath counts to t = 1331.
     import warnings
 
     from xispec.zeros import StepResolutionWarning
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        zeros = scan_zeros(30.0, 1e-8, step=12.0)
-    assert len(zeros) == 3
-    assert any(issubclass(w.category, StepResolutionWarning) for w in caught)
-    assert zeros[0].gamma == pytest.approx(14.134725141734693, abs=1e-6)
+        zeros = scan_zeros(1331.0, 1e-8)
+    assert [str(w.message) for w in caught] == [
+        "scan step 0.25 under-resolved (1327.750, 1330.250): "
+        "2 sign change(s) in the fine rescan"
+    ]
+    assert caught[0].category is StepResolutionWarning
+    assert len(zeros) == mp.nzeros(1331) == 924
+    assert [z.index for z in zeros[921:923]] == [922, 923]
+    assert zeros[921].gamma == pytest.approx(1329.04351799652, abs=1e-8)
+    assert zeros[922].gamma == pytest.approx(1329.20501878548, abs=1e-8)
+
+
+@pytest.mark.parametrize("tol", [0.1, 1.0])
+def test_coarse_tolerance_keeps_every_zero(tol):
+    # Zeros closer than a multiple of tol are still distinct zeros.
+    zeros = scan_zeros(50.0, tol)
+    assert [z.index for z in zeros] == list(range(1, 11))
+    for z in zeros:
+        assert abs(mp.mpf(z.gamma) - mp.zetazero(z.index).imag) <= z.abs_err
 
 
 # ------------------------------- cache -------------------------------
