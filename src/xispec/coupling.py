@@ -15,6 +15,12 @@ where the claimed coefficient is 1/8 and the standard-table coefficient is
 1/2.  The audit asserts only that the quadrature/closed-form ratio is one
 common constant across orders, and reports the measured constant next to
 both coefficient hypotheses; it does not pick a side.
+
+The quadrature's integrand r K_nu(r)^2 is an array function: each block of
+nodes the half-line quadrature asks for is one ``bessel_k_values`` call.
+A norm integral counts as converged only when its error estimate meets the
+tolerance it was asked for (``CouplingRecord.norm_converged``); an eq5
+order that misses it is a per-entry failure, not a ratio.
 """
 
 from __future__ import annotations
@@ -23,13 +29,16 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import DivergenceError, NonConvergenceError, PoleError
 from .report import AuditReport, Verdict
 from .specfun import (
     BesselOrder,
     OrderKind,
     QuadratureResult,
-    bessel_k_with_error,
+    bessel_k_values,
+    bessel_k_with_error,  # noqa: F401  (perfbench/spans.py traces K by this name)
     integrate_semiinfinite,
 )
 from .zeros import CriticalZero
@@ -83,25 +92,22 @@ def _norm_integrand(order: BesselOrder):
     else:
         cutoff = _R_CUTOFF
 
-    def f(r: float) -> float:
-        if r > cutoff:
-            return 0.0
-        value, _ = bessel_k_with_error(order, r)
-        return r * value * value
+    def f(r: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(r))
+        inside = r <= cutoff
+        if inside.any():
+            value, _ = bessel_k_values(order, r[inside])
+            out[inside] = r[inside] * value * value
+        return out
     return f
 
 
 def _noise_feasible_tol(order: BesselOrder) -> float:
     """Worst relative K error over the radii that carry the integral's mass."""
-    probes = [0.5, 1.0, 2.0, 5.0, 10.0, 15.0, 20.0, 30.0, 50.0]
+    probes = np.array([0.5, 1.0, 2.0, 5.0, 10.0, 15.0, 20.0, 30.0, 50.0])
     top = max(10.0, 3.0 * order.magnitude)
-    worst = 0.0
-    for r in probes:
-        if r > top:
-            break
-        _, rel = bessel_k_with_error(order, r)
-        worst = max(worst, rel)
-    return worst
+    _, rel = bessel_k_values(order, probes[probes <= top])
+    return float(rel.max())
 
 
 def norm_integral_quadrature(order: BesselOrder, tol: float = 1e-9) -> QuadratureResult:
@@ -170,6 +176,11 @@ class NormIntegralAudit:
         return self.error == ""
 
 
+def _meets_tol(result: QuadratureResult | None, tol: float) -> bool:
+    """Whether a norm integral's error estimate meets ``tol`` relative."""
+    return result is not None and result.err_estimate <= tol * abs(result.value)
+
+
 def _eq5_entry(order: BesselOrder, tol: float) -> NormIntegralAudit:
     """Quadrature against closed form at one order, before the batch verdict."""
     quad = closed = None
@@ -178,6 +189,12 @@ def _eq5_entry(order: BesselOrder, tol: float) -> NormIntegralAudit:
         quad = norm_integral_quadrature(order, tol)
     except (DivergenceError, NonConvergenceError) as exc:
         error = f"{type(exc).__name__}: {exc}"
+    else:
+        if not _meets_tol(quad, tol):
+            error = (
+                f"not converged: error estimate {quad.err_estimate:.3e} "
+                f"exceeds tol {tol:g} of {abs(quad.value):.3e}"
+            )
     try:
         closed = norm_integral_paper(order)
     except PoleError as exc:
@@ -198,9 +215,10 @@ def audit_eq5(
 ) -> tuple[list[NormIntegralAudit], AuditReport]:
     """Ratio audit quadrature/closed-form over a batch of orders.
 
-    Divergences and closed-form poles become per-entry failures
-    (NOT_APPLICABLE), never batch aborts.  Successful entries share one
-    batch verdict: CONSISTENT_UP_TO_CONSTANT when their ratios agree to
+    Divergences, integrals whose error estimate misses ``tol`` and
+    closed-form poles become per-entry failures (NOT_APPLICABLE), never
+    batch aborts.  Successful entries share one batch verdict:
+    CONSISTENT_UP_TO_CONSTANT when their ratios agree to
     RATIO_SPREAD_TOL.  Returns the per-order audits, in the caller's order,
     and the batch report with the measured common constant next to both
     coefficient readings.
@@ -251,6 +269,8 @@ class CouplingRecord:
     nu: BesselOrder
     source_zero_index: int | None = None
     norm_integral: QuadratureResult | None = None
+    #: Relative tolerance the norm integral was asked for.
+    tol: float = 1e-9
 
     @property
     def nu_complex(self) -> complex:
@@ -258,7 +278,8 @@ class CouplingRecord:
 
     @property
     def norm_converged(self) -> bool:
-        return self.norm_integral is not None
+        """True when the norm integral's error estimate meets ``tol``."""
+        return _meets_tol(self.norm_integral, self.tol)
 
 
 def coupling_spectrum(
@@ -270,8 +291,9 @@ def coupling_spectrum(
 
     Each lambda is real with lambda < -1/4 by exact arithmetic; when
     ``check_finiteness`` is set, the norm integral is evaluated at each
-    imaginary order and its convergence recorded (divergence would escape
-    as an exception, which no critical-line order can trigger).
+    imaginary order, and ``norm_converged`` says whether its error estimate
+    meets ``tol`` (divergence would escape as an exception, which no
+    critical-line order can trigger).
     """
     records = []
     for zero in zeros:
@@ -288,6 +310,7 @@ def coupling_spectrum(
                 nu=nu,
                 source_zero_index=zero.index,
                 norm_integral=norm,
+                tol=tol,
             )
         )
     return records

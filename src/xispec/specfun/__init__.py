@@ -5,7 +5,13 @@ read-mostly caches that are rebuilt atomically, so concurrent callers are
 safe.
 """
 
-from .besselk import BesselOrder, OrderKind, bessel_k, bessel_k_with_error
+from .besselk import (
+    BesselOrder,
+    OrderKind,
+    bessel_k,
+    bessel_k_values,
+    bessel_k_with_error,
+)
 from .gamma import gamma, log_gamma
 from .quadrature import QuadratureResult, integrate_semiinfinite
 from .xi import (
@@ -30,6 +36,7 @@ __all__ = [
     "RS_MIN_T",
     "XI_SIGN_FROM_Z",
     "bessel_k",
+    "bessel_k_values",
     "bessel_k_with_error",
     "em_truncation",
     "gamma",

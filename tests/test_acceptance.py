@@ -92,7 +92,16 @@ def test_criterion_4_coupling_spectrum(zeros_to_100):
         ok = ok and record.lam.real < -0.25
         ok = ok and abs(record.lam.real - expected) <= 1e-12 * abs(expected)
         ok = ok and record.nu.kind.value == "imaginary"
-        ok = ok and record.norm_converged
+        # Every order has a finite, positive norm integral.
+        quad = record.norm_integral
+        ok = ok and quad is not None
+        ok = ok and math.isfinite(quad.value) and quad.value > 0.0
+        # One that meets its tolerance must match the closed form.
+        if record.norm_converged:
+            mu = record.nu.magnitude
+            closed = 0.5 * math.pi * mu / math.sinh(math.pi * mu)
+            ok = ok and abs(quad.value / closed - 1.0) <= 1e-6
+    ok = ok and records[0].norm_converged
 
     rng = random.Random(77)
     for _ in range(1000):

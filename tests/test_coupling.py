@@ -1,6 +1,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,9 +17,12 @@ from xispec.coupling import (
     nu_from_lambda,
     s_from_lambda,
 )
+import xispec.coupling as coupling
+import xispec.specfun.quadrature as quadrature
+from conftest import KNOWN_ZEROS_10
 from xispec.errors import DivergenceError, PoleError
 from xispec.report import Verdict
-from xispec.specfun import BesselOrder, OrderKind
+from xispec.specfun import BesselOrder, OrderKind, QuadratureResult
 
 
 def test_map_values():
@@ -167,6 +171,12 @@ def test_spectrum_from_zeros(zeros_to_100):
     zeros = zeros_to_100[:10]
     records = coupling_spectrum(zeros, check_finiteness=True)
     assert len(records) == 10
+    # Zero 1 meets tol = 1e-9; from zero 3 on the integrand sits in K's
+    # cancellation noise (relative estimates 8e-5 and up).  Zero 2 is left
+    # out: at its exact ordinate it converges (test_quadrature_node_counts),
+    # at a scanned one it may run out of levels.
+    assert records[0].norm_converged
+    assert not any(r.norm_converged for r in records[2:])
     for record, zero in zip(records, zeros):
         lam = record.lam
         assert lam.imag == 0.0
@@ -176,8 +186,12 @@ def test_spectrum_from_zeros(zeros_to_100):
         assert record.nu.kind is OrderKind.IMAGINARY
         assert record.nu.magnitude == pytest.approx(zero.gamma, rel=1e-12)
         assert record.nu_complex == complex(0.0, record.nu.magnitude)
-        assert record.norm_converged
+        assert record.tol == 1e-9
         assert record.norm_integral.value > 0.0
+        if record.norm_converged:
+            mu = record.nu.magnitude
+            closed = float(0.5 * mp.pi * mu / mp.sinh(mp.pi * mu))
+            assert record.norm_integral.value == pytest.approx(closed, rel=1e-6)
         assert record.source_zero_index == zero.index
 
 
@@ -191,3 +205,72 @@ def test_spectrum_finiteness_matches_oracle_scale(zeros_to_100):
 
 def test_empty_spectrum():
     assert coupling_spectrum([]) == []
+
+
+@pytest.mark.parametrize(
+    "mu,evaluations",
+    [(KNOWN_ZEROS_10[0], 688), (KNOWN_ZEROS_10[1], 2685), (1.0, 97)],
+)
+def test_quadrature_node_counts(mu, evaluations):
+    # Nodes the march consumes: the block march must take exactly the nodes
+    # a march asking for one node at a time takes.  Zero 2 needs all ten
+    # levels.
+    result = norm_integral_quadrature(BesselOrder.imaginary_order(mu), tol=1e-9)
+    assert result.evaluations == evaluations
+    assert result.err_estimate <= 1e-9 * abs(result.value)
+
+
+@pytest.mark.parametrize("mu", [KNOWN_ZEROS_10[0], KNOWN_ZEROS_10[1], 1.0])
+def test_norm_integrand_calls_k_per_block(monkeypatch, mu):
+    # At most three array K calls per quadrature level: a return to one
+    # call per node would make hundreds.
+    k_calls, levels = [], []
+    bessel_k_values = coupling.bessel_k_values
+    march_level = quadrature._march_level
+
+    def counted_k(order, x):
+        k_calls.append(len(x))
+        return bessel_k_values(order, x)
+
+    def counted_level(*args, **kwargs):
+        levels.append(args[1])
+        return march_level(*args, **kwargs)
+
+    monkeypatch.setattr(coupling, "bessel_k_values", counted_k)
+    monkeypatch.setattr(quadrature, "_march_level", counted_level)
+    norm_integral_quadrature(BesselOrder.imaginary_order(mu), tol=1e-9)
+    assert levels
+    assert len(k_calls) <= 3 * len(levels)
+
+
+def test_norm_converged_needs_the_tolerance():
+    order = BesselOrder.imaginary_order(1.0)
+    result = QuadratureResult(value=2.0, err_estimate=1e-6, evaluations=9)
+    record = coupling.CouplingRecord(
+        s=0.5 + 1j, lam=-1.25, nu=order, norm_integral=result, tol=1e-9
+    )
+    assert not record.norm_converged
+    assert coupling.CouplingRecord(
+        s=0.5 + 1j, lam=-1.25, nu=order, norm_integral=result, tol=1e-6
+    ).norm_converged
+    assert not coupling.CouplingRecord(s=0.5 + 1j, lam=-1.25, nu=order).norm_converged
+
+
+def test_eq5_order_missing_its_tolerance_is_not_applicable(zeros_to_100):
+    # Zero 3's integral converges only to its noise-feasible tolerance.
+    orders = [BesselOrder.real_order(0.5), BesselOrder.imaginary_order(zeros_to_100[2].gamma)]
+    audits, report = audit_eq5(orders)
+    assert audits[0].ok and audits[0].verdict is Verdict.CONSISTENT_UP_TO_CONSTANT
+    assert not audits[1].ok
+    assert audits[1].error.startswith("not converged")
+    assert audits[1].verdict is Verdict.NOT_APPLICABLE
+    assert report.measured == [audits[0].ratio]
+
+
+def test_numpy_error_state_is_left_alone(zeros_to_100):
+    before = np.geterr()
+    coupling_spectrum(zeros_to_100[:2])
+    assert np.geterr() == before
+    audit_eq5([BesselOrder.real_order(0.5), BesselOrder.real_order(1.5),
+               BesselOrder.imaginary_order(2.0)])
+    assert np.geterr() == before
