@@ -21,7 +21,6 @@ from .specfun import (
     BesselOrder,
     OrderKind,
     QuadratureResult,
-    bessel_k,
     gamma,
     hardy_z,
     integrate_semiinfinite,
@@ -45,7 +44,6 @@ __all__ = [
     "Verdict",
     "ZeroCache",
     "__version__",
-    "bessel_k",
     "count_check",
     "coupling_spectrum",
     "gamma",

@@ -75,7 +75,7 @@ def parse_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()

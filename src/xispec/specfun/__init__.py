@@ -8,7 +8,6 @@ safe.
 from .besselk import (
     BesselOrder,
     OrderKind,
-    bessel_k,
     bessel_k_values,
     bessel_k_with_error,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "EM_TERMS_CAP",
     "RS_MIN_T",
     "XI_SIGN_FROM_Z",
-    "bessel_k",
     "bessel_k_values",
     "bessel_k_with_error",
     "em_truncation",

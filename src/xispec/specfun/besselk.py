@@ -6,9 +6,10 @@ One integral representation serves both branches:
     K_{i mu}(x) = int_0^inf exp(-x cosh t) cos(mu t)  dt      (imaginary)
 
 evaluated by the trapezoidal rule in t, which is spectrally accurate here
-because the integrand already decays double-exponentially.  The real-order
-integrand is positive, so that path is accurate at machine level across the
-whole working box.
+because the integrand already decays double-exponentially.  One level loop
+serves both: a real order adds log cosh(nu t) to the exponent, an imaginary
+one multiplies by cos(mu t).  The real-order integrand is positive, so that
+path is accurate at machine level across the whole working box.
 
 The imaginary-order integrand oscillates, and for small x the integral is
 exponentially smaller than its terms; there the ascending series
@@ -18,19 +19,22 @@ exponentially smaller than its terms; there the ascending series
 takes over (the sinh division is exact, so the small scale e^{-pi mu / 2}
 costs no cancellation).  Between the two paths there remains a corner
 (mu large, x moderate) where double precision cannot reach 1e-10 relative
-accuracy; the error estimate reports the achievable level honestly and
-``bessel_k`` raises when a requested tolerance cannot be met.
+accuracy; the error estimate reports the achievable level honestly, and a
+caller compares it with its own tolerance.  The trapezoid's estimate is at
+least the rounding of the exponent -x cosh t + log cosh(nu t) at the
+integrand's peak.
 
 ``bessel_k_values`` is the one implementation: it takes a 1-D array of
 arguments at one order.  On the imaginary branch it computes the order's
-constants once per call, sums the series for the x <= 12 as a polynomial in
-q = x^2/4, and runs the trapezoid for the 12 < x <= 745 level by level with
-a convergence mask per x; the real branch is a loop over the points.  Every
-point's value is bit for bit the term-by-term value of a one-point call.
+constants once per call and sums the series for the x <= 12 as a
+polynomial in q = x^2/4.  The trapezoid, for the imaginary order's
+12 < x <= 745 and the real order's x <= 745, runs level by level with a
+convergence mask per x; each x keeps its own node range.  Every point's
+value is bit for bit the term-by-term value of a one-point call.
 A point it cannot evaluate comes back non-finite (NaN when not converged,
 inf when K overflows) instead of raising, so a caller may ask for points
-it will not use.  ``bessel_k_with_error`` and
-``bessel_k`` are one-point calls of it that raise for such a point.
+it will not use.  ``bessel_k_with_error`` is a one-point call of it that
+raises for such a point.
 """
 
 from __future__ import annotations
@@ -122,53 +126,6 @@ def _trap_nodes(h: float, t_upper: float, level: int) -> np.ndarray:
     return np.arange(h, t_upper + h, 2.0 * h)
 
 
-def _k_real(nu: float, x: float) -> tuple[float, float]:
-    """(value, relative error estimate) for real order.
-
-    Returns (inf, inf) when K overflows doubles and (nan, inf) when the
-    trapezoid does not converge.
-    """
-    t_star = math.asinh(nu / x) if nu > 0.0 else 0.0
-
-    def ln_g(t: float) -> float:
-        lc = 0.0
-        if nu > 0.0:
-            u = nu * t
-            lc = u + math.log1p(math.exp(-2.0 * u)) - _LOG_2
-        return -x * math.cosh(t) + lc
-
-    ln_peak = ln_g(t_star)
-    if ln_peak > 690.0:
-        return math.inf, math.inf
-    # For tiny x the integrand stays flat out to t ~ log(2/x); the node range
-    # must clear that knee, not just the peak.
-    t_up = t_star + 1.0
-    while ln_g(t_up) > ln_peak - 46.0 and t_up < 1500.0:
-        t_up += 0.5
-
-    def level_nodes(h: float, level: int) -> float:
-        t = _trap_nodes(h, t_up, level)
-        ln_vals = -x * np.cosh(t)
-        if nu > 0.0:
-            u = nu * t   # >= 0, so log cosh u = u + log1p(e^{-2u}) - log 2
-            ln_vals = ln_vals + (u + np.log1p(np.exp(-2.0 * u)) - _LOG_2)
-        vals = np.exp(ln_vals)
-        if level == 0:
-            vals[0] *= 0.5
-        return float(np.add.reduce(vals))
-
-    h = _TRAP_BASE_STEP
-    total = h * level_nodes(h, 0)
-    for _ in range(_TRAP_LEVEL_CAP):
-        h *= 0.5
-        new_total = 0.5 * total + h * level_nodes(h, 1)
-        diff = abs(new_total - total)
-        total = new_total
-        if diff <= 1e-14 * abs(total):
-            return total, max(diff / max(abs(total), 5e-324), 2.0 * _EPS)
-    return math.nan, math.inf
-
-
 def _imag_series(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending-series path: accurate for x <~ 12 at any desk-scale mu.
 
@@ -250,68 +207,116 @@ def _series_sums(
     return s_re, s_im, peak, stopped
 
 
-def _imag_trapezoid(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Oscillatory integral path: accurate when x is not small against mu^2.
+def _real_node_range(nu: float, x: float) -> tuple[float, float]:
+    """(t_up, estimate floor) of one x at real order; t_up is inf if K overflows.
 
-    Each x keeps its own node range, a prefix of the widest one, summed in
-    the order a 1-D sum of it uses; it leaves the level loop once its level
-    sums agree.
+    The floor is the rounding of the exponent -x cosh t + log cosh(nu t)
+    at the integrand's peak t* = asinh(nu/x).
+    """
+    t_star = math.asinh(nu / x)
+
+    def ln_g(t: float) -> float:
+        u = nu * t   # >= 0, so log cosh u = u + log1p(e^{-2u}) - log 2
+        return -x * math.cosh(t) + (u + math.log1p(math.exp(-2.0 * u)) - _LOG_2)
+
+    ln_peak = ln_g(t_star)
+    floor = 2.0 * _EPS * (x * math.cosh(t_star) + nu * t_star + 1.0)
+    if ln_peak > 690.0:
+        return math.inf, floor
+    # For tiny x the integrand stays flat out to t ~ log(2/x); the node range
+    # must clear that knee, not just the peak.
+    t_up = t_star + 1.0
+    while ln_g(t_up) > ln_peak - 46.0 and t_up < 1500.0:
+        t_up += 0.5
+    return t_up, floor
+
+
+@np.errstate(over="ignore")
+def _trapezoid(
+    nu: float, oscillating: bool, x: np.ndarray, t_up: np.ndarray, floor: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The trapezoid in t at real order nu, or at order i*nu when oscillating.
+
+    Each x keeps its own node range t_up, a prefix of the widest one, summed
+    in the order a 1-D sum of it uses; it leaves the level loop once its
+    level sums agree.  Its estimate is at least ``floor``, the rounding of
+    the exponent at the integrand's peak.  A t_up of inf marks a point whose
+    K overflows doubles: (inf, inf).
     """
     values = np.full(len(x), math.nan)
     rel = np.full(len(x), math.inf)
-    t_up = np.array([math.acosh(1.0 + 50.0 / v) + 0.25 for v in x.tolist()])
     index = np.arange(len(x))
+    overflow = t_up == math.inf
+    if overflow.any():
+        values[overflow] = math.inf
+        x, t_up, index = x[~overflow], t_up[~overflow], index[~overflow]
+    if not len(x):
+        return values, rel
     h = _TRAP_BASE_STEP
-    s, a = _trap_sums(mu, x, t_up, h, level=0)
+    s, a = _trap_sums(nu, oscillating, x, t_up, h, level=0)
     totals, abs_totals = h * s, h * a
     for _ in range(_TRAP_LEVEL_CAP):
         h *= 0.5
-        s, a = _trap_sums(mu, x, t_up, h, level=1)
+        s, a = _trap_sums(nu, oscillating, x, t_up, h, level=1)
         new_totals = 0.5 * totals + h * s
         abs_totals = 0.5 * abs_totals + h * a
         diff = np.abs(new_totals - totals)
         # Roundoff floor of the level sums; level-to-level jitter of a
-        # cancelled sum sits a small factor above eps * sum(|terms|).
+        # cancelled sum sits a small factor above eps * sum(|terms|).  On a
+        # positive integrand abs_totals is totals and the test is
+        # diff <= 1e-14 * total.
         noise = 2e-15 * abs_totals
-        conv = diff <= np.maximum(1e-14 * np.abs(new_totals), noise)
-        with np.errstate(over="ignore"):
-            rel_err = (0.5 * diff + noise) / np.maximum(np.abs(new_totals), 5e-324)
-        values[index[conv]] = new_totals[conv]
-        rel[index[conv]] = np.maximum(rel_err[conv], 2.0 * _EPS)
+        size = np.abs(new_totals)
+        conv = diff <= np.maximum(1e-14 * size, noise)
+        rel_err = (0.5 * diff + noise) / np.maximum(size, 5e-324)
+        done = index[conv]
+        values[done], rel[done] = new_totals[conv], rel_err[conv]
         keep = ~conv
         if not keep.any():
             break
         x, t_up, index = x[keep], t_up[keep], index[keep]
         totals, abs_totals = new_totals[keep], abs_totals[keep]
-    return values, rel
+    return values, np.maximum(rel, floor)
 
 
 def _trap_sums(
-    mu: float, x: np.ndarray, t_up: np.ndarray, h: float, level: int
+    nu: float, oscillating: bool, x: np.ndarray, t_up: np.ndarray, h: float, level: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-x sums of exp(-x cosh t) cos(mu t), and of its magnitude, over t.
+    """Per-x sums of the integrand, and of its magnitude, over t.
 
-    Row x runs over ``_trap_nodes(h, t_up[x], level)``, a prefix of the
-    widest row's nodes; a masked row sum of a prefix adds in the same order
-    as a 1-D sum of it.
+    The integrand is exp(-x cosh t) cos(nu t) when oscillating, else
+    exp(-x cosh t + log cosh(nu t)).  Row x runs over
+    ``_trap_nodes(h, t_up[x], level)``, a prefix of the widest row's nodes;
+    a masked row sum of a prefix adds in the same order as a 1-D sum of it.
     """
     t = _trap_nodes(h, float(t_up.max()), level)
     start, stride = (0.0, h) if level == 0 else (h, 2.0 * h)
     counts = np.ceil((t_up + h - start) / stride)   # np.arange's length rule
     columns = np.arange(len(t))
     cosh_t = np.cosh(t)
-    weights = np.cos(mu * t)
-    if level == 0:
-        weights[0] *= 0.5
-    s, a = np.empty(len(x)), np.empty(len(x))
+    if oscillating:
+        weights = np.cos(nu * t)
+    else:
+        u = nu * t   # >= 0, so log cosh u = u + log1p(e^{-2u}) - log 2
+        log_cosh = u + np.log1p(np.exp(-2.0 * u)) - _LOG_2
+    s = np.empty(len(x))
+    a = np.empty(len(x)) if oscillating else s
     rows = max(1, _BLOCK_ELEMENTS // len(t))
     for i in range(0, len(x), rows):
         block = slice(i, i + rows)
         inside = columns < counts[block, None]
-        vals = np.exp(np.multiply.outer(-x[block], cosh_t))
-        vals *= weights
+        vals = np.multiply.outer(-x[block], cosh_t)
+        if oscillating:
+            np.exp(vals, out=vals)
+            vals *= weights
+        else:
+            vals += log_cosh
+            np.exp(vals, out=vals)
+        if level == 0:
+            vals[:, 0] *= 0.5
         s[block] = np.add.reduce(vals, axis=1, where=inside)
-        a[block] = np.add.reduce(np.abs(vals, out=vals), axis=1, where=inside)
+        if oscillating:
+            a[block] = np.add.reduce(np.abs(vals, out=vals), axis=1, where=inside)
     return s, a
 
 
@@ -337,27 +342,30 @@ def bessel_k_values(order: BesselOrder, x) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError(
             f"bessel_k: x must be positive and finite, got {float(x[bad][0])!r}"
         )
-    if order.kind is OrderKind.REAL or order.magnitude == 0.0:
-        pairs = [
-            _k_real(order.magnitude, v) if v <= _X_UNDERFLOW else (0.0, 0.0)
-            for v in x.tolist()
-        ]
-        values, rel = np.array(pairs).reshape(-1, 2).T
-        return values, rel
     values = np.zeros(len(x))
     rel = np.zeros(len(x))
     live = x <= _X_UNDERFLOW
-    mu = order.magnitude
-    if live.any() and math.pi * mu > 700.0:
+    nu = order.magnitude
+    if order.kind is OrderKind.REAL or nu == 0.0:
+        xs = x[live]
+        t_up, floor = np.array(
+            [_real_node_range(nu, v) for v in xs.tolist()]
+        ).reshape(-1, 2).T
+        values[live], rel[live] = _trapezoid(nu, False, xs, t_up, floor)
+        return values, rel
+    if live.any() and math.pi * nu > 700.0:
         raise AccuracyError(
-            f"bessel_k: imaginary order {mu:g} beyond sinh(pi mu) double range"
+            f"bessel_k: imaginary order {nu:g} beyond sinh(pi mu) double range"
         )
-    for path, mask in (
-        (_imag_series, x <= _SERIES_X_MAX),
-        (_imag_trapezoid, live & (x > _SERIES_X_MAX)),
-    ):
-        if mask.any():
-            values[mask], rel[mask] = path(mu, x[mask])
+    series = x <= _SERIES_X_MAX
+    if series.any():
+        values[series], rel[series] = _imag_series(nu, x[series])
+    trap = live & ~series
+    if trap.any():
+        xs = x[trap]
+        t_up = np.array([math.acosh(1.0 + 50.0 / v) + 0.25 for v in xs.tolist()])
+        floor = 2.0 * _EPS * (xs + 1.0)   # the exponent's rounding at the peak t = 0
+        values[trap], rel[trap] = _trapezoid(nu, True, xs, t_up, floor)
     return values, rel
 
 
@@ -385,25 +393,3 @@ def bessel_k_with_error(order: BesselOrder, x: float) -> tuple[float, float]:
             f"x={x:g} exceeds double range"
         )
     return value, float(rel[0])
-
-
-def bessel_k(order: BesselOrder, x: float, tol: float | None = None) -> float:
-    """Modified Bessel K; real-valued on both order branches.
-
-    Args:
-        order: real or purely imaginary order.
-        x: argument, must be positive.
-        tol: optional relative tolerance; when given, an estimate above it
-            raises instead of returning a degraded value.
-
-    Raises:
-        DomainError: for x <= 0.
-        AccuracyError: when ``tol`` is given and cannot be met.
-    """
-    value, err = bessel_k_with_error(order, x)
-    if tol is not None and err > tol:
-        raise AccuracyError(
-            f"bessel_k: relative error estimate {err:.3e} exceeds tol {tol:g} "
-            f"at order {order.kind.value}:{order.magnitude:g}, x={x:g}"
-        )
-    return value

@@ -329,6 +329,15 @@ def test_config_unknown_key_exit_code(tmp_path):
     assert run(["zeros", "--config", str(cfg)]) == 2
 
 
+def test_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"t-max = 30\n\xff\n")
+    assert run(["zeros", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"xispec: usage error: cannot read config file {cfg}: ")
+    assert err.count("\n") == 1
+
+
 def test_zeros_out_file(capsys):
     assert run(["zeros", "--t-max", "30", "--out", "table.csv"]) == 0
     rows = Path("table.csv").read_text().strip().splitlines()

@@ -100,3 +100,10 @@ def test_m_ceiling_accepted():
 def test_missing_config_file():
     with pytest.raises(ConfigError):
         parse_config_file("/nonexistent/path.cfg")
+
+
+def test_config_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"t_max = 30\n\xff\n")
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        parse_config_file(str(path))
