@@ -14,6 +14,12 @@ in floating point, not just accurate: the product is exactly e^B at s = 0,
 and exactly 0 at s = 1/2 + i*gamma_k for any stored ordinate (bit-for-bit),
 because lambda_k - u then cancels to zero.  The coincidence discriminator
 is built on that annihilation.
+
+A ``ProductSpec`` holds its ordinates as one read-only array.  The prefactor
+fit and the coincidence audit build the pair data (lambda_n and the sum of
+the c_n) once for their truncation and take all their sample points as one
+blocked 2-D product, the same factors multiplied in the same order as a
+one-point call.
 """
 
 from __future__ import annotations
@@ -30,31 +36,41 @@ from .report import AuditReport, Verdict
 #: deriving the default coincidence threshold.
 COINCIDENCE_PROBE_OFFSET = 1e-4
 
+# Bound on the elements of any 2-D temporary of the batched product.
+_BLOCK_ELEMENTS = 4096
+
 
 @dataclass(frozen=True)
 class ProductSpec:
-    """Zero ordinates plus prefactor constants for the paired product."""
+    """Zero ordinates plus prefactor constants for the paired product.
+
+    The ordinates are converted to one read-only float64 array at
+    construction; validation runs on it and ``truncated`` returns views of it.
+    """
 
     zero_ordinates: tuple[float, ...]
     multiplicity: int = 0
     prefactor: tuple[float, float] = (0.0, 0.0)  # (B, D)
 
     def __post_init__(self) -> None:
-        g = self.zero_ordinates
-        if any(not (v > 0.0) for v in g):
+        g = np.array(self.zero_ordinates, dtype=np.float64)
+        g.flags.writeable = False
+        if (~(g > 0.0)).any():   # a NaN is not > 0 either
             raise DomainError("zero ordinates must be positive")
-        if any(b <= a for a, b in zip(g, g[1:])):
+        if (~(g[1:] > g[:-1])).any():
             raise DomainError("zero ordinates must be strictly increasing")
         if self.multiplicity < 0:
             raise DomainError("multiplicity must be non-negative")
+        object.__setattr__(self, "_ordinates", g)
 
     def truncated(self, n: int) -> np.ndarray:
-        if n > len(self.zero_ordinates):
+        """The first n ordinates, a read-only view."""
+        if n > len(self._ordinates):
             raise DomainError(
                 f"requested {n} factors but only "
-                f"{len(self.zero_ordinates)} ordinates are available"
+                f"{len(self._ordinates)} ordinates are available"
             )
-        return np.asarray(self.zero_ordinates[:n], dtype=np.float64)
+        return self._ordinates[:n]
 
 
 @dataclass(frozen=True)
@@ -93,30 +109,72 @@ def linear_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
     return slope, intercept, residual
 
 
-def _pair_data(spec: ProductSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _pair_data(spec: ProductSpec, n: int) -> tuple[np.ndarray, float]:
+    """(lambda_n, sum of the correction coefficients c_n) of the first n pairs."""
     g = spec.truncated(n)
     denom = 0.25 + g * g            # 1/4 + gamma^2 = -lambda
-    return -denom, 1.0 / denom      # (lambda_n, correction coefficients c_n)
+    return -denom, float(np.sum(1.0 / denom))
 
 
-def _poly_product(u: complex, lam: np.ndarray) -> complex:
-    # Componentwise division by the real lambda keeps the two exact cases
-    # exact: u = lambda_k gives a factor of exactly 0, u = -0 gives 1.
-    re = (lam - u.real) / lam
-    im = (-u.imag) / lam
-    return complex(np.prod(re + 1j * im))
+def _poly_products(u: np.ndarray, lam: np.ndarray) -> list[complex]:
+    """prod_n (lambda_n - u) / lambda_n at each u of a 1-D complex array.
+
+    Row blocks keep each 2-D temporary within _BLOCK_ELEMENTS.
+    """
+    products: list[complex] = []
+    rows = max(1, _BLOCK_ELEMENTS // max(1, len(lam)))
+    for i in range(0, len(u), rows):
+        block = u[i:i + rows, None]
+        # Componentwise division by the real lambda keeps the two exact
+        # cases exact: u = lambda_k gives a factor of exactly 0, u = -0 gives 1.
+        re = (lam - block.real) / lam
+        im = (-block.imag) / lam
+        products += np.prod(re + 1j * im, axis=1).tolist()
+    return products
+
+
+def _poly_product(s: complex, lam: np.ndarray) -> complex:
+    return _poly_products(np.array([s * (s - 1.0)]), lam)[0]
+
+
+def _with_prefactor(
+    s: complex, poly: complex, c_sum: float, prefactor: tuple[float, float], multiplicity: int
+) -> complex:
+    b, d = prefactor
+    value = cmath.exp(complex(b) + (d + c_sum) * s) * poly
+    if multiplicity > 0:
+        value *= s ** multiplicity
+    return value
 
 
 def paired_product(s: complex, spec: ProductSpec, n: int) -> complex:
     """Truncated paired product s^m e^{B + D s} prod_n [(pair factor) e^{s c_n}]."""
     s = complex(s)
-    lam, c = _pair_data(spec, n)
-    poly = _poly_product(s * (s - 1.0), lam)
-    b, d = spec.prefactor
-    value = cmath.exp(complex(b) + (d + float(np.sum(c))) * s) * poly
-    if spec.multiplicity > 0:
-        value *= s ** spec.multiplicity
-    return value
+    lam, c_sum = _pair_data(spec, n)
+    return _with_prefactor(
+        s, _poly_product(s, lam), c_sum, spec.prefactor, spec.multiplicity
+    )
+
+
+def _line_products(spec: ProductSpec, n: int, ordinates: list[float]) -> list[complex]:
+    """paired_product(0.5 + i t, spec, n) for each t, from one pair-data build."""
+    points = [complex(0.5, t) for t in ordinates]
+    lam, c_sum = _pair_data(spec, n)
+    polys = _poly_products(np.array([s * (s - 1.0) for s in points]), lam)
+    return [
+        _with_prefactor(s, poly, c_sum, spec.prefactor, spec.multiplicity)
+        for s, poly in zip(points, polys)
+    ]
+
+
+def _bare(
+    s: complex, poly: complex, c_sum: float, multiplicity: int, exp_corrections: bool = True
+) -> complex:
+    if multiplicity > 0:
+        poly *= s ** multiplicity
+    if not exp_corrections:
+        return poly
+    return cmath.exp(c_sum * s) * poly
 
 
 def paired_product_bare(
@@ -129,13 +187,8 @@ def paired_product_bare(
     is therefore exactly symmetric under s <-> 1-s.
     """
     s = complex(s)
-    lam, c = _pair_data(spec, n)
-    poly = _poly_product(s * (s - 1.0), lam)
-    if spec.multiplicity > 0:
-        poly *= s ** spec.multiplicity
-    if not exp_corrections:
-        return poly
-    return cmath.exp(float(np.sum(c)) * s) * poly
+    lam, c_sum = _pair_data(spec, n)
+    return _bare(s, _poly_product(s, lam), c_sum, spec.multiplicity, exp_corrections)
 
 
 def correction_sum(spec: ProductSpec, n: int) -> float:
@@ -144,8 +197,7 @@ def correction_sum(spec: ProductSpec, n: int) -> float:
     The full truncated product satisfies
     product(s) = product(1-s) * exp((D + correction_sum) (2s - 1)).
     """
-    _, c = _pair_data(spec, n)
-    return float(np.sum(c))
+    return _pair_data(spec, n)[1]
 
 
 def tail_bound(spec: ProductSpec, n: int, s: complex) -> float:
@@ -154,7 +206,7 @@ def tail_bound(spec: ProductSpec, n: int, s: complex) -> float:
     Ordinates beyond the stored list are extrapolated with the list's
     average gap.
     """
-    g = np.asarray(spec.zero_ordinates, dtype=np.float64)
+    g = spec._ordinates
     s_sq = abs(complex(s)) ** 2
     listed = float(np.sum(s_sq / (0.25 + g[n:] * g[n:]))) if n < g.size else 0.0
     extrapolated = 0.0
@@ -179,6 +231,16 @@ def fit_prefactor(
         DomainError: non-positive target or bare-product sample.
         SingularFitError: fewer than two distinct sample points.
     """
+    return _fit(sample_points, target_values, spec, n)[0]
+
+
+def _fit(
+    sample_points: np.ndarray,
+    target_values: np.ndarray,
+    spec: ProductSpec,
+    n: int,
+) -> tuple[PrefactorFit, list[complex], list[complex], float]:
+    """The fit, with the points s = x + 0i, the polynomial part there and sum c_n."""
     xs = np.asarray(sample_points, dtype=np.float64)
     ts = np.asarray(target_values, dtype=np.float64)
     if xs.size != ts.size:
@@ -186,22 +248,26 @@ def fit_prefactor(
     if np.any(ts <= 0.0):
         raise DomainError("target must be positive on all fit samples")
 
+    points = [complex(x, 0.0) for x in xs]
+    lam, c_sum = _pair_data(spec, n)
+    polys = _poly_products(np.array([s * (s - 1.0) for s in points]), lam)
     bare = np.empty(xs.size, dtype=np.float64)
-    for i, x in enumerate(xs):
-        value = paired_product_bare(complex(x, 0.0), spec, n)
+    for i, (s, poly) in enumerate(zip(points, polys)):
+        value = _bare(s, poly, c_sum, spec.multiplicity)
         if not (value.real > 0.0) or abs(value.imag) > 1e-12 * abs(value):
             raise DomainError(
-                f"bare product not positive-real at sample {x!r}: {value!r}"
+                f"bare product not positive-real at sample {xs[i]!r}: {value!r}"
             )
         bare[i] = value.real
 
     d, b, residual = linear_fit(xs, np.log(ts) - np.log(bare))
-    return PrefactorFit(
+    fit = PrefactorFit(
         B=b,
         D=d,
         max_residual=residual,
         sample_range=(float(np.min(xs)), float(np.max(xs))),
     )
+    return fit, points, polys, c_sum
 
 
 def fitted_misfit(
@@ -211,15 +277,12 @@ def fitted_misfit(
     n: int,
 ) -> tuple[PrefactorFit, float]:
     """Fit the prefactor at truncation n and report the max relative misfit."""
-    fit = fit_prefactor(sample_points, target_values, spec, n)
-    fitted = ProductSpec(
-        zero_ordinates=spec.zero_ordinates,
-        multiplicity=spec.multiplicity,
-        prefactor=(fit.B, fit.D),
-    )
+    fit, points, polys, c_sum = _fit(sample_points, target_values, spec, n)
     worst = 0.0
-    for x, t in zip(np.asarray(sample_points, float), np.asarray(target_values, float)):
-        model = paired_product(complex(x, 0.0), fitted, n).real
+    for s, poly, t in zip(points, polys, np.asarray(target_values, float)):
+        model = _with_prefactor(
+            s, poly, c_sum, (fit.B, fit.D), spec.multiplicity
+        ).real
         worst = max(worst, abs(model / t - 1.0))
     return fit, worst
 
@@ -236,16 +299,11 @@ def coincidence_threshold(
     if not probe_ordinates:
         return 0.0
     g = spec.truncated(n)
-    scale = 0.0
-    for p in probe_ordinates:
-        nearest = float(g[int(np.argmin(np.abs(g - p)))])
-        ref = abs(
-            paired_product(
-                complex(0.5, nearest + COINCIDENCE_PROBE_OFFSET), spec, n
-            )
-        )
-        scale = max(scale, ref)
-    return scale
+    shifted = [
+        float(g[int(np.argmin(np.abs(g - p)))]) + COINCIDENCE_PROBE_OFFSET
+        for p in probe_ordinates
+    ]
+    return max(0.0, *(abs(v) for v in _line_products(spec, n, shifted)))
 
 
 def audit_coincidence(
@@ -264,7 +322,7 @@ def audit_coincidence(
     if threshold is None:
         threshold = coincidence_threshold(spec_a, probes, n)
     stored = set(spec_a.truncated(n).tolist())
-    values = [abs(paired_product(complex(0.5, p), spec_a, n)) for p in probes]
+    values = [abs(v) for v in _line_products(spec_a, n, probes)]
     member = [p in stored for p in probes]
 
     foreign = [v for v, m in zip(values, member) if not m]

@@ -29,9 +29,14 @@ arguments at one order.  On the imaginary branch it computes the order's
 constants once per call and sums the series for the x <= 12 as a
 polynomial in q = x^2/4.  The trapezoid, for the imaginary order's
 12 < x <= 745 and the real order's x <= 745, runs level by level with a
-convergence mask per x; each x keeps its own node range.  Every point's
-value is bit for bit the term-by-term value of a one-point call.
-A point it cannot evaluate comes back non-finite (NaN when not converged,
+convergence mask per x; each x keeps its own node range.  It sorts the x
+widest range first, once, so each row block forms only the nodes of its
+first row; at real order it exponentiates only the nodes a row sums.  The
+real order's range comes from a closed-form estimate of where the integrand
+has fallen e^-46 below its peak, confirmed by the log-integrand on both
+sides.  Every point's value is bit for bit the term-by-term value of a
+one-point call.  A point it cannot evaluate comes back non-finite (NaN
+when not converged or when its node range would leave double range,
 inf when K overflows) instead of raising, so a caller may ask for points
 it will not use.  ``bessel_k_with_error`` is a one-point call of it that
 raises for such a point.
@@ -41,6 +46,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +65,8 @@ _TRAP_LEVEL_CAP = 9
 _X_UNDERFLOW = 745.0
 # Bound on the elements of any 2-D temporary; larger calls go in row blocks.
 _BLOCK_ELEMENTS = 8192
+# The largest t whose cosh is a double.
+_T_COSH_MAX = math.acosh(sys.float_info.max)
 
 
 class OrderKind(enum.Enum):
@@ -207,27 +215,58 @@ def _series_sums(
     return s_re, s_im, peak, stopped
 
 
-def _real_node_range(nu: float, x: float) -> tuple[float, float]:
-    """(t_up, estimate floor) of one x at real order; t_up is inf if K overflows.
+def _ln_g(nu: float, x: float, t: float) -> float:
+    """The real-order log-integrand -x cosh t + log cosh(nu t); -inf past cosh's range."""
+    try:
+        cosh_t = math.cosh(t)
+    except OverflowError:
+        return -math.inf
+    u = nu * t   # >= 0, so log cosh u = u + log1p(e^{-2u}) - log 2
+    return -x * cosh_t + (u + math.log1p(math.exp(-2.0 * u)) - _LOG_2)
 
-    The floor is the rounding of the exponent -x cosh t + log cosh(nu t)
-    at the integrand's peak t* = asinh(nu/x).
+
+def _real_node_range(nu: float, x: float) -> tuple[float, float]:
+    """(t_up, estimate floor) of one x at real order.
+
+    t_up is the first of t* + 1, t* + 1.5, ... (summed 0.5 at a time) where
+    ln g has fallen 46 below its peak at t* = asinh(nu/x).  An estimate of
+    that crossing picks the step, and ln g on both sides of it confirms it.
+    t_up is inf where K overflows, and nan where the range would pass the
+    overflow of cosh t (tiny x), where the exponent cannot be formed.  The
+    floor is the rounding of the exponent at the peak.
     """
     t_star = math.asinh(nu / x)
-
-    def ln_g(t: float) -> float:
-        u = nu * t   # >= 0, so log cosh u = u + log1p(e^{-2u}) - log 2
-        return -x * math.cosh(t) + (u + math.log1p(math.exp(-2.0 * u)) - _LOG_2)
-
-    ln_peak = ln_g(t_star)
+    if t_star == math.inf:   # nu/x overflows
+        return math.nan, math.inf
+    ln_peak = _ln_g(nu, x, t_star)
     floor = 2.0 * _EPS * (x * math.cosh(t_star) + nu * t_star + 1.0)
     if ln_peak > 690.0:
         return math.inf, floor
     # For tiny x the integrand stays flat out to t ~ log(2/x); the node range
-    # must clear that knee, not just the peak.
-    t_up = t_star + 1.0
-    while ln_g(t_up) > ln_peak - 46.0 and t_up < 1500.0:
+    # must clear that knee, not just the peak.  Past t* ln g falls
+    # monotonically; solving x cosh t = nu (t* + 1) - low, with log cosh(nu t)
+    # taken as nu t at t* + 1, lands on or next to the crossing's step.  The
+    # steps are summed 0.5 at a time once; ln g walks back over them while
+    # it is below the crossing, then forward while it is above.
+    low = ln_peak - 46.0
+    t_first = t_star + 1.0
+    ratio = (nu * t_first - low) / x
+    t_cross = math.acosh(ratio) if ratio > 1.0 else t_first
+    if t_cross > _T_COSH_MAX:
+        t_cross = _T_COSH_MAX
+    steps = max(0, math.ceil(2.0 * (t_cross - t_first)))
+    nodes = [t_first]
+    for _ in range(steps):
+        nodes.append(nodes[-1] + 0.5)
+    while steps > 0 and _ln_g(nu, x, nodes[steps - 1]) <= low:
+        steps -= 1
+    t_up = nodes[steps]
+    ln_up = _ln_g(nu, x, t_up)
+    while ln_up > low:
         t_up += 0.5
+        ln_up = _ln_g(nu, x, t_up)
+    if ln_up == -math.inf:
+        return math.nan, math.inf
     return t_up, floor
 
 
@@ -239,19 +278,24 @@ def _trapezoid(
 
     Each x keeps its own node range t_up, a prefix of the widest one, summed
     in the order a 1-D sum of it uses; it leaves the level loop once its
-    level sums agree.  Its estimate is at least ``floor``, the rounding of
-    the exponent at the integrand's peak.  A t_up of inf marks a point whose
-    K overflows doubles: (inf, inf).
+    level sums agree.  Rows are sorted widest range first, once, so a row
+    block needs only its first row's nodes.  Its estimate is at least
+    ``floor``, the rounding of the exponent at the integrand's peak.  A t_up
+    of inf (K overflows doubles) or nan (not computable) passes through as
+    the value, with an infinite estimate.
     """
     values = np.full(len(x), math.nan)
     rel = np.full(len(x), math.inf)
-    index = np.arange(len(x))
-    overflow = t_up == math.inf
-    if overflow.any():
-        values[overflow] = math.inf
-        x, t_up, index = x[~overflow], t_up[~overflow], index[~overflow]
-    if not len(x):
+    finite = np.isfinite(t_up)
+    values[~finite] = t_up[~finite]
+    ranges = t_up.tolist()
+    index = sorted(
+        (i for i, t in enumerate(ranges) if t < math.inf), key=ranges.__getitem__, reverse=True
+    )
+    if not index:
         return values, rel
+    index = np.array(index)
+    x, t_up = x[index], t_up[index]
     h = _TRAP_BASE_STEP
     s, a = _trap_sums(nu, oscillating, x, t_up, h, level=0)
     totals, abs_totals = h * s, h * a
@@ -261,21 +305,24 @@ def _trapezoid(
         new_totals = 0.5 * totals + h * s
         abs_totals = 0.5 * abs_totals + h * a
         diff = np.abs(new_totals - totals)
+        totals = new_totals
         # Roundoff floor of the level sums; level-to-level jitter of a
         # cancelled sum sits a small factor above eps * sum(|terms|).  On a
         # positive integrand abs_totals is totals and the test is
         # diff <= 1e-14 * total.
         noise = 2e-15 * abs_totals
-        size = np.abs(new_totals)
+        size = np.abs(totals)
         conv = diff <= np.maximum(1e-14 * size, noise)
+        if not conv.any():
+            continue
         rel_err = (0.5 * diff + noise) / np.maximum(size, 5e-324)
         done = index[conv]
-        values[done], rel[done] = new_totals[conv], rel_err[conv]
+        values[done], rel[done] = totals[conv], rel_err[conv]
         keep = ~conv
         if not keep.any():
             break
         x, t_up, index = x[keep], t_up[keep], index[keep]
-        totals, abs_totals = new_totals[keep], abs_totals[keep]
+        totals, abs_totals = totals[keep], abs_totals[keep]
     return values, np.maximum(rel, floor)
 
 
@@ -286,13 +333,15 @@ def _trap_sums(
 
     The integrand is exp(-x cosh t) cos(nu t) when oscillating, else
     exp(-x cosh t + log cosh(nu t)).  Row x runs over
-    ``_trap_nodes(h, t_up[x], level)``, a prefix of the widest row's nodes;
-    a masked row sum of a prefix adds in the same order as a 1-D sum of it.
+    ``_trap_nodes(h, t_up[x], level)``, a prefix of the first row's nodes
+    (rows come widest first); a masked row sum of a prefix adds in the same
+    order as a 1-D sum of it.  Each row block forms only the columns its
+    first row needs, at most _BLOCK_ELEMENTS elements.
     """
-    t = _trap_nodes(h, float(t_up.max()), level)
+    t = _trap_nodes(h, float(t_up[0]), level)
     start, stride = (0.0, h) if level == 0 else (h, 2.0 * h)
     counts = np.ceil((t_up + h - start) / stride)   # np.arange's length rule
-    columns = np.arange(len(t))
+    columns = np.arange(float(len(t)))
     cosh_t = np.cosh(t)
     if oscillating:
         weights = np.cos(nu * t)
@@ -301,17 +350,22 @@ def _trap_sums(
         log_cosh = u + np.log1p(np.exp(-2.0 * u)) - _LOG_2
     s = np.empty(len(x))
     a = np.empty(len(x)) if oscillating else s
-    rows = max(1, _BLOCK_ELEMENTS // len(t))
-    for i in range(0, len(x), rows):
-        block = slice(i, i + rows)
-        inside = columns < counts[block, None]
-        vals = np.multiply.outer(-x[block], cosh_t)
+    i = 0
+    while i < len(x):
+        width = int(counts[i])
+        block = slice(i, i + max(1, _BLOCK_ELEMENTS // width))
+        i = block.stop
+        inside = columns[:width] < counts[block, None]
+        vals = np.multiply.outer(-x[block], cosh_t[:width])
         if oscillating:
             np.exp(vals, out=vals)
-            vals *= weights
+            vals *= weights[:width]
         else:
-            vals += log_cosh
-            np.exp(vals, out=vals)
+            # One call mixes ranges from about 2 to 30 here, and past a
+            # row's range the exponent underflows, where exp is several
+            # times slower: take it only where the row sums.
+            vals += log_cosh[:width]
+            np.exp(vals, out=vals, where=inside)
         if level == 0:
             vals[:, 0] *= 0.5
         s[block] = np.add.reduce(vals, axis=1, where=inside)
@@ -326,8 +380,9 @@ def bessel_k_values(order: BesselOrder, x) -> tuple[np.ndarray, np.ndarray]:
     The estimates are honest about oscillatory cancellation: in the
     imaginary-order regime where double precision cannot deliver the value
     (mu large, x moderate) they grow toward and beyond 1.  A point that
-    cannot be evaluated is NaN (not converged) or inf (K overflows doubles),
-    with an infinite estimate; x > 745 gives (0, 0).
+    cannot be evaluated is NaN (not converged, or at real order an x so
+    small that its node range leaves double range) or inf (K overflows
+    doubles), with an infinite estimate; x > 745 gives (0, 0).
 
     Raises:
         DomainError: when any x is not positive and finite.
@@ -376,7 +431,8 @@ def bessel_k_with_error(order: BesselOrder, x: float) -> tuple[float, float]:
 
     Raises:
         DomainError: for x <= 0 or non-finite x.
-        NonConvergenceError: when the value does not converge.
+        NonConvergenceError: when the value does not converge, or x is so
+            small that its node range leaves double range.
         AccuracyError: when K overflows doubles, or sinh(pi mu) does.
     """
     x = float(x)

@@ -429,8 +429,12 @@ class ZeroCache:
             raise CacheCorruptionError(f"cache {path}: bad header field: {exc}") from exc
         if fnv1a64(data) != checksum:
             raise CacheCorruptionError(f"cache {path}: checksum mismatch")
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CacheCorruptionError(f"cache {path}: rows are not UTF-8: {exc}") from exc
         zeros = []
-        for lineno, line in enumerate(data.decode("utf-8").splitlines(), start=2):
+        for lineno, line in enumerate(text.splitlines(), start=2):
             try:
                 idx_s, gamma_s, err_s = line.split(",")
                 gamma = float(gamma_s)

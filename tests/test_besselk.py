@@ -263,10 +263,11 @@ def _trapezoid_by_levels(mu, x):
     return math.nan, math.inf
 
 
-def _k_real(nu, x):
-    """The real-order trapezoid, one x and one level at a time (reference).
+def _node_range_by_steps(nu, x):
+    """(t_up, floor) by the 0.5-step search from t* + 1 (reference).
 
-    The integrand is positive, so the sum of magnitudes is the sum itself.
+    ``math.cosh`` raises OverflowError past t = 710.48, so the search raises
+    where it would have to pass that point, long before its 1500 cap.
     """
     t_star = math.asinh(nu / x) if nu > 0.0 else 0.0
 
@@ -278,13 +279,24 @@ def _k_real(nu, x):
         return -x * math.cosh(t) + lc
 
     ln_peak = ln_g(t_star)
+    # Rounding of the exponent -x cosh t + log cosh(nu t) at the peak.
+    floor = 2.0 * besselk._EPS * (x * math.cosh(t_star) + nu * t_star + 1.0)
     if ln_peak > 690.0:
-        return math.inf, math.inf
+        return math.inf, floor
     t_up = t_star + 1.0
     while ln_g(t_up) > ln_peak - 46.0 and t_up < 1500.0:
         t_up += 0.5
-    # Rounding of the exponent -x cosh t + log cosh(nu t) at the peak.
-    floor = 2.0 * besselk._EPS * (x * math.cosh(t_star) + nu * t_star + 1.0)
+    return t_up, floor
+
+
+def _k_real(nu, x):
+    """The real-order trapezoid, one x and one level at a time (reference).
+
+    The integrand is positive, so the sum of magnitudes is the sum itself.
+    """
+    t_up, floor = _node_range_by_steps(nu, x)
+    if t_up == math.inf:
+        return math.inf, math.inf
 
     def level_sum(h, level):
         t = besselk._trap_nodes(h, t_up, level)
@@ -343,6 +355,75 @@ def test_array_matches_the_term_by_term_loops(order):
     values, rel = bessel_k_values(order, xs)
     for x, value, err in zip(xs.tolist(), values.tolist(), rel.tolist()):
         assert np.array_equal((value, err), _k_by_terms(order, x), equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "order", [BesselOrder.real_order(0.7), BesselOrder.imaginary_order(2.0)],
+    ids=["real-0.7", "imag-2.0"],
+)
+def test_shuffled_call_matches_the_one_x_loops(order):
+    # 400 x in random order: the trapezoid sorts its rows by node range and
+    # cuts them into several row blocks per level (the widest fine-level
+    # rows hold thousands of nodes); every point must still equal its one-x
+    # loop, bit for bit, and come back in the caller's order.
+    xs = np.random.default_rng(12).permutation(np.geomspace(1e-12, 700.0, 400))
+    values, rel = bessel_k_values(order, xs)
+    for x, value, err in zip(xs.tolist(), values.tolist(), rel.tolist()):
+        assert (value, err) == _k_by_terms(order, x)
+
+
+NODE_RANGE_XS = np.concatenate([
+    np.logspace(-320, math.log10(745.0), 161),
+    # The search's last finite ranges for nu = 0 and nu = 0.3, and the
+    # first points past them.
+    [1e-306, 3e-307, 1e-307, 1e-305, 1e-308],
+    # At nu = 60 the crossing estimate lands one step past t_up here, so
+    # the check below it must step back.
+    [28.726425250387976],
+])
+
+
+@pytest.mark.parametrize(
+    "nu", [0.0, 1e-3, 0.1, 0.3, 0.5, 0.9, 1.0, 2.0, 5.5, 13.0, 30.0, 60.0, 200.0]
+)
+def test_node_range_matches_the_step_search(nu):
+    # The estimate-and-check search must land on the very t_up the 0.5-step
+    # search reaches, bits included.  Where that search would pass the
+    # overflow of cosh t (tiny x; it raises OverflowError there, before its
+    # 1500 cap can bind) or nu/x overflows, the point cannot be evaluated.
+    # At large nu and small x the peak passes 690 and K overflows (inf).
+    widest, outcomes = 0.0, set()
+    for x in NODE_RANGE_XS.tolist():
+        t_up, floor = besselk._real_node_range(nu, x)
+        try:
+            expected = _node_range_by_steps(nu, x)
+        except OverflowError:
+            expected = None
+        if expected is None or math.isinf(nu / x):
+            assert math.isnan(t_up) and floor == math.inf, x
+            outcomes.add("nan")
+        else:
+            assert (t_up, floor) == expected, x
+            outcomes.add("inf" if t_up == math.inf else "finite")
+            if t_up < math.inf:
+                widest = max(widest, t_up)
+    assert {"finite", "nan"} <= outcomes
+    assert ("inf" in outcomes) == (nu >= 1.0)
+    if nu < 1.0:   # the grid reaches the last range below cosh's overflow
+        assert widest > 709.0
+
+
+def test_x_whose_node_range_leaves_double_range_is_not_converged():
+    # nu/x overflows at x = 1e-320 (K_0.3 is about 3e96 there), and at
+    # x = 1e-307 the nu = 0 range would pass the overflow of cosh t: both
+    # come back NaN with an infinite estimate, beside an ordinary point.
+    for nu, x in ((0.3, 1e-320), (0.0, 1e-307)):
+        order = BesselOrder.real_order(nu)
+        values, rel = bessel_k_values(order, np.array([x, 1.0]))
+        assert math.isnan(values[0]) and rel[0] == math.inf
+        assert (values[1], rel[1]) == bessel_k_with_error(order, 1.0)
+        with pytest.raises(NonConvergenceError, match=f"x={x:g}"):
+            bessel_k_with_error(order, x)
 
 
 def _true_rel_err(order, x, value):

@@ -90,6 +90,18 @@ def test_cache_rows_out_of_order_exit_code(capsys):
     assert run(["zeros", "--t-max", "30", "--cache", "zeros.csv"]) == 3
 
 
+def test_cache_rows_not_utf8_exit_code(capsys):
+    assert run(["zeros", "--t-max", "30", "--cache", "zeros.csv"]) == 0
+    header, data = Path("zeros.csv").read_bytes().split(b"\n", 1)
+    data = data.replace(b"14.13", b"14.1\xff", 1)
+    header = header.rsplit(b"=", 1)[0] + f"={fnv1a64(data):016x}\n".encode()
+    Path("zeros.csv").write_bytes(header + data)
+    capsys.readouterr()
+    assert run(["zeros", "--t-max", "30", "--cache", "zeros.csv"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "cache corruption" in err[0] and "not UTF-8" in err[0]
+
+
 def test_audit_eq5_report(capsys):
     assert run(["audit", "eq5", "--out", "reports"]) == 0
     payload = json.loads(Path("reports/audit_eq5.json").read_text())

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -34,6 +35,106 @@ def test_spec_validation():
         ProductSpec(zero_ordinates=(1.0,), multiplicity=-1)
     with pytest.raises(DomainError):
         TEN_ZERO_SPEC.truncated(11)
+
+
+@pytest.mark.parametrize(
+    "ordinates",
+    [
+        (float("nan"),), (float("nan"), 2.0), (1.0, float("nan")), (0.0, 2.0),
+        (-1.0, 2.0), (2.0, 1.0), (1.0, 3.0, 3.0),
+    ],
+    ids=["nan-alone", "nan-first", "nan-later", "zero", "negative", "decreasing", "repeated"],
+)
+def test_spec_validation_on_the_array(ordinates):
+    with pytest.raises(DomainError):
+        ProductSpec(zero_ordinates=ordinates)
+
+
+def test_truncated_is_read_only():
+    assert EMPTY_SPEC.truncated(0).size == 0
+    g = TEN_ZERO_SPEC.truncated(4)
+    assert g.tolist() == list(KNOWN_ZEROS_10[:4])
+    with pytest.raises(ValueError):
+        g[0] = 1.0
+    with pytest.raises(ValueError):
+        TEN_ZERO_SPEC.truncated(10)[:] = 0.0
+    assert TEN_ZERO_SPEC.truncated(10).tolist() == list(KNOWN_ZEROS_10)
+
+
+def _product_by_fresh_arrays(s, ordinates, n, prefactor=(0.0, 0.0), multiplicity=0, bare=False):
+    """The product at one s from arrays built for this call alone (reference)."""
+    s = complex(s)
+    g = np.asarray(ordinates[:n], dtype=np.float64)
+    denom = 0.25 + g * g
+    lam, c = -denom, 1.0 / denom
+    u = s * (s - 1.0)
+    poly = complex(np.prod((lam - u.real) / lam + 1j * ((-u.imag) / lam)))
+    if bare:
+        if multiplicity > 0:
+            poly *= s ** multiplicity
+        return cmath.exp(float(np.sum(c)) * s) * poly
+    b, d = prefactor
+    value = cmath.exp(complex(b) + (d + float(np.sum(c))) * s) * poly
+    if multiplicity > 0:
+        value *= s ** multiplicity
+    return value
+
+
+def _bits(z):
+    return struct.pack("<dd", z.real, z.imag)   # tells -0.0 from 0.0
+
+
+@pytest.mark.parametrize("multiplicity", [0, 2])
+def test_batched_product_matches_fresh_arrays(zeros_for_products, xi_samples, multiplicity):
+    # One spec reused for every truncation and sample must give, bit for bit,
+    # what arrays built afresh per call give.
+    ordinates = tuple(z.gamma for z in zeros_for_products)
+    spec = ProductSpec(ordinates, multiplicity=multiplicity, prefactor=(-0.7, 0.1))
+    xs, targets = xi_samples
+    for n in (1, 50, 800):
+        extra = [complex(0.5, 21.0), 3.0 - 2.0j, complex(0.5, ordinates[0])]
+        for s in [complex(x, 0.0) for x in xs] + extra:
+            assert _bits(paired_product(s, spec, n)) == _bits(
+                _product_by_fresh_arrays(s, ordinates, n, spec.prefactor, multiplicity)
+            )
+            assert _bits(paired_product_bare(s, spec, n)) == _bits(
+                _product_by_fresh_arrays(s, ordinates, n, multiplicity=multiplicity, bare=True)
+            )
+        if multiplicity:
+            continue
+        bare = [_product_by_fresh_arrays(x, ordinates, n, bare=True).real for x in xs]
+        d, b, residual = linear_fit(xs, np.log(targets) - np.log(bare))
+        fit, worst = fitted_misfit(xs, targets, spec, n)
+        assert fit == fit_prefactor(xs, targets, spec, n)
+        assert (fit.B, fit.D, fit.max_residual) == (b, d, residual)
+        models = [_product_by_fresh_arrays(x, ordinates, n, (b, d)).real for x in xs]
+        assert worst == max(abs(m / t - 1.0) for m, t in zip(models, targets))
+
+
+def test_spec_keeps_no_arrays_per_truncation(zeros_for_products, xi_samples):
+    # Queried at many truncations, a spec holds only its fields and the one
+    # ordinate array: nothing grows with the number of n asked for.
+    spec = ProductSpec(tuple(z.gamma for z in zeros_for_products))
+    xs, targets = xi_samples
+    for n in range(1, 801, 7):
+        paired_product(2.0, spec, n)
+        correction_sum(spec, n)
+        fitted_misfit(xs, targets, spec, n)
+    assert set(vars(spec)) == {"zero_ordinates", "multiplicity", "prefactor", "_ordinates"}
+
+
+def test_coincidence_matches_one_point_products(zeros_for_products):
+    # The audit takes its probes as one batched product; each magnitude and
+    # the threshold must be what one-point paired_product calls give.
+    spec = ProductSpec(tuple(z.gamma for z in zeros_for_products), prefactor=(-0.7, 0.1))
+    g = spec.zero_ordinates
+    probes = [g[0], g[3] + 0.01, 100.0, g[120] + 0.2, g[10] - 1e-9, 5.0, g[200], 17.5, g[50], g[51]]
+    report = audit_coincidence(spec, probes, 800)
+    assert report.measured == [abs(paired_product(complex(0.5, p), spec, 800)) for p in probes]
+    nearest = [min(g, key=lambda v: abs(v - p)) for p in probes]
+    assert report.tolerance == max(
+        abs(paired_product(complex(0.5, v + 1e-4), spec, 800)) for v in nearest
+    )
 
 
 def test_origin_normalization_exact():

@@ -464,6 +464,18 @@ def test_cache_checksum_detects_corruption(tmp_path, zeros_to_100):
         ZeroCache.load(path)
 
 
+def test_cache_rejects_rows_that_are_not_utf8(tmp_path, zeros_to_100):
+    # The checksum matches, so only the decoding can catch the 0xff byte.
+    path = tmp_path / "zeros.csv"
+    ZeroCache(t_max=100.0, tol=1e-8, zeros=zeros_to_100).save(str(path))
+    header, data = path.read_bytes().split(b"\n", 1)
+    data = data.replace(b"14.13", b"14.1\xff", 1)
+    header = header.rsplit(b"=", 1)[0] + f"={fnv1a64(data):016x}\n".encode()
+    path.write_bytes(header + data)
+    with pytest.raises(CacheCorruptionError, match="not UTF-8"):
+        ZeroCache.load(str(path))
+
+
 def test_cache_keeps_full_tmax(tmp_path, zeros_to_100):
     # Count-driven runs ask for heights such as 149.6953125; a header that
     # rounds them (to 149.695) would make every later run miss the cache.
