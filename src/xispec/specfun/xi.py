@@ -50,8 +50,12 @@ callers that can do better than Euler-Maclaurin with a doubtful sign.
 
 ``hardy_z`` takes a 1-D array of heights; a scalar height is a one-point
 array.  The Riemann-Siegel points are evaluated together, in blocks of
-``RS_BLOCK`` points sorted by N, so each point sums only its own N terms;
-the Euler-Maclaurin points are evaluated one at a time.
+``RS_BLOCK`` points sorted by N, so each point sums only its own N terms.
+The Euler-Maclaurin points are evaluated together too: each call makes
+one ``euler_maclaurin_zeta`` call for its points below ``RS_MIN_T`` (or
+all its points at ``depth=2``) and ``hardy_z`` one more for the doubtful
+points, with theta(t) from the Lanczos form of log Gamma on the same
+array.  The scalar ``zeta`` and ``xi`` keep their one-point path.
 """
 
 from __future__ import annotations
@@ -62,8 +66,8 @@ import math
 import numpy as np
 
 from ..errors import RealnessError
-from .gamma import gamma, log_gamma
-from .zeta import EM_TERMS_CAP, em_truncation, zeta
+from .gamma import _LANCZOS_G, _lanczos_sum, gamma, log_gamma
+from .zeta import EM_TERMS_CAP, RS_BLOCK, em_truncation, euler_maclaurin_zeta, zeta
 
 _QUARTER_LOG_PI = 0.25 * math.log(math.pi)
 _TWO_PI = 2.0 * math.pi
@@ -84,10 +88,6 @@ _ARG_ROUNDING = 8.881784197001252e-16
 #: doubtful points lie, the capped orders stop converging between t = 5.7e5
 #: and 5.8e5 and Euler-Maclaurin raises NonConvergenceError.
 EM_MAX_T = 2.5 * EM_TERMS_CAP
-
-#: Heights per block of the array Riemann-Siegel path: each temporary then
-#: takes 32 KiB, whatever the length of the array.
-RS_BLOCK = 4096
 
 # Gabcke's C_j(p) as Taylor coefficients in z = p - 1/2.  With
 #   Psi(p) = cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p),
@@ -268,9 +268,32 @@ def _hardy_z_riemann_siegel(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, bounds
 
 
-def _hardy_z_euler_maclaurin(t: float, depth: int) -> float:
-    value = cmath.exp(1j * riemann_siegel_theta(t)) * zeta(complex(0.5, t), depth)
-    return _real_part(value, 1e-8, f"hardy_z({t!r})")
+def _hardy_z_euler_maclaurin(t: np.ndarray, depth: int) -> np.ndarray:
+    """Z = e^{i theta(t)} zeta(1/2 + it) on an array of heights, each checked real.
+
+    theta(t) is Im log Gamma(1/4 + it/2) - (t/2) log pi with log Gamma in
+    the form ``log_gamma`` takes there: log Gamma(z + 1) - log z, Lanczos
+    for the first term.  Its rounding moves Z only to second order, since
+    the rotated value is real.
+    """
+    if t.size == 0:  # most refinement steps have no such point
+        return np.empty(0)
+    s = np.empty(t.size, dtype=np.complex128)
+    s.real, s.imag = 0.5, t  # 1j * t would make the real part of 1j * inf NaN
+    zeta_values = euler_maclaurin_zeta(s, depth)
+    z = 0.25 + 0.5j * t
+    shifted = z + (_LANCZOS_G + 0.5)
+    log_gamma_im = (
+        ((z + 0.5) * np.log(shifted)).imag
+        - shifted.imag
+        + np.angle(_lanczos_sum(z + 1.0))
+        - np.angle(z)
+    )
+    theta = log_gamma_im - 0.5 * t * math.log(math.pi)
+    values = np.exp(1j * theta) * zeta_values
+    for i in np.flatnonzero(np.abs(values.imag) > 1e-8 * (1.0 + np.abs(values)))[:1]:
+        _real_part(complex(values[i]), 1e-8, f"hardy_z({float(t[i])!r})")
+    return values.real
 
 
 def hardy_z_method(t: float, depth: int = 1) -> tuple[str, int]:
@@ -325,8 +348,7 @@ def hardy_z_with_bound(
     values = np.empty_like(t)
     bounds = np.zeros_like(t)
     rs = _uses_riemann_siegel(t, depth)
-    for i in np.flatnonzero(~rs):
-        values[i] = _hardy_z_euler_maclaurin(float(t[i]), depth)
+    values[~rs] = _hardy_z_euler_maclaurin(t[~rs], depth)
     rs_index = np.flatnonzero(rs)
     for start in range(0, rs_index.size, RS_BLOCK):
         block = rs_index[start : start + RS_BLOCK]
@@ -337,8 +359,7 @@ def hardy_z_with_bound(
 
 def _hardy_z_array(t: np.ndarray, depth: int) -> np.ndarray:
     values, _, doubt = hardy_z_with_bound(t, depth)
-    for i in np.flatnonzero(doubt):
-        values[i] = _hardy_z_euler_maclaurin(float(t[i]), depth)
+    values[doubt] = _hardy_z_euler_maclaurin(t[doubt], depth)
     return values
 
 

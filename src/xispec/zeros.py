@@ -18,12 +18,17 @@ Every Z evaluation is one array call: ``hardy_z`` for the scan grid, one
 more for the fine-rescan grids of all suspiciously wide gaps together,
 and, per refinement step, ``hardy_z_with_bound`` for the trial points of
 all the brackets still open, which advance in lockstep, then ``hardy_z``
-for the points where a sign was in doubt.  A gap's fine brackets replace
-it in the one bracket list the scan refines, so no zero is found twice.
+for the points where a sign was in doubt.  Within each of these calls the
+Euler-Maclaurin points are one array call too (``specfun.xi``), so a scan
+to t = 1188 at tol 1e-8 evaluates Euler-Maclaurin at 3,440 heights in 15
+calls.  A gap's fine brackets replace it in the one bracket list the scan
+refines, so no zero is found twice.
 
 The persistent cache is a plain text CSV with a checksummed header
-(64-bit FNV-1a over the data-line bytes, newline included), written
-atomically via write-temp-then-rename.
+(64-bit FNV-1a over the header's version, tol and tmax fields and the
+data-line bytes, newline included), written atomically via
+write-temp-then-rename.  A cache of another version is a miss, so the run
+rescans and rewrites it.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from .report import AuditReport, Verdict
 from .specfun import hardy_z, hardy_z_with_bound
 
 DEFAULT_SCAN_STEP = 0.25
-CACHE_VERSION = "v1"
+CACHE_VERSION = "v2"
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -353,6 +358,12 @@ def fnv1a64(data: bytes) -> int:
     return acc
 
 
+def cache_checksum(head: str, data: bytes) -> int:
+    """The cache checksum: FNV-1a over the header up to its checksum field
+    (``# xi-zeros <version> tol=... tmax=...``), a newline, and the rows."""
+    return fnv1a64(f"{head}\n".encode("utf-8") + data)
+
+
 def format_rows(zeros: list[CriticalZero]) -> list[str]:
     """One `index,gamma,abs_err` row per zero: the cache and `xispec zeros` format."""
     return [f"{z.index},{z.gamma:.15g},{z.abs_err:.3e}" for z in zeros]
@@ -386,10 +397,8 @@ class ZeroCache:
 
     def save(self, path: str) -> None:
         data = self.data_bytes()
-        header = (
-            f"# xi-zeros {self.version} tol={self.tol:g} tmax={self.t_max!r} "
-            f"checksum={fnv1a64(data):016x}\n"
-        )
+        head = f"# xi-zeros {self.version} tol={self.tol:g} tmax={self.t_max!r}"
+        header = f"{head} checksum={cache_checksum(head, data):016x}\n"
         directory = os.path.dirname(os.path.abspath(path))
         tmp = None
         try:
@@ -418,16 +427,21 @@ class ZeroCache:
         header = raw[:newline].decode("utf-8", errors="replace")
         data = raw[newline + 1 :]
         fields = header.split()
-        if len(fields) != 6 or fields[0] != "#" or fields[1] != "xi-zeros":
+        if len(fields) < 3 or fields[0] != "#" or fields[1] != "xi-zeros":
             raise CacheCorruptionError(f"cache {path}: malformed header {header!r}")
         version = fields[2]
+        if version != CACHE_VERSION:
+            # Another version's layout or checksum: trust none of it.
+            return cls(t_max=math.nan, tol=math.nan, version=version)
+        if len(fields) != 6:
+            raise CacheCorruptionError(f"cache {path}: malformed header {header!r}")
         try:
             tol = float(fields[3].removeprefix("tol="))
             t_max = float(fields[4].removeprefix("tmax="))
             checksum = int(fields[5].removeprefix("checksum="), 16)
         except ValueError as exc:
             raise CacheCorruptionError(f"cache {path}: bad header field: {exc}") from exc
-        if fnv1a64(data) != checksum:
+        if cache_checksum(" ".join(fields[:5]), data) != checksum:
             raise CacheCorruptionError(f"cache {path}: checksum mismatch")
         try:
             text = data.decode("utf-8")

@@ -15,7 +15,7 @@ from xispec.config import RunConfig, parse_config_file
 from xispec.errors import NonConvergenceError
 from xispec.report import get_report_schema
 from xispec.specfun import xi_critical
-from xispec.zeros import fnv1a64
+from xispec.zeros import cache_checksum, fnv1a64
 
 
 @pytest.fixture(autouse=True)
@@ -81,12 +81,52 @@ def test_cache_corruption_exit_code(capsys):
     assert run(["zeros", "--t-max", "30", "--cache", "zeros.csv"]) == 3
 
 
+def _reseal(header: str, data: bytes) -> bytes:
+    """The header line with its checksum recomputed for ``data``."""
+    head = header.rsplit(" checksum=", 1)[0]
+    return f"{head} checksum={cache_checksum(head, data):016x}\n".encode()
+
+
+@pytest.mark.parametrize(
+    "edit,args",
+    [
+        (("tmax=100.0", "tmax=900.0"), ["--t-max", "900"]),
+        (("tol=1e-08", "tol=1e-06"), ["--t-max", "100", "--tol", "1e-6"]),
+    ],
+    ids=["tmax", "tol"],
+)
+def test_cache_header_edit_exit_code(capsys, edit, args):
+    # The edited header claims a run the cache would serve; it must not.
+    assert run(["zeros", "--t-max", "100", "--cache", "zeros.csv"]) == 0
+    raw = Path("zeros.csv").read_text()
+    assert raw.count(edit[0]) == 1
+    Path("zeros.csv").write_text(raw.replace(*edit))
+    capsys.readouterr()
+    assert run(["zeros", *args, "--cache", "zeros.csv"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "xispec: cache corruption: cache zeros.csv: checksum mismatch"
+    ]
+
+
+def test_cache_of_another_version_is_rescanned(capsys):
+    assert run(["zeros", "--t-max", "30", "--cache", "zeros.csv"]) == 0
+    first = capsys.readouterr().out
+    v2 = Path("zeros.csv").read_bytes()
+    header, data = v2.decode().split("\n", 1)
+    old = header.split(" checksum=")[0].replace(" v2 ", " v1 ")
+    Path("zeros.csv").write_text(f"{old} checksum={fnv1a64(data.encode()):016x}\n{data}")
+    assert run(["zeros", "--t-max", "30", "--cache", "zeros.csv"]) == 0
+    assert capsys.readouterr().out == first
+    assert Path("zeros.csv").read_bytes() == v2
+
+
 def test_cache_rows_out_of_order_exit_code(capsys):
     assert run(["zeros", "--t-max", "30", "--cache", "zeros.csv"]) == 0
     header, first, second, *rest = Path("zeros.csv").read_text().splitlines()
     data = "".join(row + "\n" for row in [second, first, *rest]).encode()
-    header = header.rsplit("=", 1)[0] + f"={fnv1a64(data):016x}\n"
-    Path("zeros.csv").write_bytes(header.encode() + data)
+    Path("zeros.csv").write_bytes(_reseal(header, data) + data)
     assert run(["zeros", "--t-max", "30", "--cache", "zeros.csv"]) == 3
 
 
@@ -94,8 +134,7 @@ def test_cache_rows_not_utf8_exit_code(capsys):
     assert run(["zeros", "--t-max", "30", "--cache", "zeros.csv"]) == 0
     header, data = Path("zeros.csv").read_bytes().split(b"\n", 1)
     data = data.replace(b"14.13", b"14.1\xff", 1)
-    header = header.rsplit(b"=", 1)[0] + f"={fnv1a64(data):016x}\n".encode()
-    Path("zeros.csv").write_bytes(header + data)
+    Path("zeros.csv").write_bytes(_reseal(header.decode(), data) + data)
     capsys.readouterr()
     assert run(["zeros", "--t-max", "30", "--cache", "zeros.csv"]) == 3
     err = capsys.readouterr().err.splitlines()

@@ -1,4 +1,5 @@
 import cmath
+import importlib
 import json
 import math
 import random
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import rel_err
-from xispec.errors import NonConvergenceError
+from xispec.errors import NonConvergenceError, PoleError
 from make_siegelz_oracle import PATH as ORACLE_PATH, oracle_heights, siegelz
 from xispec.specfun import (
     RS_MIN_T,
@@ -23,7 +24,10 @@ from xispec.specfun import (
     xi_critical,
     zeta,
 )
-from xispec.specfun.xi import EM_MAX_T, _RS_C
+from xispec.specfun.xi import EM_MAX_T, _RS_C, _hardy_z_euler_maclaurin
+from xispec.zeros import scan_zeros
+
+xi_module = importlib.import_module("xispec.specfun.xi")
 
 # Product of Gamma(1/4), zeta(1/2), pi^(-1/4) at 30 significant digits,
 # frozen from the arbitrary-precision oracle.
@@ -92,8 +96,18 @@ def test_log_abs_consistency():
 
 
 def _euler_maclaurin_z(t, depth):
+    """The scalar formula: the reference for the array Euler-Maclaurin path."""
     value = cmath.exp(1j * riemann_siegel_theta(t)) * zeta(complex(0.5, t), depth)
     return value.real
+
+
+def _em_path(t, depth):
+    """Z at one height by the module's Euler-Maclaurin path, checked against
+    the scalar formula within 4e-15 max(1, |Z|)."""
+    value = float(_hardy_z_euler_maclaurin(np.array([t]), depth)[0])
+    expected = _euler_maclaurin_z(t, depth)
+    assert abs(value - expected) <= 4e-15 * max(1.0, abs(expected)), t
+    return value
 
 
 def test_riemann_siegel_coefficients_match_regeneration():
@@ -156,7 +170,7 @@ def test_riemann_siegel_bound_against_oracle():
     # Below RS_MIN_T and at depth 2, Euler-Maclaurin is the reference.
     values, bounds, doubt = hardy_z_with_bound(np.array([150.0, 199.75]))
     assert bounds.tolist() == [0.0, 0.0] and not doubt.any()
-    assert values.tolist() == [_euler_maclaurin_z(150.0, 1), _euler_maclaurin_z(199.75, 1)]
+    assert values.tolist() == [_em_path(150.0, 1), _em_path(199.75, 1)]
     assert hardy_z_with_bound(np.array([5000.0]), depth=2)[1].tolist() == [0.0]
 
 
@@ -166,7 +180,7 @@ def test_doubtful_riemann_siegel_sign_falls_back():
     t = float(mp.zetazero(100).imag)
     (z_rs,), (bound,), (doubt,) = hardy_z_with_bound(np.array([t]))
     assert RS_MIN_T < t and abs(z_rs) <= bound and doubt
-    assert hardy_z(t) == _euler_maclaurin_z(t, 1)
+    assert hardy_z(t) == _em_path(t, 1)
     assert hardy_z(np.array([250.0, t])).tolist() == [hardy_z(250.0), hardy_z(t)]
     assert hardy_z_method(t) == ("euler-maclaurin", em_truncation(complex(0.5, t)))
     assert hardy_z_method(250.0) == ("riemann-siegel", 6)
@@ -195,7 +209,7 @@ def test_doubt_rule_stops_where_euler_maclaurin_does():
     below = _doubtful_height(EM_MAX_T - 2.0)
     assert below <= EM_MAX_T
     assert hardy_z_with_bound(np.array([below]))[2].tolist() == [True]
-    assert hardy_z(below) == _euler_maclaurin_z(below, 1)
+    assert hardy_z(below) == _em_path(below, 1)
     assert hardy_z_method(below)[0] == "euler-maclaurin"
     above = _doubtful_height(1e6 - 2.0)
     (z_rs,), (bound,), (doubt,) = hardy_z_with_bound(np.array([above]))
@@ -212,11 +226,61 @@ def test_z_method_switches_at_rs_min_t():
     assert hardy_z_method(RS_MIN_T) == ("riemann-siegel", 5)
     assert hardy_z_method(5000.0) == ("riemann-siegel", 28)
     assert hardy_z_method(5000.0, depth=2)[0] == "euler-maclaurin"
-    assert hardy_z(RS_MIN_T - 1e-9) == _euler_maclaurin_z(RS_MIN_T - 1e-9, 1)
+    assert hardy_z(RS_MIN_T - 1e-9) == _em_path(RS_MIN_T - 1e-9, 1)
 
 
 def test_depth_two_oracle_stays_on_euler_maclaurin():
     for t in (100.0, RS_MIN_T, 1150.0, 4321.5):
-        assert hardy_z(t, depth=2) == _euler_maclaurin_z(t, 2)
+        assert hardy_z(t, depth=2) == _em_path(t, 2)
     # The two formulas agree where both apply.
     assert abs(hardy_z(1150.0) - hardy_z(1150.0, depth=2)) <= 1e-10
+
+
+def _doubtful_scan_heights(monkeypatch):
+    """The heights at which scan_zeros(1190, 1e-8) settles a doubtful sign."""
+    heights = []
+    kernel = xi_module.euler_maclaurin_zeta
+
+    def recorded(s, depth=1):
+        heights.extend(s.imag.tolist())
+        return kernel(s, depth)
+
+    monkeypatch.setattr(xi_module, "euler_maclaurin_zeta", recorded)
+    scan_zeros(1190.0, 1e-8)
+    monkeypatch.undo()
+    return [t for t in heights if t >= RS_MIN_T]
+
+
+def test_array_euler_maclaurin_matches_scalar_formula(monkeypatch):
+    # 1,195 heights in (0, 1200], the doubtful heights of a scan to 1190 and
+    # heights up to EM_MAX_T, at depth 1 and 2: within 4e-15 max(1, |Z|) of
+    # the scalar formula, and the same bits whatever the order of the call.
+    rng = np.random.default_rng(2008)
+    doubtful = _doubtful_scan_heights(monkeypatch)
+    assert len(doubtful) > 1000
+    below = np.concatenate([1200.0 * (1.0 - rng.random(1190)),
+                            [1e-9, 0.25, 14.134725, 199.99, 1200.0]])
+    cases = [(below, 1), (np.array(doubtful), 1), (below[::4], 2),
+             (rng.uniform(1200.0, EM_MAX_T, 12), 1), (rng.uniform(1200.0, 2e4, 10), 2)]
+    for t, depth in cases:
+        values = _hardy_z_euler_maclaurin(t, depth)
+        expected = np.array([_euler_maclaurin_z(float(x), depth) for x in t])
+        error = np.abs(values - expected)
+        assert (error <= 4e-15 * np.maximum(1.0, np.abs(expected))).all()
+        shuffle = rng.permutation(t.size)
+        shuffled = _hardy_z_euler_maclaurin(t[shuffle], depth)
+        assert shuffled.tolist() == values[shuffle].tolist()
+        alone = [_hardy_z_euler_maclaurin(t[i : i + 1], depth)[0] for i in shuffle[:25]]
+        assert alone == values[shuffle[:25]].tolist()
+
+
+def test_array_euler_maclaurin_errors_name_the_height():
+    with pytest.raises(PoleError, match="nan"):
+        hardy_z(np.array([100.0, math.nan]))
+    with pytest.raises(PoleError, match="inf"):
+        hardy_z(np.array([math.inf]))
+    message = r"not converged at s=\(0\.5\+700000j\) \(N=200000, order cap 30\)"
+    with pytest.raises(NonConvergenceError, match=message):
+        hardy_z(np.array([100.0, 7e5]), depth=2)
+    with pytest.raises(NonConvergenceError, match=message):
+        zeta(complex(0.5, 7e5), depth=2)

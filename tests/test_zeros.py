@@ -17,6 +17,7 @@ from xispec.zeros import (
     CriticalZero,
     ZeroCache,
     _grid,
+    cache_checksum,
     count_check,
     fnv1a64,
     refine_brackets,
@@ -168,43 +169,47 @@ def test_refinement_budget_per_zero(monkeypatch):
     assert calls["refine"] / len(found) <= 6.0
 
 
-def _count_em_heights(monkeypatch) -> list[float]:
-    """Record the heights at which Z is evaluated by Euler-Maclaurin."""
-    heights = []
-    em = xi_module._hardy_z_euler_maclaurin
+def _count_em_heights(monkeypatch) -> list[np.ndarray]:
+    """Record the heights of each call to the Euler-Maclaurin kernel."""
+    calls = []
+    kernel = xi_module.euler_maclaurin_zeta
 
-    def counted_em(t, depth):
-        heights.append(t)
-        return em(t, depth)
+    def counted_kernel(s, depth=1):
+        calls.append(s.imag.copy())
+        return kernel(s, depth)
 
-    monkeypatch.setattr(xi_module, "_hardy_z_euler_maclaurin", counted_em)
-    return heights
+    monkeypatch.setattr(xi_module, "euler_maclaurin_zeta", counted_kernel)
+    return calls
 
 
 def test_scan_z_point_count(monkeypatch):
     # Array evaluation makes each point cheaper, not fewer: one call for the
     # scan grid and one for all fine rescans.  Riemann-Siegel from RS_MIN_T
     # leaves Euler-Maclaurin the heights below it and the few where a
-    # Riemann-Siegel sign is in doubt.
+    # Riemann-Siegel sign is in doubt, a few array calls per scan.
     calls = _count_z_points(monkeypatch)
-    em_heights = _count_em_heights(monkeypatch)
+    em_calls = _count_em_heights(monkeypatch)
     scan_zeros(1190.0, 1e-8)
     assert calls["scan"] + calls["refine"] == 11477
     assert calls["scan calls"] <= 2
-    assert len(em_heights) == 3440
-    assert sum(t < RS_MIN_T for t in em_heights) == 1863
+    em_heights = np.concatenate(em_calls)
+    assert em_heights.size == 3440
+    assert (em_heights < RS_MIN_T).sum() == 1863
+    assert len(em_calls) <= 20
 
 
 def test_euler_maclaurin_share_to_5000(monkeypatch):
     # The scan-grid, fine-rescan and refinement points of a 1e-6 scan to
     # t = 5000 used Euler-Maclaurin 7,023 times when Riemann-Siegel started
     # at t = 800; from RS_MIN_T = 200 only the doubtful signs above it do.
-    em_heights = _count_em_heights(monkeypatch)
+    em_calls = _count_em_heights(monkeypatch)
     with pytest.warns(zeros_module.StepResolutionWarning):
         found = scan_zeros(5000.0, 1e-6)
     assert len(found) == 4520
-    assert len(em_heights) <= 2000
-    assert sum(t >= RS_MIN_T for t in em_heights) <= 150
+    em_heights = np.concatenate(em_calls)
+    assert em_heights.size <= 2000
+    assert (em_heights >= RS_MIN_T).sum() <= 150
+    assert len(em_calls) <= 20
 
 
 def _scalar_chandrupatla(bracket, tol, z, z_bound):
@@ -442,7 +447,7 @@ def test_cache_roundtrip(tmp_path, zeros_to_100):
     cache = ZeroCache(t_max=100.0, tol=1e-8, zeros=zeros_to_100)
     cache.save(path)
     loaded = ZeroCache.load(path)
-    assert loaded.version == "v1"
+    assert loaded.version == "v2"
     assert loaded.t_max == 100.0
     assert loaded.tol == 1e-8
     assert len(loaded.zeros) == len(zeros_to_100)
@@ -453,6 +458,12 @@ def test_cache_roundtrip(tmp_path, zeros_to_100):
     assert loaded.matches(50.0, 1e-8)
     assert not loaded.matches(120.0, 1e-8)
     assert not loaded.matches(100.0, 1e-9)
+
+
+def _reseal(header: str, data: bytes) -> bytes:
+    """The header line with its checksum recomputed for ``data``."""
+    head = header.rsplit(" checksum=", 1)[0]
+    return f"{head} checksum={cache_checksum(head, data):016x}\n".encode()
 
 
 def test_cache_checksum_detects_corruption(tmp_path, zeros_to_100):
@@ -470,10 +481,37 @@ def test_cache_rejects_rows_that_are_not_utf8(tmp_path, zeros_to_100):
     ZeroCache(t_max=100.0, tol=1e-8, zeros=zeros_to_100).save(str(path))
     header, data = path.read_bytes().split(b"\n", 1)
     data = data.replace(b"14.13", b"14.1\xff", 1)
-    header = header.rsplit(b"=", 1)[0] + f"={fnv1a64(data):016x}\n".encode()
-    path.write_bytes(header + data)
+    path.write_bytes(_reseal(header.decode(), data) + data)
     with pytest.raises(CacheCorruptionError, match="not UTF-8"):
         ZeroCache.load(str(path))
+
+
+@pytest.mark.parametrize(
+    "edit", [("tmax=100.0", "tmax=900.0"), ("tol=1e-08", "tol=1e-06")], ids=["tmax", "tol"]
+)
+def test_cache_checksum_covers_the_header(tmp_path, zeros_to_100, edit):
+    # A header edited to claim more than was scanned must not be trusted.
+    path = tmp_path / "zeros.csv"
+    ZeroCache(t_max=100.0, tol=1e-8, zeros=zeros_to_100).save(str(path))
+    raw = path.read_text()
+    assert raw.count(edit[0]) == 1
+    path.write_text(raw.replace(*edit))
+    with pytest.raises(CacheCorruptionError, match="checksum mismatch"):
+        ZeroCache.load(str(path))
+
+
+def test_cache_of_another_version_is_a_miss(tmp_path, zeros_to_100):
+    # A v1 cache, checksummed over its rows only, is not corrupt: it is
+    # never reused, whatever its header says.
+    path = tmp_path / "zeros.csv"
+    cache = ZeroCache(t_max=100.0, tol=1e-8, zeros=zeros_to_100)
+    data = cache.data_bytes()
+    path.write_bytes(
+        f"# xi-zeros v1 tol=1e-08 tmax=100.0 checksum={fnv1a64(data):016x}\n".encode() + data
+    )
+    loaded = ZeroCache.load(str(path))
+    assert loaded.version == "v1" and loaded.zeros == []
+    assert not loaded.matches(50.0, 1e-8)
 
 
 def test_cache_keeps_full_tmax(tmp_path, zeros_to_100):
@@ -501,8 +539,7 @@ def test_cache_rejects_rows_out_of_order(tmp_path, zeros_to_100, reorder):
     ZeroCache(t_max=100.0, tol=1e-8, zeros=zeros_to_100).save(str(path))
     header, *rows = path.read_text().splitlines()
     data = "".join(row + "\n" for row in reorder(rows)).encode()
-    header = header.rsplit("=", 1)[0] + f"={fnv1a64(data):016x}\n"
-    path.write_bytes(header.encode() + data)
+    path.write_bytes(_reseal(header, data) + data)
     with pytest.raises(CacheCorruptionError):
         ZeroCache.load(str(path))
 
