@@ -53,7 +53,7 @@ from .zeros import (
     CriticalZero,
     ZeroCache,
     format_rows,
-    roundtrip_precision,
+    parse_rows,
     scan_zeros,
     zero_count_estimate,
 )
@@ -133,8 +133,9 @@ def _gather_zeros(cfg: RunConfig, need_count: int | None = None) -> list[Critica
     if cfg.cache:
         # Work with the serialized precision from the start, so this run's
         # outputs are byte-identical to a later cache-hitting run's.
-        zeros = roundtrip_precision(zeros)
-        ZeroCache(t_max=t_max, tol=cfg.tol, zeros=zeros).save(cfg.cache)
+        rows = format_rows(zeros)
+        zeros = parse_rows(rows, cfg.cache)
+        ZeroCache(t_max=t_max, tol=cfg.tol, zeros=zeros).save(cfg.cache, rows)
     return zeros
 
 

@@ -16,11 +16,14 @@ where the claimed coefficient is 1/8 and the standard-table coefficient is
 common constant across orders, and reports the measured constant next to
 both coefficient hypotheses; it does not pick a side.
 
-The quadrature's integrand r K_nu(r)^2 is an array function: each block of
-nodes the half-line quadrature asks for is one ``bessel_k_values`` call.
-A norm integral counts as converged only when its error estimate meets the
-tolerance it was asked for (``CouplingRecord.norm_converged``); an eq5
-order that misses it is a per-entry failure, not a ratio.
+The norm integrals of all the orders of one ``coupling_spectrum`` or
+``audit_eq5`` call march in lockstep: each round of the half-line
+quadrature asks for the next nodes of every order still running, and
+those are one ``bessel_k_values`` call with an order per node.  The
+orders that need the noise-feasible fallback run it as one more such
+batch.  A norm integral counts as converged only when its error estimate
+meets the tolerance it was asked for (``CouplingRecord.norm_converged``);
+an eq5 order that misses it is a per-entry failure, not a ratio.
 """
 
 from __future__ import annotations
@@ -31,15 +34,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DivergenceError, NonConvergenceError, PoleError
+from .errors import NonConvergenceError, PoleError
 from .report import AuditReport, Verdict
 from .specfun import (
     BesselOrder,
     OrderKind,
     QuadratureResult,
     bessel_k_values,
-    bessel_k_with_error,  # noqa: F401  (perfbench/spans.py traces K by this name)
-    integrate_semiinfinite,
+    bessel_k_with_error,  # noqa: F401  (perfbench/spans.py traces these names)
+    integrate_semiinfinite,  # noqa: F401
+    integrate_semiinfinite_batch,
 )
 from .zeros import CriticalZero
 
@@ -82,60 +86,97 @@ def nu_from_lambda(lam: float) -> BesselOrder:
     return BesselOrder.imaginary_order(math.sqrt(-shifted))
 
 
-def _norm_integrand(order: BesselOrder):
+def _norm_integrals(
+    orders: list[BesselOrder], tols: list[float]
+) -> list[QuadratureResult | ArithmeticError]:
+    """int_0^inf r K_order(r)^2 dr at each order, all marched in lockstep.
+
+    Each round of the quadrature is one ``bessel_k_values`` call for the
+    nodes of every order still running.
+    """
     # K(r) <= sqrt(pi/2r) e^{-r} for any order, while the integral itself is
     # no smaller than the e^{-pi mu} scale on the imaginary branch, so the
     # tail beyond (pi/2) mu + a fixed pad contributes nothing at double
     # precision.
-    if order.kind is OrderKind.IMAGINARY:
-        cutoff = 0.5 * math.pi * order.magnitude + 80.0
-    else:
-        cutoff = _R_CUTOFF
+    cutoffs = np.array([
+        0.5 * math.pi * order.magnitude + 80.0
+        if order.kind is OrderKind.IMAGINARY
+        else _R_CUTOFF
+        for order in orders
+    ])
 
-    def f(r: np.ndarray) -> np.ndarray:
+    def f(r: np.ndarray, which: np.ndarray) -> np.ndarray:
         out = np.zeros(len(r))
-        inside = r <= cutoff
+        inside = r <= cutoffs[which]
         if inside.any():
-            value, _ = bessel_k_values(order, r[inside])
+            value, _ = bessel_k_values(orders, r[inside], which[inside])
             out[inside] = r[inside] * value * value
         return out
-    return f
+
+    return integrate_semiinfinite_batch(f, tols)
 
 
-def _noise_feasible_tol(order: BesselOrder) -> float:
-    """Worst relative K error over the radii that carry the integral's mass."""
+def _noise_feasible_tols(orders: list[BesselOrder]) -> list[float]:
+    """Per order, the worst relative K error over the radii that carry the
+    integral's mass, from one K call."""
     probes = np.array([0.5, 1.0, 2.0, 5.0, 10.0, 15.0, 20.0, 30.0, 50.0])
-    top = max(10.0, 3.0 * order.magnitude)
-    _, rel = bessel_k_values(order, probes[probes <= top])
-    return float(rel.max())
+    radii = [probes[probes <= max(10.0, 3.0 * order.magnitude)] for order in orders]
+    which = np.repeat(np.arange(len(orders)), [len(r) for r in radii])
+    _, rel = bessel_k_values(orders, np.concatenate(radii), which)
+    return [float(rel[which == k].max()) for k in range(len(orders))]
+
+
+def _norm_integrals_with_fallback(
+    orders: list[BesselOrder], tol: float
+) -> list[QuadratureResult | ArithmeticError]:
+    """Norm integrals at ``tol``, with the noise-feasible fallback.
+
+    For large imaginary orders the integrand sits below the double-precision
+    noise floor of K; the integral still converges (the audit's finiteness
+    signal) but only to the noise-feasible tolerance, which the returned
+    error estimate reflects.  The orders that need it take the fallback as
+    one more lockstep batch.
+    """
+    results = _norm_integrals(orders, [tol] * len(orders))
+    missed = [i for i, r in enumerate(results) if isinstance(r, NonConvergenceError)]
+    if not missed:
+        return results
+    feasible = [
+        max(3.0 * noise, tol) for noise in _noise_feasible_tols([orders[i] for i in missed])
+    ]
+    retry = [(i, f) for i, f in zip(missed, feasible) if f > tol]
+    second = _norm_integrals(
+        [orders[i] for i, _ in retry], [min(f, 0.5) for _, f in retry]
+    )
+    for (i, f), result in zip(retry, second):
+        if isinstance(result, QuadratureResult):
+            result = QuadratureResult(
+                value=result.value,
+                err_estimate=max(result.err_estimate, f * abs(result.value)),
+                evaluations=result.evaluations,
+            )
+        results[i] = result
+    return results
 
 
 def norm_integral_quadrature(order: BesselOrder, tol: float = 1e-9) -> QuadratureResult:
     """Numerical norm integral int_0^inf r K_order(r)^2 dr.
 
-    For large imaginary orders the integrand sits below the double-precision
-    noise floor of K; the integral still converges (the audit's finiteness
-    signal) but only to the noise-feasible tolerance, which the returned
-    error estimate reflects.
+    A one-order call of the lockstep path ``coupling_spectrum`` and
+    ``audit_eq5`` use.  For large imaginary orders the integrand sits below
+    the double-precision noise floor of K; the integral still converges
+    (the audit's finiteness signal) but only to the noise-feasible
+    tolerance, which the returned error estimate reflects.
 
     Raises:
         DivergenceError: for real orders >= 1 (non-integrable at r -> 0).
+        NonConvergenceError: when not even the noise-feasible tolerance is
+            met.
     """
-    f = _norm_integrand(order)
-    try:
-        return integrate_semiinfinite(f, tol)
-    except DivergenceError:
-        raise
-    except NonConvergenceError:
-        feasible = max(3.0 * _noise_feasible_tol(order), tol)
-        if feasible <= tol:
-            raise
-        result = integrate_semiinfinite(f, min(feasible, 0.5))
-        return QuadratureResult(
-            value=result.value,
-            err_estimate=max(result.err_estimate, feasible * abs(result.value)),
-            evaluations=result.evaluations,
-        )
+    (result,) = _norm_integrals_with_fallback([order], tol)
+    if isinstance(result, ArithmeticError):
+        raise result
+    return result
 
 
 def norm_integral_paper(order: BesselOrder) -> float:
@@ -181,20 +222,20 @@ def _meets_tol(result: QuadratureResult | None, tol: float) -> bool:
     return result is not None and result.err_estimate <= tol * abs(result.value)
 
 
-def _eq5_entry(order: BesselOrder, tol: float) -> NormIntegralAudit:
+def _eq5_entry(
+    order: BesselOrder, quad: QuadratureResult | ArithmeticError, tol: float
+) -> NormIntegralAudit:
     """Quadrature against closed form at one order, before the batch verdict."""
-    quad = closed = None
+    closed = None
     error = ""
-    try:
-        quad = norm_integral_quadrature(order, tol)
-    except (DivergenceError, NonConvergenceError) as exc:
-        error = f"{type(exc).__name__}: {exc}"
-    else:
-        if not _meets_tol(quad, tol):
-            error = (
-                f"not converged: error estimate {quad.err_estimate:.3e} "
-                f"exceeds tol {tol:g} of {abs(quad.value):.3e}"
-            )
+    if isinstance(quad, ArithmeticError):
+        error = f"{type(quad).__name__}: {quad}"
+        quad = None
+    elif not _meets_tol(quad, tol):
+        error = (
+            f"not converged: error estimate {quad.err_estimate:.3e} "
+            f"exceeds tol {tol:g} of {abs(quad.value):.3e}"
+        )
     try:
         closed = norm_integral_paper(order)
     except PoleError as exc:
@@ -223,7 +264,8 @@ def audit_eq5(
     and the batch report with the measured common constant next to both
     coefficient readings.
     """
-    entries = [_eq5_entry(order, tol) for order in orders]
+    quads = _norm_integrals_with_fallback(list(orders), tol)
+    entries = [_eq5_entry(order, quad, tol) for order, quad in zip(orders, quads)]
     ratios = [a.ratio for a in entries if a.ok]
     if ratios:
         mean = sum(ratios) / len(ratios)
@@ -295,14 +337,16 @@ def coupling_spectrum(
     meets ``tol`` (divergence would escape as an exception, which no
     critical-line order can trigger).
     """
+    points = [complex(0.5, zero.gamma) for zero in zeros]
+    lams = [lambda_from_s(s) for s in points]
+    nus = [nu_from_lambda(lam.real) for lam in lams]
+    norms = [None] * len(zeros)
+    if check_finiteness:
+        norms = _norm_integrals_with_fallback(nus, tol)
     records = []
-    for zero in zeros:
-        s = complex(0.5, zero.gamma)
-        lam = lambda_from_s(s)
-        nu = nu_from_lambda(lam.real)
-        norm = None
-        if check_finiteness:
-            norm = norm_integral_quadrature(nu, tol)
+    for zero, s, lam, nu, norm in zip(zeros, points, lams, nus, norms):
+        if isinstance(norm, ArithmeticError):
+            raise norm
         records.append(
             CouplingRecord(
                 s=s,

@@ -119,7 +119,10 @@ def _pair_data(spec: ProductSpec, n: int) -> tuple[np.ndarray, float]:
 def _poly_products(u: np.ndarray, lam: np.ndarray) -> list[complex]:
     """prod_n (lambda_n - u) / lambda_n at each u of a 1-D complex array.
 
-    Row blocks keep each 2-D temporary within _BLOCK_ELEMENTS.
+    A product past double range (far from every lambda_n) keeps its size:
+    its magnitude is exp of the sum of log |factor| (inf when that
+    overflows too), its phase the sum of the factors' angles.  Row blocks
+    keep each 2-D temporary within _BLOCK_ELEMENTS.
     """
     products: list[complex] = []
     rows = max(1, _BLOCK_ELEMENTS // max(1, len(lam)))
@@ -129,7 +132,16 @@ def _poly_products(u: np.ndarray, lam: np.ndarray) -> list[complex]:
         # cases exact: u = lambda_k gives a factor of exactly 0, u = -0 gives 1.
         re = (lam - block.real) / lam
         im = (-block.imag) / lam
-        products += np.prod(re + 1j * im, axis=1).tolist()
+        factors = re + 1j * im
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            prods = np.prod(factors, axis=1)
+            lost = ~np.isfinite(prods)
+            if lost.any():
+                f = factors[lost]
+                prods[lost] = np.exp(
+                    np.sum(np.log(np.abs(f)), axis=1) + 1j * np.sum(np.angle(f), axis=1)
+                )
+        products += prods.tolist()
     return products
 
 
@@ -207,7 +219,8 @@ def tail_bound(spec: ProductSpec, n: int, s: complex) -> float:
     average gap.
     """
     g = spec._ordinates
-    s_sq = abs(complex(s)) ** 2
+    s_abs = abs(complex(s))
+    s_sq = s_abs * s_abs   # inf, not OverflowError, for a far point
     listed = float(np.sum(s_sq / (0.25 + g[n:] * g[n:]))) if n < g.size else 0.0
     extrapolated = 0.0
     if g.size >= 2:

@@ -59,7 +59,12 @@ class AuditReport:
     def to_dict(self) -> dict[str, Any]:
         return {
             "name": self.name,
-            "params": dict(sorted(self.params.items())),
+            # A non-finite float param (a tail bound at a far probe) is
+            # written as the measurements write it.
+            "params": {
+                k: _jsonable_number(v) if isinstance(v, float) else v
+                for k, v in sorted(self.params.items())
+            },
             "measured": [_jsonable_number(v) for v in self.measured],
             "reference": [_jsonable_number(v) for v in self.reference],
             "ratio_or_residual": _jsonable_number(self.ratio_or_residual),

@@ -12,7 +12,11 @@ from .besselk import (
     bessel_k_with_error,
 )
 from .gamma import gamma, log_gamma
-from .quadrature import QuadratureResult, integrate_semiinfinite
+from .quadrature import (
+    QuadratureResult,
+    integrate_semiinfinite,
+    integrate_semiinfinite_batch,
+)
 from .xi import (
     RS_MIN_T,
     XI_SIGN_FROM_Z,
@@ -42,6 +46,7 @@ __all__ = [
     "hardy_z_method",
     "hardy_z_with_bound",
     "integrate_semiinfinite",
+    "integrate_semiinfinite_batch",
     "log_abs_xi_critical",
     "log_gamma",
     "riemann_siegel_theta",

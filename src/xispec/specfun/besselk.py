@@ -25,16 +25,20 @@ least the rounding of the exponent -x cosh t + log cosh(nu t) at the
 integrand's peak.
 
 ``bessel_k_values`` is the one implementation: it takes a 1-D array of
-arguments at one order.  On the imaginary branch it computes the order's
-constants once per call and sums the series for the x <= 12 as a
-polynomial in q = x^2/4.  The trapezoid, for the imaginary order's
-12 < x <= 745 and the real order's x <= 745, runs level by level with a
-convergence mask per x; each x keeps its own node range.  It sorts the x
-widest range first, once, so each row block forms only the nodes of its
-first row; at real order it exponentiates only the nodes a row sums.  The
-real order's range comes from a closed-form estimate of where the integrand
-has fallen e^-46 below its peak, confirmed by the log-integrand on both
-sides.  Every point's value is bit for bit the term-by-term value of a
+arguments at one order, or an order per argument.  On the imaginary
+branch the order's constants 1/Gamma(1 + i mu) and 1/prod (k + i mu) come
+from a per-order table that grows on demand, and the series for the
+x <= 12 of all orders is a polynomial in q = x^2/4, in row blocks of the
+largest q first that form only the terms their rows need.  The
+trapezoid, for the imaginary order's 12 < x <= 745 and the real order's
+x <= 745, runs level by level with a convergence mask per x; each x keeps
+its own order and node range, and rows of different orders share row
+blocks, each with its own weight.  It sorts the x widest range first,
+once, so each row block forms only the nodes of its first row; at real
+order it exponentiates only the nodes a row sums.  The real order's range
+comes from a closed-form estimate of where the integrand has fallen e^-46
+below its peak, confirmed by the log-integrand on both sides.  Every
+point's value is bit for bit the term-by-term value of a
 one-point call.  A point it cannot evaluate comes back non-finite (NaN
 when not converged or when its node range would leave double range,
 inf when K overflows) instead of raising, so a caller may ask for points
@@ -47,6 +51,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,23 +139,44 @@ def _trap_nodes(h: float, t_upper: float, level: int) -> np.ndarray:
     return np.arange(h, t_upper + h, 2.0 * h)
 
 
-def _imag_series(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _imag_series(
+    mus: np.ndarray, ids: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Ascending-series path: accurate for x <~ 12 at any desk-scale mu.
 
-    The series is a polynomial in q = x^2/4 whose k-th coefficient is
-    r_k / k!, with r_k = 1 / (Gamma(1 + i mu) prod_{j<=k} (j + i mu)) computed
-    once per call.  Each x takes its terms up to its own stopping term, in
+    Point i is at order mus[ids[i]].  The series is a polynomial in
+    q = x^2/4 whose k-th coefficient is r_k / k!, with
+    r_k = 1 / (Gamma(1 + i mu) prod_{j<=k} (j + i mu)) from the order's
+    table.  Each order takes as many coefficients as its largest q in
+    this call needs, and each x its terms up to its own stopping term, in
     the order and rounding of a term-by-term loop: the value at small x is
     exponentially smaller than the terms, and the quadrature's level test
     sees that cancellation noise.
     """
     q = 0.25 * x * x
-    s_re, s_im, peak, stopped = _series_sums(q, _series_recips(mu, float(q.max())))
+    # Renumber the orders present (np.unique would import numpy.ma).
+    present = np.zeros(len(mus), dtype=bool)
+    present[ids] = True
+    mus = mus[present]
+    renumber = np.zeros(len(present), dtype=np.intp)
+    renumber[present] = np.arange(len(mus))
+    ids = renumber[ids]
+    q_top = np.zeros(len(mus))
+    np.maximum.at(q_top, ids, q)
+    counts = _series_columns(mus, q_top)
+    # An order's row past its own coefficients is NaN: no x can stop there.
+    re = np.full((len(mus), int(counts.max())), math.nan)
+    im = np.full_like(re, math.nan)
+    for row, (mu, count) in enumerate(zip(mus.tolist(), counts.tolist())):
+        recips = _series_recips(mu, count)
+        re[row, :count], im[row, :count] = recips.real, recips.imag
+    s_re, s_im, peak, stopped = _series_sums(q, re, im, ids)
     # math.log: numpy's vector log can differ in the last bit, which the
     # cancellation above would turn into different noise.
-    theta = mu * np.fromiter(map(math.log, 0.5 * x), float, len(x))
+    theta = mus[ids] * np.fromiter(map(math.log, 0.5 * x), float, len(x))
     im_part = np.cos(theta) * s_im + np.sin(theta) * s_re
-    values = -math.pi * im_part / math.sinh(math.pi * mu)
+    sinh = np.array([math.sinh(math.pi * mu) for mu in mus.tolist()])
+    values = -math.pi * im_part / sinh[ids]
     abs_floor = 4.0 * _EPS * (peak + np.hypot(s_re, s_im))
     with np.errstate(over="ignore"):
         rel = np.maximum(abs_floor / np.maximum(np.abs(im_part), 5e-324), 2.0 * _EPS)
@@ -160,59 +186,126 @@ def _imag_series(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, rel
 
 
-def _series_recips(mu: float, q: float) -> np.ndarray:
-    """r_0, r_1, ... as far as every q' <= q needs.
+# r_0, r_1, ... by order mu, as far as any call has needed them.  An entry
+# is only replaced whole, by a longer one with the same first terms, so a
+# reader always sees a prefix of the one sequence.
+_RECIPS: dict[float, np.ndarray] = {}
+# The table is dropped whole when it holds this many orders.
+_RECIPS_ORDERS_MAX = 1024
 
-    The first term 1e-18 below the largest so far comes no earlier for a
-    larger q, and the per-x stopping test is never stricter.
+
+def _series_recips(mu: float, count: int) -> np.ndarray:
+    """r_0 ... r_{count-1} of order mu, from its table, extended as needed."""
+    known = _RECIPS.get(mu)
+    if known is None or len(known) < count:
+        recips = [1.0 / gamma(complex(1.0, mu))] if known is None else known.tolist()
+        for k in range(len(recips), count):
+            recips.append(recips[-1] / complex(k, mu))
+        if len(_RECIPS) >= _RECIPS_ORDERS_MAX:
+            _RECIPS.clear()
+        known = _RECIPS[mu] = np.array(recips)
+    return known[:count]
+
+
+def _series_columns(mus: np.ndarray, q_top: np.ndarray) -> np.ndarray:
+    """Per order, the coefficients r_0, r_1, ... its largest q needs.
+
+    Up to the first term 1e-18 below the largest so far, at q_top, or
+    _SERIES_TERM_CAP: it comes no earlier for a larger q, and the per-x
+    stopping test is never stricter.  The terms are those of a
+    term-by-term loop, formed a block of orders at a time.
     """
-    recips = [1.0 / gamma(complex(1.0, mu))]
-    coeff = 1.0
-    peak = abs(recips[0])
-    for k in range(1, _SERIES_TERM_CAP + 1):
-        recips.append(recips[-1] / complex(k, mu))
-        coeff *= q / k
-        mag = abs(coeff * recips[k])
-        peak = max(peak, mag)
-        if mag <= 1e-18 * peak:
+    counts = np.full(len(mus), _SERIES_TERM_CAP + 1)
+    todo = np.arange(len(mus))
+    # 64 columns serve every x <= 12 (29 at most, at q = 36 and mu near 0);
+    # the term cap is the second pass.
+    for width in (64, _SERIES_TERM_CAP + 1):
+        ks = np.arange(0.0, width)
+        ks[0] = math.inf
+        missed = []
+        rows = max(1, _BLOCK_ELEMENTS // width)
+        for i in range(0, len(todo), rows):
+            block = todo[i:i + rows]
+            recips = np.array([_series_recips(mu, width) for mu in mus[block].tolist()])
+            coeff = np.divide.outer(q_top[block], ks)
+            coeff[:, 0] = 1.0
+            np.cumprod(coeff, axis=1, out=coeff)
+            mags = np.hypot(coeff * recips.real, coeff * recips.imag)
+            small = mags <= 1e-18 * np.maximum.accumulate(mags, axis=1)
+            small[:, 0] = False
+            found = small.any(axis=1)
+            counts[block[found]] = np.argmax(small[found], axis=1) + 1
+            missed.append(block[~found])
+        todo = np.concatenate(missed)
+        if not todo.size:
             break
-    return np.array(recips)
+    return counts
 
 
 def _series_sums(
-    q: np.ndarray, recips: np.ndarray
+    q: np.ndarray, re: np.ndarray, im: np.ndarray, ids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-q partial sum and peak term at its stopping term, and whether it stopped.
 
-    Row blocks keep each 2-D temporary within _BLOCK_ELEMENTS.
+    Row i sums the coefficients re[ids[i]] + i im[ids[i]].  Most x stop
+    long before the last coefficient, so rows go largest q first, in row
+    blocks of at most _BLOCK_ELEMENTS, and a block forms only as many
+    columns as the block before it needed (the first block all of them).
+    A row that has not stopped within its block's columns, while its
+    order has more, is summed again over all of them.  A row's sums up to
+    its stopping term do not depend on the columns past it.
     """
-    columns = len(recips)
+    columns = re.shape[1]
+    out = (np.empty(len(q)), np.empty(len(q)), np.empty(len(q)), np.empty(len(q), dtype=bool))
+    rows = np.argsort(-q, kind="stable")
+    width, again = columns, []
+    while rows.size:
+        count = max(1, _BLOCK_ELEMENTS // width)
+        block, rows = rows[:count], rows[count:]
+        *sums, stop = _series_block(q[block], re, im, ids[block], width)
+        for part, value in zip(out, sums):
+            part[block] = value
+        stopped = sums[-1]
+        if width < columns:
+            again.append(block[~stopped & ~np.isnan(re[ids[block], width])])
+        # The rows to come have smaller q, so they need about as many
+        # columns as the last quarter of this block did.
+        tail = slice(-max(1, len(block) // 4), None)
+        width = int(stop[tail].max()) + 1 if stopped[tail].all() else columns
+    redo = np.concatenate(again) if again else rows
+    step = max(1, _BLOCK_ELEMENTS // columns)
+    for block in (redo[i:i + step] for i in range(0, len(redo), step)):
+        for part, value in zip(out, _series_block(q[block], re, im, ids[block], columns)):
+            part[block] = value
+    return out
+
+
+def _series_block(
+    q: np.ndarray, re: np.ndarray, im: np.ndarray, ids: np.ndarray, width: int
+) -> tuple[np.ndarray, ...]:
+    """``_series_sums`` of some rows over the first ``width`` columns, and
+    each row's stopping column."""
     # Column k holds q^k / k!, built as 1 * (q/1) * ... * (q/k).
-    ks = np.arange(0.0, columns)
+    ks = np.arange(0.0, width)
     ks[0] = math.inf
-    s_re, s_im, peak = np.empty(len(q)), np.empty(len(q)), np.empty(len(q))
-    stopped = np.empty(len(q), dtype=bool)
-    rows = max(1, _BLOCK_ELEMENTS // columns)
-    for i in range(0, len(q), rows):
-        block = slice(i, i + rows)
-        coeff = np.divide.outer(q[block], ks)
-        coeff[:, 0] = 1.0
-        np.cumprod(coeff, axis=1, out=coeff)
-        term_re = coeff * recips.real
-        term_im = np.multiply(coeff, recips.imag, out=coeff)
-        mags = np.hypot(term_re, term_im)
-        sum_re = np.cumsum(term_re, axis=1, out=term_re)
-        sum_im = np.cumsum(term_im, axis=1, out=term_im)
-        peaks = np.maximum.accumulate(mags, axis=1)
-        done = mags <= 1e-18 * (np.hypot(sum_re, sum_im) + peaks)
-        done[:, 0] = False
-        stop = np.argmax(done, axis=1)
-        rows_here = np.arange(len(stop))
-        s_re[block] = sum_re[rows_here, stop]
-        s_im[block] = sum_im[rows_here, stop]
-        peak[block] = peaks[rows_here, stop]
-        stopped[block] = done[rows_here, stop]
-    return s_re, s_im, peak, stopped
+    coeff = np.divide.outer(q, ks)
+    coeff[:, 0] = 1.0
+    np.cumprod(coeff, axis=1, out=coeff)
+    term_re = np.multiply(re[ids, :width], coeff)
+    term_im = np.multiply(coeff, im[ids, :width], out=coeff)
+    mags = np.hypot(term_re, term_im)
+    sum_re = np.cumsum(term_re, axis=1, out=term_re)
+    sum_im = np.cumsum(term_im, axis=1, out=term_im)
+    peaks = np.maximum.accumulate(mags, axis=1)
+    scale = np.hypot(sum_re, sum_im)
+    scale += peaks
+    scale *= 1e-18
+    done = mags <= scale
+    done[:, 0] = False
+    stop = np.argmax(done, axis=1)
+    rows = np.arange(len(stop))
+    return (sum_re[rows, stop], sum_im[rows, stop], peaks[rows, stop],
+            done[rows, stop], stop)
 
 
 def _ln_g(nu: float, x: float, t: float) -> float:
@@ -272,9 +365,10 @@ def _real_node_range(nu: float, x: float) -> tuple[float, float]:
 
 @np.errstate(over="ignore")
 def _trapezoid(
-    nu: float, oscillating: bool, x: np.ndarray, t_up: np.ndarray, floor: np.ndarray
+    nu: np.ndarray, oscillating: bool, x: np.ndarray, t_up: np.ndarray, floor: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The trapezoid in t at real order nu, or at order i*nu when oscillating.
+    """The trapezoid in t, each x at its own real order nu, or order i*nu
+    when oscillating.
 
     Each x keeps its own node range t_up, a prefix of the widest one, summed
     in the order a 1-D sum of it uses; it leaves the level loop once its
@@ -295,7 +389,7 @@ def _trapezoid(
     if not index:
         return values, rel
     index = np.array(index)
-    x, t_up = x[index], t_up[index]
+    nu, x, t_up = nu[index], x[index], t_up[index]
     h = _TRAP_BASE_STEP
     s, a = _trap_sums(nu, oscillating, x, t_up, h, level=0)
     totals, abs_totals = h * s, h * a
@@ -321,18 +415,19 @@ def _trapezoid(
         keep = ~conv
         if not keep.any():
             break
-        x, t_up, index = x[keep], t_up[keep], index[keep]
+        nu, x, t_up, index = nu[keep], x[keep], t_up[keep], index[keep]
         totals, abs_totals = totals[keep], abs_totals[keep]
     return values, np.maximum(rel, floor)
 
 
 def _trap_sums(
-    nu: float, oscillating: bool, x: np.ndarray, t_up: np.ndarray, h: float, level: int
+    nu: np.ndarray, oscillating: bool, x: np.ndarray, t_up: np.ndarray, h: float, level: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-x sums of the integrand, and of its magnitude, over t.
 
-    The integrand is exp(-x cosh t) cos(nu t) when oscillating, else
-    exp(-x cosh t + log cosh(nu t)).  Row x runs over
+    The integrand of row i is exp(-x cosh t) cos(nu_i t) when oscillating,
+    else exp(-x cosh t + log cosh(nu_i t)); each row forms its own weight,
+    elementwise as a 1-D call at its order would.  Row x runs over
     ``_trap_nodes(h, t_up[x], level)``, a prefix of the first row's nodes
     (rows come widest first); a masked row sum of a prefix adds in the same
     order as a 1-D sum of it.  Each row block forms only the columns its
@@ -343,11 +438,6 @@ def _trap_sums(
     counts = np.ceil((t_up + h - start) / stride)   # np.arange's length rule
     columns = np.arange(float(len(t)))
     cosh_t = np.cosh(t)
-    if oscillating:
-        weights = np.cos(nu * t)
-    else:
-        u = nu * t   # >= 0, so log cosh u = u + log1p(e^{-2u}) - log 2
-        log_cosh = u + np.log1p(np.exp(-2.0 * u)) - _LOG_2
     s = np.empty(len(x))
     a = np.empty(len(x)) if oscillating else s
     i = 0
@@ -357,14 +447,20 @@ def _trap_sums(
         i = block.stop
         inside = columns[:width] < counts[block, None]
         vals = np.multiply.outer(-x[block], cosh_t[:width])
+        u = np.multiply.outer(nu[block], t[:width])
         if oscillating:
             np.exp(vals, out=vals)
-            vals *= weights[:width]
+            vals *= np.cos(u, out=u)
         else:
-            # One call mixes ranges from about 2 to 30 here, and past a
-            # row's range the exponent underflows, where exp is several
-            # times slower: take it only where the row sums.
-            vals += log_cosh[:width]
+            # u >= 0, so log cosh u = u + log1p(e^{-2u}) - log 2.  One call
+            # mixes ranges from about 2 to 30 here, and past a row's range
+            # the exponent underflows, where exp is several times slower:
+            # take it only where the row sums.
+            log_cosh = np.multiply(u, -2.0)
+            np.log1p(np.exp(log_cosh, out=log_cosh), out=log_cosh)
+            log_cosh += u
+            log_cosh -= _LOG_2
+            vals += log_cosh
             np.exp(vals, out=vals, where=inside)
         if level == 0:
             vals[:, 0] *= 0.5
@@ -374,8 +470,15 @@ def _trap_sums(
     return s, a
 
 
-def bessel_k_values(order: BesselOrder, x) -> tuple[np.ndarray, np.ndarray]:
-    """K at one order over a 1-D array of x > 0, with relative error estimates.
+def bessel_k_values(
+    order: BesselOrder | Sequence[BesselOrder], x, which=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """K over a 1-D array of x > 0, with relative error estimates.
+
+    ``order`` is one order for every x, or, with ``which``, a sequence of
+    orders: x[i] is then at order ``order[which[i]]``.  Each point gets the
+    bits a one-point call at its order gives, whatever orders share the
+    call.
 
     The estimates are honest about oscillatory cancellation: in the
     imaginary-order regime where double precision cannot deliver the value
@@ -387,7 +490,8 @@ def bessel_k_values(order: BesselOrder, x) -> tuple[np.ndarray, np.ndarray]:
     Raises:
         DomainError: when any x is not positive and finite.
         AccuracyError: for an imaginary order with pi mu > 700 (sinh(pi mu)
-            overflows), unless every x is above 745.
+            overflows) that has an x at or below 745; the first such order
+            of the sequence is named.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -397,30 +501,47 @@ def bessel_k_values(order: BesselOrder, x) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError(
             f"bessel_k: x must be positive and finite, got {float(x[bad][0])!r}"
         )
+    if which is None:
+        orders, which = [order], np.zeros(len(x), dtype=np.intp)
+    else:
+        orders, which = order, np.asarray(which, dtype=np.intp)
+        if which.shape != x.shape:
+            raise ValueError("bessel_k_values: which must name one order per x")
+    mags = np.array([o.magnitude for o in orders], dtype=float)
+    # Order 0 of either kind is the real order 0.
+    oscillating = np.array(
+        [o.kind is OrderKind.IMAGINARY and o.magnitude != 0.0 for o in orders], dtype=bool
+    )
     values = np.zeros(len(x))
     rel = np.zeros(len(x))
     live = x <= _X_UNDERFLOW
-    nu = order.magnitude
-    if order.kind is OrderKind.REAL or nu == 0.0:
-        xs = x[live]
+    nu = mags[which]
+    imag = live & oscillating[which]
+    real = live & ~imag
+    if real.any():
+        xs, nus = x[real], nu[real]
         t_up, floor = np.array(
-            [_real_node_range(nu, v) for v in xs.tolist()]
+            [_real_node_range(n, v) for n, v in zip(nus.tolist(), xs.tolist())]
         ).reshape(-1, 2).T
-        values[live], rel[live] = _trapezoid(nu, False, xs, t_up, floor)
+        values[real], rel[real] = _trapezoid(nus, False, xs, t_up, floor)
+    if not imag.any():
         return values, rel
-    if live.any() and math.pi * nu > 700.0:
+    present = np.zeros(len(orders), dtype=bool)
+    present[which[imag]] = True
+    beyond = np.flatnonzero(present & (math.pi * mags > 700.0))
+    if beyond.size:
         raise AccuracyError(
-            f"bessel_k: imaginary order {nu:g} beyond sinh(pi mu) double range"
+            f"bessel_k: imaginary order {mags[beyond[0]]:g} beyond sinh(pi mu) double range"
         )
-    series = x <= _SERIES_X_MAX
+    series = imag & (x <= _SERIES_X_MAX)
     if series.any():
-        values[series], rel[series] = _imag_series(nu, x[series])
-    trap = live & ~series
+        values[series], rel[series] = _imag_series(mags, which[series], x[series])
+    trap = imag & ~series
     if trap.any():
         xs = x[trap]
         t_up = np.array([math.acosh(1.0 + 50.0 / v) + 0.25 for v in xs.tolist()])
         floor = 2.0 * _EPS * (xs + 1.0)   # the exponent's rounding at the peak t = 0
-        values[trap], rel[trap] = _trapezoid(nu, True, xs, t_up, floor)
+        values[trap], rel[trap] = _trapezoid(nu[trap], True, xs, t_up, floor)
     return values, rel
 
 

@@ -16,6 +16,12 @@ past the stop may still be evaluated, so the integrand marks a point it
 cannot evaluate as non-finite instead of raising, and runs under
 ``np.errstate`` here so that such points neither raise nor warn.
 
+``integrate_semiinfinite_batch`` marches many integrands in lockstep:
+each round is one call for the next blocks of every integrand still
+running, and each integrand keeps its own levels, blocks, tail test and
+estimate, so it gets the bits it would get alone and its failure is its
+own.  ``integrate_semiinfinite`` is a one-integrand call of it.
+
 Divergent integrands announce themselves here: the transformed node
 contributions toward an endpoint then grow (or blow past the double range)
 instead of dying off double-exponentially.  The node march reports that as
@@ -28,8 +34,8 @@ evaluate).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -119,40 +125,44 @@ class _Side:
         self.error: Exception | None = None
         self._extra = 0
 
-    def request(self) -> np.ndarray:
+    def request(self) -> tuple[np.ndarray, np.ndarray]:
+        """Abscissas and weights of the next block."""
         self.x, self.w = _nodes(self.level, self.sign, self.used + self.block)
-        return self.x[self.used:self.used + self.block]
+        block = slice(self.used, self.used + self.block)
+        return self.x[block], self.w[block]
 
-    def consume(self, values: np.ndarray) -> None:
-        """Walk the block's contributions in order until the tail dies."""
-        first = self.used
-        terms = (self.w[first:first + len(values)] * values).tolist()
-        total, peak, small_run, tail = self.total, self.peak, self.small_run, self.tail
-        for term in terms:
-            mag = abs(term)
-            if not math.isfinite(mag) or mag > _BLOWUP:
-                self._fail(mag, float(self.x[self.used]))
-                return
-            self.used += 1
-            total = total + term
-            peak = max(peak, mag)
-            tail.append(mag)
-            if peak > 0.0 and mag <= _TAIL_CUTOFF * peak:
-                small_run += 1
-                if small_run >= 2:
-                    self.total, self.done = total, True
-                    return
-            else:
-                small_run = 0
-        self.total, self.peak, self.small_run = total, peak, small_run
-        del tail[:-3]
-        if self.used == self.size:
+    def take(
+        self, terms: np.ndarray, mags: np.ndarray, peaks: np.ndarray,
+        small: np.ndarray, end: int, bad: int,
+    ) -> None:
+        """Take the block's contributions up to the tail's end or a bad one.
+
+        ``end`` is the first contribution that ends the march (the second
+        small one in a row), ``bad`` the first that is NaN or blows up;
+        either is len(terms) or more when there is none.  The running total
+        is ``np.add.accumulate`` over the block with the total so far added
+        to its first term: the additions of a node-by-node loop, in its
+        order, so the same bits.
+        """
+        taken = min(end + 1, bad, len(terms))
+        if taken:
+            terms[0] += self.total
+            self.total = np.add.accumulate(terms[:taken])[-1].item()
+            self.peak = float(peaks[taken - 1])
+            self.tail = (self.tail + mags[max(0, taken - 3):taken].tolist())[-3:]
+        self.used += taken
+        if end < bad:
+            self.done = True
+        elif taken < len(terms):
+            self._fail(float(mags[taken]), float(self.x[self.used]))
+        elif self.used == self.size:
             self._at_cap()
-            return
-        # Continue with the fewest nodes that can end the march, doubling
-        # on each further miss.
-        self._extra = max(2 - small_run, 2 * self._extra)
-        self.block = min(self._extra, self.size - self.used)
+        else:
+            # Continue with the fewest nodes that can end the march,
+            # doubling on each further miss.
+            self.small_run = int(small[-1])
+            self._extra = max(2 - self.small_run, 2 * self._extra)
+            self.block = min(self._extra, self.size - self.used)
 
     def _fail(self, mag: float, x: float) -> None:
         self.done = True
@@ -186,50 +196,152 @@ class _Side:
                 )
 
 
-def _march_level(
-    f: Callable[[np.ndarray], np.ndarray],
-    level: int,
-    counts: list[int],
-) -> tuple[list, list[int]]:
-    """One level's new-node contributions, summed per side.
+def _take_blocks(
+    sides: list[_Side], weights: np.ndarray, values: np.ndarray, lengths: list[int]
+) -> None:
+    """Each side takes its block of one round, all blocks at once.
 
-    ``counts`` holds the nodes each side used at the previous level (empty
-    at level 0, whose first call also evaluates f at the centre x = 1 and
-    returns it as a third side sum).  The grids are nested, so a side uses
-    about as many nodes at level 1 and about twice as many after.  Returns
-    the side sums (toward infinity, then zero) and each side's count.
+    The blocks lie end to end in ``weights`` and ``values``.  A block's
+    running peak (the side's peak so far included) is a doubling scan: max
+    is exact in any order.  A contribution is small when it is
+    _TAIL_CUTOFF or less of the running peak, and bad when it is NaN or
+    above _BLOWUP; the first of each per block goes to ``_Side.take``.
     """
-    if not counts:
-        blocks = [_FIRST_BLOCK, _FIRST_BLOCK]
-    elif level == 1:
-        blocks = counts
-    else:
-        blocks = [2 * n - 2 for n in counts]
-    sides = [_Side(level, 1.0, blocks[0]), _Side(level, -1.0, blocks[1])]
-    centre = [] if counts else [np.ones(1)]
-    sums = []
-    while True:
-        live = [side for side in sides if not side.done]
-        if not live:
-            break
-        chunks = [side.request() for side in live] + centre
-        nodes = np.concatenate(chunks)
+    terms = weights * values
+    mags = np.abs(terms)
+    starts = np.cumsum(lengths) - lengths
+    owner = np.repeat(np.arange(len(sides)), lengths)
+    pos = np.arange(len(terms)) - starts[owner]
+    bad = ~(mags <= _BLOWUP)
+    peaks = np.where(bad, 0.0, mags)
+    step = 1
+    while step < max(lengths):
+        np.maximum(peaks[step:], np.where(pos[step:] >= step, peaks[:-step], 0.0),
+                   out=peaks[step:])
+        step *= 2
+    np.maximum(peaks, np.array([side.peak for side in sides])[owner], out=peaks)
+    small = (peaks > 0.0) & (mags <= _TAIL_CUTOFF * peaks)
+    after_small = np.empty_like(small)
+    after_small[1:] = small[:-1]
+    after_small[starts] = [side.small_run > 0 for side in sides]
+    none = len(terms)
+    first_end = np.minimum.reduceat(np.where(small & after_small, pos, none), starts)
+    first_bad = np.minimum.reduceat(np.where(bad, pos, none), starts)
+    for side, start, length, end, fail in zip(
+        sides, starts.tolist(), lengths, first_end.tolist(), first_bad.tolist()
+    ):
+        span = slice(start, start + length)
+        side.take(terms[span], mags[span], peaks[span], small[span], end, fail)
+
+
+class _Integral:
+    """One integrand's march: its level, the two sides of that level, and
+    the level sums so far.
+
+    Level 0 also takes f at the centre x = 1, with its first blocks.  A
+    level after it sizes each side's first block from the count that side
+    used at the level before: the grids are nested, so a side uses about as
+    many nodes at level 1 and about twice as many after.
+    """
+
+    def __init__(self, tol: float, max_levels: int):
+        self.tol, self.max_levels = tol, max_levels
+        self.level = 0
+        self.h = _BASE_STEP
+        self.sides = [_Side(0, 1.0, _FIRST_BLOCK), _Side(0, -1.0, _FIRST_BLOCK)]
+        self.centre: float | None = None
+        self.level_sum = self.prev = 0.0
+        self.evaluations = 1   # the centre
+        self.outcome: QuadratureResult | ArithmeticError | None = None
+
+    def finish_level(self) -> None:
+        """Once both sides are done: fail, converge, or start the next level."""
+        inf, zero = self.sides
+        # A failure toward infinity is reported first.
+        error = inf.error or zero.error
+        if error is not None:
+            self.outcome = error
+            return
+        self.evaluations += inf.used + zero.used
+        if self.level == 0:
+            self.level_sum = self.h * (self.centre + inf.total + zero.total)
+        else:
+            self.level_sum = 0.5 * self.prev + self.h * (inf.total + zero.total)
+            diff = abs(self.level_sum - self.prev)
+            floor = 5e-16 * abs(self.level_sum)
+            if diff <= self.tol * abs(self.level_sum) or diff <= floor:
+                self.outcome = QuadratureResult(
+                    self.level_sum, max(0.5 * diff, floor), self.evaluations
+                )
+                return
+        if self.level == self.max_levels:
+            change = abs(self.level_sum - self.prev) if self.level else 0.0
+            self.outcome = NonConvergenceError(
+                f"integrate_semiinfinite: level budget exhausted "
+                f"(last change {change:.3e}, tol {self.tol:g})"
+            )
+            return
+        counts = [inf.used, zero.used]
+        self.level += 1
+        self.prev = self.level_sum
+        self.h *= 0.5
+        blocks = counts if self.level == 1 else [2 * n - 2 for n in counts]
+        self.sides = [_Side(self.level, 1.0, blocks[0]), _Side(self.level, -1.0, blocks[1])]
+
+
+def integrate_semiinfinite_batch(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    tols: Sequence[float],
+    max_levels: int = _MAX_LEVELS,
+) -> list[QuadratureResult | ArithmeticError]:
+    """Integrate many integrands over (0, inf) in lockstep, one f call a round.
+
+    Integrand i is integrated to relative tolerance ``tols[i]``.  ``f(x,
+    which)`` takes a 1-D float array of abscissas and an integer array of
+    the same length saying which integrand each abscissa belongs to, and
+    returns one value per abscissa.  Each round asks f for the next block
+    of every side still marching, of every integrand still running, so
+    the calls number the rounds of the longest march, not the blocks of
+    all of them.  Each integrand marches exactly as it would alone: its
+    own levels, blocks, tail test and estimate, and the same bits.
+
+    Returns, per integrand, its ``QuadratureResult`` or the error that
+    ended its march (``DivergenceError`` or ``NonConvergenceError``, as
+    ``integrate_semiinfinite`` raises them); one integrand's failure does
+    not stop the others.
+    """
+    if not all(tol > 0.0 for tol in tols):
+        raise ValueError("tol must be positive")
+    runs = [_Integral(tol, max_levels) for tol in tols]
+    live = list(enumerate(runs))
+    while live:
+        sides, owners, centres = [], [], []
+        for i, run in live:
+            for side in run.sides:
+                if not side.done:
+                    sides.append(side)
+                    owners.append(i)
+        for i, run in live:
+            if run.centre is None:
+                centres.append(run)
+                owners.append(i)
+        blocks = [side.request() for side in sides]
+        lengths = [len(x) for x, _ in blocks]
+        nodes = np.concatenate([x for x, _ in blocks] + [np.ones(len(centres))])
+        which = np.repeat(owners, lengths + [1] * len(centres))
         with np.errstate(all="ignore"):
-            values = np.asarray(f(nodes))
+            values = np.asarray(f(nodes, which))
         if values.shape != nodes.shape:
             raise ValueError("integrand must return one value per abscissa")
-        if centre:
-            sums.append(_HALF_PI * values[-1].item())  # weight at t = 0
-            centre = []
-        offset = 0
-        for side, chunk in zip(live, chunks):
-            side.consume(values[offset:offset + len(chunk)])
-            offset += len(chunk)
-    # A failure toward infinity is reported first.
-    for side in sides:
-        if side.error is not None:
-            raise side.error
-    return [side.total for side in sides] + sums, [side.used for side in sides]
+        count = sum(lengths)
+        _take_blocks(sides, np.concatenate([w for _, w in blocks]), values[:count], lengths)
+        for run, value in zip(centres, values[count:].tolist()):
+            run.centre = _HALF_PI * value  # weight at t = 0
+        for _, run in live:
+            if all(side.done for side in run.sides):
+                run.finish_level()
+        live = [(i, run) for i, run in live if run.outcome is None]
+    return [run.outcome for run in runs]
 
 
 def integrate_semiinfinite(
@@ -239,10 +351,11 @@ def integrate_semiinfinite(
 ) -> QuadratureResult:
     """Integrate f over (0, inf) to relative tolerance ``tol``.
 
-    ``f`` takes a 1-D float array of abscissas and returns an array of the
-    same length.  It may be asked for points past where the march stops, so
-    it should return NaN where it cannot evaluate rather than raise; it is
-    called under ``np.errstate(all="ignore")``.
+    A one-integrand ``integrate_semiinfinite_batch``.  ``f`` takes a 1-D
+    float array of abscissas and returns an array of the same length.  It
+    may be asked for points past where the march stops, so it should
+    return NaN where it cannot evaluate rather than raise; it is called
+    under ``np.errstate(all="ignore")``.
 
     The returned ``err_estimate`` is absolute; success means
     err_estimate <= tol * |value| (with a roundoff floor).  ``evaluations``
@@ -254,32 +367,7 @@ def integrate_semiinfinite(
         NonConvergenceError: when the march reaches a NaN, a tail decays
             too slowly, or the level budget is exhausted first.
     """
-    if not (tol > 0.0):
-        raise ValueError("tol must be positive")
-
-    h = _BASE_STEP
-    (inf, zero, centre), counts = _march_level(f, 0, [])
-    total = centre + inf + zero
-    evaluations = 1 + sum(counts)
-    level_sum = h * total
-
-    prev = level_sum
-    for level in range(1, max_levels + 1):
-        prev = level_sum
-        h *= 0.5
-        (inf, zero), counts = _march_level(f, level, counts)
-        odd = inf + zero
-        evaluations += sum(counts)
-        level_sum = 0.5 * prev + h * odd
-
-        diff = abs(level_sum - prev)
-        floor = 5e-16 * abs(level_sum)
-        err = max(0.5 * diff, floor)
-        if diff <= tol * abs(level_sum) or diff <= floor:
-            return QuadratureResult(level_sum, err, evaluations)
-
-    raise NonConvergenceError(
-        f"integrate_semiinfinite: level budget exhausted "
-        f"(last change {abs(level_sum - prev):.3e}, tol {tol:g})"
-    )
-
+    (outcome,) = integrate_semiinfinite_batch(lambda x, which: f(x), [tol], max_levels)
+    if isinstance(outcome, ArithmeticError):
+        raise outcome
+    return outcome

@@ -25,10 +25,13 @@ calls.  A gap's fine brackets replace it in the one bracket list the scan
 refines, so no zero is found twice.
 
 The persistent cache is a plain text CSV with a checksummed header
-(64-bit FNV-1a over the header's version, tol and tmax fields and the
+(64-bit BLAKE2b over the header's version, tol and tmax fields and the
 data-line bytes, newline included), written atomically via
 write-temp-then-rename.  A cache of another version is a miss, so the run
-rescans and rewrites it.
+rescans and rewrites it.  A run that writes the cache formats each zero's
+row once, saves those rows and carries on with the zeros parsed back from
+them by the parser a cache read uses, so its outputs are those of a later
+run that reads the cache.
 """
 
 from __future__ import annotations
@@ -40,6 +43,10 @@ import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
+# hashlib.blake2b is _blake2.blake2b; importing hashlib would also load
+# OpenSSL, about 3.6 MB more in every process, for one 64-bit hash.
+from _blake2 import blake2b
+
 import numpy as np
 
 from .errors import BracketError, CacheCorruptionError
@@ -47,11 +54,7 @@ from .report import AuditReport, Verdict
 from .specfun import hardy_z, hardy_z_with_bound
 
 DEFAULT_SCAN_STEP = 0.25
-CACHE_VERSION = "v2"
-
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = (1 << 64) - 1
+CACHE_VERSION = "v3"
 
 
 class StepResolutionWarning(UserWarning):
@@ -350,18 +353,12 @@ def count_check(t_max: float, found: int) -> AuditReport:
 # --------------------------- persistent cache ---------------------------
 
 
-def fnv1a64(data: bytes) -> int:
-    acc = _FNV_OFFSET
-    for byte in data:
-        acc ^= byte
-        acc = (acc * _FNV_PRIME) & _MASK64
-    return acc
-
-
 def cache_checksum(head: str, data: bytes) -> int:
-    """The cache checksum: FNV-1a over the header up to its checksum field
-    (``# xi-zeros <version> tol=... tmax=...``), a newline, and the rows."""
-    return fnv1a64(f"{head}\n".encode("utf-8") + data)
+    """The cache checksum: 64-bit BLAKE2b over the header up to its checksum
+    field (``# xi-zeros <version> tol=... tmax=...``), a newline, and the rows."""
+    digest = blake2b(f"{head}\n".encode("utf-8"), digest_size=8)
+    digest.update(data)
+    return int.from_bytes(digest.digest(), "big")
 
 
 def format_rows(zeros: list[CriticalZero]) -> list[str]:
@@ -369,18 +366,38 @@ def format_rows(zeros: list[CriticalZero]) -> list[str]:
     return [f"{z.index},{z.gamma:.15g},{z.abs_err:.3e}" for z in zeros]
 
 
-def roundtrip_precision(zeros: list[CriticalZero]) -> list[CriticalZero]:
-    """Zeros as they come back from the cache format (15 significant digits).
+def parse_rows(lines: list[str], source: str) -> list[CriticalZero]:
+    """Zeros from `index,gamma,abs_err` rows, the first on line 2 of ``source``.
 
-    A run that writes the cache must keep working with these values, so its
-    outputs match byte-for-byte what a later cache-hitting run produces.
+    Gamma and abs_err come back as the doubles their 15 and 4 significant
+    digits name, so zeros parsed from ``format_rows`` are the zeros a
+    later run reads from the cache.
+
+    Raises:
+        CacheCorruptionError: for a row that does not parse, indices that
+            do not run 1, 2, ..., or a gamma that does not increase.
     """
-    out = []
-    for z in zeros:
-        gamma = float(f"{z.gamma:.15g}")
-        err = float(f"{z.abs_err:.3e}")
-        out.append(CriticalZero(z.index, gamma, (gamma - err, gamma + err), err))
-    return out
+    zeros: list[CriticalZero] = []
+    for lineno, line in enumerate(lines, start=2):
+        try:
+            idx_s, gamma_s, err_s = line.split(",")
+            gamma = float(gamma_s)
+            err = float(err_s)
+            zeros.append(CriticalZero(int(idx_s), gamma, (gamma - err, gamma + err), err))
+        except ValueError as exc:
+            raise CacheCorruptionError(
+                f"cache {source}: bad row at line {lineno}: {exc}"
+            ) from exc
+        if zeros[-1].index != lineno - 1:
+            raise CacheCorruptionError(
+                f"cache {source}: index {zeros[-1].index} at line {lineno}, "
+                f"expected {lineno - 1}"
+            )
+        if len(zeros) > 1 and not zeros[-1].gamma > zeros[-2].gamma:
+            raise CacheCorruptionError(
+                f"cache {source}: gamma does not increase at line {lineno}"
+            )
+    return zeros
 
 
 @dataclass
@@ -392,11 +409,16 @@ class ZeroCache:
     zeros: list[CriticalZero] = field(default_factory=list)
     version: str = CACHE_VERSION
 
-    def data_bytes(self) -> bytes:
-        return "".join(row + "\n" for row in format_rows(self.zeros)).encode("utf-8")
+    def data_bytes(self, rows: list[str] | None = None) -> bytes:
+        """The data lines: ``rows``, or ``format_rows`` of the zeros."""
+        if rows is None:
+            rows = format_rows(self.zeros)
+        return "".join(row + "\n" for row in rows).encode("utf-8")
 
-    def save(self, path: str) -> None:
-        data = self.data_bytes()
+    def save(self, path: str, rows: list[str] | None = None) -> None:
+        """Write the cache atomically; ``rows`` are the zeros' formatted
+        rows when the caller has them already."""
+        data = self.data_bytes(rows)
         head = f"# xi-zeros {self.version} tol={self.tol:g} tmax={self.t_max!r}"
         header = f"{head} checksum={cache_checksum(head, data):016x}\n"
         directory = os.path.dirname(os.path.abspath(path))
@@ -447,28 +469,7 @@ class ZeroCache:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CacheCorruptionError(f"cache {path}: rows are not UTF-8: {exc}") from exc
-        zeros = []
-        for lineno, line in enumerate(text.splitlines(), start=2):
-            try:
-                idx_s, gamma_s, err_s = line.split(",")
-                gamma = float(gamma_s)
-                err = float(err_s)
-                zeros.append(
-                    CriticalZero(int(idx_s), gamma, (gamma - err, gamma + err), err)
-                )
-            except ValueError as exc:
-                raise CacheCorruptionError(
-                    f"cache {path}: bad row at line {lineno}: {exc}"
-                ) from exc
-            if zeros[-1].index != lineno - 1:
-                raise CacheCorruptionError(
-                    f"cache {path}: index {zeros[-1].index} at line {lineno}, "
-                    f"expected {lineno - 1}"
-                )
-            if len(zeros) > 1 and not zeros[-1].gamma > zeros[-2].gamma:
-                raise CacheCorruptionError(
-                    f"cache {path}: gamma does not increase at line {lineno}"
-                )
+        zeros = parse_rows(text.splitlines(), path)
         return cls(t_max=t_max, tol=tol, zeros=zeros, version=version)
 
     def matches(self, t_max: float, tol: float) -> bool:

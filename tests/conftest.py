@@ -63,3 +63,112 @@ def zeros_for_products() -> list[CriticalZero]:
         t_max *= 1.1
         zeros = scan_zeros(t_max, 1e-8)
     return zeros
+
+
+def march_one(f, tol: float, max_levels: int = 10):
+    """One integrand's exp-sinh march, node by node (reference).
+
+    The one-integrand march as it was before the lockstep batch: each
+    level walks both sides outward from t = 0 with a Python loop over the
+    node contributions, asking f for a block of nodes at a time, sized as
+    the package sizes them.  Returns the ``QuadratureResult`` or raises
+    the ``DivergenceError`` or ``NonConvergenceError`` that ends the march.
+    """
+    import math
+
+    import numpy as np
+
+    from xispec.errors import DivergenceError, NonConvergenceError
+    from xispec.specfun import QuadratureResult
+    from xispec.specfun import quadrature as q
+
+    def march_level(level, blocks):
+        sides = []
+        for sign, block in zip((1.0, -1.0), blocks):
+            size = q._level_grid(level)[2]
+            sides.append({"sign": sign, "label": "infinity" if sign > 0 else "zero",
+                          "size": size, "block": max(1, min(block, size)), "used": 0,
+                          "total": 0.0, "peak": 0.0, "small": 0, "tail": [],
+                          "done": False, "error": None, "extra": 0})
+        centre = None
+        while not all(side["done"] for side in sides):
+            live = [side for side in sides if not side["done"]]
+            chunks = []
+            for side in live:
+                x, w = q._nodes(level, side["sign"], side["used"] + side["block"])
+                side["x"], side["w"] = x, w
+                chunks.append(x[side["used"]:side["used"] + side["block"]])
+            first = level == 0 and centre is None
+            nodes = np.concatenate(chunks + ([np.ones(1)] if first else []))
+            with np.errstate(all="ignore"):
+                values = np.asarray(f(nodes))
+            if first:
+                centre = q._HALF_PI * values[-1].item()
+            offset = 0
+            for side, chunk in zip(live, chunks):
+                vals = values[offset:offset + len(chunk)]
+                offset += len(chunk)
+                for term in (side["w"][side["used"]:side["used"] + len(vals)] * vals).tolist():
+                    mag = abs(term)
+                    if not math.isfinite(mag) or mag > q._BLOWUP:
+                        side["done"] = True
+                        at = float(side["x"][side["used"]])
+                        side["error"] = (
+                            NonConvergenceError(
+                                f"integrand has no value toward {side['label']} at x={at:.3e}")
+                            if math.isnan(mag) else DivergenceError(
+                                f"integrand not integrable toward {side['label']} "
+                                f"(contribution ~{mag:.3e} at x={at:.3e})"))
+                        break
+                    side["used"] += 1
+                    side["total"] += term
+                    side["peak"] = max(side["peak"], mag)
+                    side["tail"].append(mag)
+                    if side["peak"] > 0.0 and mag <= q._TAIL_CUTOFF * side["peak"]:
+                        side["small"] += 1
+                        if side["small"] >= 2:
+                            side["done"] = True
+                            break
+                    else:
+                        side["small"] = 0
+                else:
+                    if side["used"] == side["size"]:
+                        side["done"] = True
+                        last, peak, tail = side["tail"][-1], side["peak"], side["tail"]
+                        if peak > 0.0 and last > 1e-8 * peak:
+                            growing = len(tail) >= 3 and tail[-1] >= tail[-2] >= tail[-3]
+                            side["error"] = (
+                                DivergenceError(
+                                    f"integrand not integrable toward {side['label']} "
+                                    f"(contributions still ~{last / peak:.1e} of peak at "
+                                    f"the parameter cap)")
+                                if growing or last > 1e-2 * peak else NonConvergenceError(
+                                    f"integrand tail toward {side['label']} decays too "
+                                    f"slowly for the double-exponential parameter range"))
+                    else:
+                        side["extra"] = max(2 - side["small"], 2 * side["extra"])
+                        side["block"] = min(side["extra"], side["size"] - side["used"])
+        for side in sides:
+            if side["error"] is not None:
+                raise side["error"]
+        return sides[0]["total"], sides[1]["total"], centre, [s["used"] for s in sides]
+
+    h = q._BASE_STEP
+    inf, zero, centre, counts = march_level(0, [q._FIRST_BLOCK, q._FIRST_BLOCK])
+    level_sum = h * (centre + inf + zero)
+    evaluations = 1 + sum(counts)
+    prev = level_sum
+    for level in range(1, max_levels + 1):
+        prev = level_sum
+        h *= 0.5
+        inf, zero, _, counts = march_level(
+            level, counts if level == 1 else [2 * n - 2 for n in counts])
+        evaluations += sum(counts)
+        level_sum = 0.5 * prev + h * (inf + zero)
+        diff = abs(level_sum - prev)
+        floor = 5e-16 * abs(level_sum)
+        if diff <= tol * abs(level_sum) or diff <= floor:
+            return QuadratureResult(level_sum, max(0.5 * diff, floor), evaluations)
+    raise NonConvergenceError(
+        f"integrate_semiinfinite: level budget exhausted "
+        f"(last change {abs(level_sum - prev):.3e}, tol {tol:g})")

@@ -458,3 +458,59 @@ def test_estimate_bounds_the_true_error(order, xs):
     assert finite.sum() >= 20
     for x, value, err in zip(xs[finite], values[finite], rel[finite]):
         assert _true_rel_err(order, x, value) <= err
+
+
+MIXED_ORDERS = [
+    BesselOrder.imaginary_order(mu)
+    for mu in (0.5, 2.0, 14.134725141734695, 21.022039638771555, 30.0, 0.0)
+] + [BesselOrder.real_order(nu) for nu in (0.0, 0.3, 0.9, 2.0, 30.0)]
+
+
+@pytest.mark.parametrize(
+    "orders",
+    [MIXED_ORDERS[:6], MIXED_ORDERS[6:], MIXED_ORDERS],
+    ids=["imaginary", "real", "both"],
+)
+def test_call_with_an_order_per_point_matches_the_one_x_loops(orders):
+    # Shuffled x at shuffled orders in one call: the series rows share
+    # their blocks across orders, each with its own coefficients, and the
+    # trapezoid rows share row blocks and levels, each with its own weight;
+    # every point must still be bit for bit its one-x loop at its own
+    # order, NaN and inf marks included (x = 1e-30 overflows at real
+    # order 30, x = 800 is past the cut; at x = 1e-320, where the real
+    # order's range leaves double range and the loops do not apply, the
+    # reference is the one-point call).
+    rng = np.random.default_rng(14)
+    xs = np.concatenate([np.geomspace(1e-12, 700.0, 300), [1e-30, 1e-320, 800.0]])
+    xs = rng.permutation(np.repeat(xs, 2))
+    which = rng.integers(0, len(orders), len(xs))
+    values, rel = bessel_k_values(orders, xs, which)
+    marks = set()
+    for x, k, value, err in zip(xs.tolist(), which.tolist(), values.tolist(), rel.tolist()):
+        if x == 1e-320:
+            expected = tuple(a[0] for a in bessel_k_values(orders[k], np.array([x])))
+        else:
+            expected = _k_by_terms(orders[k], x)
+        assert np.array_equal((value, err), expected, equal_nan=True), (orders[k], x)
+        marks.add("nan" if math.isnan(value) else "inf" if value == math.inf else "")
+    if orders[-1].magnitude == 30.0:
+        assert {"nan", "inf"} <= marks
+
+
+def test_order_per_point_broadcasts_one_order():
+    xs = np.geomspace(0.01, 50.0, 40)
+    order = BesselOrder.imaginary_order(8.0)
+    alone = bessel_k_values(order, xs)
+    batch = bessel_k_values([order], xs, np.zeros(len(xs), dtype=int))
+    assert np.array_equal(alone, batch)
+    with pytest.raises(ValueError, match="one order per x"):
+        bessel_k_values([order], xs, [0])
+
+
+def test_order_per_point_beyond_sinh_range_names_the_first():
+    # pi mu > 700 raises only for an order that has an x at or below 745.
+    orders = [BesselOrder.imaginary_order(m) for m in (1.0, 300.0, 250.0)]
+    values, _ = bessel_k_values(orders, np.array([1.0, 800.0]), [0, 1])
+    assert values[1] == 0.0
+    with pytest.raises(AccuracyError, match="order 300 "):
+        bessel_k_values(orders, np.array([1.0, 2.0, 3.0]), [2, 1, 0])

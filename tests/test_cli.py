@@ -15,7 +15,7 @@ from xispec.config import RunConfig, parse_config_file
 from xispec.errors import NonConvergenceError
 from xispec.report import get_report_schema
 from xispec.specfun import xi_critical
-from xispec.zeros import cache_checksum, fnv1a64
+from xispec.zeros import CACHE_VERSION, cache_checksum
 
 
 @pytest.fixture(autouse=True)
@@ -113,13 +113,14 @@ def test_cache_header_edit_exit_code(capsys, edit, args):
 def test_cache_of_another_version_is_rescanned(capsys):
     assert run(["zeros", "--t-max", "30", "--cache", "zeros.csv"]) == 0
     first = capsys.readouterr().out
-    v2 = Path("zeros.csv").read_bytes()
-    header, data = v2.decode().split("\n", 1)
-    old = header.split(" checksum=")[0].replace(" v2 ", " v1 ")
-    Path("zeros.csv").write_text(f"{old} checksum={fnv1a64(data.encode()):016x}\n{data}")
+    current = Path("zeros.csv").read_bytes()
+    header, data = current.decode().split("\n", 1)
+    old = header.split(" checksum=")[0].replace(f" {CACHE_VERSION} ", " v1 ")
+    assert " v1 " in old
+    Path("zeros.csv").write_text(f"{old} checksum={cache_checksum(old, data.encode()):016x}\n{data}")
     assert run(["zeros", "--t-max", "30", "--cache", "zeros.csv"]) == 0
     assert capsys.readouterr().out == first
-    assert Path("zeros.csv").read_bytes() == v2
+    assert Path("zeros.csv").read_bytes() == current
 
 
 def test_cache_rows_out_of_order_exit_code(capsys):
@@ -165,6 +166,22 @@ def test_audit_coincidence_perturbed_fails(capsys):
     payload = json.loads(Path("reports/audit_coincidence.json").read_text())
     assert payload["verdict"] == "DISTINCT"
     assert payload["params"]["perturb"] == 0.01
+
+
+@pytest.mark.parametrize("perturb", ["1e5", "1e300"])
+def test_audit_coincidence_far_probe_fails(capsys, perturb):
+    # A probe so far off that the 800-factor product overflows is DISTINCT
+    # (exit 1), not INCONCLUSIVE with a NaN residual and numpy warnings,
+    # and not an OverflowError traceback.
+    args = ["audit", "coincidence", "--t-max", "30", "--n-zeros", "800",
+            f"--perturb={perturb}", "--out", "reports"]
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("zero-coincidence: DISTINCT [residual inf")
+    payload = json.loads(Path("reports/audit_coincidence.json").read_text())
+    assert payload["verdict"] == "DISTINCT"
+    assert payload["measured"][0] == "inf"
 
 
 def test_audit_coincidence_probes_only_kept_factors():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath as mp
 import numpy as np
@@ -18,11 +19,11 @@ from xispec.coupling import (
     s_from_lambda,
 )
 import xispec.coupling as coupling
-import xispec.specfun.quadrature as quadrature
-from conftest import KNOWN_ZEROS_10
-from xispec.errors import DivergenceError, PoleError
+from conftest import KNOWN_ZEROS_10, march_one
+from xispec.errors import DivergenceError, NonConvergenceError, PoleError
 from xispec.report import Verdict
 from xispec.specfun import BesselOrder, OrderKind, QuadratureResult
+from xispec.zeros import CriticalZero
 
 
 def test_map_values():
@@ -222,25 +223,144 @@ def test_quadrature_node_counts(mu, evaluations):
 
 @pytest.mark.parametrize("mu", [KNOWN_ZEROS_10[0], KNOWN_ZEROS_10[1], 1.0])
 def test_norm_integrand_calls_k_per_block(monkeypatch, mu):
-    # At most three array K calls per quadrature level: a return to one
-    # call per node would make hundreds.
-    k_calls, levels = [], []
+    # At most one array K call per round of the quadrature march (none
+    # when a round's nodes all lie past the cutoff), and one more for the
+    # noise-feasible probes when the fallback runs: a return to one call
+    # per node would make hundreds.
+    k_calls, rounds = [], []
     bessel_k_values = coupling.bessel_k_values
-    march_level = quadrature._march_level
+    batch = coupling.integrate_semiinfinite_batch
 
-    def counted_k(order, x):
-        k_calls.append(len(x))
-        return bessel_k_values(order, x)
+    def counted_k(*args):
+        k_calls.append(len(args[1]))
+        return bessel_k_values(*args)
 
-    def counted_level(*args, **kwargs):
-        levels.append(args[1])
-        return march_level(*args, **kwargs)
+    def counted_batch(f, *args):
+        return batch(lambda x, which: rounds.append(len(x)) or f(x, which), *args)
 
     monkeypatch.setattr(coupling, "bessel_k_values", counted_k)
-    monkeypatch.setattr(quadrature, "_march_level", counted_level)
+    monkeypatch.setattr(coupling, "integrate_semiinfinite_batch", counted_batch)
     norm_integral_quadrature(BesselOrder.imaginary_order(mu), tol=1e-9)
-    assert levels
-    assert len(k_calls) <= 3 * len(levels)
+    assert rounds
+    assert len(k_calls) <= len(rounds) + 1
+
+
+def _norm_integral_alone(order, tol):
+    """One order's norm integral, as before the lockstep (reference).
+
+    The node-by-node march of that order's integrand alone, one-order K
+    calls, and the noise-feasible fallback.
+    """
+    if order.kind is OrderKind.IMAGINARY:
+        cutoff = 0.5 * math.pi * order.magnitude + 80.0
+    else:
+        cutoff = 400.0
+
+    def f(r):
+        out = np.zeros(len(r))
+        inside = r <= cutoff
+        if inside.any():
+            value, _ = coupling.bessel_k_values(order, r[inside])
+            out[inside] = r[inside] * value * value
+        return out
+
+    try:
+        return march_one(f, tol)
+    except NonConvergenceError:
+        probes = np.array([0.5, 1.0, 2.0, 5.0, 10.0, 15.0, 20.0, 30.0, 50.0])
+        _, rel = coupling.bessel_k_values(
+            order, probes[probes <= max(10.0, 3.0 * order.magnitude)])
+        feasible = max(3.0 * float(rel.max()), tol)
+        if feasible <= tol:
+            raise
+        result = march_one(f, min(feasible, 0.5))
+        return QuadratureResult(
+            result.value, max(result.err_estimate, feasible * abs(result.value)),
+            result.evaluations)
+
+
+def _bits(result):
+    return (result.value, result.err_estimate, result.evaluations)
+
+
+def _seed_5_ordinates():
+    """Zeta zeros 1 and 2 and the 28 points perfbench's coupling-orders
+    workload draws at seed 5, one per stratum of [0.5, 20.5]."""
+    rng = random.Random("coupling-orders:5")
+    width = 20.0 / 28
+    return [14.134725141734695, 21.022039638771556] + [
+        rng.uniform(0.5 + k * width, 0.5 + (k + 1) * width) for k in range(28)]
+
+
+def _critical(ordinates):
+    return [CriticalZero(n, g, (g - 1e-12 * g, g + 1e-12 * g), 1e-12 * g)
+            for n, g in enumerate(ordinates, start=1)]
+
+
+def test_spectrum_matches_each_order_alone():
+    # Shuffled orders that converge at different levels (mu = 1 early,
+    # zeta zero 2 at its last level) and zeta zero 3, which takes the
+    # noise-feasible fallback: in one lockstep batch each record has the
+    # bits of its order's march alone.
+    ordinates = _seed_5_ordinates()[::3] + [1.0, KNOWN_ZEROS_10[1], KNOWN_ZEROS_10[2]]
+    ordinates = [ordinates[i] for i in np.random.default_rng(5).permutation(len(ordinates))]
+    records = coupling_spectrum(_critical(ordinates), check_finiteness=True, tol=1e-9)
+    for g, record in zip(ordinates, records):
+        alone = _norm_integral_alone(BesselOrder.imaginary_order(g), 1e-9)
+        assert _bits(record.norm_integral) == _bits(alone), g
+    fallback = records[ordinates.index(KNOWN_ZEROS_10[2])]
+    assert not fallback.norm_converged
+    assert fallback.norm_integral.err_estimate > 1e-6 * fallback.norm_integral.value
+
+
+def test_eq5_batch_matches_each_order_alone():
+    # A divergent real order (nu >= 1) inside the batch is its own
+    # failure; every other entry keeps the bits of its order alone.
+    orders = [BesselOrder.real_order(0.5), BesselOrder.real_order(1.5),
+              BesselOrder.imaginary_order(1.0), BesselOrder.real_order(0.9),
+              BesselOrder.imaginary_order(KNOWN_ZEROS_10[2]), BesselOrder.real_order(1.0)]
+    audits, _ = audit_eq5(orders)
+    for order, audit in zip(orders, audits):
+        try:
+            alone = _norm_integral_alone(order, 1e-9)
+        except DivergenceError as exc:
+            assert audit.error == f"DivergenceError: {exc}"
+            assert audit.quadrature_value is None
+        else:
+            assert (audit.quadrature_value, audit.quadrature_err) == _bits(alone)[:2]
+    assert [a.ok for a in audits] == [True, False, True, True, False, False]
+
+
+def _count_k_calls(monkeypatch):
+    calls = []
+    bessel_k_values = coupling.bessel_k_values
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return bessel_k_values(*args)
+
+    monkeypatch.setattr(coupling, "bessel_k_values", counted)
+    return calls
+
+
+def test_spectrum_makes_one_k_call_per_round(monkeypatch):
+    # 30 orders that each make 4-12 K calls alone, 220 in all: one call per
+    # lockstep round instead.
+    calls = _count_k_calls(monkeypatch)
+    records = coupling_spectrum(_critical(_seed_5_ordinates()), check_finiteness=True)
+    assert all(r.norm_converged for r in records)
+    assert len(calls) <= 15
+
+
+def test_eq5_makes_one_k_call_per_round(monkeypatch):
+    # Both kinds of order share each round's K call (65 calls one order at
+    # a time).
+    from xispec.cli import EQ5_ORDERS
+
+    calls = _count_k_calls(monkeypatch)
+    audits, _ = audit_eq5(list(EQ5_ORDERS))
+    assert all(a.ok for a in audits)
+    assert len(calls) <= 20
 
 
 def test_norm_converged_needs_the_tolerance():

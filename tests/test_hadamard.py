@@ -1,7 +1,9 @@
 import cmath
+import json
 import math
 import random
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from conftest import KNOWN_ZEROS_10
 from xispec.errors import DomainError, SingularFitError
 from xispec.hadamard import (
     ProductSpec,
+    _poly_products,
     audit_coincidence,
     correction_sum,
     fit_prefactor,
@@ -257,6 +260,38 @@ def test_coincidence_perturbed_probe(zeros_for_products):
     assert report.verdict is Verdict.DISTINCT
     threshold = report.tolerance
     assert report.measured[0] > 10.0 * threshold
+
+
+@pytest.mark.parametrize("perturb", [1e5, 1e300])
+def test_coincidence_far_probe_is_distinct(zeros_for_products, perturb):
+    # Far from every ordinate the 800-factor product passes double range:
+    # it counts as magnitude inf (np.prod alone gave NaN, and |s|^2 at
+    # 1e300 raised OverflowError), with no warning, and the report still
+    # writes as strict JSON.
+    spec = ProductSpec(zero_ordinates=tuple(z.gamma for z in zeros_for_products))
+    probes = list(spec.zero_ordinates[:5])
+    probes[0] += perturb
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = audit_coincidence(spec, probes, 800)
+        payload = json.loads(report.to_json())
+    assert report.verdict is Verdict.DISTINCT
+    assert report.measured == [math.inf, 0.0, 0.0, 0.0, 0.0]
+    assert payload["ratio_or_residual"] == "inf"
+    assert (payload["params"]["tail_bound"] == "inf") == (perturb == 1e300)
+
+
+def test_overflowing_product_keeps_its_size():
+    # 200 factors of -100 (1e400) and of about -1e296: past double range,
+    # the products come back infinite, not NaN; a product in range (200
+    # factors of 2) is the plain product.
+    lam = -np.full(200, 1e4)
+    u = np.array([1e4, -1e6 - 1e4, 1e300 + 0j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        products = _poly_products(u, lam)
+    assert products[0] == 2.0**200
+    assert [abs(p) for p in products[1:]] == [math.inf, math.inf]
 
 
 def test_coincidence_vacuous():

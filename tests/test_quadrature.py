@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import march_one
 from xispec.errors import DivergenceError, NonConvergenceError
-from xispec.specfun import integrate_semiinfinite
+from xispec.specfun import integrate_semiinfinite, integrate_semiinfinite_batch
 
 
 def test_exponential():
@@ -105,3 +106,89 @@ def test_integrand_sees_arrays_in_blocks():
     result = integrate_semiinfinite(f, 1e-12)
     assert sum(calls) >= result.evaluations
     assert len(calls) < result.evaluations / 10
+
+
+# Integrands that end their marches at different levels and in each way a
+# march can end: converged, NaN reached, blow-up, a tail still alive at the
+# parameter cap.
+BATCH_INTEGRANDS = [
+    lambda x: np.exp(-x),
+    lambda x: x * np.exp(-x * x),
+    lambda x: np.where(x < 700.0, np.exp(-x) / np.sqrt(x), 0.0),
+    lambda x: x * np.exp(-x) / (1.0 + x),
+    lambda x: np.where(x < 2.0, np.nan, np.exp(-x)),
+    lambda x: np.where(x < 1e150, 1.0 / (x * x), 0.0),
+    lambda x: np.ones_like(x),
+    lambda x: np.where(x > 1e-200, np.exp(-x) / x, 1e200),
+    lambda x: 1.0 / (1.0 + x) ** 1.5,
+    lambda x: np.where(x < 400.0, (math.pi / 2.0) * np.exp(-2.0 * x), 0.0),
+]
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (DivergenceError, NonConvergenceError) as exc:
+        return exc
+
+
+def _same(batch, alone):
+    if isinstance(alone, Exception):
+        return type(batch) is type(alone) and str(batch) == str(alone)
+    return (batch.value, batch.err_estimate, batch.evaluations) == (
+        alone.value, alone.err_estimate, alone.evaluations)
+
+
+@pytest.mark.parametrize("max_levels", [10, 2, 0])
+def test_batch_matches_the_one_integrand_march(max_levels):
+    # Shuffled integrands at mixed tolerances: each entry is bit for bit
+    # what the node-by-node march of that integrand alone gives (value,
+    # estimate and node count), or the same error, whatever shares the
+    # batch.
+    rng = np.random.default_rng(14)
+    order = rng.permutation(2 * len(BATCH_INTEGRANDS)) % len(BATCH_INTEGRANDS)
+    tols = [1e-6 if k % 3 else 1e-13 for k in range(len(order))]
+    fs = [BATCH_INTEGRANDS[k] for k in order]
+
+    def f(x, which):
+        out = np.empty(len(x))
+        for k, g in enumerate(fs):
+            mine = which == k
+            out[mine] = g(x[mine])
+        return out
+
+    results = integrate_semiinfinite_batch(f, tols, max_levels)
+    kinds = set()
+    for g, tol, result in zip(fs, tols, results):
+        alone = _outcome(lambda: march_one(g, tol, max_levels))
+        assert _same(result, alone), (result, alone)
+        kinds.add(type(alone).__name__)
+    if max_levels:
+        assert kinds == {"QuadratureResult", "DivergenceError", "NonConvergenceError"}
+
+
+def test_batch_calls_f_once_per_round():
+    # A round asks for the next blocks of every integrand still running,
+    # so the batch makes as many calls as the longest march alone.
+    alone = []
+    for g in BATCH_INTEGRANDS:
+        calls = []
+        _outcome(lambda: integrate_semiinfinite(lambda x: calls.append(1) or g(x), 1e-12))
+        alone.append(len(calls))
+    calls = []
+
+    def f(x, which):
+        calls.append(1)
+        out = np.empty(len(x))
+        for k, g in enumerate(BATCH_INTEGRANDS):
+            out[which == k] = g(x[which == k])
+        return out
+
+    integrate_semiinfinite_batch(f, [1e-12] * len(BATCH_INTEGRANDS))
+    assert len(calls) == max(alone) < sum(alone) / 3
+
+
+def test_batch_rejects_a_bad_tolerance():
+    with pytest.raises(ValueError):
+        integrate_semiinfinite_batch(lambda x, which: np.exp(-x), [1e-9, 0.0])
+    assert integrate_semiinfinite_batch(lambda x, which: np.exp(-x), []) == []

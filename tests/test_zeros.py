@@ -19,7 +19,8 @@ from xispec.zeros import (
     _grid,
     cache_checksum,
     count_check,
-    fnv1a64,
+    format_rows,
+    parse_rows,
     refine_brackets,
     refine_zero,
     scan_zeros,
@@ -435,11 +436,20 @@ def test_coarse_tolerance_keeps_every_zero(tol):
 # ------------------------------- cache -------------------------------
 
 
-def test_fnv1a64_reference_values():
-    # Published reference vectors for 64-bit FNV-1a.
-    assert fnv1a64(b"") == 0xCBF29CE484222325
-    assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
-    assert fnv1a64(b"foobar") == 0x85944171F73967E8
+def test_cache_checksum_frozen(tmp_path):
+    # A fixed three-zero cache: its header, checksum included, is frozen.
+    # The checksum is 64-bit BLAKE2b over the header before its checksum
+    # field, a newline and the rows.
+    zeros = [CriticalZero(n, g, (g - 5e-9, g + 5e-9), 5e-9)
+             for n, g in enumerate(KNOWN_ZEROS_10[:3], start=1)]
+    path = tmp_path / "zeros.csv"
+    ZeroCache(t_max=30.0, tol=1e-8, zeros=zeros).save(str(path))
+    assert path.read_text() == (
+        "# xi-zeros v3 tol=1e-08 tmax=30.0 checksum=f1f6125d74b20291\n"
+        "1,14.1347251417347,5.000e-09\n"
+        "2,21.0220396387716,5.000e-09\n"
+        "3,25.0108575801457,5.000e-09\n"
+    )
 
 
 def test_cache_roundtrip(tmp_path, zeros_to_100):
@@ -447,7 +457,7 @@ def test_cache_roundtrip(tmp_path, zeros_to_100):
     cache = ZeroCache(t_max=100.0, tol=1e-8, zeros=zeros_to_100)
     cache.save(path)
     loaded = ZeroCache.load(path)
-    assert loaded.version == "v2"
+    assert loaded.version == "v3"
     assert loaded.t_max == 100.0
     assert loaded.tol == 1e-8
     assert len(loaded.zeros) == len(zeros_to_100)
@@ -501,17 +511,26 @@ def test_cache_checksum_covers_the_header(tmp_path, zeros_to_100, edit):
 
 
 def test_cache_of_another_version_is_a_miss(tmp_path, zeros_to_100):
-    # A v1 cache, checksummed over its rows only, is not corrupt: it is
-    # never reused, whatever its header says.
+    # A cache of an older version (v1 checksummed its rows only, v2 used
+    # FNV-1a) is not corrupt: it is never reused, whatever its header says.
     path = tmp_path / "zeros.csv"
     cache = ZeroCache(t_max=100.0, tol=1e-8, zeros=zeros_to_100)
     data = cache.data_bytes()
-    path.write_bytes(
-        f"# xi-zeros v1 tol=1e-08 tmax=100.0 checksum={fnv1a64(data):016x}\n".encode() + data
-    )
+    head = "# xi-zeros v1 tol=1e-08 tmax=100.0"
+    path.write_bytes(f"{head} checksum={cache_checksum(head, data):016x}\n".encode() + data)
     loaded = ZeroCache.load(str(path))
     assert loaded.version == "v1" and loaded.zeros == []
     assert not loaded.matches(50.0, 1e-8)
+
+
+def test_rows_parse_to_the_zeros_a_cache_read_gives(tmp_path, zeros_to_100):
+    # A run that writes the cache formats the rows once, saves them and
+    # goes on with the zeros parsed from them: those a later read gives.
+    rows = format_rows(zeros_to_100)
+    path = str(tmp_path / "zeros.csv")
+    ZeroCache(t_max=100.0, tol=1e-8, zeros=zeros_to_100).save(path, rows)
+    assert Path(path).read_text().splitlines()[1:] == rows
+    assert parse_rows(rows, path) == ZeroCache.load(path).zeros
 
 
 def test_cache_keeps_full_tmax(tmp_path, zeros_to_100):
