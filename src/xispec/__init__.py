@@ -1,11 +1,16 @@
 """xispec: critical-line zeros of the completed xi function and numerical
 audits of the inverse-square coupling-spectrum identification.
 
-Library surface: the special-function layer (`xispec.specfun`), the zero
-finder (`xispec.zeros`), the coupling map and norm-integral audits
+Modules: the special-function layer (`xispec.specfun`), the zero finder
+(`xispec.zeros`), the coupling map and norm-integral audits
 (`xispec.coupling`), the paired Hadamard product (`xispec.hadamard`), the
 growth auditor (`xispec.carlson`), and the report types
 (`xispec.report`).  The command-line front end lives in `xispec.cli`.
+
+The library surface is ``__all__`` here and in `xispec.specfun`: names
+that a command, the benchmark or an acceptance check calls.  Each function
+has one mode; there is no precision or oracle switch, since the tests
+check against mpmath.  tests/test_surface.py pins both lists.
 """
 
 from .coupling import (

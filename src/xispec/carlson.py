@@ -36,6 +36,8 @@ UNDERFLOW_GUARD = 1e-300
 
 DEFAULT_BETA_MARGIN = 0.05
 GROWTH_RADIUS_CAP = 30.0
+#: |f| at or below this counts as vanishing at an integer sample.
+VANISH_TOL = 1e-9
 
 
 class Axis(enum.Enum):
@@ -62,10 +64,6 @@ class GrowthEstimate:
 
     alpha: GrowthComponent
     beta: GrowthComponent
-
-    @property
-    def fit_residual(self) -> float:
-        return max(self.alpha.residual, self.beta.residual)
 
 
 @dataclass(frozen=True)
@@ -100,22 +98,19 @@ class CarlsonVerdict:
 
 
 def estimate_type(
-    f: Callable[[complex], complex],
-    axis: Axis,
-    radius: float,
-    points: int = TYPE_GRID_POINTS,
+    f: Callable[[complex], complex], axis: Axis, radius: float
 ) -> GrowthComponent:
     """Least-squares slope of log|f| against |coordinate| along one axis.
 
-    Samples sit on a geometric grid spanning [radius/TYPE_GRID_SPAN, radius];
-    samples with |f| below the underflow guard are skipped.  With fewer
-    than two usable samples the type is undefined and reported as 0 with
-    the ``all_near_zero`` flag set.
+    TYPE_GRID_POINTS samples sit on a geometric grid spanning
+    [radius/TYPE_GRID_SPAN, radius]; samples with |f| below the underflow
+    guard are skipped.  With fewer than two usable samples the type is
+    undefined and reported as 0 with the ``all_near_zero`` flag set.
     """
     if not (radius > 0.0):
         raise ValueError("radius must be positive")
-    ratio = (1.0 / TYPE_GRID_SPAN) ** (1.0 / (points - 1))
-    radii = radius * ratio ** np.arange(points - 1, -1, -1, dtype=np.float64)
+    ratio = (1.0 / TYPE_GRID_SPAN) ** (1.0 / (TYPE_GRID_POINTS - 1))
+    radii = radius * ratio ** np.arange(TYPE_GRID_POINTS - 1, -1, -1, dtype=np.float64)
     rs, ys = [], []
     for r in radii:
         z = complex(r, 0.0) if axis is Axis.REAL else complex(0.0, r)
@@ -175,10 +170,11 @@ def carlson_verdict(
     count: int,
     radius: float,
     margin: float = DEFAULT_BETA_MARGIN,
-    tol: float = 1e-9,
     scale: float = 1.0,
 ) -> CarlsonVerdict:
     """Combine both growth estimates with the integer-vanishing sweep.
+
+    The function vanishes at an integer sample when |f| <= VANISH_TOL there.
 
     IDENTICALLY_ZERO_IMPLIED requires all three condition flags; with no
     integer samples (count = 0) the vanishing hypothesis is untested and
@@ -206,7 +202,7 @@ def carlson_verdict(
             vanish_check=None,
             conclusion=Conclusion.INCONCLUSIVE,
         )
-    vanish = check_integer_vanishing(f, count, tol, scale)
+    vanish = check_integer_vanishing(f, count, VANISH_TOL, scale)
     if alpha_finite and beta_below_pi and vanish.vanishes:
         conclusion = Conclusion.IDENTICALLY_ZERO_IMPLIED
     else:
@@ -269,32 +265,27 @@ class DifferenceAudit:
 
 def audit_difference(
     count: int,
-    s_max: float,
+    fit: PrefactorFit,
     scale: float = 1.0,
-    radius: float = GROWTH_RADIUS_CAP,
-    margin: float = DEFAULT_BETA_MARGIN,
-    vanish_tol: float = 1e-9,
     target: Callable[[complex], complex] | None = None,
 ) -> DifferenceAudit:
     """Audit d(u) = e^{a + b u + pi u} - target(u) on the scaled integer grid.
 
-    The constants come from the log-linear fit: a = B + D and b = D - pi,
-    which makes the model the fitted C e^{A(u+1)}.  The report records the
-    residuals and the growth verdict; it does not assert any conclusion.
+    The constants come from ``fit``, the log-linear fit of the same target
+    (``audit_eq9``): a = B + D and b = D - pi, which makes the model the
+    fitted C e^{A(u+1)}.  The growth radius is GROWTH_RADIUS_CAP.  The
+    report records the residuals and the growth verdict; it does not assert
+    any conclusion.
     """
-    radius = min(radius, GROWTH_RADIUS_CAP)
     if target is None:
         target = xi
-    fit = audit_eq9(s_max, max(2 * int(s_max) + 31, 21), target=target)
     a = fit.B + fit.D
     b = fit.D - math.pi
 
     def difference(z: complex) -> complex:
         return _model_exp(a, b, z) - complex(target(z))
 
-    verdict = carlson_verdict(
-        difference, count, radius, margin=margin, tol=vanish_tol, scale=scale
-    )
+    verdict = carlson_verdict(difference, count, GROWTH_RADIUS_CAP, scale=scale)
     return DifferenceAudit(
         eq9_fit=fit,
         a=a,

@@ -29,7 +29,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from .carlson import Conclusion, audit_difference, audit_eq9
+from .carlson import VANISH_TOL, Conclusion, audit_difference, audit_eq9
 from .config import OPTION_TYPES, ConfigError, RunConfig, build_config, parse_option
 from .coupling import CLAIMED_NORM_COEFF, STANDARD_NORM_COEFF, audit_eq5
 from .errors import (
@@ -40,7 +40,7 @@ from .errors import (
     RealnessError,
     XispecError,
 )
-from .hadamard import ProductSpec, audit_coincidence, fitted_misfit
+from .hadamard import PrefactorFit, ProductSpec, audit_coincidence, fitted_misfit
 from .report import (
     AuditReport,
     Verdict,
@@ -69,6 +69,7 @@ HADAMARD_MISFIT_TOL = 2e-2
 COINCIDENCE_PROBES = 5
 CARLSON_INTEGER_COUNT = 10
 CARLSON_FIT_SMAX = 10.0
+CARLSON_FIT_SAMPLES = 51
 
 #: Orders of the eq5 ratio audit and its plot: real 0.1..0.9, then
 #: imaginary 0.5, 1, 2.
@@ -145,9 +146,10 @@ def _product_zero_count(cfg: RunConfig) -> int:
 
 
 class _Run:
-    """One command: its configuration and the zeros its product audits share.
+    """One command: its configuration, the zeros its product audits share and
+    the eq9 fit its eq9 and Carlson audits share.
 
-    The zeros are gathered on first use, so audits that need none run (and
+    Both are computed on first use, so audits that need no zeros run (and
     write their reports) before a scan or a cache read can fail.
     """
 
@@ -157,6 +159,10 @@ class _Run:
     @functools.cached_property
     def zeros(self) -> list[CriticalZero]:
         return _gather_zeros(self.cfg, need_count=_product_zero_count(self.cfg))
+
+    @functools.cached_property
+    def eq9_fit(self) -> PrefactorFit:
+        return audit_eq9(CARLSON_FIT_SMAX, CARLSON_FIT_SAMPLES)
 
 
 # ------------------------------- audits -------------------------------
@@ -177,12 +183,12 @@ def _run_eq5(run: _Run) -> tuple[AuditReport, list[str]]:
 
 
 def _run_eq9(run: _Run) -> tuple[AuditReport, list[str]]:
-    fit = audit_eq9(CARLSON_FIT_SMAX, 51)
+    fit = run.eq9_fit
     report = AuditReport(
         name="log-linear-exponential-fit",
         params={
             "s_max": CARLSON_FIT_SMAX,
-            "samples": 51,
+            "samples": CARLSON_FIT_SAMPLES,
             "log_C": fit.B,
             "A": fit.D,
             "note": "residual is the finding; no pass/fail applies",
@@ -278,9 +284,7 @@ def _run_coincidence(run: _Run) -> tuple[AuditReport, list[str]]:
 
 def _run_carlson(run: _Run) -> tuple[AuditReport, list[str]]:
     cfg = run.cfg
-    audit = audit_difference(
-        CARLSON_INTEGER_COUNT, CARLSON_FIT_SMAX, scale=float(cfg.m)
-    )
+    audit = audit_difference(CARLSON_INTEGER_COUNT, run.eq9_fit, scale=float(cfg.m))
     verdict_map = {
         Conclusion.IDENTICALLY_ZERO_IMPLIED: Verdict.PASS,
         Conclusion.CONDITIONS_NOT_MET: Verdict.INCONCLUSIVE,
@@ -304,9 +308,9 @@ def _run_carlson(run: _Run) -> tuple[AuditReport, list[str]]:
             "b": audit.b,
         },
         measured=list(audit.residuals),
-        reference=[1e-9],
+        reference=[VANISH_TOL],
         ratio_or_residual=max(audit.residuals) if audit.residuals else 0.0,
-        tolerance=1e-9,
+        tolerance=VANISH_TOL,
         verdict=verdict_map[cv.conclusion],
         provenance="carlson",
     )
@@ -462,7 +466,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         )
     elif args.target == "residuals":
         audit = audit_difference(
-            CARLSON_INTEGER_COUNT, CARLSON_FIT_SMAX, scale=float(cfg.m)
+            CARLSON_INTEGER_COUNT, _Run(cfg).eq9_fit, scale=float(cfg.m)
         )
         svg = render_line_plot(
             [float(cfg.m * (k + 1)) for k in range(len(audit.residuals))],

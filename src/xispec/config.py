@@ -33,14 +33,35 @@ M_CEILING = 34
 
 @dataclass
 class RunConfig:
-    t_max: float = 50.0
-    tol: float = 1e-8
-    n_zeros: int = 200
-    perturb: float = 0.0
-    m: int = field(default=1, metadata={"help": "integer grid scale"})
-    format: str = "json"
-    out: str | None = None
-    cache: str | None = None
+    t_max: float = field(default=50.0, metadata={"help": (
+        "scan critical-line zeros up to this height (default 50, at most "
+        f"{T_MAX_CEILING:g})"
+    )})
+    tol: float = field(default=1e-8, metadata={
+        "help": "bracket width each zero is refined to (default 1e-8)"
+    })
+    n_zeros: int = field(default=200, metadata={"help": (
+        "factors of the Hadamard product and coincidence audits, scanning past "
+        "--t-max for them if needed (default 200)"
+    )})
+    perturb: float = field(default=0.0, metadata={
+        "help": "shift added to the first coincidence probe (default 0)"
+    })
+    m: int = field(default=1, metadata={"help": (
+        "integer grid scale of the Carlson audit, which samples xi at m, 2m, "
+        f"..., 10m (default 1, at most {M_CEILING})"
+    )})
+    format: str = field(default="json", metadata={
+        "help": "audit report format: json or csv (default json)"
+    })
+    out: str | None = field(default=None, metadata={"help": (
+        "audit: report directory (default reports); zeros: also write the "
+        "table to this CSV file; plot: SVG file (default <target>.svg)"
+    )})
+    cache: str | None = field(default=None, metadata={"help": (
+        "zero cache file, read when it covers the run and written after a "
+        "scan (default: no cache)"
+    )})
 
     def __post_init__(self) -> None:
         if not (0.0 < self.t_max <= T_MAX_CEILING):

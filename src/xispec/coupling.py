@@ -315,10 +315,6 @@ class CouplingRecord:
     tol: float = 1e-9
 
     @property
-    def nu_complex(self) -> complex:
-        return self.nu.as_complex
-
-    @property
     def norm_converged(self) -> bool:
         """True when the norm integral's error estimate meets ``tol``."""
         return _meets_tol(self.norm_integral, self.tol)

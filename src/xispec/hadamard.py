@@ -33,7 +33,7 @@ from .errors import DomainError, SingularFitError
 from .report import AuditReport, Verdict
 
 #: Offset (in ordinate units) used to measure the local product scale when
-#: deriving the default coincidence threshold.
+#: deriving the coincidence threshold.
 COINCIDENCE_PROBE_OFFSET = 1e-4
 
 # Bound on the elements of any 2-D temporary of the batched product.
@@ -179,39 +179,6 @@ def _line_products(spec: ProductSpec, n: int, ordinates: list[float]) -> list[co
     ]
 
 
-def _bare(
-    s: complex, poly: complex, c_sum: float, multiplicity: int, exp_corrections: bool = True
-) -> complex:
-    if multiplicity > 0:
-        poly *= s ** multiplicity
-    if not exp_corrections:
-        return poly
-    return cmath.exp(c_sum * s) * poly
-
-
-def paired_product_bare(
-    s: complex, spec: ProductSpec, n: int, exp_corrections: bool = True
-) -> complex:
-    """The product without its e^{B + D s} prefactor.
-
-    With ``exp_corrections=False`` the genus-1 exponential factors are
-    dropped too; that polynomial part depends on s only through s(s-1) and
-    is therefore exactly symmetric under s <-> 1-s.
-    """
-    s = complex(s)
-    lam, c_sum = _pair_data(spec, n)
-    return _bare(s, _poly_product(s, lam), c_sum, spec.multiplicity, exp_corrections)
-
-
-def correction_sum(spec: ProductSpec, n: int) -> float:
-    """Sum of the genus-1 correction coefficients sum_{k<=n} 1/(1/4+gamma_k^2).
-
-    The full truncated product satisfies
-    product(s) = product(1-s) * exp((D + correction_sum) (2s - 1)).
-    """
-    return _pair_data(spec, n)[1]
-
-
 def tail_bound(spec: ProductSpec, n: int, s: complex) -> float:
     """Estimated truncation tail sum_{k>n} |s|^2/(1/4+gamma_k^2).
 
@@ -229,31 +196,24 @@ def tail_bound(spec: ProductSpec, n: int, s: complex) -> float:
     return listed + extrapolated
 
 
-def fit_prefactor(
+def fitted_misfit(
     sample_points: np.ndarray,
     target_values: np.ndarray,
     spec: ProductSpec,
     n: int,
-) -> PrefactorFit:
-    """Least-squares (B, D) matching the product to target samples in log space.
+) -> tuple[PrefactorFit, float]:
+    """Fit the prefactor at truncation n and report the max relative misfit.
 
-    Minimizes sum_k (log target_k - log bare_k - B - D s_k)^2 over real
-    samples where both target and bare product are positive.
+    The fit is the least-squares (B, D) matching the product to the target
+    samples in log space: it minimizes
+    sum_k (log target_k - log bare_k - B - D s_k)^2 over real samples, where
+    bare is the product without its e^{B + D s} prefactor and both it and
+    the target must be positive.
 
     Raises:
         DomainError: non-positive target or bare-product sample.
         SingularFitError: fewer than two distinct sample points.
     """
-    return _fit(sample_points, target_values, spec, n)[0]
-
-
-def _fit(
-    sample_points: np.ndarray,
-    target_values: np.ndarray,
-    spec: ProductSpec,
-    n: int,
-) -> tuple[PrefactorFit, list[complex], list[complex], float]:
-    """The fit, with the points s = x + 0i, the polynomial part there and sum c_n."""
     xs = np.asarray(sample_points, dtype=np.float64)
     ts = np.asarray(target_values, dtype=np.float64)
     if xs.size != ts.size:
@@ -266,7 +226,9 @@ def _fit(
     polys = _poly_products(np.array([s * (s - 1.0) for s in points]), lam)
     bare = np.empty(xs.size, dtype=np.float64)
     for i, (s, poly) in enumerate(zip(points, polys)):
-        value = _bare(s, poly, c_sum, spec.multiplicity)
+        if spec.multiplicity > 0:
+            poly *= s ** spec.multiplicity
+        value = cmath.exp(c_sum * s) * poly
         if not (value.real > 0.0) or abs(value.imag) > 1e-12 * abs(value):
             raise DomainError(
                 f"bare product not positive-real at sample {xs[i]!r}: {value!r}"
@@ -280,19 +242,8 @@ def _fit(
         max_residual=residual,
         sample_range=(float(np.min(xs)), float(np.max(xs))),
     )
-    return fit, points, polys, c_sum
-
-
-def fitted_misfit(
-    sample_points: np.ndarray,
-    target_values: np.ndarray,
-    spec: ProductSpec,
-    n: int,
-) -> tuple[PrefactorFit, float]:
-    """Fit the prefactor at truncation n and report the max relative misfit."""
-    fit, points, polys, c_sum = _fit(sample_points, target_values, spec, n)
     worst = 0.0
-    for s, poly, t in zip(points, polys, np.asarray(target_values, float)):
+    for s, poly, t in zip(points, polys, ts):
         model = _with_prefactor(
             s, poly, c_sum, (fit.B, fit.D), spec.multiplicity
         ).real
@@ -300,10 +251,10 @@ def fitted_misfit(
     return fit, worst
 
 
-def coincidence_threshold(
+def _coincidence_threshold(
     spec: ProductSpec, probe_ordinates: list[float], n: int
 ) -> float:
-    """Default discrimination threshold: local product scale one offset away.
+    """Discrimination threshold: local product scale one offset away.
 
     For each probe, the product magnitude is measured at the nearest stored
     ordinate shifted by COINCIDENCE_PROBE_OFFSET; the maximum over probes is
@@ -320,20 +271,17 @@ def coincidence_threshold(
 
 
 def audit_coincidence(
-    spec_a: ProductSpec,
-    probe_ordinates: list[float],
-    n: int,
-    threshold: float | None = None,
+    spec_a: ProductSpec, probe_ordinates: list[float], n: int
 ) -> AuditReport:
     """Zero-coincidence discriminator (the vanishing-product evaluation).
 
     COINCIDE when every probe annihilates the truncated product to within
-    the threshold; DISTINCT when some probe outside the stored set leaves a
-    magnitude above 10x the threshold; INCONCLUSIVE between.
+    the threshold (``_coincidence_threshold``); DISTINCT when some probe
+    outside the stored set leaves a magnitude above 10x the threshold;
+    INCONCLUSIVE between.
     """
     probes = [float(p) for p in probe_ordinates]
-    if threshold is None:
-        threshold = coincidence_threshold(spec_a, probes, n)
+    threshold = _coincidence_threshold(spec_a, probes, n)
     stored = set(spec_a.truncated(n).tolist())
     values = [abs(v) for v in _line_products(spec_a, n, probes)]
     member = [p in stored for p in probes]

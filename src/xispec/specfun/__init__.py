@@ -23,7 +23,6 @@ from .xi import (
     hardy_z,
     hardy_z_method,
     hardy_z_with_bound,
-    log_abs_xi_critical,
     riemann_siegel_theta,
     xi,
     xi_critical,
@@ -47,7 +46,6 @@ __all__ = [
     "hardy_z_with_bound",
     "integrate_semiinfinite",
     "integrate_semiinfinite_batch",
-    "log_abs_xi_critical",
     "log_gamma",
     "riemann_siegel_theta",
     "xi",

@@ -102,23 +102,6 @@ class BesselOrder:
     def imaginary_order(cls, mu: float) -> "BesselOrder":
         return cls(OrderKind.IMAGINARY, abs(float(mu)))
 
-    @classmethod
-    def from_value(cls, nu: float | complex) -> "BesselOrder":
-        nu = complex(nu)
-        if nu.imag == 0.0:
-            return cls.real_order(nu.real)
-        if nu.real == 0.0:
-            return cls.imaginary_order(nu.imag)
-        raise DomainError(
-            f"BesselOrder must be purely real or purely imaginary, got {nu!r}"
-        )
-
-    @property
-    def as_complex(self) -> complex:
-        if self.kind is OrderKind.REAL:
-            return complex(self.magnitude, 0.0)
-        return complex(0.0, self.magnitude)
-
     @property
     def is_closed_form_pole(self) -> bool:
         """True when this is a positive integer real order.

@@ -345,9 +345,7 @@ def integrate_semiinfinite_batch(
 
 
 def integrate_semiinfinite(
-    f: Callable[[np.ndarray], np.ndarray],
-    tol: float,
-    max_levels: int = _MAX_LEVELS,
+    f: Callable[[np.ndarray], np.ndarray], tol: float
 ) -> QuadratureResult:
     """Integrate f over (0, inf) to relative tolerance ``tol``.
 
@@ -367,7 +365,7 @@ def integrate_semiinfinite(
         NonConvergenceError: when the march reaches a NaN, a tail decays
             too slowly, or the level budget is exhausted first.
     """
-    (outcome,) = integrate_semiinfinite_batch(lambda x, which: f(x), [tol], max_levels)
+    (outcome,) = integrate_semiinfinite_batch(lambda x, which: f(x), [tol])
     if isinstance(outcome, ArithmeticError):
         raise outcome
     return outcome

@@ -18,10 +18,10 @@ and real on the critical line.
 which shares the critical-line zeros of xi but stays O(1), so sign-change
 scanning keeps working where |Xi(t)| ~ e^{-pi t / 4} underflows doubles.
 
-Below ``RS_MIN_T``, and at every height for ``depth=2`` (the oracle),
-Z(t) is the rotated Euler-Maclaurin zeta value, a sum of about 24 + 0.6 t
-terms.  From ``RS_MIN_T`` up, ``depth=1`` uses the Riemann-Siegel formula
-(Gabcke 1979) with tau = sqrt(t / 2 pi), N = floor(tau) and p = tau - N:
+Below ``RS_MIN_T``, Z(t) is the rotated Euler-Maclaurin zeta value, a sum
+of about 24 + 0.6 t terms.  From ``RS_MIN_T`` up it uses the Riemann-Siegel
+formula (Gabcke 1979) with tau = sqrt(t / 2 pi), N = floor(tau) and
+p = tau - N:
 
     Z(t) = 2 sum_{n<=N} n^{-1/2} cos(theta(t) - t log n)
            + (-1)^{N-1} tau^{-1/2} sum_{j=0..4} C_j(p) tau^{-j},
@@ -52,10 +52,9 @@ callers that can do better than Euler-Maclaurin with a doubtful sign.
 array.  The Riemann-Siegel points are evaluated together, in blocks of
 ``RS_BLOCK`` points sorted by N, so each point sums only its own N terms.
 The Euler-Maclaurin points are evaluated together too: each call makes
-one ``euler_maclaurin_zeta`` call for its points below ``RS_MIN_T`` (or
-all its points at ``depth=2``) and ``hardy_z`` one more for the doubtful
-points, with theta(t) from the Lanczos form of log Gamma on the same
-array.  The scalar ``zeta`` and ``xi`` keep their one-point path.
+one ``euler_maclaurin_zeta`` call for its points below ``RS_MIN_T`` and
+``hardy_z`` one more for the doubtful points, with theta(t) from the
+Lanczos form of log Gamma on the same array.  The scalar ``zeta`` and ``xi`` keep their one-point path.
 """
 
 from __future__ import annotations
@@ -69,10 +68,9 @@ from ..errors import RealnessError
 from .gamma import _LANCZOS_G, _lanczos_sum, gamma, log_gamma
 from .zeta import EM_TERMS_CAP, RS_BLOCK, em_truncation, euler_maclaurin_zeta, zeta
 
-_QUARTER_LOG_PI = 0.25 * math.log(math.pi)
 _TWO_PI = 2.0 * math.pi
 
-#: Lowest height at which ``hardy_z`` (depth 1) uses Riemann-Siegel: Gabcke's
+#: Lowest height at which ``hardy_z`` uses Riemann-Siegel: Gabcke's
 #: remainder bound for the C0..C4 formula holds from t = 200 on.
 RS_MIN_T = 200.0
 
@@ -166,17 +164,17 @@ _RS_TERMS = tuple((1.0 / math.sqrt(n), math.log(n)) for n in range(1, 17))
 XI_SIGN_FROM_Z = -1.0
 
 
-def xi(s: complex, depth: int = 1) -> complex:
+def xi(s: complex) -> complex:
     """Completed xi function; entire, with xi(0) = xi(1) = 1/2."""
     s = complex(s)
     if s == 1.0:
         pole_unit = complex(1.0)  # lim (s-1) zeta(s)
     else:
-        pole_unit = (s - 1.0) * zeta(s, depth)
+        pole_unit = (s - 1.0) * zeta(s)
     return cmath.exp(-0.5 * s * math.log(math.pi)) * gamma(0.5 * s + 1.0) * pole_unit
 
 
-def xi_critical(t: float, depth: int = 1) -> float:
+def xi_critical(t: float) -> float:
     """Xi(t) = xi(1/2 + it): real by the functional equation.
 
     The imaginary residue of the computed complex value must stay below
@@ -185,7 +183,7 @@ def xi_critical(t: float, depth: int = 1) -> float:
     Raises:
         RealnessError: when the imaginary residue exceeds the bound.
     """
-    return _real_part(xi(complex(0.5, float(t)), depth), 1e-10, f"xi_critical({t!r})")
+    return _real_part(xi(complex(0.5, float(t))), 1e-10, f"xi_critical({t!r})")
 
 
 def _real_part(value: complex, rel_bound: float, label: str) -> float:
@@ -213,9 +211,9 @@ def _rs_terms(n: int) -> tuple[tuple[float, float], ...]:
     return terms
 
 
-def _uses_riemann_siegel(t, depth: int):
+def _uses_riemann_siegel(t):
     """Whether Z at ``t`` (a float or an array of heights) is Riemann-Siegel."""
-    return (depth == 1) & (t >= RS_MIN_T) & (t < math.inf)
+    return (t >= RS_MIN_T) & (t < math.inf)
 
 
 def _hardy_z_riemann_siegel(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -268,7 +266,7 @@ def _hardy_z_riemann_siegel(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, bounds
 
 
-def _hardy_z_euler_maclaurin(t: np.ndarray, depth: int) -> np.ndarray:
+def _hardy_z_euler_maclaurin(t: np.ndarray) -> np.ndarray:
     """Z = e^{i theta(t)} zeta(1/2 + it) on an array of heights, each checked real.
 
     theta(t) is Im log Gamma(1/4 + it/2) - (t/2) log pi with log Gamma in
@@ -280,7 +278,7 @@ def _hardy_z_euler_maclaurin(t: np.ndarray, depth: int) -> np.ndarray:
         return np.empty(0)
     s = np.empty(t.size, dtype=np.complex128)
     s.real, s.imag = 0.5, t  # 1j * t would make the real part of 1j * inf NaN
-    zeta_values = euler_maclaurin_zeta(s, depth)
+    zeta_values = euler_maclaurin_zeta(s)
     z = 0.25 + 0.5j * t
     shifted = z + (_LANCZOS_G + 0.5)
     log_gamma_im = (
@@ -296,27 +294,27 @@ def _hardy_z_euler_maclaurin(t: np.ndarray, depth: int) -> np.ndarray:
     return values.real
 
 
-def hardy_z_method(t: float, depth: int = 1) -> tuple[str, int]:
-    """The formula ``hardy_z(t, depth)`` uses and its number of main-sum terms.
+def hardy_z_method(t: float) -> tuple[str, int]:
+    """The formula ``hardy_z(t)`` uses and its number of main-sum terms.
 
     Riemann-Siegel only where it applies and the doubt rule keeps its value;
     Euler-Maclaurin otherwise, the doubtful points it settles included.
     """
     t = float(t)
-    if _uses_riemann_siegel(t, depth):
-        _, _, (doubt,) = hardy_z_with_bound(np.array([t]), depth)
+    if _uses_riemann_siegel(t):
+        _, _, (doubt,) = hardy_z_with_bound(np.array([t]))
         if not doubt:
             return "riemann-siegel", int(math.sqrt(t / _TWO_PI))
-    return "euler-maclaurin", em_truncation(complex(0.5, t), depth)
+    return "euler-maclaurin", em_truncation(complex(0.5, t))
 
 
-def hardy_z(t: float | np.ndarray, depth: int = 1) -> float | np.ndarray:
+def hardy_z(t: float | np.ndarray) -> float | np.ndarray:
     """Hardy's Z(t): real, O(1), with the same critical-line zeros as Xi.
 
-    sign(Xi(t)) = XI_SIGN_FROM_Z * sign(Z(t)).  Depth 1 uses Riemann-Siegel
-    from RS_MIN_T up, accurate to its bound B(t), and Euler-Maclaurin below
-    it and where the doubt rule settles a Riemann-Siegel sign (see the
-    module docstring), so every sign is certain up to EM_MAX_T.  A 1-D numpy
+    sign(Xi(t)) = XI_SIGN_FROM_Z * sign(Z(t)).  Riemann-Siegel from RS_MIN_T
+    up, accurate to its bound B(t), and Euler-Maclaurin below it and where
+    the doubt rule settles a Riemann-Siegel sign (see the module
+    docstring), so every sign is certain up to EM_MAX_T.  A 1-D numpy
     array of heights gives the array of Z values; a scalar height is
     evaluated as a one-point array and gives a float.
 
@@ -324,13 +322,11 @@ def hardy_z(t: float | np.ndarray, depth: int = 1) -> float | np.ndarray:
         RealnessError: when the rotated zeta value fails to be real.
     """
     if isinstance(t, np.ndarray) and t.ndim == 1:
-        return _hardy_z_array(t, depth)
-    return float(_hardy_z_array(np.array([float(t)]), depth)[0])
+        return _hardy_z_array(t)
+    return float(_hardy_z_array(np.array([float(t)]))[0])
 
 
-def hardy_z_with_bound(
-    t: np.ndarray, depth: int = 1
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def hardy_z_with_bound(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Z at a 1-D array of heights before the doubt rule: values, bounds, doubt.
 
     Riemann-Siegel values where ``hardy_z`` would try it, each with its
@@ -347,8 +343,8 @@ def hardy_z_with_bound(
     t = t.astype(np.float64, copy=False)
     values = np.empty_like(t)
     bounds = np.zeros_like(t)
-    rs = _uses_riemann_siegel(t, depth)
-    values[~rs] = _hardy_z_euler_maclaurin(t[~rs], depth)
+    rs = _uses_riemann_siegel(t)
+    values[~rs] = _hardy_z_euler_maclaurin(t[~rs])
     rs_index = np.flatnonzero(rs)
     for start in range(0, rs_index.size, RS_BLOCK):
         block = rs_index[start : start + RS_BLOCK]
@@ -357,25 +353,8 @@ def hardy_z_with_bound(
     return values, bounds, doubt
 
 
-def _hardy_z_array(t: np.ndarray, depth: int) -> np.ndarray:
-    values, _, doubt = hardy_z_with_bound(t, depth)
-    values[doubt] = _hardy_z_euler_maclaurin(t[doubt], depth)
+def _hardy_z_array(t: np.ndarray) -> np.ndarray:
+    values, _, doubt = hardy_z_with_bound(t)
+    values[doubt] = _hardy_z_euler_maclaurin(t[doubt])
     return values
 
-
-def log_abs_xi_critical(t: float) -> float:
-    """log |Xi(t)|, computable far past the underflow range of xi itself.
-
-    Z comes from ``hardy_z``, so from RS_MIN_T up its relative error is
-    B(t)/|Z|: about 1e-6/|Z| at t = 200 and 1e-9/|Z| at t = 5000.
-    """
-    t = float(t)
-    z = abs(hardy_z(t))
-    if z == 0.0:
-        return -math.inf
-    return (
-        math.log(0.5 * (t * t + 0.25))
-        - _QUARTER_LOG_PI
-        + log_gamma(complex(0.25, 0.5 * t)).real
-        + math.log(z)
-    )

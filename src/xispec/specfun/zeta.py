@@ -11,8 +11,7 @@ with chi evaluated in log space so large |Im s| cannot overflow the sine.
 
 Truncation point and correction order adapt to |s|; the hard caps are
 exported as ``EM_TERMS_CAP`` / ``EM_ORDER_CAP`` so batch reports can record
-them.  A ``depth`` multiplier scales the truncation point and is the
-"doubled precision" knob used by the zero finder's oracle re-runs.
+them.
 
 ``zeta`` takes one point.  ``euler_maclaurin_zeta`` takes a 1-D array of
 points with Re s >= 0, the form Hardy's Z uses on the critical line: it
@@ -81,16 +80,16 @@ def _logs_up_to(n: int) -> np.ndarray:
     return _LOG_TABLE[:n]
 
 
-def em_truncation(s, depth: int = 1):
+def em_truncation(s):
     """Truncation point N used by the Euler-Maclaurin sum at s.
 
     ``s`` is a complex, or an array of them for an int64 array of N; both
     take |s| from hypot and round it up the same way.
     """
     if isinstance(s, np.ndarray):
-        n = depth * (24.0 + np.ceil(0.6 * np.abs(s)))
+        n = 24.0 + np.ceil(0.6 * np.abs(s))
         return np.minimum(n, EM_TERMS_CAP).astype(np.int64)
-    n = depth * (24 + int(math.ceil(0.6 * abs(s))))
+    n = 24 + int(math.ceil(0.6 * abs(s)))
     return min(n, EM_TERMS_CAP)
 
 
@@ -101,8 +100,8 @@ def _not_converged(s: complex, n: int) -> NonConvergenceError:
     )
 
 
-def _zeta_euler_maclaurin(s: complex, depth: int) -> complex:
-    n = em_truncation(s, depth)
+def _zeta_euler_maclaurin(s: complex) -> complex:
+    n = em_truncation(s)
     logs = _logs_up_to(n - 1)
     # sum_{k=1}^{N-1} k^{-s}
     head = complex(np.sum(np.exp(-s * logs)))
@@ -125,7 +124,7 @@ def _zeta_euler_maclaurin(s: complex, depth: int) -> complex:
     raise _not_converged(s, n)
 
 
-def euler_maclaurin_zeta(s: np.ndarray, depth: int = 1) -> np.ndarray:
+def euler_maclaurin_zeta(s: np.ndarray) -> np.ndarray:
     """zeta at a 1-D complex array of points with Re s >= 0, in their order.
 
     The array form of ``zeta``'s Euler-Maclaurin branch (module docstring):
@@ -140,7 +139,7 @@ def euler_maclaurin_zeta(s: np.ndarray, depth: int = 1) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(s))
     if bad.size:
         raise PoleError(f"zeta: non-finite argument {complex(s[bad[0]])!r}")
-    n = em_truncation(s, depth)
+    n = em_truncation(s)
     order = np.argsort(-n, kind="stable")
     s_sorted, n = s[order], n[order]
     n_list = n.tolist()
@@ -195,9 +194,8 @@ def euler_maclaurin_zeta(s: np.ndarray, depth: int = 1) -> np.ndarray:
             here = np.arange(s_b.size)
             if not stop[here, k].all():
                 first = int(order[start + np.flatnonzero(~stop[here, k])].min())
-                raise _not_converged(
-                    complex(s[first]), em_truncation(complex(s[first]), depth)
-                )
+                point = complex(s[first])
+                raise _not_converged(point, em_truncation(point))
             total[block] = sums[here, k]
     values = np.empty_like(total)
     values[order] = total
@@ -213,11 +211,8 @@ def _log_chi(s: complex) -> complex:
     )
 
 
-def zeta(s: complex, depth: int = 1) -> complex:
+def zeta(s: complex) -> complex:
     """Riemann zeta, analytically continued to the whole plane minus s = 1.
-
-    ``depth`` multiplies the Euler-Maclaurin truncation point (depth=2 is
-    the doubled-precision oracle mode).
 
     Raises:
         PoleError: at s = 1.
@@ -231,9 +226,9 @@ def zeta(s: complex, depth: int = 1) -> complex:
         # Euler-Maclaurin partial sums stay cancellation-free down to the
         # imaginary axis; this branch also covers s = 0, which reflection
         # would map onto the pole.
-        return _zeta_euler_maclaurin(s, depth)
+        return _zeta_euler_maclaurin(s)
     # Trivial zeros: sin(pi s / 2) vanishes at negative even integers and
     # the reflected factors are finite there, so return an exact zero.
     if s.imag == 0.0 and s.real == 2.0 * math.floor(s.real / 2.0):
         return complex(0.0)
-    return cmath.exp(_log_chi(s)) * _zeta_euler_maclaurin(1.0 - s, depth)
+    return cmath.exp(_log_chi(s)) * _zeta_euler_maclaurin(1.0 - s)

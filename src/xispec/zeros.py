@@ -11,8 +11,9 @@ half-width bounds the distance to the zero of Z as Euler-Maclaurin computes
 it.  That holds up to ``specfun.xi.EM_MAX_T`` = 5e5, the highest t_max a run
 accepts; above it Euler-Maclaurin no longer converges, doubtful
 Riemann-Siegel signs are taken as they are, and the half-width leaves out
-their error.  Refinement starts from the Z values the scan grid already
-holds at the bracket ends.
+their error.  ``refine_brackets`` is the one refinement loop: ``scan_zeros``
+passes it every bracket with the Z values its grid already holds at the
+bracket ends, and ``refine_zero`` is a one-bracket call of it.
 
 Every Z evaluation is one array call: ``hardy_z`` for the scan grid, one
 more for the fine-rescan grids of all suspiciously wide gaps together,
@@ -41,7 +42,7 @@ import os
 import tempfile
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 # hashlib.blake2b is _blake2.blake2b; importing hashlib would also load
 # OpenSSL, about 3.6 MB more in every process, for one 64-bit hash.
@@ -83,7 +84,6 @@ class CriticalZero:
 def refine_brackets(
     brackets: Sequence[tuple[float, float]],
     tol: float,
-    depth: int = 1,
     *,
     z_ends: Sequence[tuple[float, float]] | None = None,
 ) -> list[CriticalZero]:
@@ -121,7 +121,7 @@ def refine_brackets(
         raise BracketError(f"empty bracket ({float(lo[i])!r}, {float(hi[i])!r})")
     tols = np.maximum(tol, 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
     if z_ends is None:
-        f_ends = hardy_z(np.concatenate([lo, hi]), depth).reshape(2, -1).T
+        f_ends = hardy_z(np.concatenate([lo, hi])).reshape(2, -1).T
     else:
         f_ends = np.array(z_ends, dtype=np.float64).reshape(-1, 2)
     f_lo, f_hi = f_ends[:, 0], f_ends[:, 1]
@@ -173,9 +173,7 @@ def refine_brackets(
         f_line = f_a + (trial - a) * ((f_b - f_a) / (b - a))
         near = (seen > 0.0) & ~(np.abs(f_line) > seen)
         f_trial, bound, doubt = np.zeros_like(trial), np.zeros_like(trial), near.copy()
-        f_trial[~near], bound[~near], doubt[~near] = hardy_z_with_bound(
-            trial[~near], depth
-        )
+        f_trial[~near], bound[~near], doubt[~near] = hardy_z_with_bound(trial[~near])
         seen = np.where(near, seen, bound)
         doubt = np.flatnonzero(doubt)
         straddled = np.zeros(live.size, dtype=bool)
@@ -185,7 +183,7 @@ def refine_brackets(
             quarter = 0.25 * tols[live[doubt]]
             side_lo = np.maximum(trial[doubt] - quarter, np.minimum(a[doubt], b[doubt]))
             side_hi = np.minimum(trial[doubt] + quarter, np.maximum(a[doubt], b[doubt]))
-            f_side = hardy_z(np.concatenate([side_lo, side_hi]), depth).reshape(2, -1)
+            f_side = hardy_z(np.concatenate([side_lo, side_hi])).reshape(2, -1)
             closes = np.signbit(f_side[0]) != np.signbit(f_side[1])
             shut, settle = doubt[closes], doubt[~closes]
             for i, t_lo, t_hi in zip(
@@ -193,7 +191,7 @@ def refine_brackets(
             ):
                 found[i] = _closed_zero(i, t_lo, t_hi)
             straddled[shut] = True
-            f_trial[settle] = hardy_z(trial[settle], depth)
+            f_trial[settle] = hardy_z(trial[settle])
         hit = (f_trial == 0.0) & ~straddled
         for j in np.flatnonzero(hit):
             i = int(live[j])
@@ -228,23 +226,14 @@ def _closed_zero(i: int, t_lo: float, t_hi: float) -> CriticalZero:
     return CriticalZero(i + 1, 0.5 * (t_lo + t_hi), (t_lo, t_hi), 0.5 * (t_hi - t_lo))
 
 
-def refine_zero(
-    bracket: tuple[float, float],
-    tol: float,
-    depth: int = 1,
-    index: int = 1,
-    *,
-    z_ends: tuple[float, float] | None = None,
-) -> CriticalZero:
+def refine_zero(bracket: tuple[float, float], tol: float) -> CriticalZero:
     """Refine one sign-change bracket: ``refine_brackets`` on that bracket.
 
     Raises:
         BracketError: if the endpoints do not straddle a sign change.
     """
-    (zero,) = refine_brackets(
-        [bracket], tol, depth, z_ends=None if z_ends is None else [z_ends]
-    )
-    return replace(zero, index=index)
+    (zero,) = refine_brackets([bracket], tol)
+    return zero
 
 
 def _grid(t_max: float, step: float, t_min: float = 0.0) -> np.ndarray:
@@ -272,7 +261,7 @@ def _sign_changes(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
 
 
-def scan_zeros(t_max: float, tol: float, depth: int = 1) -> list[CriticalZero]:
+def scan_zeros(t_max: float, tol: float) -> list[CriticalZero]:
     """All zeros of Xi on (0, t_max], in increasing order, refined to tol.
 
     Z is scanned at DEFAULT_SCAN_STEP.  Every gap between sign changes
@@ -287,7 +276,7 @@ def scan_zeros(t_max: float, tol: float, depth: int = 1) -> list[CriticalZero]:
         raise ValueError("tol must be positive")
 
     grid = _grid(t_max, DEFAULT_SCAN_STEP)
-    values = hardy_z(grid, depth)
+    values = hardy_z(grid)
     flips = _sign_changes(values)
 
     # An anomalously long stretch without a sign change can hide an even
@@ -301,7 +290,7 @@ def scan_zeros(t_max: float, tol: float, depth: int = 1) -> list[CriticalZero]:
         if hi - lo >= 1.7 * _local_mean_gap(hi)
     ]
     subs = [_grid(hi, DEFAULT_SCAN_STEP / 8.0, lo) for lo, hi in gaps]
-    sub_values = hardy_z(np.concatenate(subs), depth) if subs else np.empty(0)
+    sub_values = hardy_z(np.concatenate(subs)) if subs else np.empty(0)
     scans = [(grid, values, flips)]
     for (lo, hi), sub, vals in zip(
         gaps, subs, np.split(sub_values, np.cumsum([s.size for s in subs[:-1]]))
@@ -322,7 +311,7 @@ def scan_zeros(t_max: float, tol: float, depth: int = 1) -> list[CriticalZero]:
         [np.column_stack([ts[i], ts[i + 1], zs[i], zs[i + 1]]) for ts, zs, i in scans]
     )
     rows = rows[np.argsort(rows[:, 0])]
-    return refine_brackets(rows[:, :2], tol, depth, z_ends=rows[:, 2:])
+    return refine_brackets(rows[:, :2], tol, z_ends=rows[:, 2:])
 
 
 def zero_count_estimate(t_max: float) -> int:

@@ -11,6 +11,7 @@ import random
 import time
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 
 from xispec import cli
@@ -19,7 +20,7 @@ from xispec.coupling import audit_eq5, coupling_spectrum, s_from_lambda
 from xispec.hadamard import ProductSpec, audit_coincidence, fitted_misfit, paired_product
 from xispec.report import Verdict
 from xispec.specfun import BesselOrder, xi
-from xispec.zeros import count_check, refine_zero, scan_zeros
+from xispec.zeros import count_check, scan_zeros
 
 
 def _line(num: int, name: str, ok: bool) -> bool:
@@ -33,9 +34,9 @@ def test_criterion_1_zero_finder():
     elapsed = time.monotonic() - start
     ok = len(zeros) == 3
 
-    # doubled-precision oracle re-run of the first zero
-    oracle = refine_zero(zeros[0].bracket, 1e-9, depth=2)
-    ok = ok and abs(zeros[0].gamma - oracle.gamma) <= 1e-6
+    # the first zero against mpmath, the independent oracle
+    oracle = float(mp.zetazero(1).imag)
+    ok = ok and abs(zeros[0].gamma - oracle) <= 1e-6
 
     for t_max in (10.0, 30.0, 50.0, 100.0):
         found = len(scan_zeros(t_max, 1e-8))

@@ -22,6 +22,13 @@ def k_value(order, x):
     return bessel_k_with_error(order, x)[0]
 
 
+def _as_complex(order):
+    """The order nu as a complex number, for mpmath."""
+    if order.kind is OrderKind.REAL:
+        return complex(order.magnitude, 0.0)
+    return complex(0.0, order.magnitude)
+
+
 def test_half_order_closed_form():
     # K_{1/2}(x) = sqrt(pi/(2x)) e^{-x}
     assert k_value(HALF, 1.0) == pytest.approx(
@@ -31,7 +38,7 @@ def test_half_order_closed_form():
 
 def test_order_sign_symmetry():
     # The representation depends on nu only through cosh(nu t).
-    assert BesselOrder.from_value(-0.5) == BesselOrder.from_value(0.5)
+    assert BesselOrder.real_order(-0.5) == BesselOrder.real_order(0.5)
     assert k_value(BesselOrder.real_order(-2.5), 3.0) == k_value(
         BesselOrder.real_order(2.5), 3.0
     )
@@ -119,9 +126,9 @@ def test_underflow_region_returns_zero():
 
 
 def test_order_construction():
-    assert BesselOrder.from_value(1j * 3.0) == BesselOrder.imaginary_order(3.0)
+    assert BesselOrder.imaginary_order(-3.0) == BesselOrder(OrderKind.IMAGINARY, 3.0)
     with pytest.raises(DomainError):
-        BesselOrder.from_value(1.0 + 1.0j)
+        BesselOrder(OrderKind.REAL, -1.0)
     with pytest.raises(DomainError):
         BesselOrder(OrderKind.REAL, float("inf"))
 
@@ -162,7 +169,7 @@ def test_array_call_against_oracle(order, xs):
     values, rel = bessel_k_values(order, np.array(xs + [800.0]))
     tol = 1e-10 if order.kind is OrderKind.REAL else 1e-9
     for x, value in zip(xs, values):
-        assert rel_err(value, mp_besselk(order.as_complex, x)) < tol
+        assert rel_err(value, mp_besselk(_as_complex(order), x)) < tol
     assert (values[-1], rel[-1]) == (0.0, 0.0)
 
 
@@ -427,7 +434,7 @@ def test_x_whose_node_range_leaves_double_range_is_not_converged():
 
 
 def _true_rel_err(order, x, value):
-    reference = mp.re(mp.besselk(mp.mpc(order.as_complex), mp.mpf(x)))
+    reference = mp.re(mp.besselk(mp.mpc(_as_complex(order)), mp.mpf(x)))
     return float(abs(mp.mpf(value) - reference) / abs(reference))
 
 

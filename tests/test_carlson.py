@@ -12,7 +12,7 @@ from xispec.carlson import (
     check_integer_vanishing,
     estimate_type,
 )
-from xispec.cli import CARLSON_FIT_SMAX, CARLSON_INTEGER_COUNT
+from xispec.cli import CARLSON_FIT_SAMPLES, CARLSON_FIT_SMAX, CARLSON_INTEGER_COUNT
 from xispec.config import M_CEILING
 from xispec.errors import GammaOverflowError
 from xispec.specfun import xi
@@ -102,14 +102,20 @@ def test_exponential_model_fit_true_xi_is_deterministic():
     assert first.max_residual > 1e-3  # the misfit is structural, not noise
 
 
+XI_FIT = audit_eq9(CARLSON_FIT_SMAX, CARLSON_FIT_SAMPLES)
+
+
 def test_difference_audit_synthetic_target_vanishes():
-    audit = audit_difference(10, 10.0, target=lambda z: 0.5 * cmath.exp(0.3 * (z + 1.0)))
+    def target(z):
+        return 0.5 * cmath.exp(0.3 * (z + 1.0))
+
+    audit = audit_difference(10, audit_eq9(10.0, 51, target=target), target=target)
     assert max(audit.residuals) < 1e-10
     assert audit.verdict.conclusion is Conclusion.IDENTICALLY_ZERO_IMPLIED
 
 
 def test_difference_audit_on_true_xi():
-    audit = audit_difference(10, 10.0)
+    audit = audit_difference(10, XI_FIT)
     assert len(audit.residuals) == 10
     assert audit.verdict.conclusion is Conclusion.CONDITIONS_NOT_MET
     assert audit.verdict.beta_below_pi          # the model term dominates
@@ -117,18 +123,18 @@ def test_difference_audit_on_true_xi():
     # constants rebuilt per the constraint: a = B + D, b = D - pi
     assert audit.a == audit.eq9_fit.B + audit.eq9_fit.D
     assert audit.b == audit.eq9_fit.D - math.pi
-    repeat = audit_difference(10, 10.0)
+    repeat = audit_difference(10, XI_FIT)
     assert repeat.residuals == audit.residuals  # deterministic replay
 
 
 def test_difference_audit_empty_grid():
-    audit = audit_difference(0, 10.0)
+    audit = audit_difference(0, XI_FIT)
     assert audit.residuals == ()
     assert audit.verdict.conclusion is Conclusion.INCONCLUSIVE
 
 
 def test_difference_audit_scaled_grid():
-    audit = audit_difference(5, 10.0, scale=2.0)
+    audit = audit_difference(5, XI_FIT, scale=2.0)
     assert len(audit.residuals) == 5
     assert audit.verdict.vanish_check.at_point in {2.0 * k for k in range(1, 6)}
 
@@ -140,13 +146,13 @@ def test_difference_audit_evaluates_each_integer_once():
         calls.append(z)
         return xi(z)
 
-    audit_difference(10, 10.0, scale=2.0, target=target)
+    audit_difference(10, audit_eq9(10.0, 51, target=target), scale=2.0, target=target)
     # 12 .. 20 lie beyond the eq9 fit interval and off the growth grids.
     assert [calls.count(complex(2.0 * k, 0.0)) for k in range(6, 11)] == [1] * 5
 
 
 def test_m_ceiling_is_the_last_scale_xi_survives():
-    audit = audit_difference(CARLSON_INTEGER_COUNT, CARLSON_FIT_SMAX, scale=M_CEILING)
+    audit = audit_difference(CARLSON_INTEGER_COUNT, XI_FIT, scale=M_CEILING)
     assert len(audit.residuals) == CARLSON_INTEGER_COUNT
     with pytest.raises(GammaOverflowError):
-        audit_difference(CARLSON_INTEGER_COUNT, CARLSON_FIT_SMAX, scale=M_CEILING + 1)
+        audit_difference(CARLSON_INTEGER_COUNT, XI_FIT, scale=M_CEILING + 1)

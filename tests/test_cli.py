@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import xispec
-from xispec import cli
+from xispec import carlson, cli
 from xispec.config import RunConfig, parse_config_file
 from xispec.errors import NonConvergenceError
 from xispec.report import get_report_schema
@@ -240,6 +241,21 @@ def test_audit_all_scans_once(monkeypatch):
     monkeypatch.setattr(cli, "scan_zeros", counted)
     assert run(["audit", "all", "--t-max", "40", "--n-zeros", "50", "--out", "r"]) == 0
     assert len(calls) == 1
+
+
+def test_audit_all_fits_eq9_once(monkeypatch):
+    # The eq9 and Carlson audits share one fit of 51 xi samples; the rest is
+    # the Hadamard targets (21) and the Carlson growth grids and integers
+    # (2 x 16 + 10).
+    calls = []
+    for module in (cli, carlson):
+        def counted(s, xi=module.xi):
+            calls.append(s)
+            return xi(s)
+
+        monkeypatch.setattr(module, "xi", counted)
+    assert run(["audit", "all", "--t-max", "40", "--n-zeros", "50", "--out", "r"]) == 0
+    assert len(calls) == 51 + 21 + 2 * 16 + 10
 
 
 def test_threads_flag_is_a_usage_error():
@@ -472,6 +488,15 @@ def test_common_flags_are_the_run_config_fields(argv, own):
         cfg = cli._config_from_args(parser.parse_args([*argv, flag, _SAMPLE_TEXT[kind]]))
         value = getattr(cfg, f.name)
         assert type(value) is kind and value == kind(_SAMPLE_TEXT[kind])
+
+
+@pytest.mark.parametrize("command", ["zeros", "audit", "plot"])
+def test_every_common_flag_has_help(command):
+    parser = cli.build_parser()
+    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    helps = {a.dest: a.help for a in subcommands.choices[command]._actions}
+    for name in [f.name for f in fields(RunConfig)] + ["config"]:
+        assert helps[name], name
 
 
 def test_unparsable_value_names_its_source(tmp_path, capsys):

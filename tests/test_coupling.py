@@ -186,7 +186,6 @@ def test_spectrum_from_zeros(zeros_to_100):
         assert abs(lam.real - expected) <= 1e-12 * abs(expected)
         assert record.nu.kind is OrderKind.IMAGINARY
         assert record.nu.magnitude == pytest.approx(zero.gamma, rel=1e-12)
-        assert record.nu_complex == complex(0.0, record.nu.magnitude)
         assert record.tol == 1e-9
         assert record.norm_integral.value > 0.0
         if record.norm_converged:

@@ -12,14 +12,13 @@ from conftest import KNOWN_ZEROS_10
 from xispec.errors import DomainError, SingularFitError
 from xispec.hadamard import (
     ProductSpec,
+    _pair_data,
+    _poly_product,
     _poly_products,
     audit_coincidence,
-    correction_sum,
-    fit_prefactor,
     fitted_misfit,
     linear_fit,
     paired_product,
-    paired_product_bare,
     tail_bound,
 )
 from xispec.report import Verdict
@@ -100,15 +99,11 @@ def test_batched_product_matches_fresh_arrays(zeros_for_products, xi_samples, mu
             assert _bits(paired_product(s, spec, n)) == _bits(
                 _product_by_fresh_arrays(s, ordinates, n, spec.prefactor, multiplicity)
             )
-            assert _bits(paired_product_bare(s, spec, n)) == _bits(
-                _product_by_fresh_arrays(s, ordinates, n, multiplicity=multiplicity, bare=True)
-            )
         if multiplicity:
             continue
         bare = [_product_by_fresh_arrays(x, ordinates, n, bare=True).real for x in xs]
         d, b, residual = linear_fit(xs, np.log(targets) - np.log(bare))
         fit, worst = fitted_misfit(xs, targets, spec, n)
-        assert fit == fit_prefactor(xs, targets, spec, n)
         assert (fit.B, fit.D, fit.max_residual) == (b, d, residual)
         models = [_product_by_fresh_arrays(x, ordinates, n, (b, d)).real for x in xs]
         assert worst == max(abs(m / t - 1.0) for m, t in zip(models, targets))
@@ -121,7 +116,6 @@ def test_spec_keeps_no_arrays_per_truncation(zeros_for_products, xi_samples):
     xs, targets = xi_samples
     for n in range(1, 801, 7):
         paired_product(2.0, spec, n)
-        correction_sum(spec, n)
         fitted_misfit(xs, targets, spec, n)
     assert set(vars(spec)) == {"zero_ordinates", "multiplicity", "prefactor", "_ordinates"}
 
@@ -157,17 +151,21 @@ def test_exact_zero_annihilation():
 
 
 def test_bare_product_symmetry():
+    # The product without its exponential factors depends on s only
+    # through s(s-1).
+    lam = _pair_data(TEN_ZERO_SPEC, 10)[0]
     rng = random.Random(3)
     for _ in range(50):
         s = complex(rng.uniform(-5.0, 6.0), rng.uniform(-20.0, 20.0))
-        a = paired_product_bare(s, TEN_ZERO_SPEC, 10, exp_corrections=False)
-        b = paired_product_bare(1.0 - s, TEN_ZERO_SPEC, 10, exp_corrections=False)
+        a = _poly_product(s, lam)
+        b = _poly_product(1.0 - s, lam)
         assert abs(a - b) <= 1e-10 * max(abs(a), 1e-300)
 
 
 def test_full_product_symmetry_with_corrected_slope():
     s = complex(0.3, 2.2)
-    d_eff = TEN_ZERO_SPEC.prefactor[1] + correction_sum(TEN_ZERO_SPEC, 10)
+    # The slope picks up the genus-1 corrections sum_n 1/(1/4 + gamma_n^2).
+    d_eff = TEN_ZERO_SPEC.prefactor[1] + sum(1.0 / (0.25 + g * g) for g in KNOWN_ZEROS_10)
     lhs = paired_product(s, TEN_ZERO_SPEC, 10)
     rhs = paired_product(1.0 - s, TEN_ZERO_SPEC, 10) * cmath.exp(d_eff * (2.0 * s - 1.0))
     assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
@@ -175,7 +173,7 @@ def test_full_product_symmetry_with_corrected_slope():
 
 def test_fit_exact_log_linear():
     xs = np.linspace(-1.0, 2.0, 21)
-    fit = fit_prefactor(xs, np.exp(1.0 + 2.0 * xs), EMPTY_SPEC, 0)
+    fit, _ = fitted_misfit(xs, np.exp(1.0 + 2.0 * xs), EMPTY_SPEC, 0)
     assert fit.B == pytest.approx(1.0, abs=1e-12)
     assert fit.D == pytest.approx(2.0, abs=1e-12)
     assert fit.max_residual < 1e-12
@@ -183,7 +181,7 @@ def test_fit_exact_log_linear():
 
 def test_fit_constant_target():
     xs = np.linspace(-1.0, 2.0, 21)
-    fit = fit_prefactor(xs, np.full(21, 0.5), EMPTY_SPEC, 0)
+    fit, _ = fitted_misfit(xs, np.full(21, 0.5), EMPTY_SPEC, 0)
     assert fit.B == pytest.approx(math.log(0.5), abs=1e-14)
     assert fit.D == pytest.approx(0.0, abs=1e-14)
 
@@ -191,11 +189,11 @@ def test_fit_constant_target():
 def test_fit_input_validation():
     xs = np.linspace(-1.0, 2.0, 21)
     with pytest.raises(SingularFitError):
-        fit_prefactor(np.array([1.0]), np.array([2.0]), EMPTY_SPEC, 0)
+        fitted_misfit(np.array([1.0]), np.array([2.0]), EMPTY_SPEC, 0)
     with pytest.raises(SingularFitError):
-        fit_prefactor(np.full(4, 1.0), np.full(4, 2.0), EMPTY_SPEC, 0)
+        fitted_misfit(np.full(4, 1.0), np.full(4, 2.0), EMPTY_SPEC, 0)
     with pytest.raises(DomainError):
-        fit_prefactor(xs, np.zeros(21), EMPTY_SPEC, 0)
+        fitted_misfit(xs, np.zeros(21), EMPTY_SPEC, 0)
 
 
 @pytest.fixture(scope="module")
@@ -225,7 +223,7 @@ def test_truncation_monotonicity(zeros_for_products, xi_samples):
 def test_product_approximates_xi_at_two(zeros_for_products, xi_samples):
     xs, targets = xi_samples
     spec = ProductSpec(zero_ordinates=tuple(z.gamma for z in zeros_for_products))
-    fit = fit_prefactor(xs, targets, spec, 800)
+    fit, _ = fitted_misfit(xs, targets, spec, 800)
     fitted = ProductSpec(
         zero_ordinates=spec.zero_ordinates, prefactor=(fit.B, fit.D)
     )

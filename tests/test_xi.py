@@ -18,13 +18,13 @@ from xispec.specfun import (
     hardy_z,
     hardy_z_method,
     hardy_z_with_bound,
-    log_abs_xi_critical,
     riemann_siegel_theta,
     xi,
     xi_critical,
     zeta,
 )
 from xispec.specfun.xi import EM_MAX_T, _RS_C, _hardy_z_euler_maclaurin
+from xispec.specfun.zeta import euler_maclaurin_zeta
 from xispec.zeros import scan_zeros
 
 xi_module = importlib.import_module("xispec.specfun.xi")
@@ -89,23 +89,17 @@ def test_hardy_z_survives_large_t():
     assert abs(value) > 1e-8
 
 
-def test_log_abs_consistency():
-    for t in (5.0, 30.0, 80.0):
-        direct = math.log(abs(xi_critical(t)))
-        assert abs(log_abs_xi_critical(t) - direct) < 1e-8 * max(1.0, abs(direct))
-
-
-def _euler_maclaurin_z(t, depth):
+def _euler_maclaurin_z(t):
     """The scalar formula: the reference for the array Euler-Maclaurin path."""
-    value = cmath.exp(1j * riemann_siegel_theta(t)) * zeta(complex(0.5, t), depth)
+    value = cmath.exp(1j * riemann_siegel_theta(t)) * zeta(complex(0.5, t))
     return value.real
 
 
-def _em_path(t, depth):
+def _em_path(t):
     """Z at one height by the module's Euler-Maclaurin path, checked against
     the scalar formula within 4e-15 max(1, |Z|)."""
-    value = float(_hardy_z_euler_maclaurin(np.array([t]), depth)[0])
-    expected = _euler_maclaurin_z(t, depth)
+    value = float(_hardy_z_euler_maclaurin(np.array([t]))[0])
+    expected = _euler_maclaurin_z(t)
     assert abs(value - expected) <= 4e-15 * max(1.0, abs(expected)), t
     return value
 
@@ -167,11 +161,10 @@ def test_riemann_siegel_bound_against_oracle():
     assert (np.abs(values - np.array([z for _, z in rows])) <= bounds / 4.0).all()
     (b_5000,) = hardy_z_with_bound(np.array([5000.0]))[1]
     assert b_5000 <= 1e-9
-    # Below RS_MIN_T and at depth 2, Euler-Maclaurin is the reference.
+    # Below RS_MIN_T, Euler-Maclaurin is the reference.
     values, bounds, doubt = hardy_z_with_bound(np.array([150.0, 199.75]))
     assert bounds.tolist() == [0.0, 0.0] and not doubt.any()
-    assert values.tolist() == [_em_path(150.0, 1), _em_path(199.75, 1)]
-    assert hardy_z_with_bound(np.array([5000.0]), depth=2)[1].tolist() == [0.0]
+    assert values.tolist() == [_em_path(150.0), _em_path(199.75)]
 
 
 def test_doubtful_riemann_siegel_sign_falls_back():
@@ -180,7 +173,7 @@ def test_doubtful_riemann_siegel_sign_falls_back():
     t = float(mp.zetazero(100).imag)
     (z_rs,), (bound,), (doubt,) = hardy_z_with_bound(np.array([t]))
     assert RS_MIN_T < t and abs(z_rs) <= bound and doubt
-    assert hardy_z(t) == _em_path(t, 1)
+    assert hardy_z(t) == _em_path(t)
     assert hardy_z(np.array([250.0, t])).tolist() == [hardy_z(250.0), hardy_z(t)]
     assert hardy_z_method(t) == ("euler-maclaurin", em_truncation(complex(0.5, t)))
     assert hardy_z_method(250.0) == ("riemann-siegel", 6)
@@ -209,7 +202,7 @@ def test_doubt_rule_stops_where_euler_maclaurin_does():
     below = _doubtful_height(EM_MAX_T - 2.0)
     assert below <= EM_MAX_T
     assert hardy_z_with_bound(np.array([below]))[2].tolist() == [True]
-    assert hardy_z(below) == _em_path(below, 1)
+    assert hardy_z(below) == _em_path(below)
     assert hardy_z_method(below)[0] == "euler-maclaurin"
     above = _doubtful_height(1e6 - 2.0)
     (z_rs,), (bound,), (doubt,) = hardy_z_with_bound(np.array([above]))
@@ -217,7 +210,7 @@ def test_doubt_rule_stops_where_euler_maclaurin_does():
     assert hardy_z(above) == z_rs
     assert hardy_z_method(above) == ("riemann-siegel", int(math.sqrt(above / (2 * math.pi))))
     with pytest.raises(NonConvergenceError):
-        _euler_maclaurin_z(above, 1)
+        _euler_maclaurin_z(above)
 
 
 def test_z_method_switches_at_rs_min_t():
@@ -225,15 +218,9 @@ def test_z_method_switches_at_rs_min_t():
         "euler-maclaurin", em_truncation(complex(0.5, RS_MIN_T - 1e-9)))
     assert hardy_z_method(RS_MIN_T) == ("riemann-siegel", 5)
     assert hardy_z_method(5000.0) == ("riemann-siegel", 28)
-    assert hardy_z_method(5000.0, depth=2)[0] == "euler-maclaurin"
-    assert hardy_z(RS_MIN_T - 1e-9) == _em_path(RS_MIN_T - 1e-9, 1)
-
-
-def test_depth_two_oracle_stays_on_euler_maclaurin():
-    for t in (100.0, RS_MIN_T, 1150.0, 4321.5):
-        assert hardy_z(t, depth=2) == _em_path(t, 2)
+    assert hardy_z(RS_MIN_T - 1e-9) == _em_path(RS_MIN_T - 1e-9)
     # The two formulas agree where both apply.
-    assert abs(hardy_z(1150.0) - hardy_z(1150.0, depth=2)) <= 1e-10
+    assert abs(hardy_z(1150.0) - _em_path(1150.0)) <= 1e-10
 
 
 def _doubtful_scan_heights(monkeypatch):
@@ -241,9 +228,9 @@ def _doubtful_scan_heights(monkeypatch):
     heights = []
     kernel = xi_module.euler_maclaurin_zeta
 
-    def recorded(s, depth=1):
+    def recorded(s):
         heights.extend(s.imag.tolist())
-        return kernel(s, depth)
+        return kernel(s)
 
     monkeypatch.setattr(xi_module, "euler_maclaurin_zeta", recorded)
     scan_zeros(1190.0, 1e-8)
@@ -253,24 +240,23 @@ def _doubtful_scan_heights(monkeypatch):
 
 def test_array_euler_maclaurin_matches_scalar_formula(monkeypatch):
     # 1,195 heights in (0, 1200], the doubtful heights of a scan to 1190 and
-    # heights up to EM_MAX_T, at depth 1 and 2: within 4e-15 max(1, |Z|) of
-    # the scalar formula, and the same bits whatever the order of the call.
+    # heights up to EM_MAX_T: within 4e-15 max(1, |Z|) of the scalar
+    # formula, and the same bits whatever the order of the call.
     rng = np.random.default_rng(2008)
     doubtful = _doubtful_scan_heights(monkeypatch)
     assert len(doubtful) > 1000
     below = np.concatenate([1200.0 * (1.0 - rng.random(1190)),
                             [1e-9, 0.25, 14.134725, 199.99, 1200.0]])
-    cases = [(below, 1), (np.array(doubtful), 1), (below[::4], 2),
-             (rng.uniform(1200.0, EM_MAX_T, 12), 1), (rng.uniform(1200.0, 2e4, 10), 2)]
-    for t, depth in cases:
-        values = _hardy_z_euler_maclaurin(t, depth)
-        expected = np.array([_euler_maclaurin_z(float(x), depth) for x in t])
+    cases = [below, np.array(doubtful), rng.uniform(1200.0, EM_MAX_T, 12)]
+    for t in cases:
+        values = _hardy_z_euler_maclaurin(t)
+        expected = np.array([_euler_maclaurin_z(float(x)) for x in t])
         error = np.abs(values - expected)
         assert (error <= 4e-15 * np.maximum(1.0, np.abs(expected))).all()
         shuffle = rng.permutation(t.size)
-        shuffled = _hardy_z_euler_maclaurin(t[shuffle], depth)
+        shuffled = _hardy_z_euler_maclaurin(t[shuffle])
         assert shuffled.tolist() == values[shuffle].tolist()
-        alone = [_hardy_z_euler_maclaurin(t[i : i + 1], depth)[0] for i in shuffle[:25]]
+        alone = [_hardy_z_euler_maclaurin(t[i : i + 1])[0] for i in shuffle[:25]]
         assert alone == values[shuffle[:25]].tolist()
 
 
@@ -281,6 +267,6 @@ def test_array_euler_maclaurin_errors_name_the_height():
         hardy_z(np.array([math.inf]))
     message = r"not converged at s=\(0\.5\+700000j\) \(N=200000, order cap 30\)"
     with pytest.raises(NonConvergenceError, match=message):
-        hardy_z(np.array([100.0, 7e5]), depth=2)
+        euler_maclaurin_zeta(np.array([0.5 + 100j, 0.5 + 7e5j]))
     with pytest.raises(NonConvergenceError, match=message):
-        zeta(complex(0.5, 7e5), depth=2)
+        zeta(complex(0.5, 7e5))

@@ -105,7 +105,6 @@ def test_array_z_matches_scalar():
     scalar = [hardy_z(float(t)) for t in sample]
     assert all(type(v) is float for v in scalar)
     assert scalar == values[::50].tolist()
-    assert hardy_z(sample, depth=2).tolist() == [hardy_z(float(t), 2) for t in sample]
     empty = hardy_z(np.array([]))
     assert empty.shape == (0,) and empty.dtype == np.float64
 
@@ -127,15 +126,15 @@ def _count_z_points(monkeypatch) -> dict[str, int]:
     phase = ["scan"]
     refine = zeros_module.refine_brackets
 
-    def counted_z(t, depth=1):
+    def counted_z(t):
         calls[phase[0]] += np.size(t)
         calls[phase[0] + " calls"] += 1
-        return hardy_z(t, depth)
+        return hardy_z(t)
 
-    def counted_bounded(t, depth=1):
+    def counted_bounded(t):
         calls[phase[0]] += np.size(t)
         calls[phase[0] + " calls"] += 1
-        return hardy_z_with_bound(t, depth)
+        return hardy_z_with_bound(t)
 
     def counted_refine(*args, **kwargs):
         phase[0] = "refine"
@@ -155,7 +154,7 @@ def test_refine_reuses_known_end_values(monkeypatch):
     plain = refine_zero((14.0, 15.0), 1e-9)
     first = calls["refine"]
     ends = (hardy_z(14.0), hardy_z(15.0))
-    reused = refine_zero((14.0, 15.0), 1e-9, z_ends=ends)
+    (reused,) = zeros_module.refine_brackets([(14.0, 15.0)], 1e-9, z_ends=[ends])
     assert reused == plain
     assert first > 2
     assert calls["refine"] - first == first - 2
@@ -175,9 +174,9 @@ def _count_em_heights(monkeypatch) -> list[np.ndarray]:
     calls = []
     kernel = xi_module.euler_maclaurin_zeta
 
-    def counted_kernel(s, depth=1):
+    def counted_kernel(s):
         calls.append(s.imag.copy())
-        return kernel(s, depth)
+        return kernel(s)
 
     monkeypatch.setattr(xi_module, "euler_maclaurin_zeta", counted_kernel)
     return calls
@@ -255,16 +254,16 @@ def _scalar_chandrupatla(bracket, tol, z, z_bound):
     return 0.5 * (t_lo + t_hi), (t_lo, t_hi), 0.5 * (t_hi - t_lo)
 
 
-def _scalar_z(t, depth=1):
+def _scalar_z(t):
     """Z one height per call, for arrays too."""
     if isinstance(t, np.ndarray):
-        return np.array([hardy_z(float(x), depth) for x in t])
-    return hardy_z(t, depth)
+        return np.array([hardy_z(float(x)) for x in t])
+    return hardy_z(t)
 
 
-def _scalar_z_with_bound(t, depth=1):
+def _scalar_z_with_bound(t):
     """``hardy_z_with_bound`` one height per call."""
-    points = [hardy_z_with_bound(np.array([x]), depth) for x in t.tolist()]
+    points = [hardy_z_with_bound(np.array([x])) for x in t.tolist()]
     return tuple(np.array([p[k][0] for p in points]) for k in range(3))
 
 
@@ -307,14 +306,14 @@ def test_lockstep_zero_at_bracket_end():
 def test_lockstep_zero_at_trial_point(monkeypatch):
     # sin(pi (t - 14.5)) vanishes exactly at the first trial point of
     # (14, 15); the bracket (15.25, 16) refines on to 15.5 meanwhile.
-    def sine(t, depth=1):
+    def sine(t):
         return np.sin(np.pi * (np.asarray(t) - 14.5))
 
     monkeypatch.setattr(zeros_module, "hardy_z", sine)
     monkeypatch.setattr(
         zeros_module,
         "hardy_z_with_bound",
-        lambda t, depth=1: (sine(t), np.zeros(t.size), np.zeros(t.size, dtype=bool)),
+        lambda t: (sine(t), np.zeros(t.size), np.zeros(t.size, dtype=bool)),
     )
     first, second = refine_brackets([(14.0, 15.0), (15.25, 16.0)], 1e-9)
     assert first == CriticalZero(1, 14.5, (14.5 - 0.5e-9, 14.5 + 0.5e-9), 0.5e-9)

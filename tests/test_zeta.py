@@ -53,11 +53,6 @@ def test_conjugation():
     assert zeta(s.conjugate()) == zeta(s).conjugate()
 
 
-def test_depth_consistency():
-    s = complex(0.5, 55.5)
-    assert abs(zeta(s) - zeta(s, depth=2)) < 1e-11 * abs(zeta(s))
-
-
 def test_near_pole_is_finite_and_accurate():
     s = 1.0 + 1e-9
     assert rel_err(zeta(s), mp_zeta(complex(s, 0.0))) < 1e-9
