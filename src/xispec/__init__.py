@@ -13,6 +13,7 @@ has one mode; there is no precision or oracle switch, since the tests
 check against mpmath.  tests/test_surface.py pins both lists.
 """
 
+from .carlson import PrefactorFit
 from .coupling import (
     CouplingRecord,
     coupling_spectrum,
@@ -20,7 +21,7 @@ from .coupling import (
     nu_from_lambda,
     s_from_lambda,
 )
-from .hadamard import PrefactorFit, ProductSpec, paired_product
+from .hadamard import ProductSpec, paired_product
 from .report import AuditReport, Verdict
 from .specfun import (
     BesselOrder,

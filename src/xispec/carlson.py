@@ -11,7 +11,8 @@ every margin.
 The log-linear audits live here too: the exponential model fitted to the
 true xi on a real interval (the residual is the finding, never a
 pass/fail), and the difference-function audit that feeds the verdict
-machinery.
+machinery.  ``linear_fit`` is the one least-squares helper of the package;
+the type estimates and the eq9 fit (a ``PrefactorFit``) both use it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import SingularFitError
-from .hadamard import PrefactorFit, linear_fit
 from .specfun import xi
 
 #: Fraction of the radius covered by the geometric sample grid.
@@ -38,6 +38,41 @@ DEFAULT_BETA_MARGIN = 0.05
 GROWTH_RADIUS_CAP = 30.0
 #: |f| at or below this counts as vanishing at an integer sample.
 VANISH_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class PrefactorFit:
+    """Fitted log-linear constants log target ~ B + D x, with the largest residual."""
+
+    B: float
+    D: float
+    max_residual: float
+
+
+def linear_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line ys ~ intercept + slope * xs.
+
+    Returns (slope, intercept, max absolute residual).
+
+    Raises:
+        SingularFitError: fewer than two samples, or all sample points coincide.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    if xs.size < 2:
+        raise SingularFitError("need at least two samples to fit a line")
+    count = float(xs.size)
+    sx = float(np.sum(xs))
+    sxx = float(np.sum(xs * xs))
+    sy = float(np.sum(ys))
+    sxy = float(np.sum(xs * ys))
+    det = count * sxx - sx * sx
+    if det <= 1e-14 * max(count * sxx, sx * sx, 1e-300):
+        raise SingularFitError("degenerate sample grid (all points coincide)")
+    slope = (count * sxy - sx * sy) / det
+    intercept = (sxx * sy - sx * sxy) / det
+    residual = float(np.max(np.abs(intercept + slope * xs - ys)))
+    return slope, intercept, residual
 
 
 class Axis(enum.Enum):
@@ -54,7 +89,6 @@ class GrowthComponent:
     intercept: float
     residual: float
     radius: float
-    samples_used: int
     all_near_zero: bool
 
 
@@ -126,7 +160,6 @@ def estimate_type(
             intercept=0.0,
             residual=0.0,
             radius=radius,
-            samples_used=len(rs),
             all_near_zero=True,
         )
     slope, intercept, residual = linear_fit(rs, ys)
@@ -136,7 +169,6 @@ def estimate_type(
         intercept=intercept,
         residual=residual,
         radius=radius,
-        samples_used=len(rs),
         all_near_zero=False,
     )
 
@@ -243,12 +275,7 @@ def audit_eq9(
     if np.any(values <= 0.0):
         raise SingularFitError("target must be positive for the log fit")
     slope, intercept, residual = linear_fit(shifted + 1.0, np.log(values))
-    return PrefactorFit(
-        B=intercept,
-        D=slope,
-        max_residual=residual,
-        sample_range=(float(shifted[0]), float(shifted[-1])),
-    )
+    return PrefactorFit(B=intercept, D=slope, max_residual=residual)
 
 
 @dataclass(frozen=True)
@@ -283,7 +310,7 @@ def audit_difference(
     b = fit.D - math.pi
 
     def difference(z: complex) -> complex:
-        return _model_exp(a, b, z) - complex(target(z))
+        return cmath.exp(a + (b + math.pi) * z) - complex(target(z))
 
     verdict = carlson_verdict(difference, count, GROWTH_RADIUS_CAP, scale=scale)
     return DifferenceAudit(
@@ -294,7 +321,3 @@ def audit_difference(
         residuals=verdict.vanish_check.magnitudes if verdict.vanish_check else (),
         verdict=verdict,
     )
-
-
-def _model_exp(a: float, b: float, z: complex) -> complex:
-    return cmath.exp(a + (b + math.pi) * z)

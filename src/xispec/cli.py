@@ -8,7 +8,13 @@ Exit codes are exhaustive and disjoint:
     3  cache corruption (checksum or structure mismatch)
     4  numerical non-convergence
 
-Errors and warnings go to stderr as one ``xispec: ...`` line each.
+Errors and warnings go to stderr as one ``xispec: ...`` line each.  Each
+subcommand takes only the options it reads (``config.COMMAND_OPTIONS``).
+
+The Hadamard audit compares the closed-form product, with no fitted
+constant, against xi at 21 points of [-1, 2] at each truncation the zeros
+allow, and passes when every misfit is within its derived bound
+(``hadamard.fitted_misfit``); its residual is the largest misfit/bound.
 
 All outputs are deterministic: reports are canonical JSON with sorted
 keys, plots are hand-rendered SVG, and the zero scan runs in one thread,
@@ -29,8 +35,8 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from .carlson import VANISH_TOL, Conclusion, audit_difference, audit_eq9
-from .config import OPTION_TYPES, ConfigError, RunConfig, build_config, parse_option
+from .carlson import VANISH_TOL, Conclusion, PrefactorFit, audit_difference, audit_eq9
+from .config import COMMAND_OPTIONS, ConfigError, RunConfig, build_config, parse_option
 from .coupling import CLAIMED_NORM_COEFF, STANDARD_NORM_COEFF, audit_eq5
 from .errors import (
     AccuracyError,
@@ -40,7 +46,7 @@ from .errors import (
     RealnessError,
     XispecError,
 )
-from .hadamard import PrefactorFit, ProductSpec, audit_coincidence, fitted_misfit
+from .hadamard import ProductSpec, audit_coincidence, fitted_misfit, tail_sum, zero_sum_residual
 from .report import (
     AuditReport,
     Verdict,
@@ -65,7 +71,6 @@ EXIT_CACHE_CORRUPTION = 3
 EXIT_NUMERICAL = 4
 
 HADAMARD_TRUNCATIONS = (50, 100, 200, 400, 800)
-HADAMARD_MISFIT_TOL = 2e-2
 COINCIDENCE_PROBES = 5
 CARLSON_INTEGER_COUNT = 10
 CARLSON_FIT_SMAX = 10.0
@@ -116,11 +121,16 @@ def _t_for_zero_count(count: int) -> float:
     return hi + 2.0
 
 
+def _scan_height(cfg: RunConfig, need_count: int | None) -> float:
+    """cfg.t_max, raised to cover need_count zeros when that is given."""
+    if need_count is None:
+        return cfg.t_max
+    return max(cfg.t_max, _t_for_zero_count(need_count))
+
+
 def _gather_zeros(cfg: RunConfig, need_count: int | None = None) -> list[CriticalZero]:
     """Zeros up to cfg.t_max (or covering need_count), via cache when valid."""
-    t_max = cfg.t_max
-    if need_count is not None:
-        t_max = max(t_max, _t_for_zero_count(need_count))
+    t_max = _scan_height(cfg, need_count)
     if cfg.cache and os.path.exists(cfg.cache):
         cache = ZeroCache.load(cfg.cache)  # corruption propagates: exit 3
         if cache.matches(t_max, cfg.tol):
@@ -211,8 +221,11 @@ def _hadamard_curve(
     zeros: list[CriticalZero],
     grid: tuple[int, ...] = HADAMARD_TRUNCATIONS,
     min_points: int = 1,
-) -> tuple[list[int], list[float], list[float], list[float]]:
-    """Misfit per truncation in grid; ConfigError if fewer than min_points fit."""
+) -> tuple[ProductSpec, list[int], list[float], list[float]]:
+    """(spec, truncations, misfits, bounds) for the truncations in grid.
+
+    ConfigError if fewer than min_points truncations fit the zeros.
+    """
     truncations = [n for n in grid if n <= len(zeros)]
     if len(truncations) < min_points:
         raise ConfigError(
@@ -222,44 +235,37 @@ def _hadamard_curve(
     spec = ProductSpec(zero_ordinates=tuple(z.gamma for z in zeros))
     xs = np.linspace(-1.0, 2.0, 21)
     targets = np.array([xi(complex(x, 0.0)).real for x in xs])
-    misfits, fit_b, fit_d = [], [], []
-    for n in truncations:
-        fit, worst = fitted_misfit(xs, targets, spec, n)
-        misfits.append(worst)
-        fit_b.append(fit.B)
-        fit_d.append(fit.D)
-    return truncations, misfits, fit_b, fit_d
+    misfits, bounds = zip(*(fitted_misfit(xs, targets, spec, n) for n in truncations))
+    return spec, truncations, list(misfits), list(bounds)
 
 
 def _run_hadamard(run: _Run) -> tuple[AuditReport, list[str]]:
     zeros = run.zeros
-    truncations, misfits, fit_b, fit_d = _hadamard_curve(zeros)
-    non_increasing = all(
-        b <= a + 1e-12 for a, b in zip(misfits, misfits[1:])
-    )
-    final_ok = misfits[-1] < HADAMARD_MISFIT_TOL
+    spec, truncations, misfits, bounds = _hadamard_curve(zeros)
+    heights = [tail_sum(spec, n)[0] for n in truncations]
+    residuals = [zero_sum_residual(spec, n) for n in truncations]
+    worst = max(m / b for m, b in zip(misfits, bounds))
     report = AuditReport(
         name="hadamard-product-misfit",
         params={
             "truncations": truncations,
-            "fitted_B": fit_b,
-            "fitted_D": fit_d,
+            "tail_heights": heights,
+            "zero_sum_residuals": residuals,
             "zeros_available": len(zeros),
             "sample_interval": [-1.0, 2.0],
             "samples": 21,
-            "non_increasing": non_increasing,
         },
         measured=misfits,
-        reference=[HADAMARD_MISFIT_TOL],
-        ratio_or_residual=misfits[-1],
-        tolerance=HADAMARD_MISFIT_TOL,
-        verdict=Verdict.PASS if (non_increasing and final_ok) else Verdict.FAIL,
+        reference=bounds,
+        ratio_or_residual=worst,
+        tolerance=1.0,
+        verdict=Verdict.PASS if all(m <= b for m, b in zip(misfits, bounds)) else Verdict.FAIL,
         provenance="hadamard",
     )
-    rows = ["n_factors,max_relative_misfit,fitted_B,fitted_D"]
+    rows = ["n_factors,max_relative_misfit,misfit_bound,tail_height,zero_sum_residual"]
     rows += [
-        f"{n},{m:.12g},{b:.12g},{d:.12g}"
-        for n, m, b, d in zip(truncations, misfits, fit_b, fit_d)
+        f"{n},{m:.12g},{b:.12g},{t:.12g},{r:.12g}"
+        for n, m, b, t, r in zip(truncations, misfits, bounds, heights, residuals)
     ]
     return report, rows
 
@@ -331,7 +337,7 @@ _AUDIT_RUNNERS = {
 
 
 def _metadata(cfg: RunConfig) -> dict:
-    t_scan = max(cfg.t_max, _t_for_zero_count(_product_zero_count(cfg)))
+    t_scan = _scan_height(cfg, _product_zero_count(cfg))
     z_method, z_terms = hardy_z_method(t_scan)
     return {
         "tool": "xispec",
@@ -453,7 +459,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
             ylabel="quadrature / closed form",
         )
     elif args.target == "product-convergence":
-        truncations, misfits, _, _ = _hadamard_curve(
+        _, truncations, misfits, _ = _hadamard_curve(
             _Run(cfg).zeros, grid=(10, 25) + HADAMARD_TRUNCATIONS, min_points=2
         )
         svg = render_line_plot(
@@ -533,22 +539,22 @@ def _flag(option: str) -> str:
     return "--" + option.replace("_", "-")
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _add_common_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    """The flags of the RunConfig options ``command`` reads, and --config."""
     # No argparse type: parse_option parses flag text as it parses file text.
     for option in fields(RunConfig):
-        parser.add_argument(
-            _flag(option.name), dest=option.name, help=option.metadata.get("help")
-        )
+        if option.name in COMMAND_OPTIONS[command]:
+            parser.add_argument(_flag(option.name), dest=option.name, help=option.metadata["help"])
     parser.add_argument("--config", help="flat key = value file")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     overrides = {
         name: parse_option(name, getattr(args, name), _flag(name))
-        for name in OPTION_TYPES
+        for name in COMMAND_OPTIONS[args.command]
         if getattr(args, name) is not None
     }
-    return build_config(args.config, overrides)
+    return build_config(args.config, overrides, args.command)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -563,12 +569,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_zeros = sub.add_parser("zeros", help="scan and refine critical-line zeros")
-    _add_common_flags(p_zeros)
+    _add_common_flags(p_zeros, "zeros")
     p_zeros.set_defaults(func=_cmd_zeros)
 
     p_audit = sub.add_parser("audit", help="run one audit or all of them")
     p_audit.add_argument("which", choices=_AUDIT_NAMES + ("all",))
-    _add_common_flags(p_audit)
+    _add_common_flags(p_audit, "audit")
     p_audit.set_defaults(func=_cmd_audit)
 
     p_plot = sub.add_parser("plot", help="emit a static SVG plot")
@@ -577,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("xi-critical", "eq5-ratio", "product-convergence", "residuals"),
     )
     p_plot.add_argument("--t", default=None, help="range a:b for xi-critical")
-    _add_common_flags(p_plot)
+    _add_common_flags(p_plot, "plot")
     p_plot.set_defaults(func=_cmd_plot)
 
     p_report = sub.add_parser("report", help="summarize existing report files")

@@ -1,14 +1,16 @@
 """Run configuration: defaults < config file < explicit flags.
 
-``RunConfig``'s fields are the only list of run options: ``OPTION_TYPES``
-derives from them the CLI's common flags and the config-file keys,
-``parse_option`` turns the text of a flag or of a file value into its type,
-and ``RunConfig.__post_init__`` validates every value, whichever source gave
-it.
+``RunConfig``'s fields are the only list of run options.  Each field's
+metadata names the subcommands that read it; ``COMMAND_OPTIONS`` derives
+from that each subcommand's flags and config-file keys, ``OPTION_TYPES``
+the type each option's text parses to.  ``parse_option`` turns the text of
+a flag or of a file value into its type, and ``RunConfig.__post_init__``
+validates every value, whichever source gave it.
 
 The config file is a flat ``key = value`` text file; ``#`` starts a
-comment.  Unknown keys are rejected rather than ignored, so typos fail
-fast with a usage error.
+comment.  One rule covers flags and keys: a subcommand accepts only the
+options it reads.  A key it does not read is rejected like an unknown one,
+so typos and misplaced options fail fast with a usage error.
 """
 
 from __future__ import annotations
@@ -30,35 +32,38 @@ T_MAX_CEILING = EM_MAX_T
 #: and xi's Gamma factor overflows double precision at 35*10 = 350.
 M_CEILING = 34
 
+#: The subcommands; each field's metadata names those that read it.
+COMMANDS = ("zeros", "audit", "plot")
+
 
 @dataclass
 class RunConfig:
-    t_max: float = field(default=50.0, metadata={"help": (
+    t_max: float = field(default=50.0, metadata={"commands": COMMANDS, "help": (
         "scan critical-line zeros up to this height (default 50, at most "
         f"{T_MAX_CEILING:g})"
     )})
-    tol: float = field(default=1e-8, metadata={
-        "help": "bracket width each zero is refined to (default 1e-8)"
-    })
-    n_zeros: int = field(default=200, metadata={"help": (
+    tol: float = field(default=1e-8, metadata={"commands": COMMANDS, "help": (
+        "bracket width each zero is refined to (default 1e-8)"
+    )})
+    n_zeros: int = field(default=200, metadata={"commands": ("audit", "plot"), "help": (
         "factors of the Hadamard product and coincidence audits, scanning past "
         "--t-max for them if needed (default 200)"
     )})
-    perturb: float = field(default=0.0, metadata={
-        "help": "shift added to the first coincidence probe (default 0)"
-    })
-    m: int = field(default=1, metadata={"help": (
+    perturb: float = field(default=0.0, metadata={"commands": ("audit",), "help": (
+        "shift added to the first coincidence probe (default 0)"
+    )})
+    m: int = field(default=1, metadata={"commands": ("audit", "plot"), "help": (
         "integer grid scale of the Carlson audit, which samples xi at m, 2m, "
         f"..., 10m (default 1, at most {M_CEILING})"
     )})
-    format: str = field(default="json", metadata={
-        "help": "audit report format: json or csv (default json)"
-    })
-    out: str | None = field(default=None, metadata={"help": (
+    format: str = field(default="json", metadata={"commands": ("audit",), "help": (
+        "audit report format: json or csv (default json)"
+    )})
+    out: str | None = field(default=None, metadata={"commands": COMMANDS, "help": (
         "audit: report directory (default reports); zeros: also write the "
         "table to this CSV file; plot: SVG file (default <target>.svg)"
     )})
-    cache: str | None = field(default=None, metadata={"help": (
+    cache: str | None = field(default=None, metadata={"commands": COMMANDS, "help": (
         "zero cache file, read when it covers the run and written after a "
         "scan (default: no cache)"
     )})
@@ -89,9 +94,15 @@ OPTION_TYPES = {
     f.name: str if f.default is None else type(f.default) for f in fields(RunConfig)
 }
 
+#: Subcommand -> the options it reads, which are its flags and config keys.
+COMMAND_OPTIONS = {
+    command: tuple(f.name for f in fields(RunConfig) if command in f.metadata["commands"])
+    for command in COMMANDS
+}
 
-def parse_config_file(path: str) -> dict:
-    """Flat key = value file -> override dict; unknown keys rejected."""
+
+def parse_config_file(path: str, command: str) -> dict:
+    """Flat key = value file -> override dict; keys ``command`` does not read rejected."""
     overrides: dict = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -106,8 +117,8 @@ def parse_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in text.split("=", 1))
         key = key.replace("-", "_")
-        if key not in OPTION_TYPES:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key not in COMMAND_OPTIONS[command]:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r} for {command}")
         overrides[key] = parse_option(key, raw, f"{path}:{lineno}: config key {key!r}")
     return overrides
 
@@ -120,8 +131,12 @@ def parse_option(key: str, raw: str, source: str):
         raise ConfigError(f"{source}: cannot parse {raw!r}") from exc
 
 
-def build_config(file_path: str | None, flag_overrides: dict) -> RunConfig:
-    """Merge defaults, config file, then explicit flags (None = not given)."""
-    merged = parse_config_file(file_path) if file_path is not None else {}
+def build_config(file_path: str | None, flag_overrides: dict, command: str) -> RunConfig:
+    """Merge defaults, config file, then explicit flags (None = not given).
+
+    ``command`` is the subcommand the config is for: the file may set only
+    the options it reads (``COMMAND_OPTIONS``).
+    """
+    merged = parse_config_file(file_path, command) if file_path is not None else {}
     merged.update((k, v) for k, v in flag_overrides.items() if v is not None)
     return RunConfig(**merged)

@@ -1,40 +1,49 @@
-"""Genus-1 Hadamard product over paired critical-line zeros.
+"""The Hadamard product of xi over paired critical-line zeros, in closed form.
 
-Each ordinate gamma stands for the conjugate pair rho = 1/2 + i*gamma,
-conj rho (the reflection pair 1 - rho coincides with conj rho, so the
-symmetry collapses the quadruple to the pair).  Writing u = s(s-1) and
-lambda_n = -(1/4 + gamma_n^2), the paired genus-1 factor collapses to
+Each ordinate gamma_n stands for the pair rho_n = 1/2 + i gamma_n, conj rho_n
+(on the critical line 1 - rho_n is conj rho_n).  With u = s(s-1) and
+lambda_n = -(1/4 + gamma_n^2), the pair's factor (1 - s/rho_n)(1 - s/conj rho_n)
+is (lambda_n - u)/lambda_n, and with xi(0) = 1/2 (Edwards, *Riemann's Zeta
+Function*, 1974, §2.8), xi(s) = 1/2 prod_n (lambda_n - u)/lambda_n: nothing
+is fitted.  ``paired_product`` is the product over the first n pairs.  Its
+division is done componentwise against the *real* lambda_n, so it is
+exactly 1/2 at s = 0 and exactly 0 at s = 1/2 + i gamma_k for any stored
+ordinate, where lambda_k - u cancels; the coincidence discriminator is
+built on that annihilation.
 
-    (1 - s/rho_n)(1 - s/conj rho_n) = (lambda_n - u) / lambda_n,
-
-with the exponential corrections exp(s (1/rho_n + 1/conj rho_n))
-= exp(s / (1/4 + gamma_n^2)) all real-coefficient.  The division is done
-componentwise against the *real* lambda_n, which makes two identities exact
-in floating point, not just accurate: the product is exactly e^B at s = 0,
-and exactly 0 at s = 1/2 + i*gamma_k for any stored ordinate (bit-for-bit),
-because lambda_k - u then cancels to zero.  The coincidence discriminator
-is built on that annihilation.
-
-A ``ProductSpec`` holds its ordinates as one read-only array.  The prefactor
-fit and the coincidence audit build the pair data (lambda_n and the sum of
-the c_n) once for their truncation and take all their sample points as one
-blocked 2-D product, the same factors multiplied in the same order as a
-one-point call.
+The pairs after the n-th contribute about e^{u tau}, where ``tail_sum``
+takes tau = sum_{k>n} 1/(1/4 + gamma_k^2) from the Riemann-von Mangoldt
+main term of the zero count (``zeros.zero_count_main_term``) and bounds its
+error with Trudgian's remainder (``zeros.zero_count_remainder_bound``).
+``fitted_misfit`` turns that into a bound on the closed form's misfit
+against xi, and the Hadamard audit passes only if every truncation is
+within its bound.  ``zero_sum_residual`` checks the same tail against
+ZERO_SUM.  The misfit and the coincidence audit take all their sample
+points as one blocked 2-D product, the same factors multiplied in the same
+order as a one-point call.
 """
 
 from __future__ import annotations
 
-import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularFitError
+from .errors import DomainError
 from .report import AuditReport, Verdict
+from .zeros import zero_count_main_term, zero_count_remainder_bound
 
 #: Offset (in ordinate units) used to measure the local product scale when
 #: deriving the coincidence threshold.
 COINCIDENCE_PROBE_OFFSET = 1e-4
+
+#: xi(0), the constant of the product.
+XI_AT_ZERO = 0.5
+
+#: sum_rho Re 1/rho = sum_n 1/(1/4 + gamma_n^2) = 1 + gamma_E/2 - 1/2 log 4 pi
+#: (Davenport, *Multiplicative Number Theory*, ch. 12).
+ZERO_SUM = 1.0 + 0.5772156649015329 / 2.0 - 0.5 * math.log(4.0 * math.pi)
 
 # Bound on the elements of any 2-D temporary of the batched product.
 _BLOCK_ELEMENTS = 4096
@@ -42,15 +51,13 @@ _BLOCK_ELEMENTS = 4096
 
 @dataclass(frozen=True)
 class ProductSpec:
-    """Zero ordinates plus prefactor constants for the paired product.
+    """Zero ordinates of the paired product.
 
     The ordinates are converted to one read-only float64 array at
     construction; validation runs on it and ``truncated`` returns views of it.
     """
 
     zero_ordinates: tuple[float, ...]
-    multiplicity: int = 0
-    prefactor: tuple[float, float] = (0.0, 0.0)  # (B, D)
 
     def __post_init__(self) -> None:
         g = np.array(self.zero_ordinates, dtype=np.float64)
@@ -59,8 +66,6 @@ class ProductSpec:
             raise DomainError("zero ordinates must be positive")
         if (~(g[1:] > g[:-1])).any():
             raise DomainError("zero ordinates must be strictly increasing")
-        if self.multiplicity < 0:
-            raise DomainError("multiplicity must be non-negative")
         object.__setattr__(self, "_ordinates", g)
 
     def truncated(self, n: int) -> np.ndarray:
@@ -73,47 +78,10 @@ class ProductSpec:
         return self._ordinates[:n]
 
 
-@dataclass(frozen=True)
-class PrefactorFit:
-    """Fitted log-linear prefactor constants with residual statistics."""
-
-    B: float
-    D: float
-    max_residual: float
-    sample_range: tuple[float, float]
-
-
-def linear_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares line ys ~ intercept + slope * xs.
-
-    Returns (slope, intercept, max absolute residual).
-
-    Raises:
-        SingularFitError: fewer than two samples, or all sample points coincide.
-    """
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    if xs.size < 2:
-        raise SingularFitError("need at least two samples to fit a line")
-    count = float(xs.size)
-    sx = float(np.sum(xs))
-    sxx = float(np.sum(xs * xs))
-    sy = float(np.sum(ys))
-    sxy = float(np.sum(xs * ys))
-    det = count * sxx - sx * sx
-    if det <= 1e-14 * max(count * sxx, sx * sx, 1e-300):
-        raise SingularFitError("degenerate sample grid (all points coincide)")
-    slope = (count * sxy - sx * sy) / det
-    intercept = (sxx * sy - sx * sxy) / det
-    residual = float(np.max(np.abs(intercept + slope * xs - ys)))
-    return slope, intercept, residual
-
-
-def _pair_data(spec: ProductSpec, n: int) -> tuple[np.ndarray, float]:
-    """(lambda_n, sum of the correction coefficients c_n) of the first n pairs."""
+def _lambdas(spec: ProductSpec, n: int) -> np.ndarray:
+    """lambda_k = -(1/4 + gamma_k^2) of the first n pairs."""
     g = spec.truncated(n)
-    denom = 0.25 + g * g            # 1/4 + gamma^2 = -lambda
-    return -denom, float(np.sum(1.0 / denom))
+    return -(0.25 + g * g)
 
 
 def _poly_products(u: np.ndarray, lam: np.ndarray) -> list[complex]:
@@ -145,110 +113,78 @@ def _poly_products(u: np.ndarray, lam: np.ndarray) -> list[complex]:
     return products
 
 
-def _poly_product(s: complex, lam: np.ndarray) -> complex:
-    return _poly_products(np.array([s * (s - 1.0)]), lam)[0]
-
-
-def _with_prefactor(
-    s: complex, poly: complex, c_sum: float, prefactor: tuple[float, float], multiplicity: int
-) -> complex:
-    b, d = prefactor
-    value = cmath.exp(complex(b) + (d + c_sum) * s) * poly
-    if multiplicity > 0:
-        value *= s ** multiplicity
-    return value
+def _products(spec: ProductSpec, n: int, points: list[complex]) -> list[complex]:
+    """paired_product(s, spec, n) at each point, as one batched product."""
+    polys = _poly_products(np.array([s * (s - 1.0) for s in points]), _lambdas(spec, n))
+    # Componentwise: a complex product would turn 0 * inf into NaN.
+    return [complex(XI_AT_ZERO * p.real, XI_AT_ZERO * p.imag) for p in polys]
 
 
 def paired_product(s: complex, spec: ProductSpec, n: int) -> complex:
-    """Truncated paired product s^m e^{B + D s} prod_n [(pair factor) e^{s c_n}]."""
-    s = complex(s)
-    lam, c_sum = _pair_data(spec, n)
-    return _with_prefactor(
-        s, _poly_product(s, lam), c_sum, spec.prefactor, spec.multiplicity
-    )
+    """The truncated product 1/2 prod_{k<=n} (lambda_k - s(s-1)) / lambda_k."""
+    return _products(spec, n, [complex(s)])[0]
 
 
-def _line_products(spec: ProductSpec, n: int, ordinates: list[float]) -> list[complex]:
-    """paired_product(0.5 + i t, spec, n) for each t, from one pair-data build."""
-    points = [complex(0.5, t) for t in ordinates]
-    lam, c_sum = _pair_data(spec, n)
-    polys = _poly_products(np.array([s * (s - 1.0) for s in points]), lam)
-    return [
-        _with_prefactor(s, poly, c_sum, spec.prefactor, spec.multiplicity)
-        for s, poly in zip(points, polys)
-    ]
+def tail_sum(spec: ProductSpec, n: int) -> tuple[float, float, float]:
+    """(T, tau, err) for the tail tau_n = sum_{k>n} 1/(1/4 + gamma_k^2).
 
-
-def tail_bound(spec: ProductSpec, n: int, s: complex) -> float:
-    """Estimated truncation tail sum_{k>n} |s|^2/(1/4+gamma_k^2).
-
-    Ordinates beyond the stored list are extrapolated with the list's
-    average gap.
+    T is the midpoint of gamma_n and gamma_{n+1}, or gamma_n when the spec
+    ends there.  tau is the integral of dM(t)/t^2 over (T, inf), M the main
+    term: (log(T/2 pi) + 1)/(2 pi T).  err bounds |tau_n - tau| for any T in
+    [gamma_n, gamma_{n+1}) >= 14 if no zero below T is missing.  With
+    f = 1/(1/4 + t^2) and N = M + E, |E| <= R, by parts
+    tau_n = int f dM - f(T) E(T) - int E f' dt.  The first term is within
+    tau/(4T^2) of tau; |f(T) E(T)| <= R(T)/T^2; and with |f'| <= 2/t^3 and
+    R(t) <= R(T) + (0.112 + 0.278/log T) log(t/T), the last is at most
+    (R(T) + 0.056 + 0.139/log T)/T^2 <= (R(T) + 0.11)/T^2.  So
+    err = (2 R(T) + 0.11 + tau/4)/T^2.
     """
+    if n < 1:
+        raise DomainError("the tail needs at least one factor")
     g = spec._ordinates
-    s_abs = abs(complex(s))
-    s_sq = s_abs * s_abs   # inf, not OverflowError, for a far point
-    listed = float(np.sum(s_sq / (0.25 + g[n:] * g[n:]))) if n < g.size else 0.0
-    extrapolated = 0.0
-    if g.size >= 2:
-        gap = (g[-1] - g[0]) / (g.size - 1)
-        extrapolated = s_sq / (gap * g[-1])
-    return listed + extrapolated
+    height = float(0.5 * (g[n - 1] + g[n]) if g.size > n else spec.truncated(n)[-1])
+    # M(t) - 7/8 = (t/2 pi)(log(t/2 pi) - 1), so tau = (M(T) - 7/8)/T^2 + 1/(pi T).
+    tau = (zero_count_main_term(height) - 0.875) / height**2 + 1.0 / (math.pi * height)
+    err = (2.0 * zero_count_remainder_bound(height) + 0.11 + 0.25 * tau) / height**2
+    return height, tau, err
+
+
+def zero_sum_residual(spec: ProductSpec, n: int) -> float:
+    """sum_{k<=n} 1/(1/4 + gamma_k^2) + tau - ZERO_SUM, tau from ``tail_sum``."""
+    g = spec.truncated(n)
+    return float(np.sum(1.0 / (0.25 + g * g))) + tail_sum(spec, n)[1] - ZERO_SUM
 
 
 def fitted_misfit(
-    sample_points: np.ndarray,
-    target_values: np.ndarray,
-    spec: ProductSpec,
-    n: int,
-) -> tuple[PrefactorFit, float]:
-    """Fit the prefactor at truncation n and report the max relative misfit.
+    sample_points: np.ndarray, target_values: np.ndarray, spec: ProductSpec, n: int
+) -> tuple[float, float]:
+    """(misfit, bound) of the closed form at truncation n against xi's values.
 
-    The fit is the least-squares (B, D) matching the product to the target
-    samples in log space: it minimizes
-    sum_k (log target_k - log bare_k - B - D s_k)^2 over real samples, where
-    bare is the product without its e^{B + D s} prefactor and both it and
-    the target must be positive.
-
-    Raises:
-        DomainError: non-positive target or bare-product sample.
-        SingularFitError: fewer than two distinct sample points.
+    Nothing is fitted: the name stays because the benchmark's tracer
+    (perfbench/spans.py) times the audit's per-truncation misfit under it.
+    The model at real s is paired_product(s, spec, n) e^{u tau}, tau from
+    ``tail_sum``; the misfit is the largest |model/target - 1|.  model/xi
+    = e^z, z = u (tau - tau_n) + sum_{k>n} (u/a_k - log(1 + u/a_k)) with
+    a_k = 1/4 + gamma_k^2 > T^2.  While |u| <= T^2/2 each term of the sum is
+    at most |u|^2/a_k^2, and sum_{k>n} 1/a_k^2 <= tau_n/T^2, so at the
+    samples' largest |u|, |z| <= E = |u| err + |u|^2 (tau + err)/T^2.  The
+    bound is e^E - 1 plus 3n + 64 units in the last place of rounding: three
+    per factor, and 64 for xi (within 19 of mpmath on the audit's samples),
+    e^{u tau} and the quotient.  Above |u| = T^2/2 it is inf.
     """
-    xs = np.asarray(sample_points, dtype=np.float64)
-    ts = np.asarray(target_values, dtype=np.float64)
-    if xs.size != ts.size:
-        raise DomainError("sample points and target values differ in length")
-    if np.any(ts <= 0.0):
-        raise DomainError("target must be positive on all fit samples")
-
-    points = [complex(x, 0.0) for x in xs]
-    lam, c_sum = _pair_data(spec, n)
-    polys = _poly_products(np.array([s * (s - 1.0) for s in points]), lam)
-    bare = np.empty(xs.size, dtype=np.float64)
-    for i, (s, poly) in enumerate(zip(points, polys)):
-        if spec.multiplicity > 0:
-            poly *= s ** spec.multiplicity
-        value = cmath.exp(c_sum * s) * poly
-        if not (value.real > 0.0) or abs(value.imag) > 1e-12 * abs(value):
-            raise DomainError(
-                f"bare product not positive-real at sample {xs[i]!r}: {value!r}"
-            )
-        bare[i] = value.real
-
-    d, b, residual = linear_fit(xs, np.log(ts) - np.log(bare))
-    fit = PrefactorFit(
-        B=b,
-        D=d,
-        max_residual=residual,
-        sample_range=(float(np.min(xs)), float(np.max(xs))),
+    xs = [float(x) for x in sample_points]
+    products = _products(spec, n, [complex(x, 0.0) for x in xs])
+    height, tau, err = tail_sum(spec, n)
+    us = [x * (x - 1.0) for x in xs]
+    misfit = max(
+        abs(p.real * math.exp(u * tau) / float(t) - 1.0)
+        for p, u, t in zip(products, us, target_values, strict=True)
     )
-    worst = 0.0
-    for s, poly, t in zip(points, polys, ts):
-        model = _with_prefactor(
-            s, poly, c_sum, (fit.B, fit.D), spec.multiplicity
-        ).real
-        worst = max(worst, abs(model / t - 1.0))
-    return fit, worst
+    u_max = max(abs(u) for u in us)
+    if u_max > 0.5 * height**2:
+        return misfit, math.inf
+    tail = u_max * err + u_max**2 * (tau + err) / height**2
+    return misfit, math.expm1(tail) + (3 * n + 64) * 2.0**-52
 
 
 def _coincidence_threshold(
@@ -264,10 +200,10 @@ def _coincidence_threshold(
         return 0.0
     g = spec.truncated(n)
     shifted = [
-        float(g[int(np.argmin(np.abs(g - p)))]) + COINCIDENCE_PROBE_OFFSET
+        complex(0.5, float(g[int(np.argmin(np.abs(g - p)))]) + COINCIDENCE_PROBE_OFFSET)
         for p in probe_ordinates
     ]
-    return max(0.0, *(abs(v) for v in _line_products(spec, n, shifted)))
+    return max(0.0, *(abs(v) for v in _products(spec, n, shifted)))
 
 
 def audit_coincidence(
@@ -278,12 +214,14 @@ def audit_coincidence(
     COINCIDE when every probe annihilates the truncated product to within
     the threshold (``_coincidence_threshold``); DISTINCT when some probe
     outside the stored set leaves a magnitude above 10x the threshold;
-    INCONCLUSIVE between.
+    INCONCLUSIVE between.  The report's ``tail_bound`` is |u| (tau + err)
+    at the first probe (``tail_sum``): it bounds |u| times the tail sum,
+    the size of the log of the factors left out.
     """
     probes = [float(p) for p in probe_ordinates]
     threshold = _coincidence_threshold(spec_a, probes, n)
     stored = set(spec_a.truncated(n).tolist())
-    values = [abs(v) for v in _line_products(spec_a, n, probes)]
+    values = [abs(v) for v in _products(spec_a, n, [complex(0.5, p) for p in probes])]
     member = [p in stored for p in probes]
 
     foreign = [v for v, m in zip(values, member) if not m]
@@ -296,6 +234,7 @@ def audit_coincidence(
 
     worst = max(values) if values else 0.0
     s_probe = complex(0.5, probes[0]) if probes else complex(0.5, 0.0)
+    _, tau, err = tail_sum(spec_a, n)
     return AuditReport(
         name="zero-coincidence",
         params={
@@ -303,7 +242,7 @@ def audit_coincidence(
             "probe_count": len(probes),
             "probe_is_member": member,
             "probe_offset": COINCIDENCE_PROBE_OFFSET,
-            "tail_bound": tail_bound(spec_a, n, s_probe),
+            "tail_bound": abs(s_probe * (s_probe - 1.0)) * (tau + err),
         },
         measured=values,
         reference=[threshold],

@@ -314,13 +314,25 @@ def scan_zeros(t_max: float, tol: float) -> list[CriticalZero]:
     return refine_brackets(rows[:, :2], tol, z_ends=rows[:, 2:])
 
 
+def zero_count_main_term(t: float) -> float:
+    """M(t) = (t/2 pi) log(t/2 pi e) + 7/8, the main term of N(t), unrounded."""
+    return (t / (2.0 * math.pi)) * math.log(t / (2.0 * math.pi * math.e)) + 0.875
+
+
+def zero_count_remainder_bound(t: float) -> float:
+    """R(t) = 0.112 log t + 0.278 log log t + 2.51 + 0.2/t >= |N(t) - M(t)|, t >= e.
+
+    The constants are quoted from T. Trudgian, J. Number Theory 134 (2014),
+    not derived here; tests/test_zeros.py checks them on the zeros to 1190.
+    """
+    return 0.112 * math.log(t) + 0.278 * math.log(math.log(t)) + 2.51 + 0.2 / t
+
+
 def zero_count_estimate(t_max: float) -> int:
     """Rounded asymptotic count of critical-line zeros up to t_max."""
-    t = float(t_max)
-    if t <= 0.0:
+    if t_max <= 0.0:
         return 0
-    raw = (t / (2.0 * math.pi)) * math.log(t / (2.0 * math.pi * math.e)) + 0.875
-    return max(int(round(raw)), 0)
+    return max(int(round(zero_count_main_term(t_max))), 0)
 
 
 def count_check(t_max: float, found: int) -> AuditReport:

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from xispec.carlson import (
@@ -11,10 +12,11 @@ from xispec.carlson import (
     carlson_verdict,
     check_integer_vanishing,
     estimate_type,
+    linear_fit,
 )
 from xispec.cli import CARLSON_FIT_SAMPLES, CARLSON_FIT_SMAX, CARLSON_INTEGER_COUNT
 from xispec.config import M_CEILING
-from xispec.errors import GammaOverflowError
+from xispec.errors import GammaOverflowError, SingularFitError
 from xispec.specfun import xi
 
 
@@ -156,3 +158,15 @@ def test_m_ceiling_is_the_last_scale_xi_survives():
     assert len(audit.residuals) == CARLSON_INTEGER_COUNT
     with pytest.raises(GammaOverflowError):
         audit_difference(CARLSON_INTEGER_COUNT, XI_FIT, scale=M_CEILING + 1)
+
+
+def test_linear_fit():
+    xs = np.linspace(0.0, 7.0, 12)
+    slope, intercept, residual = linear_fit(xs, math.pi * xs - 0.25)
+    assert slope == pytest.approx(math.pi, abs=1e-12)
+    assert intercept == pytest.approx(-0.25, abs=1e-12)
+    assert residual < 1e-12
+    with pytest.raises(SingularFitError):
+        linear_fit(np.array([0.0]), np.array([1.0]))
+    with pytest.raises(SingularFitError):
+        linear_fit(np.full(4, 3.0), np.arange(4.0))

@@ -436,7 +436,7 @@ def test_zeros_out_file(capsys):
         ["audit", "coincidence", "--perturb", "inf"],
         ["audit", "carlson", "--m", "35"],
         ["audit", "carlson", "--m", "10000"],
-        ["zeros", "--format", "xml"],
+        ["audit", "eq9", "--format", "xml"],
         ["audit", "carlson", "--t-max", "soon"],
         ["audit", "hadamard", "--n-zeros", "3"],
         ["audit", "all", "--n-zeros", "30"],
@@ -473,6 +473,14 @@ def test_unusable_output_path_is_one_usage_line(capsys, argv, path):
 _SAMPLE_TEXT = {float: "2.5", int: "3", str: "json"}
 
 
+#: The RunConfig options each subcommand reads: its flags and config keys.
+_COMMAND_FLAGS = {
+    "zeros": {"t_max", "tol", "out", "cache"},
+    "audit": {"t_max", "tol", "n_zeros", "perturb", "m", "format", "out", "cache"},
+    "plot": {"t_max", "tol", "n_zeros", "m", "out", "cache"},
+}
+
+
 @pytest.mark.parametrize(
     "argv, own",
     [(["zeros"], set()), (["audit", "eq5"], {"which"}), (["plot", "residuals"], {"target", "t"})],
@@ -481,10 +489,15 @@ _SAMPLE_TEXT = {float: "2.5", int: "3", str: "json"}
 def test_common_flags_are_the_run_config_fields(argv, own):
     parser = cli.build_parser()
     flags = set(vars(parser.parse_args(argv))) - own - {"command", "func", "config"}
-    assert flags == {f.name for f in fields(RunConfig)}
+    assert flags == _COMMAND_FLAGS[argv[0]]
     for f in fields(RunConfig):
         kind = str if f.default is None else type(f.default)
         flag = "--" + f.name.replace("_", "-")
+        if f.name not in flags:
+            with pytest.raises(SystemExit) as excinfo:
+                parser.parse_args([*argv, flag, _SAMPLE_TEXT[kind]])
+            assert excinfo.value.code == 2
+            continue
         cfg = cli._config_from_args(parser.parse_args([*argv, flag, _SAMPLE_TEXT[kind]]))
         value = getattr(cfg, f.name)
         assert type(value) is kind and value == kind(_SAMPLE_TEXT[kind])
@@ -495,16 +508,39 @@ def test_every_common_flag_has_help(command):
     parser = cli.build_parser()
     (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     helps = {a.dest: a.help for a in subcommands.choices[command]._actions}
-    for name in [f.name for f in fields(RunConfig)] + ["config"]:
+    for name in sorted(_COMMAND_FLAGS[command]) + ["config"]:
         assert helps[name], name
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["zeros", "--t-max", "30"], "perturb"),
+        (["zeros", "--t-max", "30"], "format"),
+        (["zeros", "--t-max", "30"], "n_zeros"),
+        (["zeros", "--t-max", "30"], "m"),
+        (["plot", "xi-critical"], "perturb"),
+        (["plot", "xi-critical"], "format"),
+    ],
+)
+def test_config_key_a_command_does_not_read_is_a_usage_error(tmp_path, capsys, argv, option):
+    # Like the flag (test_common_flags_are_the_run_config_fields), the key
+    # is rejected as unknown to the command: exit 2, one line, no output.
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{option} = 3\n")
+    assert run([*argv, "--config", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"xispec: usage error: {path}:1: unknown config key {option!r} for {argv[0]}\n"
+    )
+    assert os.listdir(tmp_path) == ["run.cfg"]
+
+
 def test_unparsable_value_names_its_source(tmp_path, capsys):
-    assert run(["zeros", "--m", "abc"]) == 2
+    assert run(["audit", "carlson", "--m", "abc"]) == 2
     assert capsys.readouterr().err == "xispec: usage error: --m: cannot parse 'abc'\n"
     path = tmp_path / "run.cfg"
     path.write_text("# scale\nm = abc\n")
-    assert run(["zeros", "--config", str(path)]) == 2
+    assert run(["audit", "carlson", "--config", str(path)]) == 2
     assert capsys.readouterr().err == (
         f"xispec: usage error: {path}:2: config key 'm': cannot parse 'abc'\n"
     )
@@ -540,6 +576,6 @@ def test_config_keys_are_the_run_config_fields(tmp_path):
     path = tmp_path / "run.cfg"
     kinds = {f.name: str if f.default is None else type(f.default) for f in fields(RunConfig)}
     path.write_text("".join(f"{name} = {_SAMPLE_TEXT[kind]}\n" for name, kind in kinds.items()))
-    parsed = parse_config_file(str(path))
+    parsed = parse_config_file(str(path), "audit")
     assert parsed == {name: kind(_SAMPLE_TEXT[kind]) for name, kind in kinds.items()}
     assert {name: type(value) for name, value in parsed.items()} == kinds

@@ -12,14 +12,14 @@ from xispec.specfun.xi import EM_MAX_T
 
 
 def test_defaults():
-    cfg = build_config(None, {})
+    cfg = build_config(None, {}, "audit")
     assert cfg.t_max == 50.0
     assert cfg.tol == 1e-8
     assert cfg.format == "json"
 
 
 def test_flag_overrides():
-    cfg = build_config(None, {"t_max": 30.0, "tol": None})
+    cfg = build_config(None, {"t_max": 30.0, "tol": None}, "audit")
     assert cfg.t_max == 30.0
     assert cfg.tol == 1e-8
 
@@ -27,7 +27,7 @@ def test_flag_overrides():
 def test_file_then_flags(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("t-max = 40\nn-zeros = 300   # product zeros\n\n# comment\n")
-    cfg = build_config(str(path), {"t_max": 60.0})
+    cfg = build_config(str(path), {"t_max": 60.0}, "audit")
     assert cfg.t_max == 60.0       # flag wins
     assert cfg.n_zeros == 300
 
@@ -37,28 +37,28 @@ def test_threads_key_rejected(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("threads = 2\n")
     with pytest.raises(ConfigError, match="threads"):
-        parse_config_file(str(path))
+        parse_config_file(str(path), "audit")
 
 
 def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("t_mox = 40\n")
     with pytest.raises(ConfigError):
-        parse_config_file(str(path))
+        parse_config_file(str(path), "audit")
 
 
 def test_malformed_line_rejected(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("just words\n")
     with pytest.raises(ConfigError):
-        parse_config_file(str(path))
+        parse_config_file(str(path), "audit")
 
 
 def test_unparsable_value_rejected(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("t_max = soon\n")
     with pytest.raises(ConfigError):
-        parse_config_file(str(path))
+        parse_config_file(str(path), "audit")
 
 
 @pytest.mark.parametrize(
@@ -99,11 +99,11 @@ def test_m_ceiling_accepted():
 
 def test_missing_config_file():
     with pytest.raises(ConfigError):
-        parse_config_file("/nonexistent/path.cfg")
+        parse_config_file("/nonexistent/path.cfg", "audit")
 
 
 def test_config_file_that_is_not_utf8(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_bytes(b"t_max = 30\n\xff\n")
     with pytest.raises(ConfigError, match="cannot read config file"):
-        parse_config_file(str(path))
+        parse_config_file(str(path), "audit")

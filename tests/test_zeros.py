@@ -25,6 +25,8 @@ from xispec.zeros import (
     refine_zero,
     scan_zeros,
     zero_count_estimate,
+    zero_count_main_term,
+    zero_count_remainder_bound,
 )
 
 xi_module = importlib.import_module("xispec.specfun.xi")
@@ -399,6 +401,19 @@ def test_count_check(t_max, found, verdict):
 def test_count_estimate_values():
     assert zero_count_estimate(10.0) == 0
     assert zero_count_estimate(100.0) == 29
+
+
+def test_remainder_bound_holds_at_the_scanned_zeros(zeros_for_products):
+    # N(t) steps from k - 1 to k at gamma_k: both values must be within
+    # R(gamma_k) of the main term.  A necessary check of Trudgian's quoted
+    # constants on the data, not a proof of them.
+    zeros = [z for z in zeros_for_products if z.gamma <= 1190.0]
+    assert [z.index for z in zeros] == list(range(1, len(zeros) + 1))
+    assert len(zeros) > 800
+    for z in zeros:
+        main = zero_count_main_term(z.gamma)
+        bound = zero_count_remainder_bound(z.gamma)
+        assert abs(z.index - 1 - main) <= bound and abs(z.index - main) <= bound, z
 
 
 def test_coarse_step_recovers_hidden_zeros():
