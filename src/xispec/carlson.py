@@ -1,12 +1,15 @@
 """Growth-condition auditor for the integer-vanishing argument.
 
-``estimate_type`` measures the exponential type of an entire function
-along one axis as the least-squares slope of log|f| over a geometric
-radius grid.  ``carlson_verdict`` combines both axes with an integer-
-vanishing check; because the theorem's hypothesis "beta < pi" cannot be
-certified by finite sampling, the auditor demands beta <= pi - margin for
-a declared positive margin, which rejects the sharp case sin(pi z) for
-every margin.
+Carlson's theorem: an entire function of exponential type with
+h(+-pi/2) < pi that vanishes at the non-negative integers is identically
+zero.  ``estimate_type`` measures the exponential type of f along one axis
+as the least-squares slope of log|f| over a geometric radius grid.
+``carlson_verdict`` fits both axes, samples |f| on the scaled integer grid
+and returns one ``CarlsonVerdict``: the two slopes, the magnitudes, the
+three condition flags and the conclusion.  Because the hypothesis
+"beta < pi" cannot be certified by finite sampling, the auditor demands
+beta <= pi - margin for a declared positive margin, which rejects the
+sharp case sin(pi z) for every margin.
 
 The log-linear audits live here too: the exponential model fitted to the
 true xi on a real interval (the residual is the finding, never a
@@ -80,66 +83,33 @@ class Axis(enum.Enum):
     IMAGINARY = "imaginary"
 
 
-@dataclass(frozen=True)
-class GrowthComponent:
-    """Exponential-type estimate along one axis."""
-
-    axis: Axis
-    slope: float
-    intercept: float
-    residual: float
-    radius: float
-    all_near_zero: bool
-
-
-@dataclass(frozen=True)
-class GrowthEstimate:
-    """Fitted types along both axes; comparisons always use a margin."""
-
-    alpha: GrowthComponent
-    beta: GrowthComponent
-
-
-@dataclass(frozen=True)
-class VanishingCheck:
-    """Result of the integer-vanishing sweep."""
-
-    vanishes: bool
-    max_abs: float
-    at_point: float
-    tolerance: float
-    count: int
-    magnitudes: tuple[float, ...]
-
-
 class Conclusion(enum.Enum):
     IDENTICALLY_ZERO_IMPLIED = "IDENTICALLY_ZERO_IMPLIED"
     CONDITIONS_NOT_MET = "CONDITIONS_NOT_MET"
-    INCONCLUSIVE = "INCONCLUSIVE"
 
 
 @dataclass(frozen=True)
 class CarlsonVerdict:
-    """Condition flags plus the implied conclusion."""
+    """Both fitted types, |f| on the integer grid, the three condition flags
+    and the conclusion they imply."""
 
+    alpha_slope: float
+    beta_slope: float
+    magnitudes: tuple[float, ...]
+    margin: float
     alpha_finite: bool
     beta_below_pi: bool
-    vanishing: bool | None
-    margin: float
-    growth: GrowthEstimate
-    vanish_check: VanishingCheck | None
+    vanishing: bool
     conclusion: Conclusion
 
 
-def estimate_type(
-    f: Callable[[complex], complex], axis: Axis, radius: float
-) -> GrowthComponent:
+def estimate_type(f: Callable[[complex], complex], axis: Axis, radius: float) -> float:
     """Least-squares slope of log|f| against |coordinate| along one axis.
 
     TYPE_GRID_POINTS samples sit on a geometric grid spanning
     [radius/TYPE_GRID_SPAN, radius]; samples with |f| below the underflow
     guard are skipped.  With fewer than two usable samples the type is
-    undefined and reported as 0 with the ``all_near_zero`` flag set.
+    undefined and reported as 0.
     """
     if not (radius > 0.0):
         raise ValueError("radius must be positive")
@@ -154,47 +124,8 @@ def estimate_type(
         rs.append(float(r))
         ys.append(math.log(mag))
     if len(rs) < 2:
-        return GrowthComponent(
-            axis=axis,
-            slope=0.0,
-            intercept=0.0,
-            residual=0.0,
-            radius=radius,
-            all_near_zero=True,
-        )
-    slope, intercept, residual = linear_fit(rs, ys)
-    return GrowthComponent(
-        axis=axis,
-        slope=slope,
-        intercept=intercept,
-        residual=residual,
-        radius=radius,
-        all_near_zero=False,
-    )
-
-
-def check_integer_vanishing(
-    f: Callable[[complex], complex],
-    count: int,
-    tol: float,
-    scale: float = 1.0,
-) -> VanishingCheck:
-    """True iff |f| stays within tol on the scaled integer grid scale*{1..count}."""
-    points = [scale * k for k in range(1, count + 1)]
-    magnitudes = tuple(abs(complex(f(complex(point, 0.0)))) for point in points)
-    worst = 0.0
-    at = 0.0
-    for point, mag in zip(points, magnitudes):
-        if mag > worst:
-            worst, at = mag, point
-    return VanishingCheck(
-        vanishes=worst <= tol,
-        max_abs=worst,
-        at_point=at,
-        tolerance=tol,
-        count=count,
-        magnitudes=magnitudes,
-    )
+        return 0.0
+    return linear_fit(rs, ys)[0]
 
 
 def carlson_verdict(
@@ -204,48 +135,42 @@ def carlson_verdict(
     margin: float = DEFAULT_BETA_MARGIN,
     scale: float = 1.0,
 ) -> CarlsonVerdict:
-    """Combine both growth estimates with the integer-vanishing sweep.
+    """Both growth estimates and |f| on the scaled integer grid scale*{1..count}.
 
-    The function vanishes at an integer sample when |f| <= VANISH_TOL there.
+    The function vanishes on the grid when |f| <= VANISH_TOL at every
+    sample; a NaN sample does not vanish.  IDENTICALLY_ZERO_IMPLIED requires
+    all three condition flags.
 
-    IDENTICALLY_ZERO_IMPLIED requires all three condition flags; with no
-    integer samples (count = 0) the vanishing hypothesis is untested and
-    the conclusion is INCONCLUSIVE.
+    Raises:
+        ValueError: count < 1 (an empty grid cannot test the vanishing
+            hypothesis), or margin <= 0.
     """
+    if count < 1:
+        raise ValueError("count must be at least 1: an empty integer grid "
+                         "cannot test the vanishing hypothesis")
     if not (margin > 0.0):
         raise ValueError("margin must be positive: a fitted slope cannot "
                          "certify a strict inequality")
-    growth = GrowthEstimate(
-        alpha=estimate_type(f, Axis.REAL, radius),
-        beta=estimate_type(f, Axis.IMAGINARY, radius),
+    alpha = estimate_type(f, Axis.REAL, radius)
+    beta = estimate_type(f, Axis.IMAGINARY, radius)
+    magnitudes = tuple(
+        abs(complex(f(complex(scale * k, 0.0)))) for k in range(1, count + 1)
     )
-    alpha_finite = math.isfinite(growth.alpha.slope)
-    beta_below_pi = (
-        math.isfinite(growth.beta.slope)
-        and growth.beta.slope <= math.pi - margin
-    )
-    if count < 1:
-        return CarlsonVerdict(
-            alpha_finite=alpha_finite,
-            beta_below_pi=beta_below_pi,
-            vanishing=None,
-            margin=margin,
-            growth=growth,
-            vanish_check=None,
-            conclusion=Conclusion.INCONCLUSIVE,
-        )
-    vanish = check_integer_vanishing(f, count, VANISH_TOL, scale)
-    if alpha_finite and beta_below_pi and vanish.vanishes:
+    alpha_finite = math.isfinite(alpha)
+    beta_below_pi = math.isfinite(beta) and beta <= math.pi - margin
+    vanishing = all(mag <= VANISH_TOL for mag in magnitudes)
+    if alpha_finite and beta_below_pi and vanishing:
         conclusion = Conclusion.IDENTICALLY_ZERO_IMPLIED
     else:
         conclusion = Conclusion.CONDITIONS_NOT_MET
     return CarlsonVerdict(
+        alpha_slope=alpha,
+        beta_slope=beta,
+        magnitudes=magnitudes,
+        margin=margin,
         alpha_finite=alpha_finite,
         beta_below_pi=beta_below_pi,
-        vanishing=vanish.vanishes,
-        margin=margin,
-        growth=growth,
-        vanish_check=vanish,
+        vanishing=vanishing,
         conclusion=conclusion,
     )
 
@@ -280,13 +205,12 @@ def audit_eq9(
 
 @dataclass(frozen=True)
 class DifferenceAudit:
-    """Difference-function audit: residual table plus the growth verdict."""
+    """Difference-function audit: the model constants plus the growth verdict,
+    whose ``magnitudes`` are the residuals |d| on the integer grid."""
 
     eq9_fit: PrefactorFit
     a: float
     b: float
-    scale: float
-    residuals: tuple[float, ...]
     verdict: CarlsonVerdict
 
 
@@ -313,11 +237,4 @@ def audit_difference(
         return cmath.exp(a + (b + math.pi) * z) - complex(target(z))
 
     verdict = carlson_verdict(difference, count, GROWTH_RADIUS_CAP, scale=scale)
-    return DifferenceAudit(
-        eq9_fit=fit,
-        a=a,
-        b=b,
-        scale=scale,
-        residuals=verdict.vanish_check.magnitudes if verdict.vanish_check else (),
-        verdict=verdict,
-    )
+    return DifferenceAudit(eq9_fit=fit, a=a, b=b, verdict=verdict)

@@ -31,6 +31,7 @@ import os
 import sys
 import warnings
 from dataclasses import fields
+from typing import NoReturn
 
 import numpy as np
 
@@ -291,18 +292,13 @@ def _run_coincidence(run: _Run) -> tuple[AuditReport, list[str]]:
 def _run_carlson(run: _Run) -> tuple[AuditReport, list[str]]:
     cfg = run.cfg
     audit = audit_difference(CARLSON_INTEGER_COUNT, run.eq9_fit, scale=float(cfg.m))
-    verdict_map = {
-        Conclusion.IDENTICALLY_ZERO_IMPLIED: Verdict.PASS,
-        Conclusion.CONDITIONS_NOT_MET: Verdict.INCONCLUSIVE,
-        Conclusion.INCONCLUSIVE: Verdict.INCONCLUSIVE,
-    }
     cv = audit.verdict
     report = AuditReport(
         name="difference-function-growth",
         params={
             "conclusion": cv.conclusion.value,
-            "alpha_slope": cv.growth.alpha.slope,
-            "beta_slope": cv.growth.beta.slope,
+            "alpha_slope": cv.alpha_slope,
+            "beta_slope": cv.beta_slope,
             "beta_margin": cv.margin,
             "alpha_finite": cv.alpha_finite,
             "beta_below_pi": cv.beta_below_pi,
@@ -313,17 +309,19 @@ def _run_carlson(run: _Run) -> tuple[AuditReport, list[str]]:
             "a": audit.a,
             "b": audit.b,
         },
-        measured=list(audit.residuals),
+        measured=list(cv.magnitudes),
         reference=[VANISH_TOL],
-        ratio_or_residual=max(audit.residuals) if audit.residuals else 0.0,
+        ratio_or_residual=max(cv.magnitudes),
         tolerance=VANISH_TOL,
-        verdict=verdict_map[cv.conclusion],
+        verdict=(
+            Verdict.PASS
+            if cv.conclusion is Conclusion.IDENTICALLY_ZERO_IMPLIED
+            else Verdict.INCONCLUSIVE
+        ),
         provenance="carlson",
     )
     rows = ["n,abs_difference"]
-    rows += [
-        f"{cfg.m * (k + 1)},{r:.12g}" for k, r in enumerate(audit.residuals)
-    ]
+    rows += [f"{cfg.m * (k + 1)},{r:.12g}" for k, r in enumerate(cv.magnitudes)]
     return report, rows
 
 
@@ -475,8 +473,8 @@ def _cmd_plot(args: argparse.Namespace) -> int:
             CARLSON_INTEGER_COUNT, _Run(cfg).eq9_fit, scale=float(cfg.m)
         )
         svg = render_line_plot(
-            [float(cfg.m * (k + 1)) for k in range(len(audit.residuals))],
-            list(audit.residuals),
+            [float(cfg.m * (k + 1)) for k in range(CARLSON_INTEGER_COUNT)],
+            list(audit.verdict.magnitudes),
             title="difference-function residuals at integer points",
             xlabel="n",
             ylabel="|d(n)|",
@@ -557,8 +555,16 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return build_config(args.config, overrides, args.command)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors are the one-line form of every
+    other usage error; ``add_subparsers`` gives the subcommands this class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(EXIT_USAGE, f"xispec: usage error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="xispec",
         description=(
             "critical-line zeros of the completed xi function and numerical "

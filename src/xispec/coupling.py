@@ -54,6 +54,9 @@ STANDARD_NORM_COEFF = 0.5
 
 #: Batch agreement tolerance for the ratio-constancy audit.
 RATIO_SPREAD_TOL = 1e-6
+#: Relative tolerance of each eq5 norm integral; an order whose error
+#: estimate misses it is a per-entry failure.
+EQ5_NORM_TOL = 1e-9
 
 # K(r)^2 underflows long before this; skip the work.
 _R_CUTOFF = 400.0
@@ -223,7 +226,7 @@ def _meets_tol(result: QuadratureResult | None, tol: float) -> bool:
 
 
 def _eq5_entry(
-    order: BesselOrder, quad: QuadratureResult | ArithmeticError, tol: float
+    order: BesselOrder, quad: QuadratureResult | ArithmeticError
 ) -> NormIntegralAudit:
     """Quadrature against closed form at one order, before the batch verdict."""
     closed = None
@@ -231,10 +234,10 @@ def _eq5_entry(
     if isinstance(quad, ArithmeticError):
         error = f"{type(quad).__name__}: {quad}"
         quad = None
-    elif not _meets_tol(quad, tol):
+    elif not _meets_tol(quad, EQ5_NORM_TOL):
         error = (
             f"not converged: error estimate {quad.err_estimate:.3e} "
-            f"exceeds tol {tol:g} of {abs(quad.value):.3e}"
+            f"exceeds tol {EQ5_NORM_TOL:g} of {abs(quad.value):.3e}"
         )
     try:
         closed = norm_integral_paper(order)
@@ -252,11 +255,11 @@ def _eq5_entry(
 
 
 def audit_eq5(
-    orders: list[BesselOrder], tol: float = 1e-9
+    orders: list[BesselOrder],
 ) -> tuple[list[NormIntegralAudit], AuditReport]:
     """Ratio audit quadrature/closed-form over a batch of orders.
 
-    Divergences, integrals whose error estimate misses ``tol`` and
+    Divergences, integrals whose error estimate misses EQ5_NORM_TOL and
     closed-form poles become per-entry failures (NOT_APPLICABLE), never
     batch aborts.  Successful entries share one batch verdict:
     CONSISTENT_UP_TO_CONSTANT when their ratios agree to
@@ -264,8 +267,8 @@ def audit_eq5(
     and the batch report with the measured common constant next to both
     coefficient readings.
     """
-    quads = _norm_integrals_with_fallback(list(orders), tol)
-    entries = [_eq5_entry(order, quad, tol) for order, quad in zip(orders, quads)]
+    quads = _norm_integrals_with_fallback(list(orders), EQ5_NORM_TOL)
+    entries = [_eq5_entry(order, quad) for order, quad in zip(orders, quads)]
     ratios = [a.ratio for a in entries if a.ok]
     if ratios:
         mean = sum(ratios) / len(ratios)

@@ -63,7 +63,9 @@ _EPS = 2.220446049250313e-16
 _LOG_2 = math.log(2.0)
 # Switch point between the series and the integral on the imaginary branch.
 _SERIES_X_MAX = 12.0
-_SERIES_TERM_CAP = 500
+# Coefficients of the series per order: at x <= 12 (q <= 36) every order
+# with pi mu <= 700 stops within 29, the count at q = 36 and mu near 0.
+_SERIES_COLUMNS = 64
 _TRAP_BASE_STEP = 0.25
 _TRAP_LEVEL_CAP = 9
 # exp(-x) underflows doubles past this; K_nu(x) <= sqrt(pi/2x) e^{-x}.
@@ -151,7 +153,7 @@ def _imag_series(
     re = np.full((len(mus), int(counts.max())), math.nan)
     im = np.full_like(re, math.nan)
     for row, (mu, count) in enumerate(zip(mus.tolist(), counts.tolist())):
-        recips = _series_recips(mu, count)
+        recips = _series_recips(mu)[:count]
         re[row, :count], im[row, :count] = recips.real, recips.imag
     s_re, s_im, peak, stopped = _series_sums(q, re, im, ids)
     # math.log: numpy's vector log can differ in the last bit, which the
@@ -163,65 +165,58 @@ def _imag_series(
     abs_floor = 4.0 * _EPS * (peak + np.hypot(s_re, s_im))
     with np.errstate(over="ignore"):
         rel = np.maximum(abs_floor / np.maximum(np.abs(im_part), 5e-324), 2.0 * _EPS)
-    # Only where the term cap cut a sum short.
+    # Only where _SERIES_COLUMNS cut a sum short: a fault guard, no x <= 12
+    # at pi mu <= 700 gets here.
     values[~stopped] = math.nan
     rel[~stopped] = math.inf
     return values, rel
 
 
-# r_0, r_1, ... by order mu, as far as any call has needed them.  An entry
-# is only replaced whole, by a longer one with the same first terms, so a
-# reader always sees a prefix of the one sequence.
+# The _SERIES_COLUMNS coefficients r_k of each order mu a call has needed.
+# An entry is only written whole, so a reader never sees part of one.
 _RECIPS: dict[float, np.ndarray] = {}
 # The table is dropped whole when it holds this many orders.
 _RECIPS_ORDERS_MAX = 1024
 
 
-def _series_recips(mu: float, count: int) -> np.ndarray:
-    """r_0 ... r_{count-1} of order mu, from its table, extended as needed."""
-    known = _RECIPS.get(mu)
-    if known is None or len(known) < count:
-        recips = [1.0 / gamma(complex(1.0, mu))] if known is None else known.tolist()
-        for k in range(len(recips), count):
-            recips.append(recips[-1] / complex(k, mu))
+def _series_recips(mu: float) -> np.ndarray:
+    """r_0 ... r_{_SERIES_COLUMNS - 1} of order mu, from its table."""
+    recips = _RECIPS.get(mu)
+    if recips is None:
+        terms = [1.0 / gamma(complex(1.0, mu))]
+        for k in range(1, _SERIES_COLUMNS):
+            terms.append(terms[-1] / complex(k, mu))
         if len(_RECIPS) >= _RECIPS_ORDERS_MAX:
             _RECIPS.clear()
-        known = _RECIPS[mu] = np.array(recips)
-    return known[:count]
+        recips = _RECIPS[mu] = np.array(terms)
+    return recips
 
 
 def _series_columns(mus: np.ndarray, q_top: np.ndarray) -> np.ndarray:
     """Per order, the coefficients r_0, r_1, ... its largest q needs.
 
-    Up to the first term 1e-18 below the largest so far, at q_top, or
-    _SERIES_TERM_CAP: it comes no earlier for a larger q, and the per-x
-    stopping test is never stricter.  The terms are those of a
-    term-by-term loop, formed a block of orders at a time.
+    Up to the first term 1e-18 below the largest so far, at q_top: it comes
+    no earlier for a larger q, and the per-x stopping test is never
+    stricter.  An order with no such term among its first _SERIES_COLUMNS
+    gets them all, and an x that does not stop within them comes back NaN.
+    The terms are those of a term-by-term loop, formed a block of orders
+    at a time.
     """
-    counts = np.full(len(mus), _SERIES_TERM_CAP + 1)
-    todo = np.arange(len(mus))
-    # 64 columns serve every x <= 12 (29 at most, at q = 36 and mu near 0);
-    # the term cap is the second pass.
-    for width in (64, _SERIES_TERM_CAP + 1):
-        ks = np.arange(0.0, width)
-        ks[0] = math.inf
-        missed = []
-        rows = max(1, _BLOCK_ELEMENTS // width)
-        for i in range(0, len(todo), rows):
-            block = todo[i:i + rows]
-            recips = np.array([_series_recips(mu, width) for mu in mus[block].tolist()])
-            coeff = np.divide.outer(q_top[block], ks)
-            coeff[:, 0] = 1.0
-            np.cumprod(coeff, axis=1, out=coeff)
-            mags = np.hypot(coeff * recips.real, coeff * recips.imag)
-            small = mags <= 1e-18 * np.maximum.accumulate(mags, axis=1)
-            small[:, 0] = False
-            found = small.any(axis=1)
-            counts[block[found]] = np.argmax(small[found], axis=1) + 1
-            missed.append(block[~found])
-        todo = np.concatenate(missed)
-        if not todo.size:
-            break
+    counts = np.full(len(mus), _SERIES_COLUMNS)
+    ks = np.arange(0.0, _SERIES_COLUMNS)
+    ks[0] = math.inf
+    rows = _BLOCK_ELEMENTS // _SERIES_COLUMNS
+    for i in range(0, len(mus), rows):
+        block = np.arange(i, min(i + rows, len(mus)))
+        recips = np.array([_series_recips(mu) for mu in mus[block].tolist()])
+        coeff = np.divide.outer(q_top[block], ks)
+        coeff[:, 0] = 1.0
+        np.cumprod(coeff, axis=1, out=coeff)
+        mags = np.hypot(coeff * recips.real, coeff * recips.imag)
+        small = mags <= 1e-18 * np.maximum.accumulate(mags, axis=1)
+        small[:, 0] = False
+        found = small.any(axis=1)
+        counts[block[found]] = np.argmax(small[found], axis=1) + 1
     return counts
 
 

@@ -244,8 +244,8 @@ class _Integral:
     many nodes at level 1 and about twice as many after.
     """
 
-    def __init__(self, tol: float, max_levels: int):
-        self.tol, self.max_levels = tol, max_levels
+    def __init__(self, tol: float):
+        self.tol = tol
         self.level = 0
         self.h = _BASE_STEP
         self.sides = [_Side(0, 1.0, _FIRST_BLOCK), _Side(0, -1.0, _FIRST_BLOCK)]
@@ -274,7 +274,7 @@ class _Integral:
                     self.level_sum, max(0.5 * diff, floor), self.evaluations
                 )
                 return
-        if self.level == self.max_levels:
+        if self.level == _MAX_LEVELS:
             change = abs(self.level_sum - self.prev) if self.level else 0.0
             self.outcome = NonConvergenceError(
                 f"integrate_semiinfinite: level budget exhausted "
@@ -292,7 +292,6 @@ class _Integral:
 def integrate_semiinfinite_batch(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     tols: Sequence[float],
-    max_levels: int = _MAX_LEVELS,
 ) -> list[QuadratureResult | ArithmeticError]:
     """Integrate many integrands over (0, inf) in lockstep, one f call a round.
 
@@ -312,7 +311,7 @@ def integrate_semiinfinite_batch(
     """
     if not all(tol > 0.0 for tol in tols):
         raise ValueError("tol must be positive")
-    runs = [_Integral(tol, max_levels) for tol in tols]
+    runs = [_Integral(tol) for tol in tols]
     live = list(enumerate(runs))
     while live:
         sides, owners, centres = [], [], []

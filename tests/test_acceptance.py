@@ -170,8 +170,8 @@ def test_criterion_7_growth_auditor():
     verdict = carlson_verdict(lambda z: 0.0, 50, 20.0)
     ok = ok and verdict.conclusion is Conclusion.IDENTICALLY_ZERO_IMPLIED
     for c in (0.5, 1.0, 2.0, 3.0):
-        comp = estimate_type(lambda z, c=c: cmath.exp(c * z), Axis.REAL, 20.0)
-        ok = ok and abs(comp.slope - c) <= 1e-6
+        slope = estimate_type(lambda z, c=c: cmath.exp(c * z), Axis.REAL, 20.0)
+        ok = ok and abs(slope - c) <= 1e-6
     assert _line(7, "growth-condition auditor", ok)
 
 

@@ -228,7 +228,7 @@ def _series_by_terms(mu, x):
     recip = 1.0 / besselk.gamma(complex(1.0, mu))
     coeff, q = 1.0, 0.25 * x * x
     series, peak = recip, abs(recip)
-    for k in range(1, besselk._SERIES_TERM_CAP + 1):
+    for k in range(1, besselk._SERIES_COLUMNS):
         coeff *= q / k
         recip = recip / complex(k, mu)
         term = coeff * recip
@@ -240,6 +240,16 @@ def _series_by_terms(mu, x):
     im_part = math.cos(theta) * series.imag + math.sin(theta) * series.real
     rel = 4.0 * besselk._EPS * (peak + abs(series)) / max(abs(im_part), 5e-324)
     return -math.pi * im_part / math.sinh(math.pi * mu), max(rel, 2.0 * besselk._EPS)
+
+
+def test_series_columns_stop_within_the_first_pass():
+    # q = 36 is the series' largest (x = 12), where an order needs the most
+    # coefficients; pi mu <= 700 is the largest order K accepts.
+    mus = np.concatenate(
+        [np.geomspace(1e-12, 1.0, 200), np.linspace(1.0, 700.0 / math.pi, 2000)]
+    )
+    counts = besselk._series_columns(mus, np.full(len(mus), 36.0))
+    assert counts.max() <= 29 < besselk._SERIES_COLUMNS
 
 
 def _trapezoid_by_levels(mu, x):

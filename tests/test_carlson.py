@@ -10,7 +10,6 @@ from xispec.carlson import (
     audit_difference,
     audit_eq9,
     carlson_verdict,
-    check_integer_vanishing,
     estimate_type,
     linear_fit,
 )
@@ -22,36 +21,46 @@ from xispec.specfun import xi
 
 @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 3.0])
 def test_type_recovery_on_pure_exponentials(c):
-    component = estimate_type(lambda z: cmath.exp(c * z), Axis.REAL, 20.0)
-    assert abs(component.slope - c) < 1e-6
-    assert not component.all_near_zero
+    slope = estimate_type(lambda z: cmath.exp(c * z), Axis.REAL, 20.0)
+    assert abs(slope - c) < 1e-6
 
 
 def test_sine_type_on_imaginary_axis():
-    component = estimate_type(lambda z: cmath.sin(math.pi * z), Axis.IMAGINARY, 20.0)
-    assert abs(component.slope - math.pi) < 1e-3
+    slope = estimate_type(lambda z: cmath.sin(math.pi * z), Axis.IMAGINARY, 20.0)
+    assert abs(slope - math.pi) < 1e-3
 
 
 def test_constant_has_type_zero():
-    component = estimate_type(lambda z: 1.0, Axis.REAL, 20.0)
-    assert component.slope == 0.0
+    assert estimate_type(lambda z: 1.0, Axis.REAL, 20.0) == 0.0
 
 
 def test_zero_function_flagged():
-    component = estimate_type(lambda z: 0.0, Axis.REAL, 20.0)
-    assert component.all_near_zero
-    assert component.slope == 0.0
+    # Every sample is below the underflow guard: no line to fit, type 0.
+    assert estimate_type(lambda z: 0.0, Axis.REAL, 20.0) == 0.0
+    verdict = carlson_verdict(lambda z: 0.0, 50, 20.0)
+    assert verdict.alpha_slope == verdict.beta_slope == 0.0
+    assert verdict.magnitudes == (0.0,) * 50
+
+
+def _largest(verdict, scale=1.0):
+    """(max |f|, the grid point where it occurs) from a verdict's magnitudes."""
+    worst = max(verdict.magnitudes)
+    return worst, scale * (verdict.magnitudes.index(worst) + 1)
 
 
 def test_integer_vanishing():
-    check = check_integer_vanishing(lambda z: cmath.sin(math.pi * z), 50, 1e-9)
-    assert check.vanishes
-    check = check_integer_vanishing(lambda z: z - 1.0, 50, 1e-9)
-    assert not check.vanishes
-    assert check.max_abs == 49.0
-    assert check.at_point == 50.0
-    check = check_integer_vanishing(lambda z: 0.0, 50, 1e-9)
-    assert check.vanishes and check.max_abs == 0.0
+    assert carlson_verdict(lambda z: cmath.sin(math.pi * z), 50, 20.0).vanishing
+    verdict = carlson_verdict(lambda z: z - 1.0, 50, 20.0)
+    assert not verdict.vanishing
+    assert _largest(verdict) == (49.0, 50.0)
+    verdict = carlson_verdict(lambda z: 0.0, 50, 20.0)
+    assert verdict.vanishing and max(verdict.magnitudes) == 0.0
+
+
+def test_a_nan_sample_does_not_vanish():
+    verdict = carlson_verdict(lambda z: math.nan if z == 3 else 0.0, 5, 20.0)
+    assert not verdict.vanishing
+    assert verdict.conclusion is Conclusion.CONDITIONS_NOT_MET
 
 
 @pytest.mark.parametrize("margin", [1e-9, 1e-6, 1e-3, 0.05, 0.5])
@@ -75,9 +84,9 @@ def test_zero_function_verdicts():
 
 
 def test_no_integer_samples_is_inconclusive():
-    verdict = carlson_verdict(lambda z: 0.0, 0, 20.0)
-    assert verdict.conclusion is Conclusion.INCONCLUSIVE
-    assert verdict.vanishing is None
+    # An empty grid cannot test the vanishing hypothesis.
+    with pytest.raises(ValueError, match="count"):
+        carlson_verdict(lambda z: 0.0, 0, 20.0)
 
 
 def test_margin_must_be_positive():
@@ -112,13 +121,13 @@ def test_difference_audit_synthetic_target_vanishes():
         return 0.5 * cmath.exp(0.3 * (z + 1.0))
 
     audit = audit_difference(10, audit_eq9(10.0, 51, target=target), target=target)
-    assert max(audit.residuals) < 1e-10
+    assert max(audit.verdict.magnitudes) < 1e-10
     assert audit.verdict.conclusion is Conclusion.IDENTICALLY_ZERO_IMPLIED
 
 
 def test_difference_audit_on_true_xi():
     audit = audit_difference(10, XI_FIT)
-    assert len(audit.residuals) == 10
+    assert len(audit.verdict.magnitudes) == 10
     assert audit.verdict.conclusion is Conclusion.CONDITIONS_NOT_MET
     assert audit.verdict.beta_below_pi          # the model term dominates
     assert not audit.verdict.vanishing          # xi is not the exponential
@@ -126,19 +135,18 @@ def test_difference_audit_on_true_xi():
     assert audit.a == audit.eq9_fit.B + audit.eq9_fit.D
     assert audit.b == audit.eq9_fit.D - math.pi
     repeat = audit_difference(10, XI_FIT)
-    assert repeat.residuals == audit.residuals  # deterministic replay
+    assert repeat.verdict == audit.verdict  # deterministic replay
 
 
 def test_difference_audit_empty_grid():
-    audit = audit_difference(0, XI_FIT)
-    assert audit.residuals == ()
-    assert audit.verdict.conclusion is Conclusion.INCONCLUSIVE
+    with pytest.raises(ValueError, match="count"):
+        audit_difference(0, XI_FIT)
 
 
 def test_difference_audit_scaled_grid():
     audit = audit_difference(5, XI_FIT, scale=2.0)
-    assert len(audit.residuals) == 5
-    assert audit.verdict.vanish_check.at_point in {2.0 * k for k in range(1, 6)}
+    assert len(audit.verdict.magnitudes) == 5
+    assert _largest(audit.verdict, 2.0)[1] in {2.0 * k for k in range(1, 6)}
 
 
 def test_difference_audit_evaluates_each_integer_once():
@@ -155,7 +163,7 @@ def test_difference_audit_evaluates_each_integer_once():
 
 def test_m_ceiling_is_the_last_scale_xi_survives():
     audit = audit_difference(CARLSON_INTEGER_COUNT, XI_FIT, scale=M_CEILING)
-    assert len(audit.residuals) == CARLSON_INTEGER_COUNT
+    assert len(audit.verdict.magnitudes) == CARLSON_INTEGER_COUNT
     with pytest.raises(GammaOverflowError):
         audit_difference(CARLSON_INTEGER_COUNT, XI_FIT, scale=M_CEILING + 1)
 

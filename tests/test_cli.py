@@ -264,6 +264,18 @@ def test_threads_flag_is_a_usage_error():
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [["zeros", "--t-max", "30", "--perturb", "3"], ["audit", "bogus"]]
+)
+def test_argparse_error_is_one_usage_line(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        run(argv)
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("xispec: usage error: ")
+
+
 def test_plot_remaining_targets():
     assert run(["plot", "eq5-ratio", "--out", "ratio.svg"]) == 0
     assert os.path.exists("ratio.svg")

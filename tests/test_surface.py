@@ -1,6 +1,9 @@
-"""The public surface: every exported name, so adding or removing an entry
-point is an edit here too."""
+"""The public surface: every exported name and every settable value, so
+adding or removing an entry point or a knob is an edit here too."""
 
+import importlib
+import inspect
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -100,3 +103,55 @@ def test_benchmark_names_resolve():
     )
     assert done.returncode == 0, done.stderr
     assert int(done.stdout) >= 8
+
+
+# Every defaulted parameter of a public function or method: each is a value
+# a caller can set, so a new knob fails here until it is added on purpose.
+_SETTABLE_VALUES = {
+    "xispec.carlson.audit_difference(scale)",
+    "xispec.carlson.audit_difference(target)",
+    "xispec.carlson.audit_eq9(target)",
+    "xispec.carlson.carlson_verdict(margin)",
+    "xispec.carlson.carlson_verdict(scale)",
+    "xispec.cli.main(argv)",
+    "xispec.coupling.coupling_spectrum(check_finiteness)",
+    "xispec.coupling.coupling_spectrum(tol)",
+    "xispec.coupling.norm_integral_quadrature(tol)",
+    "xispec.specfun.besselk.bessel_k_values(which)",
+    "xispec.svgplot.render_line_plot(logy)",
+    "xispec.zeros.ZeroCache.data_bytes(rows)",
+    "xispec.zeros.ZeroCache.save(rows)",
+    "xispec.zeros.refine_brackets(z_ends)",
+}
+
+
+def _defaulted_parameters():
+    """``module.function(parameter)`` for each defaulted parameter of a
+    public function, or of a public method of a public class, that a module
+    of the package defines."""
+    found = set()
+    for info in pkgutil.walk_packages(xispec.__path__, "xispec."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                functions = [(name, obj)]
+            elif inspect.isclass(obj):
+                functions = [
+                    (f"{name}.{attr}", getattr(value, "__func__", value))
+                    for attr, value in vars(obj).items()
+                    if not attr.startswith("_")
+                    and (inspect.isfunction(value) or isinstance(value, (classmethod, staticmethod)))
+                ]
+            else:
+                continue
+            for qualname, function in functions:
+                for parameter in inspect.signature(function).parameters.values():
+                    if parameter.default is not inspect.Parameter.empty:
+                        found.add(f"{module.__name__}.{qualname}({parameter.name})")
+    return found
+
+
+def test_settable_values():
+    assert _defaulted_parameters() == _SETTABLE_VALUES
