@@ -365,12 +365,11 @@ def _cmd_zeros(args: argparse.Namespace) -> int:
     )
     with out as handle:
         zeros = _gather_zeros(cfg)
-        rows = format_rows(zeros)
-        for row in rows:
-            print(row)
+        table = "".join(row + "\n" for row in format_rows(zeros))
+        sys.stdout.write(table)
         if handle is not None:
             handle.write("n,gamma,abs_err\n")
-            handle.write("".join(row + "\n" for row in rows))
+            handle.write(table)
     check = zero_count_estimate(cfg.t_max)
     print(
         f"# {len(zeros)} zeros <= {cfg.t_max:g} (count estimate {check})",

@@ -157,8 +157,19 @@ def _imag_series(
         re[row, :count], im[row, :count] = recips.real, recips.imag
     s_re, s_im, peak, stopped = _series_sums(q, re, im, ids)
     # math.log: numpy's vector log can differ in the last bit, which the
-    # cancellation above would turn into different noise.
-    theta = mus[ids] * np.fromiter(map(math.log, 0.5 * x), float, len(x))
+    # cancellation above would turn into different noise.  Orders that
+    # share their nodes share their x, so it runs once per distinct x
+    # (found by sorting; np.unique would import numpy.ma).
+    half_x = 0.5 * x
+    order = np.argsort(half_x)
+    ranked = half_x[order]
+    first = np.empty(len(x), dtype=bool)
+    first[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    logs = np.fromiter(map(math.log, ranked[first].tolist()), float, int(first.sum()))
+    log_half_x = np.empty(len(x))
+    log_half_x[order] = logs[first.cumsum() - 1]
+    theta = mus[ids] * log_half_x
     im_part = np.cos(theta) * s_im + np.sin(theta) * s_re
     sinh = np.array([math.sinh(math.pi * mu) for mu in mus.tolist()])
     values = -math.pi * im_part / sinh[ids]
@@ -286,58 +297,91 @@ def _series_block(
             done[rows, stop], stop)
 
 
-def _ln_g(nu: float, x: float, t: float) -> float:
+def _ln_g(nu: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The real-order log-integrand -x cosh t + log cosh(nu t); -inf past cosh's range."""
-    try:
-        cosh_t = math.cosh(t)
-    except OverflowError:
-        return -math.inf
     u = nu * t   # >= 0, so log cosh u = u + log1p(e^{-2u}) - log 2
-    return -x * cosh_t + (u + math.log1p(math.exp(-2.0 * u)) - _LOG_2)
+    with np.errstate(over="ignore"):
+        return -x * np.cosh(t) + (u + np.log1p(np.exp(-2.0 * u)) - _LOG_2)
 
 
-def _real_node_range(nu: float, x: float) -> tuple[float, float]:
-    """(t_up, estimate floor) of one x at real order.
+def _half_steps(t: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """t + 0.5 + 0.5 + ..., ``count`` halves added one at a time, for t >= 0.5.
+
+    Adding 0.5 to a double in [2^e, 2^(e+1)), e <= 50, is exact; only the
+    addition that crosses into the next binade rounds.  So the sums go a
+    binade at a time, and land on the bits of the one-at-a-time loop.
+    """
+    t, count = t.copy(), count.copy()
+    while True:
+        live = count > 0
+        if not live.any():
+            return t
+        top = np.ldexp(1.0, np.frexp(t)[1])   # the next power of two
+        to_top = np.ceil(2.0 * (top - t)).astype(np.intp)   # additions that reach it
+        inside = live & (count < to_top)
+        t[inside] += 0.5 * count[inside]
+        count[inside] = 0
+        cross = live & ~inside
+        t[cross] = (t[cross] + 0.5 * (to_top[cross] - 1)) + 0.5
+        count[cross] -= to_top[cross]
+
+
+def _real_node_ranges(nu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(t_up, estimate floor) of each x at its real order nu.
 
     t_up is the first of t* + 1, t* + 1.5, ... (summed 0.5 at a time) where
     ln g has fallen 46 below its peak at t* = asinh(nu/x).  An estimate of
     that crossing picks the step, and ln g on both sides of it confirms it.
     t_up is inf where K overflows, and nan where the range would pass the
     overflow of cosh t (tiny x), where the exponent cannot be formed.  The
-    floor is the rounding of the exponent at the peak.
+    floor is the rounding of the exponent at the peak.  t* and the peak
+    take ``math``'s asinh, cosh, exp and log1p, one x at a time, so the
+    floor and the 46 below the peak have the bits of a one-x call; the
+    comparisons of ln g at the steps take numpy's.
     """
-    t_star = math.asinh(nu / x)
-    if t_star == math.inf:   # nu/x overflows
-        return math.nan, math.inf
-    ln_peak = _ln_g(nu, x, t_star)
-    floor = 2.0 * _EPS * (x * math.cosh(t_star) + nu * t_star + 1.0)
-    if ln_peak > 690.0:
-        return math.inf, floor
+    t_up = np.full(len(x), math.nan)
+    floor = np.full(len(x), math.inf)
+    with np.errstate(over="ignore"):
+        t_star = np.fromiter(map(math.asinh, (nu / x).tolist()), float, len(x))
+    ok = t_star < math.inf   # else nu/x overflows
+    nu, x, t_star = nu[ok], x[ok], t_star[ok]
+    cosh_star = np.fromiter(map(math.cosh, t_star.tolist()), float, len(x))
+    u = nu * t_star
+    log_cosh = np.fromiter(map(math.log1p, map(math.exp, (-2.0 * u).tolist())), float, len(x))
+    ln_peak = -x * cosh_star + (u + log_cosh - _LOG_2)
+    floor[ok] = 2.0 * _EPS * (x * cosh_star + nu * t_star + 1.0)
+    t_up[ok] = math.inf   # where the peak passes 690: K overflows
+    walk = ln_peak <= 690.0
+    nu, x, t_star, low = nu[walk], x[walk], t_star[walk], ln_peak[walk] - 46.0
     # For tiny x the integrand stays flat out to t ~ log(2/x); the node range
     # must clear that knee, not just the peak.  Past t* ln g falls
     # monotonically; solving x cosh t = nu (t* + 1) - low, with log cosh(nu t)
-    # taken as nu t at t* + 1, lands on or next to the crossing's step.  The
-    # steps are summed 0.5 at a time once; ln g walks back over them while
-    # it is below the crossing, then forward while it is above.
-    low = ln_peak - 46.0
+    # taken as nu t at t* + 1, lands on or next to the crossing's step.  ln g
+    # walks back over the steps while it is below the crossing, then
+    # forward while it is above.
     t_first = t_star + 1.0
-    ratio = (nu * t_first - low) / x
-    t_cross = math.acosh(ratio) if ratio > 1.0 else t_first
-    if t_cross > _T_COSH_MAX:
-        t_cross = _T_COSH_MAX
-    steps = max(0, math.ceil(2.0 * (t_cross - t_first)))
-    nodes = [t_first]
-    for _ in range(steps):
-        nodes.append(nodes[-1] + 0.5)
-    while steps > 0 and _ln_g(nu, x, nodes[steps - 1]) <= low:
-        steps -= 1
-    t_up = nodes[steps]
-    ln_up = _ln_g(nu, x, t_up)
-    while ln_up > low:
-        t_up += 0.5
-        ln_up = _ln_g(nu, x, t_up)
-    if ln_up == -math.inf:
-        return math.nan, math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = (nu * t_first - low) / x
+        t_cross = np.minimum(np.where(ratio > 1.0, np.arccosh(ratio), t_first), _T_COSH_MAX)
+    steps = np.maximum(np.ceil(2.0 * (t_cross - t_first)), 0.0).astype(np.intp)
+    while True:
+        back = steps > 0
+        t = _half_steps(t_first[back], steps[back] - 1)
+        back[back] = _ln_g(nu[back], x[back], t) <= low[back]
+        if not back.any():
+            break
+        steps -= back
+    up = _half_steps(t_first, steps)
+    ln_up = _ln_g(nu, x, up)
+    while True:
+        above = ln_up > low
+        if not above.any():
+            break
+        up[above] += 0.5
+        ln_up[above] = _ln_g(nu[above], x[above], up[above])
+    up[ln_up == -math.inf] = math.nan
+    t_up[np.flatnonzero(ok)[walk]] = up
+    floor[np.isnan(t_up)] = math.inf
     return t_up, floor
 
 
@@ -498,9 +542,7 @@ def bessel_k_values(
     real = live & ~imag
     if real.any():
         xs, nus = x[real], nu[real]
-        t_up, floor = np.array(
-            [_real_node_range(n, v) for n, v in zip(nus.tolist(), xs.tolist())]
-        ).reshape(-1, 2).T
+        t_up, floor = _real_node_ranges(nus, xs)
         values[real], rel[real] = _trapezoid(nus, False, xs, t_up, floor)
     if not imag.any():
         return values, rel

@@ -22,6 +22,22 @@ running, and each integrand keeps its own levels, blocks, tail test and
 estimate, so it gets the bits it would get alone and its failure is its
 own.  ``integrate_semiinfinite`` is a one-integrand call of it.
 
+The lockstep state is arrays with one entry per side of every integrand
+(its level's node table, the nodes used and left, the next block, the
+running total, the peak and last three magnitudes, whether the last node
+was small, the block past a missed tail test) and Python numbers per
+integrand (level, h, centre, previous level sum, evaluations).  A round
+is a fixed number of array operations however many integrands run:
+gather every side's next block from the node tables, one call of the
+integrand, the tail and blow-up scan of all blocks at once, and the take
+for all sides at once; only the integrands that finish a level are
+visited one by one.  Each side's block is a row of a padded (sides x
+longest block) grid, and the bits follow one rule: the running total is
+``np.add.accumulate`` along a row that starts with the total so far,
+which makes the additions of a node-by-node loop, in its order, and is
+read at the last node taken; running peaks are maxima, exact in any
+order.
+
 Divergent integrands announce themselves here: the transformed node
 contributions toward an endpoint then grow (or blow past the double range)
 instead of dying off double-exponentially.  The node march reports that as
@@ -72,10 +88,12 @@ class QuadratureResult:
             raise ValueError("evaluations must be at least 1")
 
 
-# Node tables by (level, sign of t): abscissas and weights outward from
-# t = 0, built on first use only as far as a march has asked, and replaced
-# whole when extended, so a reader always holds a matching pair.
-_TABLES: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
+# The node tables, laid end to end.  Table k = 2 level (toward infinity) or
+# 2 level + 1 (toward zero) holds the abscissas x[base[k]:base[k] + have[k]]
+# and their weights, outward from t = 0, built on first use only as far as
+# a march has asked.  The four arrays are replaced together when a table
+# grows, so a reader always holds a matching set.
+_TABLES = (np.empty(0), np.empty(0), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp))
 
 
 def _level_grid(level: int) -> tuple[float, float, int]:
@@ -89,204 +107,301 @@ def _level_grid(level: int) -> tuple[float, float, int]:
     return start, stride, int((_T_MAX - start) / stride) + 1
 
 
-def _nodes(level: int, sign: float, needed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(x, w) of at least the first ``needed`` nodes of a level's side.
+def _grow_tables(need: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The tables, table k grown to at least ``need[k]`` nodes (or all its
+    level has), laid again.
 
     Weights exclude the step h.  Built with ``math``: numpy's SIMD exp,
     sinh and cosh can differ in the last bit, and so would the nodes.
     """
-    x, w = _TABLES.get((level, sign), (np.empty(0), np.empty(0)))
-    if len(x) < needed:
-        start, stride, size = _level_grid(level)
-        k = np.arange(len(x), min(size, needed))
-        t = sign * (start + stride * k)
-        sinh_t = np.fromiter(map(math.sinh, t), float, len(t))
-        x_new = np.fromiter(map(math.exp, _HALF_PI * sinh_t), float, len(t))
-        w_new = _HALF_PI * np.fromiter(map(math.cosh, t), float, len(t)) * x_new
-        x, w = np.concatenate([x, x_new]), np.concatenate([w, w_new])
-        _TABLES[(level, sign)] = (x, w)
-    return x, w
+    global _TABLES
+    x_all, w_all, base, have = _TABLES
+    xs, ws = [], []
+    for key in range(max(len(need), len(have))):
+        old = slice(base[key], base[key] + have[key]) if key < len(have) else slice(0, 0)
+        x, w = x_all[old], w_all[old]
+        start, stride, size = _level_grid(key >> 1)
+        if key < len(need) and len(x) < min(size, need[key]):
+            k = np.arange(len(x), min(size, need[key]))
+            t = (-1.0 if key & 1 else 1.0) * (start + stride * k)
+            sinh_t = np.fromiter(map(math.sinh, t), float, len(t))
+            x_new = np.fromiter(map(math.exp, _HALF_PI * sinh_t), float, len(t))
+            w_new = _HALF_PI * np.fromiter(map(math.cosh, t), float, len(t)) * x_new
+            x, w = np.concatenate([x, x_new]), np.concatenate([w, w_new])
+        xs.append(x)
+        ws.append(w)
+    have = np.array([len(x) for x in xs], dtype=np.intp)
+    _TABLES = (np.concatenate(xs), np.concatenate(ws), np.cumsum(have) - have, have)
+    return _TABLES
 
 
-class _Side:
-    """One direction's march over one level's nodes, a block at a time."""
+def _nodes(level: int, sign: float, needed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x, w) of at least the first ``needed`` nodes of a level's side
+    (all of them, if it has fewer)."""
+    key = 2 * level + (sign < 0.0)
+    x_all, w_all, base, have = _TABLES
+    if key >= len(have) or have[key] < min(needed, _level_grid(level)[2]):
+        need = np.zeros(key + 1, dtype=np.intp)
+        need[key] = needed
+        x_all, w_all, base, have = _grow_tables(need)
+    table = slice(base[key], base[key] + have[key])
+    return x_all[table], w_all[table]
 
-    def __init__(self, level: int, sign: float, block: int):
-        self.level, self.sign = level, sign
-        self.label = "infinity" if sign > 0.0 else "zero"
-        self.size = _level_grid(level)[2]
-        self.block = max(1, min(block, self.size))
-        self.used = 0
-        self.total = 0.0
-        self.peak = 0.0
-        self.small_run = 0
-        self.tail: list[float] = []
-        self.done = False
-        self.error: Exception | None = None
-        self._extra = 0
 
-    def request(self) -> tuple[np.ndarray, np.ndarray]:
-        """Abscissas and weights of the next block."""
-        self.x, self.w = _nodes(self.level, self.sign, self.used + self.block)
-        block = slice(self.used, self.used + self.block)
-        return self.x[block], self.w[block]
+def _label(sign: int) -> str:
+    return "zero" if sign else "infinity"
 
-    def take(
-        self, terms: np.ndarray, mags: np.ndarray, peaks: np.ndarray,
-        small: np.ndarray, end: int, bad: int,
-    ) -> None:
-        """Take the block's contributions up to the tail's end or a bad one.
 
-        ``end`` is the first contribution that ends the march (the second
-        small one in a row), ``bad`` the first that is NaN or blows up;
-        either is len(terms) or more when there is none.  The running total
-        is ``np.add.accumulate`` over the block with the total so far added
-        to its first term: the additions of a node-by-node loop, in its
-        order, so the same bits.
+def _cap_error(label: str, tail: list[float], peak: float) -> ArithmeticError | None:
+    """A side at the parameter cap: fine (None) if its tail has died off,
+    else classified from its last three magnitudes."""
+    last = tail[-1]
+    if not (peak > 0.0 and last > 1e-8 * peak):
+        return None
+    if tail[2] >= tail[1] >= tail[0] or last > 1e-2 * peak:
+        return DivergenceError(
+            f"integrand not integrable toward {label} "
+            f"(contributions still ~{last / peak:.1e} of peak at the parameter cap)"
+        )
+    return NonConvergenceError(
+        f"integrand tail toward {label} decays too slowly for the "
+        f"double-exponential parameter range"
+    )
+
+
+# Rows of _Marches.ints: a side's node table, the nodes left in its level
+# (0 once it stops), the block it asks for next (0 once it stops), its
+# integrand, the nodes it has used, the block past a missed tail test
+# (doubling on each miss), and whether the last node it took was small.
+# A new level zeroes the last three.
+_TABLE, _ROOM, _BLOCK, _ID, _USED, _EXTRA, _SMALL = range(7)
+# _Marches.peak_tail holds a side's peak magnitude and its last three
+# magnitudes; a round reads them back from its (running peaks, magnitudes)
+# rows at these planes and column shifts.
+_READ_PLANE = np.array([0, 1, 1, 1])
+_READ_SHIFT = np.array([3, 1, 2, 3])
+
+
+class _Marches:
+    """The marches of all integrands, one entry per side.
+
+    Sides 2k and 2k + 1 march the current level of integrand ``ids[k]``
+    toward infinity and toward zero.  ``ints`` has a row per integer field
+    (_TABLE ...), ``total`` is a side's running total and ``peak_tail`` its
+    peak and last three magnitudes.  The sides of an integrand that has
+    ended keep empty blocks until the ended are half as many as the
+    running, and are then dropped.  A side that reaches a NaN or a
+    blow-up gets its error in ``errors``, formatted then; a side at the
+    parameter cap is classified when its integrand finishes the level.
+    Per integrand, as Python numbers (only level finishes read them):
+    level, h, centre, the previous level sum, evaluations and the
+    outcome.
+    """
+
+    def __init__(self, tols: Sequence[float]):
+        n = len(tols)
+        self.sizes = [_level_grid(level)[2] for level in range(_MAX_LEVELS + 1)]
+        self.columns = np.arange(-1, max(self.sizes) + 1)   # grid column numbers
+        self.rows = np.arange(2 * n)
+        self.ints = np.zeros((7, 2 * n), dtype=np.intp)
+        self.ints[_TABLE, 1::2] = 1
+        self.ints[_ROOM] = self.sizes[0]
+        self.ints[_BLOCK] = max(1, min(_FIRST_BLOCK, self.sizes[0]))
+        self.ints[_ID] = self.rows >> 1
+        self.total = np.zeros(2 * n)
+        self.peak_tail = np.zeros((2 * n, 4))
+        self.running = np.ones(n, dtype=bool)
+        self.ids = list(range(n))
+        self.live, self.dead = n, 0
+        self.errors: dict[int, ArithmeticError] = {}
+        self.tables = _TABLES
+        self.tols = list(tols)
+        self.levels = [0] * n
+        self.h = [_BASE_STEP] * n
+        self.centre = [0.0] * n   # set by the first round
+        self.prev = [0.0] * n
+        self.evaluations = [1] * n   # the centre
+        self.outcome: list[QuadratureResult | ArithmeticError | None] = [None] * n
+
+    def gather(self) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, np.ndarray]:
+        """The next blocks of every side.
+
+        Side j's block fills columns 1 .. length of row j of a (sides x
+        width) grid.  Returns the block nodes' flat positions in that
+        grid, its width, and their abscissas, weights and integrands, end
+        to end in side order.
         """
-        taken = min(end + 1, bad, len(terms))
-        if taken:
-            terms[0] += self.total
-            self.total = np.add.accumulate(terms[:taken])[-1].item()
-            self.peak = float(peaks[taken - 1])
-            self.tail = (self.tail + mags[max(0, taken - 3):taken].tolist())[-3:]
-        self.used += taken
-        if end < bad:
-            self.done = True
-        elif taken < len(terms):
-            self._fail(float(mags[taken]), float(self.x[self.used]))
-        elif self.used == self.size:
-            self._at_cap()
-        else:
-            # Continue with the fewest nodes that can end the march,
-            # doubling on each further miss.
-            self.small_run = int(small[-1])
-            self._extra = max(2 - self.small_run, 2 * self._extra)
-            self.block = min(self._extra, self.size - self.used)
+        ints = self.ints
+        lengths, used, table = ints[_BLOCK], ints[_USED], ints[_TABLE]
+        top = used + lengths
+        x_all, w_all, base, have = self.tables = _TABLES
+        if len(have) < 2 * len(self.sizes) or (top > have[table]).any():
+            need = np.zeros(2 * len(self.sizes), dtype=np.intp)
+            np.maximum.at(need, table, top)
+            x_all, w_all, base, have = self.tables = _grow_tables(need)
+        width = int(lengths.max()) + 2
+        columns = self.columns[:width]
+        valid = columns < lengths[:, None]
+        valid[:, 0] = False
+        flat = valid.ravel().nonzero()[0]
+        index = ((base[table] + used)[:, None] + columns).ravel().take(flat)
+        return flat, width, x_all.take(index), w_all.take(index), ints[_ID].repeat(lengths)
 
-    def _fail(self, mag: float, x: float) -> None:
-        self.done = True
-        if math.isnan(mag):
-            self.error = NonConvergenceError(
-                f"integrand has no value toward {self.label} at x={x:.3e}"
-            )
-        else:
-            self.error = DivergenceError(
-                f"integrand not integrable toward {self.label} "
-                f"(contribution ~{mag:.3e} at x={x:.3e})"
-            )
+    def take(self, flat: np.ndarray, width: int, terms: np.ndarray) -> None:
+        """Each side takes its block up to the tail's end or a bad contribution.
 
-    def _at_cap(self) -> None:
-        """Parameter cap reached: fine if the tail is dead, else classify it."""
-        self.done = True
-        last = self.tail[-1]
-        if self.peak > 0.0 and last > 1e-8 * self.peak:
-            tail = self.tail
-            growing = len(tail) >= 3 and tail[-1] >= tail[-2] >= tail[-3]
-            if growing or last > 1e-2 * self.peak:
-                self.error = DivergenceError(
-                    f"integrand not integrable toward {self.label} "
-                    f"(contributions still ~{last / self.peak:.1e} of peak at "
-                    f"the parameter cap)"
-                )
+        A side's row holds its total so far, then its block, then NaN
+        padding; a second row (of magnitudes) its peak and last three
+        magnitudes, then the block's magnitudes.  A contribution's running
+        peak (the side's peak so far included: the earlier magnitudes are
+        at most the peak) is a max accumulated along the row, exact in any
+        order.  A contribution is small when it is _TAIL_CUTOFF or less of
+        the running peak, and bad when it is NaN or above _BLOWUP (padding
+        counts as bad); a side takes its block up to the second small one
+        in a row, or up to the first bad one, and reads its state back at
+        the last node taken.  Its running total is ``np.add.accumulate``
+        along its row: the additions of a node-by-node loop, in its order,
+        so the same bits.  Past the first bad contribution a row holds
+        values that are never read.
+        """
+        ints, rows = self.ints, self.rows
+        lengths = ints[_BLOCK]
+        if terms.dtype != self.total.dtype:
+            self.total = self.total.astype(np.result_type(terms, self.total))
+        sums = np.empty((len(rows), width), self.total.dtype)
+        sums.fill(math.nan)
+        sums[:, 0] = self.total
+        sums.ravel()[flat] = terms
+        grid = np.empty((len(rows), 2, width + 3))
+        grid[:, 1, :4] = self.peak_tail
+        np.abs(sums[:, 1:], out=grid[:, 1, 4:])
+        # fmax skips NaN, which only bad contributions and padding are, and
+        # nothing past a row's first bad one is read.
+        np.fmax.accumulate(grid[:, 1], axis=1, out=grid[:, 0])
+        peaks, mags = grid[:, 0, 3:], grid[:, 1, 3:]   # column 0: before the block
+        small = mags <= _TAIL_CUTOFF * peaks
+        small &= peaks > 0.0
+        small[:, 0] = ints[_SMALL]
+        ends = small[:, 1:] & small[:, :-1]
+        ends[:, -1] = True    # the padding column: past every block
+        end = ends.argmax(axis=1)
+        fail = (mags[:, 1:] <= _BLOWUP).argmin(axis=1)
+        taken = np.minimum(end + 1, fail)
+        np.add.accumulate(sums, axis=1, out=sums)
+        self.total = sums[rows, taken]
+        self.peak_tail = grid[rows[:, None], _READ_PLANE, taken[:, None] + _READ_SHIFT]
+        ints[_USED] += taken
+        room = ints[_ROOM]
+        room -= taken
+        ended = end < fail
+        short = taken < lengths
+        room[ended | short] = 0
+        # Continue with the fewest nodes that can end the march, doubling
+        # on each further miss; a side with no room left asks for none.
+        small_run = ints[_SMALL] = small[rows, lengths]
+        extra = ints[_EXTRA]
+        np.maximum(2 - small_run, 2 * extra, out=extra)
+        np.minimum(extra, room, out=lengths)
+        for row in (short > ended).nonzero()[0].tolist():
+            x_all, _, base, _ = self.tables
+            mag = float(mags[row, 1 + taken[row]])
+            x = float(x_all[base[ints[_TABLE, row]] + ints[_USED, row]])
+            label = _label(row & 1)
+            self.errors[2 * self.ids[row >> 1] + (row & 1)] = (
+                NonConvergenceError(f"integrand has no value toward {label} at x={x:.3e}")
+                if math.isnan(mag) else DivergenceError(
+                    f"integrand not integrable toward {label} "
+                    f"(contribution ~{mag:.3e} at x={x:.3e})"))
+
+    def finish_levels(self) -> None:
+        """Each integrand whose two sides are done: fail, converge, or start
+        its next level.
+
+        A level after the first sizes each side's first block from the count
+        that side used at the level before: the grids are nested, so a side
+        uses about as many nodes at level 1 and about twice as many after.
+        """
+        blocks = self.ints[_BLOCK]
+        idle = (blocks[0::2] | blocks[1::2]) == 0
+        if self.dead:
+            idle &= self.running
+        ready = idle.nonzero()[0].tolist()
+        if not ready:
+            return
+        used, totals = self.ints[_USED].tolist(), self.total.tolist()
+        ids, sizes, levels, hs, prevs = self.ids, self.sizes, self.levels, self.h, self.prev
+        evaluations, outcome = self.evaluations, self.outcome
+        rows, tables, rooms, starts, ended = [], [], [], [], []
+        for k in ready:
+            i = ids[k]
+            level = levels[i]
+            inf_used, zero_used = used[2 * k], used[2 * k + 1]
+            if (self.errors or sizes[level] in (inf_used, zero_used)) and self._failed(k, level):
+                ended.append(k)
+                continue
+            evaluations[i] += inf_used + zero_used
+            h, prev = hs[i], prevs[i]
+            if level == 0:
+                level_sum = h * (self.centre[i] + totals[2 * k] + totals[2 * k + 1])
             else:
-                self.error = NonConvergenceError(
-                    f"integrand tail toward {self.label} decays too slowly for "
-                    f"the double-exponential parameter range"
+                level_sum = 0.5 * prev + h * (totals[2 * k] + totals[2 * k + 1])
+                diff = abs(level_sum - prev)
+                floor = 5e-16 * abs(level_sum)
+                if diff <= self.tols[i] * abs(level_sum) or diff <= floor:
+                    outcome[i] = QuadratureResult(
+                        level_sum, max(0.5 * diff, floor), evaluations[i])
+                    ended.append(k)
+                    continue
+            if level == _MAX_LEVELS:
+                change = abs(level_sum - prev) if level else 0.0
+                outcome[i] = NonConvergenceError(
+                    f"integrate_semiinfinite: level budget exhausted "
+                    f"(last change {change:.3e}, tol {self.tols[i]:g})"
                 )
+                ended.append(k)
+                continue
+            levels[i], hs[i], prevs[i] = level + 1, 0.5 * h, level_sum
+            size = sizes[level + 1]
+            if level:
+                inf_used, zero_used = 2 * inf_used - 2, 2 * zero_used - 2
+            rows += (2 * k, 2 * k + 1)
+            tables += (2 * level + 2, 2 * level + 3)
+            rooms += (size, size)
+            starts += (max(1, min(inf_used, size)), max(1, min(zero_used, size)))
+        if rows:
+            rows = np.array(rows)
+            self.ints[:_BLOCK + 1, rows] = tables, rooms, starts
+            self.ints[_USED:, rows] = 0
+            self.total[rows] = 0.0
+            self.peak_tail[rows] = 0.0
+        if ended:
+            self.running[ended] = False
+            self.live -= len(ended)
+            self.dead += len(ended)
+            if 2 * self.dead >= self.live:
+                keep = self.running.repeat(2)
+                self.ints = self.ints[:, keep]
+                self.total, self.peak_tail = self.total[keep], self.peak_tail[keep]
+                self.ids = [i for i, on in zip(self.ids, self.running.tolist()) if on]
+                self.running = self.running[self.running]
+                self.rows = self.rows[:len(self.total)]
+                self.dead = 0
 
-
-def _take_blocks(
-    sides: list[_Side], weights: np.ndarray, values: np.ndarray, lengths: list[int]
-) -> None:
-    """Each side takes its block of one round, all blocks at once.
-
-    The blocks lie end to end in ``weights`` and ``values``.  A block's
-    running peak (the side's peak so far included) is a doubling scan: max
-    is exact in any order.  A contribution is small when it is
-    _TAIL_CUTOFF or less of the running peak, and bad when it is NaN or
-    above _BLOWUP; the first of each per block goes to ``_Side.take``.
-    """
-    terms = weights * values
-    mags = np.abs(terms)
-    starts = np.cumsum(lengths) - lengths
-    owner = np.repeat(np.arange(len(sides)), lengths)
-    pos = np.arange(len(terms)) - starts[owner]
-    bad = ~(mags <= _BLOWUP)
-    peaks = np.where(bad, 0.0, mags)
-    step = 1
-    while step < max(lengths):
-        np.maximum(peaks[step:], np.where(pos[step:] >= step, peaks[:-step], 0.0),
-                   out=peaks[step:])
-        step *= 2
-    np.maximum(peaks, np.array([side.peak for side in sides])[owner], out=peaks)
-    small = (peaks > 0.0) & (mags <= _TAIL_CUTOFF * peaks)
-    after_small = np.empty_like(small)
-    after_small[1:] = small[:-1]
-    after_small[starts] = [side.small_run > 0 for side in sides]
-    none = len(terms)
-    first_end = np.minimum.reduceat(np.where(small & after_small, pos, none), starts)
-    first_bad = np.minimum.reduceat(np.where(bad, pos, none), starts)
-    for side, start, length, end, fail in zip(
-        sides, starts.tolist(), lengths, first_end.tolist(), first_bad.tolist()
-    ):
-        span = slice(start, start + length)
-        side.take(terms[span], mags[span], peaks[span], small[span], end, fail)
-
-
-class _Integral:
-    """One integrand's march: its level, the two sides of that level, and
-    the level sums so far.
-
-    Level 0 also takes f at the centre x = 1, with its first blocks.  A
-    level after it sizes each side's first block from the count that side
-    used at the level before: the grids are nested, so a side uses about as
-    many nodes at level 1 and about twice as many after.
-    """
-
-    def __init__(self, tol: float):
-        self.tol = tol
-        self.level = 0
-        self.h = _BASE_STEP
-        self.sides = [_Side(0, 1.0, _FIRST_BLOCK), _Side(0, -1.0, _FIRST_BLOCK)]
-        self.centre: float | None = None
-        self.level_sum = self.prev = 0.0
-        self.evaluations = 1   # the centre
-        self.outcome: QuadratureResult | ArithmeticError | None = None
-
-    def finish_level(self) -> None:
-        """Once both sides are done: fail, converge, or start the next level."""
-        inf, zero = self.sides
-        # A failure toward infinity is reported first.
-        error = inf.error or zero.error
-        if error is not None:
-            self.outcome = error
-            return
-        self.evaluations += inf.used + zero.used
-        if self.level == 0:
-            self.level_sum = self.h * (self.centre + inf.total + zero.total)
-        else:
-            self.level_sum = 0.5 * self.prev + self.h * (inf.total + zero.total)
-            diff = abs(self.level_sum - self.prev)
-            floor = 5e-16 * abs(self.level_sum)
-            if diff <= self.tol * abs(self.level_sum) or diff <= floor:
-                self.outcome = QuadratureResult(
-                    self.level_sum, max(0.5 * diff, floor), self.evaluations
-                )
-                return
-        if self.level == _MAX_LEVELS:
-            change = abs(self.level_sum - self.prev) if self.level else 0.0
-            self.outcome = NonConvergenceError(
-                f"integrate_semiinfinite: level budget exhausted "
-                f"(last change {change:.3e}, tol {self.tol:g})"
-            )
-            return
-        counts = [inf.used, zero.used]
-        self.level += 1
-        self.prev = self.level_sum
-        self.h *= 0.5
-        blocks = counts if self.level == 1 else [2 * n - 2 for n in counts]
-        self.sides = [_Side(self.level, 1.0, blocks[0]), _Side(self.level, -1.0, blocks[1])]
+    def _failed(self, k: int, level: int) -> bool:
+        """Whether a side of the k-th integrand's level failed; its error,
+        toward infinity first, becomes the integrand's outcome."""
+        i = self.ids[k]
+        for row in (2 * k, 2 * k + 1):
+            error = self.errors.get(2 * i + (row & 1))
+            if error is None and self.ints[_USED, row] == self.sizes[level]:
+                # At the parameter cap.  A side whose tail test ended it at
+                # its last node has a dead tail, so no error.
+                peak, *tail = self.peak_tail[row].tolist()
+                error = _cap_error(_label(row & 1), tail, peak)
+            if error is not None:
+                self.outcome[i] = error
+                return True
+        return False
 
 
 def integrate_semiinfinite_batch(
@@ -304,6 +419,17 @@ def integrate_semiinfinite_batch(
     all of them.  Each integrand marches exactly as it would alone: its
     own levels, blocks, tail test and estimate, and the same bits.
 
+    The state is arrays with one entry per side (``_Marches``; the layout
+    is in the module docstring), so a round is a fixed number of array
+    operations whatever the number of integrands: gather every side's
+    block from the node tables, one f call (the blocks end to end in side
+    order, then, in the first round, each integrand's centre x = 1), the
+    tail and blow-up scan over all blocks, and the take for all sides at
+    once.  Only the integrands that finish a level in the round are
+    visited one by one.  A side's running total is ``np.add.accumulate``
+    along its block's row, which starts with the total so far: the
+    additions, in order, of a node-by-node loop over that side alone.
+
     Returns, per integrand, its ``QuadratureResult`` or the error that
     ended its march (``DivergenceError`` or ``NonConvergenceError``, as
     ``integrate_semiinfinite`` raises them); one integrand's failure does
@@ -311,36 +437,22 @@ def integrate_semiinfinite_batch(
     """
     if not all(tol > 0.0 for tol in tols):
         raise ValueError("tol must be positive")
-    runs = [_Integral(tol) for tol in tols]
-    live = list(enumerate(runs))
-    while live:
-        sides, owners, centres = [], [], []
-        for i, run in live:
-            for side in run.sides:
-                if not side.done:
-                    sides.append(side)
-                    owners.append(i)
-        for i, run in live:
-            if run.centre is None:
-                centres.append(run)
-                owners.append(i)
-        blocks = [side.request() for side in sides]
-        lengths = [len(x) for x, _ in blocks]
-        nodes = np.concatenate([x for x, _ in blocks] + [np.ones(len(centres))])
-        which = np.repeat(owners, lengths + [1] * len(centres))
-        with np.errstate(all="ignore"):
+    marches = _Marches(tols)
+    centres = np.arange(len(tols))   # level 0 also takes f at x = 1
+    with np.errstate(all="ignore"):
+        while marches.live:
+            flat, width, x, w, which = marches.gather()
+            nodes = np.concatenate([x, np.ones(len(centres))]) if len(centres) else x
+            which = np.concatenate([which, centres]) if len(centres) else which
             values = np.asarray(f(nodes, which))
-        if values.shape != nodes.shape:
-            raise ValueError("integrand must return one value per abscissa")
-        count = sum(lengths)
-        _take_blocks(sides, np.concatenate([w for _, w in blocks]), values[:count], lengths)
-        for run, value in zip(centres, values[count:].tolist()):
-            run.centre = _HALF_PI * value  # weight at t = 0
-        for _, run in live:
-            if all(side.done for side in run.sides):
-                run.finish_level()
-        live = [(i, run) for i, run in live if run.outcome is None]
-    return [run.outcome for run in runs]
+            if values.shape != nodes.shape:
+                raise ValueError("integrand must return one value per abscissa")
+            marches.take(flat, width, w * values[:len(x)])
+            for i, value in zip(centres.tolist(), values[len(x):].tolist()):
+                marches.centre[i] = _HALF_PI * value  # weight at t = 0
+            centres = centres[:0]
+            marches.finish_levels()
+    return marches.outcome
 
 
 def integrate_semiinfinite(

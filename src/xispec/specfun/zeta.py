@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -43,28 +42,20 @@ EM_TERMS_CAP = 200_000  # hard cap on the truncation point N
 RS_BLOCK = 4096
 
 
-def _bernoulli_over_factorial(count: int) -> tuple[float, ...]:
-    """B_{2k}/(2k)! for k = 1..count, computed exactly then rounded once."""
-    n_max = 2 * count
-    bern = [Fraction(0)] * (n_max + 1)
-    bern[0] = Fraction(1)
-    for m in range(1, n_max + 1):
-        acc = Fraction(0)
-        binom = 1  # C(m+1, j), updated after each use
-        for j in range(m):
-            acc += binom * bern[j]
-            binom = binom * (m + 1 - j) // (j + 1)
-        bern[m] = -acc / (m + 1)
-    out = []
-    fact = Fraction(1)
-    for n in range(1, n_max + 1):
-        fact *= n
-        if n % 2 == 0:
-            out.append(float(bern[n] / fact))
-    return tuple(out)
-
-
-_B2K_OVER_FACT = _bernoulli_over_factorial(EM_ORDER_CAP)
+#: B_{2k}/(2k)! for k = 1..EM_ORDER_CAP, each the exact rational rounded once
+#: to a double (tests/test_zeta.py recomputes them with Fraction).
+_B2K_OVER_FACT = (
+    0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
+    -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
+    1.3382536530684679e-11, -3.3896802963225827e-13, 8.586062056277845e-15,
+    -2.174868698558062e-16, 5.5090028283602295e-18, -1.3954464685812522e-19,
+    3.534707039629467e-21, -8.953517427037546e-23, 2.267952452337683e-24,
+    -5.744790668872202e-26, 1.455172475614865e-27, -3.6859949406653103e-29,
+    9.336734257095045e-31, -2.36502241570063e-32, 5.990671762482134e-34,
+    -1.5174548844682903e-35, 3.843758125454189e-37, -9.736353072646691e-39,
+    2.466247044200681e-40, -6.247076741820743e-42, 1.5824030244644914e-43,
+    -4.008273685948936e-45, 1.0153075855569557e-46, -2.5718041582418717e-48,
+)
 _B2K_ARRAY = np.array(_B2K_OVER_FACT)
 
 # Cached log(n) table, grown on demand; read-mostly and rebuilt atomically,

@@ -404,14 +404,15 @@ NODE_RANGE_XS = np.concatenate([
     "nu", [0.0, 1e-3, 0.1, 0.3, 0.5, 0.9, 1.0, 2.0, 5.5, 13.0, 30.0, 60.0, 200.0]
 )
 def test_node_range_matches_the_step_search(nu):
-    # The estimate-and-check search must land on the very t_up the 0.5-step
-    # search reaches, bits included.  Where that search would pass the
-    # overflow of cosh t (tiny x; it raises OverflowError there, before its
-    # 1500 cap can bind) or nu/x overflows, the point cannot be evaluated.
+    # The estimate-and-check search, over all the x at once, must land on
+    # the very t_up the 0.5-step search reaches, bits included.  Where that
+    # search would pass the overflow of cosh t (tiny x; it raises
+    # OverflowError there, before its 1500 cap can bind) or nu/x overflows,
+    # the point cannot be evaluated.
     # At large nu and small x the peak passes 690 and K overflows (inf).
     widest, outcomes = 0.0, set()
-    for x in NODE_RANGE_XS.tolist():
-        t_up, floor = besselk._real_node_range(nu, x)
+    t_ups, floors = besselk._real_node_ranges(np.full(len(NODE_RANGE_XS), nu), NODE_RANGE_XS)
+    for x, t_up, floor in zip(NODE_RANGE_XS.tolist(), t_ups.tolist(), floors.tolist()):
         try:
             expected = _node_range_by_steps(nu, x)
         except OverflowError:

@@ -40,6 +40,14 @@ def test_zeros_rows(capsys):
     assert float(first[2]) <= 1e-8
 
 
+def test_zeros_stdout_is_the_rows_one_per_line(capsys):
+    from xispec.zeros import scan_zeros
+
+    assert run(["zeros", "--t-max", "60", "--tol", "1e-8"]) == 0
+    rows = cli.format_rows(scan_zeros(60.0, 1e-8))
+    assert capsys.readouterr().out == "".join(row + "\n" for row in rows)
+
+
 def test_zeros_cache_reuse_is_identical(capsys):
     assert run(["zeros", "--t-max", "30", "--cache", "zeros.csv"]) == 0
     first = capsys.readouterr().out

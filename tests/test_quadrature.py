@@ -16,6 +16,13 @@ def test_exponential():
     assert result.evaluations >= 1
 
 
+def test_complex_integrand():
+    # A complex integrand's value is complex; the march runs on |f|.
+    result = integrate_semiinfinite(lambda x: (1.0 + 2.0j) * np.exp(-x), 1e-12)
+    assert isinstance(result.value, complex)
+    assert result.value == pytest.approx(1.0 + 2.0j, rel=1e-12)
+
+
 def test_gaussian_moment():
     result = integrate_semiinfinite(lambda x: x * np.exp(-x * x), 1e-12)
     assert result.value == pytest.approx(0.5, rel=1e-12)

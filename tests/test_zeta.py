@@ -56,3 +56,20 @@ def test_conjugation():
 def test_near_pole_is_finite_and_accurate():
     s = 1.0 + 1e-9
     assert rel_err(zeta(s), mp_zeta(complex(s, 0.0))) < 1e-9
+
+
+def test_bernoulli_constants_are_the_exact_ratios_rounded_once():
+    # B_{2k}/(2k)! from the recurrence sum_{j<=m} C(m+1, j) B_j = 0, in exact
+    # rational arithmetic, each rounded once: the literals in zeta.py, bit
+    # for bit.
+    from fractions import Fraction
+
+    from xispec.specfun.zeta import _B2K_OVER_FACT, EM_ORDER_CAP
+
+    n_max = 2 * EM_ORDER_CAP
+    bern = [Fraction(1)] + [Fraction(0)] * n_max
+    for m in range(1, n_max + 1):
+        bern[m] = -sum(math.comb(m + 1, j) * bern[j] for j in range(m)) / (m + 1)
+    exact = tuple(float(bern[n] / math.factorial(n)) for n in range(2, n_max + 1, 2))
+    assert len(_B2K_OVER_FACT) == EM_ORDER_CAP
+    assert [v.hex() for v in _B2K_OVER_FACT] == [v.hex() for v in exact]
