@@ -513,7 +513,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             reports = [AuditReport.from_dict(entry) for entry in entries]
         except KeyError as exc:
             raise ConfigError(f"{path}: missing key {exc}") from exc
-        except (OSError, ValueError, TypeError) as exc:
+        except (OSError, ValueError, TypeError, OverflowError, RecursionError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
         if seen is not None:
             keys = [r.to_json() for r in reports]

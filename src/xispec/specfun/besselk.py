@@ -28,14 +28,16 @@ integrand's peak.
 arguments at one order, or an order per argument.  On the imaginary
 branch the order's constants 1/Gamma(1 + i mu) and 1/prod (k + i mu) come
 from a per-order table that grows on demand, and the series for the
-x <= 12 of all orders is a polynomial in q = x^2/4, in row blocks of the
-largest q first that form only the terms their rows need.  The
-trapezoid, for the imaginary order's 12 < x <= 745 and the real order's
-x <= 745, runs level by level with a convergence mask per x; each x keeps
-its own order and node range, and rows of different orders share row
-blocks, each with its own weight.  It sorts the x widest range first,
-once, so each row block forms only the nodes of its first row; at real
-order it exponentiates only the nodes a row sums.  The real order's range
+x <= 12 of all orders is a polynomial in q = x^2/4, summed in row blocks
+of the largest q first: the first block forms every coefficient, a later
+one only the terms the block before it needed, and each x stops at its
+own stopping term, the series' one stopping rule.  The trapezoid, for
+the imaginary order's 12 < x <= 745 and the real order's x <= 745, runs
+level by level with a convergence mask per x; each x keeps its own order
+and node range, and rows of different orders share row blocks, each with
+its own weight.  It sorts the x widest range first, once, so each row
+block forms only the nodes of its first row; at real order it
+exponentiates only the nodes a row sums.  The real order's range
 comes from a closed-form estimate of where the integrand has fallen e^-46
 below its peak, confirmed by the log-integrand on both sides.  Every
 point's value is bit for bit the term-by-term value of a
@@ -63,8 +65,9 @@ _EPS = 2.220446049250313e-16
 _LOG_2 = math.log(2.0)
 # Switch point between the series and the integral on the imaginary branch.
 _SERIES_X_MAX = 12.0
-# Coefficients of the series per order: at x <= 12 (q <= 36) every order
-# with pi mu <= 700 stops within 29, the count at q = 36 and mu near 0.
+# Coefficients of the series per order, all formed for the first row block
+# of a call: at x <= 12 (q <= 36) every order with pi mu <= 700 stops
+# within 29, the count at q = 36 and mu near 0.
 _SERIES_COLUMNS = 64
 _TRAP_BASE_STEP = 0.25
 _TRAP_LEVEL_CAP = 9
@@ -132,11 +135,11 @@ def _imag_series(
     Point i is at order mus[ids[i]].  The series is a polynomial in
     q = x^2/4 whose k-th coefficient is r_k / k!, with
     r_k = 1 / (Gamma(1 + i mu) prod_{j<=k} (j + i mu)) from the order's
-    table.  Each order takes as many coefficients as its largest q in
-    this call needs, and each x its terms up to its own stopping term, in
-    the order and rounding of a term-by-term loop: the value at small x is
-    exponentially smaller than the terms, and the quadrature's level test
-    sees that cancellation noise.
+    table of _SERIES_COLUMNS.  Each x sums its terms up to its own
+    stopping term, the one stopping rule, in the order and rounding of a
+    term-by-term loop: the value at small x is exponentially smaller than
+    the terms, and the quadrature's level test sees that cancellation
+    noise.
     """
     q = 0.25 * x * x
     # Renumber the orders present (np.unique would import numpy.ma).
@@ -146,16 +149,8 @@ def _imag_series(
     renumber = np.zeros(len(present), dtype=np.intp)
     renumber[present] = np.arange(len(mus))
     ids = renumber[ids]
-    q_top = np.zeros(len(mus))
-    np.maximum.at(q_top, ids, q)
-    counts = _series_columns(mus, q_top)
-    # An order's row past its own coefficients is NaN: no x can stop there.
-    re = np.full((len(mus), int(counts.max())), math.nan)
-    im = np.full_like(re, math.nan)
-    for row, (mu, count) in enumerate(zip(mus.tolist(), counts.tolist())):
-        recips = _series_recips(mu)[:count]
-        re[row, :count], im[row, :count] = recips.real, recips.imag
-    s_re, s_im, peak, stopped = _series_sums(q, re, im, ids)
+    recips = np.array([_series_recips(mu) for mu in mus.tolist()])
+    s_re, s_im, peak, stopped = _series_sums(q, recips.real, recips.imag, ids)
     # math.log: numpy's vector log can differ in the last bit, which the
     # cancellation above would turn into different noise.  Orders that
     # share their nodes share their x, so it runs once per distinct x
@@ -203,34 +198,6 @@ def _series_recips(mu: float) -> np.ndarray:
     return recips
 
 
-def _series_columns(mus: np.ndarray, q_top: np.ndarray) -> np.ndarray:
-    """Per order, the coefficients r_0, r_1, ... its largest q needs.
-
-    Up to the first term 1e-18 below the largest so far, at q_top: it comes
-    no earlier for a larger q, and the per-x stopping test is never
-    stricter.  An order with no such term among its first _SERIES_COLUMNS
-    gets them all, and an x that does not stop within them comes back NaN.
-    The terms are those of a term-by-term loop, formed a block of orders
-    at a time.
-    """
-    counts = np.full(len(mus), _SERIES_COLUMNS)
-    ks = np.arange(0.0, _SERIES_COLUMNS)
-    ks[0] = math.inf
-    rows = _BLOCK_ELEMENTS // _SERIES_COLUMNS
-    for i in range(0, len(mus), rows):
-        block = np.arange(i, min(i + rows, len(mus)))
-        recips = np.array([_series_recips(mu) for mu in mus[block].tolist()])
-        coeff = np.divide.outer(q_top[block], ks)
-        coeff[:, 0] = 1.0
-        np.cumprod(coeff, axis=1, out=coeff)
-        mags = np.hypot(coeff * recips.real, coeff * recips.imag)
-        small = mags <= 1e-18 * np.maximum.accumulate(mags, axis=1)
-        small[:, 0] = False
-        found = small.any(axis=1)
-        counts[block[found]] = np.argmax(small[found], axis=1) + 1
-    return counts
-
-
 def _series_sums(
     q: np.ndarray, re: np.ndarray, im: np.ndarray, ids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -238,11 +205,11 @@ def _series_sums(
 
     Row i sums the coefficients re[ids[i]] + i im[ids[i]].  Most x stop
     long before the last coefficient, so rows go largest q first, in row
-    blocks of at most _BLOCK_ELEMENTS, and a block forms only as many
-    columns as the block before it needed (the first block all of them).
-    A row that has not stopped within its block's columns, while its
-    order has more, is summed again over all of them.  A row's sums up to
-    its stopping term do not depend on the columns past it.
+    blocks of at most _BLOCK_ELEMENTS; the first block forms all the
+    columns, and each later one only as many as the block before it
+    needed.  A row that has not stopped within its block's columns is
+    summed again over all of them.  A row's sums up to its stopping term
+    do not depend on the columns past it.
     """
     columns = re.shape[1]
     out = (np.empty(len(q)), np.empty(len(q)), np.empty(len(q)), np.empty(len(q), dtype=bool))
@@ -256,7 +223,7 @@ def _series_sums(
             part[block] = value
         stopped = sums[-1]
         if width < columns:
-            again.append(block[~stopped & ~np.isnan(re[ids[block], width])])
+            again.append(block[~stopped])
         # The rows to come have smaller q, so they need about as many
         # columns as the last quarter of this block did.
         tail = slice(-max(1, len(block) // 4), None)
@@ -404,13 +371,10 @@ def _trapezoid(
     rel = np.full(len(x), math.inf)
     finite = np.isfinite(t_up)
     values[~finite] = t_up[~finite]
-    ranges = t_up.tolist()
-    index = sorted(
-        (i for i, t in enumerate(ranges) if t < math.inf), key=ranges.__getitem__, reverse=True
-    )
-    if not index:
+    index = np.flatnonzero(finite)
+    if not index.size:
         return values, rel
-    index = np.array(index)
+    index = index[np.argsort(-t_up[index], kind="stable")]
     nu, x, t_up = nu[index], x[index], t_up[index]
     h = _TRAP_BASE_STEP
     s, a = _trap_sums(nu, oscillating, x, t_up, h, level=0)

@@ -188,9 +188,8 @@ class _Marches:
     Sides 2k and 2k + 1 march the current level of integrand ``ids[k]``
     toward infinity and toward zero.  ``ints`` has a row per integer field
     (_TABLE ...), ``total`` is a side's running total and ``peak_tail`` its
-    peak and last three magnitudes.  The sides of an integrand that has
-    ended keep empty blocks until the ended are half as many as the
-    running, and are then dropped.  A side that reaches a NaN or a
+    peak and last three magnitudes.  The sides of an integrand are
+    dropped in the round it ends.  A side that reaches a NaN or a
     blow-up gets its error in ``errors``, formatted then; a side at the
     parameter cap is classified when its integrand finishes the level.
     Per integrand, as Python numbers (only level finishes read them):
@@ -210,9 +209,7 @@ class _Marches:
         self.ints[_ID] = self.rows >> 1
         self.total = np.zeros(2 * n)
         self.peak_tail = np.zeros((2 * n, 4))
-        self.running = np.ones(n, dtype=bool)
         self.ids = list(range(n))
-        self.live, self.dead = n, 0
         self.errors: dict[int, ArithmeticError] = {}
         self.tables = _TABLES
         self.tols = list(tols)
@@ -322,10 +319,7 @@ class _Marches:
         uses about as many nodes at level 1 and about twice as many after.
         """
         blocks = self.ints[_BLOCK]
-        idle = (blocks[0::2] | blocks[1::2]) == 0
-        if self.dead:
-            idle &= self.running
-        ready = idle.nonzero()[0].tolist()
+        ready = ((blocks[0::2] | blocks[1::2]) == 0).nonzero()[0].tolist()
         if not ready:
             return
         used, totals = self.ints[_USED].tolist(), self.total.tolist()
@@ -375,17 +369,13 @@ class _Marches:
             self.total[rows] = 0.0
             self.peak_tail[rows] = 0.0
         if ended:
-            self.running[ended] = False
-            self.live -= len(ended)
-            self.dead += len(ended)
-            if 2 * self.dead >= self.live:
-                keep = self.running.repeat(2)
-                self.ints = self.ints[:, keep]
-                self.total, self.peak_tail = self.total[keep], self.peak_tail[keep]
-                self.ids = [i for i, on in zip(self.ids, self.running.tolist()) if on]
-                self.running = self.running[self.running]
-                self.rows = self.rows[:len(self.total)]
-                self.dead = 0
+            running = np.ones(len(ids), dtype=bool)
+            running[ended] = False
+            keep = running.repeat(2)
+            self.ints = self.ints[:, keep]
+            self.total, self.peak_tail = self.total[keep], self.peak_tail[keep]
+            self.ids = [i for i, on in zip(ids, running.tolist()) if on]
+            self.rows = self.rows[:len(self.total)]
 
     def _failed(self, k: int, level: int) -> bool:
         """Whether a side of the k-th integrand's level failed; its error,
@@ -440,7 +430,7 @@ def integrate_semiinfinite_batch(
     marches = _Marches(tols)
     centres = np.arange(len(tols))   # level 0 also takes f at x = 1
     with np.errstate(all="ignore"):
-        while marches.live:
+        while marches.ids:
             flat, width, x, w, which = marches.gather()
             nodes = np.concatenate([x, np.ones(len(centres))]) if len(centres) else x
             which = np.concatenate([which, centres]) if len(centres) else which

@@ -244,12 +244,18 @@ def _series_by_terms(mu, x):
 
 def test_series_columns_stop_within_the_first_pass():
     # q = 36 is the series' largest (x = 12), where an order needs the most
-    # coefficients; pi mu <= 700 is the largest order K accepts.
+    # coefficients; pi mu <= 700 is the largest order K accepts.  Every row
+    # stops well within the full table, so a row never needs the NaN guard.
     mus = np.concatenate(
         [np.geomspace(1e-12, 1.0, 200), np.linspace(1.0, 700.0 / math.pi, 2000)]
     )
-    counts = besselk._series_columns(mus, np.full(len(mus), 36.0))
-    assert counts.max() <= 29 < besselk._SERIES_COLUMNS
+    recips = np.array([besselk._series_recips(mu) for mu in mus.tolist()])
+    *_, stopped, stop = besselk._series_block(
+        np.full(len(mus), 36.0), recips.real, recips.imag, np.arange(len(mus)),
+        besselk._SERIES_COLUMNS,
+    )
+    assert stopped.all()
+    assert stop.max() + 1 <= 29 < besselk._SERIES_COLUMNS
 
 
 def _trapezoid_by_levels(mu, x):

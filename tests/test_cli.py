@@ -57,12 +57,24 @@ def test_zeros_cache_reuse_is_identical(capsys):
     assert first == second
 
 
-def test_zeros_run_does_not_import_mpmath():
-    # mpmath is the tests' oracle only; a Riemann-Siegel scan must not need it.
+def test_zeros_run_does_not_import_mpmath(tmp_path):
+    # mpmath is the tests' oracle only; a Riemann-Siegel scan must not need
+    # it.  Nor may a zeros run, an audit run or a coupling spectrum load the
+    # modules the package avoids on purpose: hashlib (OpenSSL's RSS; zeros
+    # takes _blake2), numpy.ma (np.unique), fractions and decimal.
     src = str(Path(xispec.__file__).resolve().parents[1])
     code = (
-        "import xispec.cli, sys; xispec.cli.main(['zeros', '--t-max', '300']); "
-        "assert 'mpmath' not in sys.modules"
+        "import contextlib, io, sys, xispec.cli\n"
+        "from xispec.coupling import coupling_spectrum\n"
+        "from xispec.zeros import scan_zeros\n"
+        "xispec.cli.main(['zeros', '--t-max', '300'])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = xispec.cli.main(['audit', 'all', '--t-max', '30', '--n-zeros', '50',\n"
+        f"                            '--out', {str(tmp_path / 'reports')!r}])\n"
+        "assert code == 0, code\n"
+        "coupling_spectrum(scan_zeros(30.0, 1e-8))\n"
+        "loaded = {'mpmath', 'hashlib', 'numpy.ma', 'fractions', 'decimal'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
     )
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(
@@ -404,10 +416,17 @@ def test_report_command_flags_failures(capsys):
     assert run(["report", "--out", "rfail"]) == 1
 
 
+# A report whose every key is present, with a measured value no float holds.
+_HUGE_MEASURED = json.dumps({
+    "name": "x", "params": {}, "measured": [0], "reference": [1.0],
+    "ratio_or_residual": 0.0, "tolerance": 1.0, "verdict": "PASS", "provenance": {},
+}).replace('"measured": [0]', '"measured": [' + "9" * 401 + "]")
+
+
 @pytest.mark.parametrize(
     "content",
-    [None, "{not json", '{"name": "x"}'],
-    ids=["missing", "not-json", "missing-keys"],
+    [None, "{not json", '{"name": "x"}', "[" * 200_000 + "]" * 200_000, _HUGE_MEASURED],
+    ids=["missing", "not-json", "missing-keys", "too-deep", "measured-overflows-float"],
 )
 def test_report_bad_file_is_a_usage_error(capsys, content):
     if content is not None:
