@@ -365,7 +365,7 @@ def _cmd_zeros(args: argparse.Namespace) -> int:
     )
     with out as handle:
         zeros = _gather_zeros(cfg)
-        table = "".join(row + "\n" for row in format_rows(zeros))
+        table = "\n".join([*format_rows(zeros), ""])
         sys.stdout.write(table)
         if handle is not None:
             handle.write("n,gamma,abs_err\n")

@@ -34,6 +34,7 @@ from .gamma import _log_sin_pi, log_gamma
 
 EM_ORDER_CAP = 30       # number of B_{2k}/(2k)! correction terms kept
 EM_TERMS_CAP = 200_000  # hard cap on the truncation point N
+_EM_FIRST_ORDERS = 20  # terms the array path forms before it forms all EM_ORDER_CAP
 
 #: Elements per block of the array paths: heights of the Riemann-Siegel path
 #: in xi.py; here terms of the Euler-Maclaurin head sums (a head sum longer
@@ -158,38 +159,41 @@ def euler_maclaurin_zeta(s: np.ndarray) -> np.ndarray:
         start = stop
 
     n = n.astype(np.float64)
-    n_minus_s = np.exp(-s_sorted * np.array([math.log(k) for k in n_list]))
+    n_minus_s = np.exp(-s_sorted * np.fromiter(map(math.log, n_list), np.float64, s.size))
     total += n_minus_s * (0.5 + n / (s_sorted - 1.0))
 
-    # The correction terms of ``_zeta_euler_maclaurin``, all EM_ORDER_CAP of
-    # them for a block of points at once, formed and summed in the order of
-    # its loop; each point's series stops at its own first term that passes
-    # the loop's test.  Terms past that point may overflow; none is used.
-    rows = RS_BLOCK // (EM_ORDER_CAP + 1)
-    two_k = np.arange(2, 2 * EM_ORDER_CAP, 2)
+    # The correction terms of ``_zeta_euler_maclaurin``, formed and summed in
+    # its loop's order, a block of points at a time; each point stops at its
+    # own first term that passes the loop's test, and later terms (which may
+    # overflow) go unused.  Points stop by order 14-16, a little later next to
+    # a zero: a first pass forms _EM_FIRST_ORDERS terms, a second all EM_ORDER_CAP
+    # for the points that did not stop, with the same bits (running sums).
+    sums, done = np.empty_like(total), np.zeros(s.size, dtype=bool)
+    points = np.arange(s.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, s.size, rows):
-            block = slice(start, start + rows)
-            s_b, n_b, head = s_sorted[block, None], n[block, None], total[block, None]
-            factors = np.empty((s_b.size, EM_ORDER_CAP), dtype=np.complex128)
-            factors[:, :1] = s_b
-            factors[:, 1:] = (s_b + (two_k - 1)) * (s_b + two_k)
-            steps = np.empty_like(factors)
-            steps[:, :1] = n_minus_s[block, None] / n_b
-            steps[:, 1:] = n_b * n_b
-            rising = np.cumprod(factors, axis=1)
-            terms = _B2K_ARRAY * rising * np.divide.accumulate(steps, axis=1)
-            sums = np.cumsum(np.concatenate([head, terms], axis=1), axis=1)[:, 1:]
-            stop = np.abs(terms) <= 1e-18 * np.maximum(np.abs(head), np.abs(sums))
-            k = stop.argmax(axis=1)
-            here = np.arange(s_b.size)
-            if not stop[here, k].all():
-                first = int(order[start + np.flatnonzero(~stop[here, k])].min())
-                point = complex(s[first])
-                raise _not_converged(point, em_truncation(point))
-            total[block] = sums[here, k]
-    values = np.empty_like(total)
-    values[order] = total
+        for orders in (_EM_FIRST_ORDERS, EM_ORDER_CAP):
+            two_k = np.arange(2, 2 * orders, 2)
+            for start in range(0, points.size, RS_BLOCK // (orders + 1)):
+                block = points[start : start + RS_BLOCK // (orders + 1)]
+                s_b, n_b, head = s_sorted[block, None], n[block, None], total[block, None]
+                factors = np.empty((s_b.size, orders), dtype=np.complex128)
+                factors[:, :1] = s_b
+                factors[:, 1:] = (s_b + (two_k - 1)) * (s_b + two_k)
+                steps = np.empty_like(factors)
+                steps[:, :1] = n_minus_s[block, None] / n_b
+                steps[:, 1:] = n_b * n_b
+                rising = np.cumprod(factors, axis=1)
+                terms = _B2K_ARRAY[:orders] * rising * np.divide.accumulate(steps, axis=1)
+                partial = np.cumsum(np.concatenate([head, terms], axis=1), axis=1)[:, 1:]
+                stop = np.abs(terms) <= 1e-18 * np.maximum(np.abs(head), np.abs(partial))
+                k, here = stop.argmax(axis=1), np.arange(s_b.size)
+                sums[block], done[block] = partial[here, k], stop[here, k]
+            points = np.flatnonzero(~done)
+    if points.size:
+        point = complex(s[order[points].min()])
+        raise _not_converged(point, em_truncation(point))
+    values = np.empty_like(sums)
+    values[order] = sums
     return values
 
 

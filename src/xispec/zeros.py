@@ -16,14 +16,15 @@ passes it every bracket with the Z values its grid already holds at the
 bracket ends, and ``refine_zero`` is a one-bracket call of it.
 
 Every Z evaluation is one array call: ``hardy_z`` for the scan grid, one
-more for the fine-rescan grids of all suspiciously wide gaps together,
-and, per refinement step, ``hardy_z_with_bound`` for the trial points of
-all the brackets still open, which advance in lockstep, then ``hardy_z``
-for the points where a sign was in doubt.  Within each of these calls the
-Euler-Maclaurin points are one array call too (``specfun.xi``), so a scan
-to t = 1188 at tol 1e-8 evaluates Euler-Maclaurin at 3,440 heights in 15
-calls.  A gap's fine brackets replace it in the one bracket list the scan
-refines, so no zero is found twice.
+more for the fine-rescan grids of all suspiciously wide gaps together
+(less their grid points), and, per refinement step, ``hardy_z_with_bound``
+for the trial points of all the brackets still open, which advance in
+lockstep, then ``hardy_z`` for the points where a sign was in doubt.  The
+Euler-Maclaurin points of each call are one array call too
+(``specfun.xi``): a scan to t = 1188 at tol 1e-8 evaluates Euler-Maclaurin
+at 3,353 heights (1,776 below t = 200) in 15 calls, one to t = 5000 at tol
+1e-6 at 1,774 (1,723) in 9.  A gap's fine brackets replace it in the one
+bracket list the scan refines, so no zero is found twice.
 
 The persistent cache is a plain text CSV with a checksummed header
 (64-bit BLAKE2b over the header's version, tol and tmax fields and the
@@ -136,15 +137,12 @@ def refine_brackets(
             f"Z={f_lo[i]:.3e} and {f_hi[i]:.3e}"
         )
 
-    found: list[CriticalZero | None] = [None] * len(lo)
-    for i in np.flatnonzero(zero_lo).tolist():
-        t_lo, t_hi, width = float(lo[i]), float(hi[i]), float(tols[i])
-        found[i] = CriticalZero(
-            i + 1, t_lo, (max(t_lo - width, 0.5 * t_lo), t_hi), width
-        )
-    for i in np.flatnonzero(zero_hi & ~zero_lo).tolist():
-        t_lo, t_hi, width = float(lo[i]), float(hi[i]), float(tols[i])
-        found[i] = CriticalZero(i + 1, t_hi, (t_lo, t_hi + width), width)
+    # Per bracket, as it closes: gamma, the bracket's two ends and abs_err.
+    found = np.empty((4, lo.size))
+    i = zero_lo
+    found[:, i] = (lo[i], np.maximum(lo[i] - tols[i], 0.5 * lo[i]), hi[i], tols[i])
+    i = zero_hi & ~zero_lo
+    found[:, i] = (hi[i], lo[i], hi[i] + tols[i], tols[i])
 
     # Per open bracket (its position in `live`): a, the newest end; b, the
     # other end; c, the end a replaced; step, the fraction of the way from
@@ -155,14 +153,15 @@ def refine_brackets(
     seen = np.zeros(live.size)  # B(t) at the bracket's last Riemann-Siegel point
     while True:
         closed = ~(np.abs(b - a) > tols[live])
-        for j in np.flatnonzero(closed):
-            i = int(live[j])
-            found[i] = _closed_zero(i, float(min(a[j], b[j])), float(max(a[j], b[j])))
+        _close(found, live[closed], np.minimum(a, b)[closed], np.maximum(a, b)[closed])
         live, a, f_a, b, f_b, step, seen = (
             x[~closed] for x in (live, a, f_a, b, f_b, step, seen)
         )
-        if live.size == 0:
-            return found  # every entry is set by now
+        if live.size == 0:  # every column of found is set by now
+            return [
+                CriticalZero(i, g, (l, h), e)
+                for i, (g, l, h, e) in enumerate(zip(*found.tolist()), start=1)
+            ]
 
         trial = a + step * (b - a)
         # A trial point whose Riemann-Siegel sign is in doubt lies near the
@@ -186,19 +185,13 @@ def refine_brackets(
             f_side = hardy_z(np.concatenate([side_lo, side_hi])).reshape(2, -1)
             closes = np.signbit(f_side[0]) != np.signbit(f_side[1])
             shut, settle = doubt[closes], doubt[~closes]
-            for i, t_lo, t_hi in zip(
-                live[shut].tolist(), side_lo[closes].tolist(), side_hi[closes].tolist()
-            ):
-                found[i] = _closed_zero(i, t_lo, t_hi)
+            _close(found, live[shut], side_lo[closes], side_hi[closes])
             straddled[shut] = True
             f_trial[settle] = hardy_z(trial[settle])
         hit = (f_trial == 0.0) & ~straddled
-        for j in np.flatnonzero(hit):
-            i = int(live[j])
-            t, half = float(trial[j]), 0.5 * float(tols[i])
-            found[i] = CriticalZero(
-                i + 1, t, (max(t - half, float(lo[i])), t + half), half
-            )
+        i, t = live[hit], trial[hit]
+        half = 0.5 * tols[i]
+        found[:, i] = (t, np.maximum(t - half, lo[i]), t + half, half)
         keep = ~(hit | straddled)
         live, a, f_a, b, f_b, trial, f_trial, seen = (
             x[keep] for x in (live, a, f_a, b, f_b, trial, f_trial, seen)
@@ -221,9 +214,9 @@ def refine_brackets(
         step = np.minimum(np.maximum(step, clamp), 1.0 - clamp)
 
 
-def _closed_zero(i: int, t_lo: float, t_hi: float) -> CriticalZero:
-    """Zero i + 1 from its closed bracket: the midpoint, within half the width."""
-    return CriticalZero(i + 1, 0.5 * (t_lo + t_hi), (t_lo, t_hi), 0.5 * (t_hi - t_lo))
+def _close(found: np.ndarray, i: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray) -> None:
+    """Columns i of ``found`` from closed brackets: the midpoint, within half the width."""
+    found[:, i] = (0.5 * (t_lo + t_hi), t_lo, t_hi, 0.5 * (t_hi - t_lo))
 
 
 def refine_zero(bracket: tuple[float, float], tol: float) -> CriticalZero:
@@ -249,11 +242,6 @@ def _grid(t_max: float, step: float, t_min: float = 0.0) -> np.ndarray:
     return grid[(grid >= t_min) & (grid <= t_max)]
 
 
-def _local_mean_gap(t: float) -> float:
-    """Asymptotic mean spacing of critical-line zeros near height t."""
-    return 2.0 * math.pi / math.log(max(t, 20.0) / (2.0 * math.pi))
-
-
 def _sign_changes(values: np.ndarray) -> np.ndarray:
     """The indices i at which Z changes sign between points i and i + 1."""
     sign = np.sign(values)
@@ -266,9 +254,9 @@ def scan_zeros(t_max: float, tol: float) -> list[CriticalZero]:
 
     Z is scanned at DEFAULT_SCAN_STEP.  Every gap between sign changes
     wider than 1.7 mean zero spacings is rescanned at step/8, all gaps in
-    one Z call; a gap whose rescan finds sign changes emits a
-    StepResolutionWarning, and its fine brackets take its place in the one
-    bracket list that is refined.
+    one Z call; rescan points that are grid points take the grid's values.
+    A gap whose rescan finds sign changes emits a StepResolutionWarning,
+    and its fine brackets take its place in the one bracket list refined.
     """
     if not (t_max > 0.0):
         raise ValueError("t_max must be positive")
@@ -281,16 +269,23 @@ def scan_zeros(t_max: float, tol: float) -> list[CriticalZero]:
 
     # An anomalously long stretch without a sign change can hide an even
     # number of them inside single steps.  Its ends have the same sign, so
-    # any sign change its rescan finds lies strictly inside it.
-    gaps = [
-        (lo, hi)
-        for lo, hi in zip(
-            [0.0, *grid[flips + 1].tolist()], [*grid[flips].tolist(), float(t_max)]
-        )
-        if hi - lo >= 1.7 * _local_mean_gap(hi)
-    ]
+    # any sign change its rescan finds lies strictly inside it.  Mean zero
+    # spacing near its upper end t: 2 pi / log(max(t, 20) / 2 pi).
+    lows = np.concatenate([[0.0], grid[flips + 1]])
+    highs = np.append(grid[flips], float(t_max))
+    mean_gaps = 2.0 * math.pi / np.fromiter(
+        map(math.log, (np.maximum(highs, 20.0) / (2.0 * math.pi)).tolist()), np.float64
+    )
+    wide = highs - lows >= 1.7 * mean_gaps
+    gaps = list(zip(lows[wide].tolist(), highs[wide].tolist()))
     subs = [_grid(hi, DEFAULT_SCAN_STEP / 8.0, lo) for lo, hi in gaps]
-    sub_values = hardy_z(np.concatenate(subs)) if subs else np.empty(0)
+    # Every eighth rescan point, and t_max, is a grid point, the same double
+    # (see _grid): Z there is taken from the grid.
+    fine = np.concatenate([np.empty(0), *subs])
+    at = np.searchsorted(grid, fine)
+    sub_values = values[at]
+    off_grid = grid[at] != fine
+    sub_values[off_grid] = hardy_z(fine[off_grid])
     scans = [(grid, values, flips)]
     for (lo, hi), sub, vals in zip(
         gaps, subs, np.split(sub_values, np.cumsum([s.size for s in subs[:-1]]))

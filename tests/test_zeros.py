@@ -1,5 +1,6 @@
 import importlib
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -192,12 +193,53 @@ def test_scan_z_point_count(monkeypatch):
     calls = _count_z_points(monkeypatch)
     em_calls = _count_em_heights(monkeypatch)
     scan_zeros(1190.0, 1e-8)
-    assert calls["scan"] + calls["refine"] == 11477
+    assert calls["scan"] + calls["refine"] == 11184
     assert calls["scan calls"] <= 2
     em_heights = np.concatenate(em_calls)
-    assert em_heights.size == 3440
-    assert (em_heights < RS_MIN_T).sum() == 1863
+    assert em_heights.size == 3353
+    assert (em_heights < RS_MIN_T).sum() == 1776
     assert len(em_calls) <= 20
+
+
+def _scan_evaluating_every_rescan_point(t_max, tol):
+    """``scan_zeros`` with the mean-gap test in Python floats and every rescan
+    point evaluated, one gap per Z call: the reference for the grid reuse."""
+    grid = _grid(t_max, DEFAULT_SCAN_STEP)
+    values = hardy_z(grid)
+    flips = zeros_module._sign_changes(values)
+    scans = [(grid, values, flips)]
+    for lo, hi in zip([0.0, *grid[flips + 1].tolist()], [*grid[flips].tolist(), t_max]):
+        if hi - lo >= 1.7 * (2.0 * math.pi / math.log(max(hi, 20.0) / (2.0 * math.pi))):
+            sub = _grid(hi, DEFAULT_SCAN_STEP / 8.0, lo)
+            sub_values = hardy_z(sub)
+            scans.append((sub, sub_values, zeros_module._sign_changes(sub_values)))
+    rows = np.concatenate(
+        [np.column_stack([ts[i], ts[i + 1], zs[i], zs[i + 1]]) for ts, zs, i in scans]
+    )
+    rows = rows[np.argsort(rows[:, 0])]
+    return refine_brackets(rows[:, :2], tol, z_ends=rows[:, 2:])
+
+
+@pytest.mark.parametrize("t_max", [1190.0, 1331.0])
+def test_fine_rescan_takes_grid_points_from_the_grid(monkeypatch, t_max):
+    # The rescan's Z call is never asked for a scan-grid point, and the scan
+    # gives the zeros of one that evaluates them (1331: a rescan with sign
+    # changes, zeros 922 and 923).
+    asked = []
+
+    def recording_z(t):
+        asked.append(np.array(t, copy=True))
+        return hardy_z(t)
+
+    reference = _scan_evaluating_every_rescan_point(t_max, 1e-8)
+    monkeypatch.setattr(zeros_module, "hardy_z", recording_z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", zeros_module.StepResolutionWarning)
+        found = scan_zeros(t_max, 1e-8)
+    grid, rescan = asked[0], asked[1]
+    assert grid.tobytes() == _grid(t_max, DEFAULT_SCAN_STEP).tobytes()
+    assert rescan.size > 1000 and not np.isin(rescan, grid).any()
+    assert found == reference and len(found) == mp.nzeros(t_max)
 
 
 def test_euler_maclaurin_share_to_5000(monkeypatch):
@@ -420,8 +462,6 @@ def test_coarse_step_recovers_hidden_zeros():
     # Zeros 922 and 923 share the scan cell (1329.0, 1329.25), so the gap
     # around them shows no sign change; its fine rescan must find both, say
     # so once, and leave every zero mpmath counts to t = 1331.
-    import warnings
-
     from xispec.zeros import StepResolutionWarning
 
     with warnings.catch_warnings(record=True) as caught:

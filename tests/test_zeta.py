@@ -1,11 +1,14 @@
+import importlib
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import mp_zeta, rel_err
-from xispec.errors import PoleError
+from xispec.errors import NonConvergenceError, PoleError
 from xispec.specfun import zeta
+from xispec.specfun.zeta import euler_maclaurin_zeta
 
 
 @pytest.mark.parametrize(
@@ -73,3 +76,43 @@ def test_bernoulli_constants_are_the_exact_ratios_rounded_once():
     exact = tuple(float(bern[n] / math.factorial(n)) for n in range(2, n_max + 1, 2))
     assert len(_B2K_OVER_FACT) == EM_ORDER_CAP
     assert [v.hex() for v in _B2K_OVER_FACT] == [v.hex() for v in exact]
+
+
+def _first_pass_of_one_order(monkeypatch):
+    """Send every point of ``euler_maclaurin_zeta`` through its second pass:
+    no point's series stops at its first correction term."""
+    zeta_module = importlib.import_module("xispec.specfun.zeta")
+    monkeypatch.setattr(zeta_module, "_EM_FIRST_ORDERS", 1)
+
+
+def test_euler_maclaurin_second_pass_keeps_every_bit(monkeypatch):
+    # A point's sum up to its stopping term is a running sum, so the pass
+    # that forms it does not change its bits: critical-line heights in
+    # (0, 5e4) and points with Re s in [0, 3], by the default passes and
+    # with every point redone over all EM_ORDER_CAP orders.
+    rng = np.random.default_rng(2020)
+    heights = np.concatenate([rng.uniform(0.0, 5e4, 300), rng.uniform(0.0, 200.0, 300)])
+    points = np.concatenate([
+        0.5 + 1j * heights,
+        rng.uniform(0.0, 3.0, 300) + 1j * rng.uniform(-300.0, 300.0, 300),
+        [0.0, 3.0, 0.5 + 14.134725141734695j, 2.0 + 1e-3j],
+    ])
+    default = euler_maclaurin_zeta(points)
+    _first_pass_of_one_order(monkeypatch)
+    redone = euler_maclaurin_zeta(points)
+    assert [(v.real.hex(), v.imag.hex()) for v in redone.tolist()] == [
+        (v.real.hex(), v.imag.hex()) for v in default.tolist()
+    ]
+
+
+@pytest.mark.parametrize("passes", ["default", "all-redone"])
+def test_euler_maclaurin_names_the_first_unconverged_point(monkeypatch, passes):
+    # Above t ~ 6e5, with N capped, the corrections stop shrinking fast
+    # enough: the error names the first such point in the caller's order.
+    if passes == "all-redone":
+        _first_pass_of_one_order(monkeypatch)
+    points = np.array([0.5 + 14j, 2.0 + 7.5e5j, 0.5 + 30j, 0.5 + 7.2e5j, 0.5 + 7e5j])
+    message = r"not converged at s=\(0\.5\+720000j\) \(N=200000, order cap 30\)"
+    with pytest.raises(NonConvergenceError, match=message):
+        euler_maclaurin_zeta(points)
+    assert euler_maclaurin_zeta(points[:3]).size == 3
