@@ -34,7 +34,7 @@ from .specfun import (
     xi_critical,
     zeta,
 )
-from .zeros import CriticalZero, ZeroCache, count_check, refine_zero, scan_zeros
+from .zeros import CriticalZero, ZeroCache, refine_zero, scan_zeros
 
 __version__ = "0.1.0"
 
@@ -50,7 +50,6 @@ __all__ = [
     "Verdict",
     "ZeroCache",
     "__version__",
-    "count_check",
     "coupling_spectrum",
     "gamma",
     "hardy_z",

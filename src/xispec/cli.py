@@ -60,7 +60,6 @@ from .zeros import (
     CriticalZero,
     ZeroCache,
     format_rows,
-    parse_rows,
     scan_zeros,
     zero_count_estimate,
 )
@@ -111,8 +110,6 @@ def _t_for_zero_count(count: int) -> float:
     lo, hi = 10.0, 10.0
     while zero_count_estimate(hi) < count + 2:
         hi *= 2.0
-        if hi > 1e6:
-            break
     while hi - lo > 0.5:
         mid = 0.5 * (lo + hi)
         if zero_count_estimate(mid) < count + 2:
@@ -134,7 +131,7 @@ def _gather_zeros(cfg: RunConfig, need_count: int | None = None) -> list[Critica
     t_max = _scan_height(cfg, need_count)
     if cfg.cache and os.path.exists(cfg.cache):
         cache = ZeroCache.load(cfg.cache)  # corruption propagates: exit 3
-        if cache.matches(t_max, cfg.tol):
+        if cache is not None and cache.matches(t_max, cfg.tol):
             zeros = [z for z in cache.zeros if z.gamma <= t_max]
             if need_count is None or len(zeros) >= need_count:
                 return zeros
@@ -143,11 +140,9 @@ def _gather_zeros(cfg: RunConfig, need_count: int | None = None) -> list[Critica
         t_max *= 1.15
         zeros = scan_zeros(t_max, cfg.tol)
     if cfg.cache:
-        # Work with the serialized precision from the start, so this run's
-        # outputs are byte-identical to a later cache-hitting run's.
-        rows = format_rows(zeros)
-        zeros = parse_rows(rows, cfg.cache)
-        ZeroCache(t_max=t_max, tol=cfg.tol, zeros=zeros).save(cfg.cache, rows)
+        # Go on with the zeros the saved rows parse to, so this run's outputs
+        # are byte-identical to a later cache-hitting run's.
+        zeros = ZeroCache(t_max=t_max, tol=cfg.tol, zeros=zeros).save(cfg.cache)
     return zeros
 
 

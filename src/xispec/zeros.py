@@ -29,11 +29,12 @@ bracket list the scan refines, so no zero is found twice.
 The persistent cache is a plain text CSV with a checksummed header
 (64-bit BLAKE2b over the header's version, tol and tmax fields and the
 data-line bytes, newline included), written atomically via
-write-temp-then-rename.  A cache of another version is a miss, so the run
-rescans and rewrites it.  A run that writes the cache formats each zero's
-row once, saves those rows and carries on with the zeros parsed back from
-them by the parser a cache read uses, so its outputs are those of a later
-run that reads the cache.
+write-temp-then-rename.  A read takes at most ``_CACHE_MAX_BYTES``; a
+longer file is corrupt.  A cache of another version is a miss, so the run
+rescans and rewrites it.  ``ZeroCache.save`` formats each zero's row once,
+writes those rows and returns the zeros parsed back from them by the parser
+a cache read uses, so a run that writes the cache goes on with the zeros a
+later run reads from it, and its outputs are that run's.
 """
 
 from __future__ import annotations
@@ -52,11 +53,13 @@ from _blake2 import blake2b
 import numpy as np
 
 from .errors import BracketError, CacheCorruptionError
-from .report import AuditReport, Verdict
 from .specfun import hardy_z, hardy_z_with_bound
 
 DEFAULT_SCAN_STEP = 0.25
 CACHE_VERSION = "v3"
+# About twice the largest cache a run can write: zero_count_estimate of
+# config.T_MAX_CEILING is 818,414 rows of at most 34 bytes, about 28 MB.
+_CACHE_MAX_BYTES = 64 * 2**20
 
 
 class StepResolutionWarning(UserWarning):
@@ -330,22 +333,6 @@ def zero_count_estimate(t_max: float) -> int:
     return max(int(round(zero_count_main_term(t_max))), 0)
 
 
-def count_check(t_max: float, found: int) -> AuditReport:
-    """Guard against skipped zeros: found vs the asymptotic count estimate."""
-    estimate = zero_count_estimate(t_max)
-    difference = abs(int(found) - estimate)
-    return AuditReport(
-        name="zero-count-check",
-        params={"t_max": float(t_max)},
-        measured=[float(found)],
-        reference=[float(estimate)],
-        ratio_or_residual=float(difference),
-        tolerance=1.0,
-        verdict=Verdict.PASS if difference <= 1 else Verdict.FAIL,
-        provenance="zeros",
-    )
-
-
 # --------------------------- persistent cache ---------------------------
 
 
@@ -398,24 +385,21 @@ def parse_rows(lines: list[str], source: str) -> list[CriticalZero]:
 
 @dataclass
 class ZeroCache:
-    """On-disk zero table; reused only when tolerance and version match."""
+    """On-disk zero table; reused only when it covers the height at the tolerance."""
 
     t_max: float
     tol: float
     zeros: list[CriticalZero] = field(default_factory=list)
-    version: str = CACHE_VERSION
 
-    def data_bytes(self, rows: list[str] | None = None) -> bytes:
-        """The data lines: ``rows``, or ``format_rows`` of the zeros."""
-        if rows is None:
-            rows = format_rows(self.zeros)
-        return "".join(row + "\n" for row in rows).encode("utf-8")
-
-    def save(self, path: str, rows: list[str] | None = None) -> None:
-        """Write the cache atomically; ``rows`` are the zeros' formatted
-        rows when the caller has them already."""
-        data = self.data_bytes(rows)
-        head = f"# xi-zeros {self.version} tol={self.tol:g} tmax={self.t_max!r}"
+    def save(self, path: str) -> list[CriticalZero]:
+        """Write the cache atomically and return the zeros parsed back from
+        the rows written: those any later ``load`` of it gives.  They are
+        parsed in memory, not re-read: another run on the same path may
+        replace the file in between."""
+        rows = format_rows(self.zeros)
+        zeros = parse_rows(rows, path)
+        data = "".join(row + "\n" for row in rows).encode("utf-8")
+        head = f"# xi-zeros {CACHE_VERSION} tol={self.tol:g} tmax={self.t_max!r}"
         header = f"{head} checksum={cache_checksum(head, data):016x}\n"
         directory = os.path.dirname(os.path.abspath(path))
         tmp = None
@@ -431,14 +415,23 @@ class ZeroCache:
         finally:
             if tmp is not None and os.path.exists(tmp):
                 os.unlink(tmp)
+        return zeros
 
     @classmethod
-    def load(cls, path: str) -> "ZeroCache":
+    def load(cls, path: str) -> "ZeroCache | None":
+        """The cache at ``path``, or None for a cache of another version.
+
+        Raises:
+            CacheCorruptionError: for a file that cannot be read, is longer
+                than ``_CACHE_MAX_BYTES``, or does not check or parse.
+        """
         try:
             with open(path, "rb") as handle:
-                raw = handle.read()
+                raw = handle.read(_CACHE_MAX_BYTES + 1)
         except OSError as exc:
             raise CacheCorruptionError(f"cannot read cache {path}: {exc}") from exc
+        if len(raw) > _CACHE_MAX_BYTES:
+            raise CacheCorruptionError(f"cache {path}: longer than {_CACHE_MAX_BYTES} bytes")
         newline = raw.find(b"\n")
         if newline < 0:
             raise CacheCorruptionError(f"cache {path}: missing header line")
@@ -447,10 +440,9 @@ class ZeroCache:
         fields = header.split()
         if len(fields) < 3 or fields[0] != "#" or fields[1] != "xi-zeros":
             raise CacheCorruptionError(f"cache {path}: malformed header {header!r}")
-        version = fields[2]
-        if version != CACHE_VERSION:
+        if fields[2] != CACHE_VERSION:
             # Another version's layout or checksum: trust none of it.
-            return cls(t_max=math.nan, tol=math.nan, version=version)
+            return None
         if len(fields) != 6:
             raise CacheCorruptionError(f"cache {path}: malformed header {header!r}")
         try:
@@ -465,12 +457,7 @@ class ZeroCache:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CacheCorruptionError(f"cache {path}: rows are not UTF-8: {exc}") from exc
-        zeros = parse_rows(text.splitlines(), path)
-        return cls(t_max=t_max, tol=tol, zeros=zeros, version=version)
+        return cls(t_max=t_max, tol=tol, zeros=parse_rows(text.splitlines(), path))
 
     def matches(self, t_max: float, tol: float) -> bool:
-        return (
-            self.version == CACHE_VERSION
-            and f"{self.tol:g}" == f"{tol:g}"
-            and self.t_max >= t_max - 1e-12
-        )
+        return f"{self.tol:g}" == f"{tol:g}" and self.t_max >= t_max - 1e-12

@@ -20,7 +20,7 @@ from xispec.coupling import audit_eq5, coupling_spectrum, s_from_lambda
 from xispec.hadamard import ProductSpec, audit_coincidence, fitted_misfit, paired_product
 from xispec.report import Verdict
 from xispec.specfun import BesselOrder, xi
-from xispec.zeros import count_check, scan_zeros
+from xispec.zeros import scan_zeros, zero_count_estimate
 
 
 def _line(num: int, name: str, ok: bool) -> bool:
@@ -39,8 +39,7 @@ def test_criterion_1_zero_finder():
     ok = ok and abs(zeros[0].gamma - oracle) <= 1e-6
 
     for t_max in (10.0, 30.0, 50.0, 100.0):
-        found = len(scan_zeros(t_max, 1e-8))
-        ok = ok and count_check(t_max, found).verdict is Verdict.PASS
+        ok = ok and abs(len(scan_zeros(t_max, 1e-8)) - zero_count_estimate(t_max)) <= 1
 
     ok = ok and elapsed < 60.0
     assert _line(1, f"zero finder (3 zeros at t<=30, {elapsed:.1f}s)", ok)

@@ -12,6 +12,7 @@ import pytest
 
 import xispec
 from xispec import carlson, cli
+from xispec import zeros as zeros_module
 from xispec.config import RunConfig, parse_config_file
 from xispec.errors import NonConvergenceError
 from xispec.report import get_report_schema
@@ -142,6 +143,19 @@ def test_cache_of_another_version_is_rescanned(capsys):
     assert run(["zeros", "--t-max", "30", "--cache", "zeros.csv"]) == 0
     assert capsys.readouterr().out == first
     assert Path("zeros.csv").read_bytes() == current
+
+
+def test_cache_longer_than_bound_exit_code(capsys, monkeypatch):
+    assert run(["zeros", "--t-max", "30", "--cache", "zeros.csv"]) == 0
+    size = Path("zeros.csv").stat().st_size
+    monkeypatch.setattr(zeros_module, "_CACHE_MAX_BYTES", size - 1)
+    capsys.readouterr()
+    assert run(["zeros", "--t-max", "30", "--cache", "zeros.csv"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"xispec: cache corruption: cache zeros.csv: longer than {size - 1} bytes"
+    ]
 
 
 def test_cache_rows_out_of_order_exit_code(capsys):

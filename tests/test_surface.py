@@ -1,6 +1,7 @@
 """The public surface: every exported name and every settable value, so
 adding or removing an entry point or a knob is an edit here too."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -25,7 +26,6 @@ def test_package_surface():
         "Verdict",
         "ZeroCache",
         "__version__",
-        "count_check",
         "coupling_spectrum",
         "gamma",
         "hardy_z",
@@ -105,8 +105,9 @@ def test_benchmark_names_resolve():
     assert int(done.stdout) >= 8
 
 
-# Every defaulted parameter of a public function or method: each is a value
-# a caller can set, so a new knob fails here until it is added on purpose.
+# Every defaulted parameter of a public function or method, and every
+# defaulted field of a public dataclass: each is a value a caller can set,
+# so a new knob fails here until it is added on purpose.
 _SETTABLE_VALUES = {
     "xispec.carlson.audit_difference(scale)",
     "xispec.carlson.audit_difference(target)",
@@ -114,21 +115,40 @@ _SETTABLE_VALUES = {
     "xispec.carlson.carlson_verdict(margin)",
     "xispec.carlson.carlson_verdict(scale)",
     "xispec.cli.main(argv)",
+    "xispec.config.RunConfig.cache",
+    "xispec.config.RunConfig.format",
+    "xispec.config.RunConfig.m",
+    "xispec.config.RunConfig.n_zeros",
+    "xispec.config.RunConfig.out",
+    "xispec.config.RunConfig.perturb",
+    "xispec.config.RunConfig.t_max",
+    "xispec.config.RunConfig.tol",
+    "xispec.coupling.CouplingRecord.norm_integral",
+    "xispec.coupling.CouplingRecord.source_zero_index",
+    "xispec.coupling.CouplingRecord.tol",
+    "xispec.coupling.NormIntegralAudit.error",
     "xispec.coupling.coupling_spectrum(check_finiteness)",
     "xispec.coupling.coupling_spectrum(tol)",
     "xispec.coupling.norm_integral_quadrature(tol)",
+    "xispec.report.AuditReport.measured",
+    "xispec.report.AuditReport.params",
+    "xispec.report.AuditReport.provenance",
+    "xispec.report.AuditReport.ratio_or_residual",
+    "xispec.report.AuditReport.reference",
+    "xispec.report.AuditReport.tolerance",
+    "xispec.report.AuditReport.verdict",
     "xispec.specfun.besselk.bessel_k_values(which)",
     "xispec.svgplot.render_line_plot(logy)",
-    "xispec.zeros.ZeroCache.data_bytes(rows)",
-    "xispec.zeros.ZeroCache.save(rows)",
+    "xispec.zeros.ZeroCache.zeros",
     "xispec.zeros.refine_brackets(z_ends)",
 }
 
 
-def _defaulted_parameters():
+def _settable_values():
     """``module.function(parameter)`` for each defaulted parameter of a
-    public function, or of a public method of a public class, that a module
-    of the package defines."""
+    public function, or of a public method of a public class, and
+    ``module.Class.field`` for each defaulted field of a public dataclass,
+    that a module of the package defines."""
     found = set()
     for info in pkgutil.walk_packages(xispec.__path__, "xispec."):
         module = importlib.import_module(info.name)
@@ -138,6 +158,13 @@ def _defaulted_parameters():
             if inspect.isfunction(obj):
                 functions = [(name, obj)]
             elif inspect.isclass(obj):
+                if dataclasses.is_dataclass(obj):
+                    found.update(
+                        f"{module.__name__}.{name}.{f.name}"
+                        for f in dataclasses.fields(obj)
+                        if f.default is not dataclasses.MISSING
+                        or f.default_factory is not dataclasses.MISSING
+                    )
                 functions = [
                     (f"{name}.{attr}", getattr(value, "__func__", value))
                     for attr, value in vars(obj).items()
@@ -154,4 +181,4 @@ def _defaulted_parameters():
 
 
 def test_settable_values():
-    assert _defaulted_parameters() == _SETTABLE_VALUES
+    assert _settable_values() == _SETTABLE_VALUES

@@ -10,7 +10,6 @@ import pytest
 
 from conftest import KNOWN_ZEROS_10
 from xispec.errors import BracketError, CacheCorruptionError
-from xispec.report import Verdict
 from xispec.specfun import RS_MIN_T, hardy_z, hardy_z_with_bound, xi_critical
 from xispec import zeros as zeros_module
 from xispec.zeros import (
@@ -19,7 +18,6 @@ from xispec.zeros import (
     ZeroCache,
     _grid,
     cache_checksum,
-    count_check,
     format_rows,
     parse_rows,
     refine_brackets,
@@ -426,20 +424,6 @@ def test_refine_rejects_bad_bracket():
         refine_zero((15.0, 14.0), 1e-9)
 
 
-@pytest.mark.parametrize(
-    "t_max,found,verdict",
-    [
-        (30.0, 3, Verdict.PASS),
-        (10.0, 0, Verdict.PASS),
-        (30.0, 1, Verdict.FAIL),
-        (100.0, 29, Verdict.PASS),
-    ],
-)
-def test_count_check(t_max, found, verdict):
-    report = count_check(t_max, found)
-    assert report.verdict is verdict
-
-
 def test_count_estimate_values():
     assert zero_count_estimate(10.0) == 0
     assert zero_count_estimate(100.0) == 29
@@ -510,8 +494,8 @@ def test_cache_roundtrip(tmp_path, zeros_to_100):
     path = str(tmp_path / "zeros.csv")
     cache = ZeroCache(t_max=100.0, tol=1e-8, zeros=zeros_to_100)
     cache.save(path)
+    assert Path(path).read_text().startswith("# xi-zeros v3 ")
     loaded = ZeroCache.load(path)
-    assert loaded.version == "v3"
     assert loaded.t_max == 100.0
     assert loaded.tol == 1e-8
     assert len(loaded.zeros) == len(zeros_to_100)
@@ -568,23 +552,21 @@ def test_cache_of_another_version_is_a_miss(tmp_path, zeros_to_100):
     # A cache of an older version (v1 checksummed its rows only, v2 used
     # FNV-1a) is not corrupt: it is never reused, whatever its header says.
     path = tmp_path / "zeros.csv"
-    cache = ZeroCache(t_max=100.0, tol=1e-8, zeros=zeros_to_100)
-    data = cache.data_bytes()
+    data = "".join(row + "\n" for row in format_rows(zeros_to_100)).encode()
     head = "# xi-zeros v1 tol=1e-08 tmax=100.0"
     path.write_bytes(f"{head} checksum={cache_checksum(head, data):016x}\n".encode() + data)
-    loaded = ZeroCache.load(str(path))
-    assert loaded.version == "v1" and loaded.zeros == []
-    assert not loaded.matches(50.0, 1e-8)
+    assert ZeroCache.load(str(path)) is None
 
 
 def test_rows_parse_to_the_zeros_a_cache_read_gives(tmp_path, zeros_to_100):
-    # A run that writes the cache formats the rows once, saves them and
-    # goes on with the zeros parsed from them: those a later read gives.
+    # A run that writes the cache goes on with the zeros save returns: those
+    # the rows it wrote parse to, and those a later read gives.
     rows = format_rows(zeros_to_100)
     path = str(tmp_path / "zeros.csv")
-    ZeroCache(t_max=100.0, tol=1e-8, zeros=zeros_to_100).save(path, rows)
+    saved = ZeroCache(t_max=100.0, tol=1e-8, zeros=zeros_to_100).save(path)
     assert Path(path).read_text().splitlines()[1:] == rows
-    assert parse_rows(rows, path) == ZeroCache.load(path).zeros
+    assert saved == ZeroCache.load(path).zeros
+    assert saved == parse_rows(rows, path)
 
 
 def test_cache_keeps_full_tmax(tmp_path, zeros_to_100):
@@ -623,6 +605,19 @@ def test_cache_rejects_malformed_header(tmp_path):
         handle.write("not a cache\n1,2,3\n")
     with pytest.raises(CacheCorruptionError):
         ZeroCache.load(path)
+
+
+def test_cache_read_is_bounded(tmp_path, zeros_to_100, monkeypatch):
+    # A file longer than the bound is corrupt, whatever it holds; one of
+    # exactly the bound still loads.
+    path = tmp_path / "zeros.csv"
+    ZeroCache(t_max=100.0, tol=1e-8, zeros=zeros_to_100).save(str(path))
+    size = path.stat().st_size
+    monkeypatch.setattr(zeros_module, "_CACHE_MAX_BYTES", size)
+    assert len(ZeroCache.load(str(path)).zeros) == len(zeros_to_100)
+    monkeypatch.setattr(zeros_module, "_CACHE_MAX_BYTES", size - 1)
+    with pytest.raises(CacheCorruptionError, match=f"longer than {size - 1} bytes"):
+        ZeroCache.load(str(path))
 
 
 def test_critical_zero_validation():
