@@ -208,7 +208,6 @@ class DifferenceAudit:
     """Difference-function audit: the model constants plus the growth verdict,
     whose ``magnitudes`` are the residuals |d| on the integer grid."""
 
-    eq9_fit: PrefactorFit
     a: float
     b: float
     verdict: CarlsonVerdict
@@ -237,4 +236,4 @@ def audit_difference(
         return cmath.exp(a + (b + math.pi) * z) - complex(target(z))
 
     verdict = carlson_verdict(difference, count, GROWTH_RADIUS_CAP, scale=scale)
-    return DifferenceAudit(eq9_fit=fit, a=a, b=b, verdict=verdict)
+    return DifferenceAudit(a=a, b=b, verdict=verdict)

@@ -38,6 +38,7 @@ import numpy as np
 from . import __version__
 from .carlson import VANISH_TOL, Conclusion, PrefactorFit, audit_difference, audit_eq9
 from .config import COMMAND_OPTIONS, ConfigError, RunConfig, build_config, parse_option
+from .config import _read_text
 from .coupling import CLAIMED_NORM_COEFF, STANDARD_NORM_COEFF, audit_eq5
 from .errors import (
     AccuracyError,
@@ -119,26 +120,15 @@ def _t_for_zero_count(count: int) -> float:
     return hi + 2.0
 
 
-def _scan_height(cfg: RunConfig, need_count: int | None) -> float:
-    """cfg.t_max, raised to cover need_count zeros when that is given."""
-    if need_count is None:
-        return cfg.t_max
-    return max(cfg.t_max, _t_for_zero_count(need_count))
-
-
-def _gather_zeros(cfg: RunConfig, need_count: int | None = None) -> list[CriticalZero]:
-    """Zeros up to cfg.t_max (or covering need_count), via cache when valid."""
-    t_max = _scan_height(cfg, need_count)
+def _gather_zeros(cfg: RunConfig, t_max: float, need: int = 0) -> list[CriticalZero]:
+    """Zeros up to t_max, via the cache when it covers t_max and holds need."""
     if cfg.cache and os.path.exists(cfg.cache):
         cache = ZeroCache.load(cfg.cache)  # corruption propagates: exit 3
         if cache is not None and cache.matches(t_max, cfg.tol):
             zeros = [z for z in cache.zeros if z.gamma <= t_max]
-            if need_count is None or len(zeros) >= need_count:
+            if len(zeros) >= need:
                 return zeros
     zeros = scan_zeros(t_max, cfg.tol)
-    while need_count is not None and len(zeros) < need_count:
-        t_max *= 1.15
-        zeros = scan_zeros(t_max, cfg.tol)
     if cfg.cache:
         # Go on with the zeros the saved rows parse to, so this run's outputs
         # are byte-identical to a later cache-hitting run's.
@@ -146,25 +136,24 @@ def _gather_zeros(cfg: RunConfig, need_count: int | None = None) -> list[Critica
     return zeros
 
 
-def _product_zero_count(cfg: RunConfig) -> int:
-    """Zeros the product audits need: the largest truncation, capped by n_zeros."""
-    return min(max(HADAMARD_TRUNCATIONS), cfg.n_zeros)
-
-
 class _Run:
-    """One command: its configuration, the zeros its product audits share and
-    the eq9 fit its eq9 and Carlson audits share.
-
-    Both are computed on first use, so audits that need no zeros run (and
+    """One audit or plot command and what it derives, each worked out once:
+    the zeros the product audits ``need`` and the height ``t_scan`` whose
+    scan holds them, the one product of those zeros (Hadamard, coincidence,
+    product plot) and the eq9 fit (eq9, Carlson, residual plot).  The last
+    two are computed on first use, so audits that need no zeros run (and
     write their reports) before a scan or a cache read can fail.
     """
 
     def __init__(self, cfg: RunConfig) -> None:
         self.cfg = cfg
+        self.need = min(max(HADAMARD_TRUNCATIONS), cfg.n_zeros)
+        self.t_scan = max(cfg.t_max, _t_for_zero_count(self.need))
 
     @functools.cached_property
-    def zeros(self) -> list[CriticalZero]:
-        return _gather_zeros(self.cfg, need_count=_product_zero_count(self.cfg))
+    def product(self) -> ProductSpec:
+        zeros = _gather_zeros(self.cfg, self.t_scan, self.need)
+        return ProductSpec(zero_ordinates=tuple(z.gamma for z in zeros))
 
     @functools.cached_property
     def eq9_fit(self) -> PrefactorFit:
@@ -214,30 +203,30 @@ def _run_eq9(run: _Run) -> tuple[AuditReport, list[str]]:
 
 
 def _hadamard_curve(
-    zeros: list[CriticalZero],
+    spec: ProductSpec,
     grid: tuple[int, ...] = HADAMARD_TRUNCATIONS,
     min_points: int = 1,
-) -> tuple[ProductSpec, list[int], list[float], list[float]]:
-    """(spec, truncations, misfits, bounds) for the truncations in grid.
+) -> tuple[list[int], list[float], list[float]]:
+    """(truncations, misfits, bounds) for the truncations in grid.
 
-    ConfigError if fewer than min_points truncations fit the zeros.
+    ConfigError if fewer than min_points truncations fit the product's zeros.
     """
-    truncations = [n for n in grid if n <= len(zeros)]
+    count = len(spec.zero_ordinates)
+    truncations = [n for n in grid if n <= count]
     if len(truncations) < min_points:
         raise ConfigError(
             f"the product needs at least {grid[min_points - 1]} zeros, "
-            f"got {len(zeros)}; raise --n-zeros or --t-max"
+            f"got {count}; raise --n-zeros or --t-max"
         )
-    spec = ProductSpec(zero_ordinates=tuple(z.gamma for z in zeros))
     xs = np.linspace(-1.0, 2.0, 21)
     targets = np.array([xi(complex(x, 0.0)).real for x in xs])
     misfits, bounds = zip(*(fitted_misfit(xs, targets, spec, n) for n in truncations))
-    return spec, truncations, list(misfits), list(bounds)
+    return truncations, list(misfits), list(bounds)
 
 
 def _run_hadamard(run: _Run) -> tuple[AuditReport, list[str]]:
-    zeros = run.zeros
-    spec, truncations, misfits, bounds = _hadamard_curve(zeros)
+    spec = run.product
+    truncations, misfits, bounds = _hadamard_curve(spec)
     heights = [tail_sum(spec, n)[0] for n in truncations]
     residuals = [zero_sum_residual(spec, n) for n in truncations]
     worst = max(m / b for m, b in zip(misfits, bounds))
@@ -247,7 +236,7 @@ def _run_hadamard(run: _Run) -> tuple[AuditReport, list[str]]:
             "truncations": truncations,
             "tail_heights": heights,
             "zero_sum_residuals": residuals,
-            "zeros_available": len(zeros),
+            "zeros_available": len(spec.zero_ordinates),
             "sample_interval": [-1.0, 2.0],
             "samples": 21,
         },
@@ -267,11 +256,10 @@ def _run_hadamard(run: _Run) -> tuple[AuditReport, list[str]]:
 
 
 def _run_coincidence(run: _Run) -> tuple[AuditReport, list[str]]:
-    cfg, zeros = run.cfg, run.zeros
-    spec = ProductSpec(zero_ordinates=tuple(z.gamma for z in zeros))
-    n = min(len(zeros), cfg.n_zeros)
+    cfg, spec = run.cfg, run.product
+    n = min(len(spec.zero_ordinates), cfg.n_zeros)
     # Probe only zeros the truncated product keeps as factors.
-    probes = [z.gamma for z in zeros[: min(COINCIDENCE_PROBES, n)]]
+    probes = list(spec.zero_ordinates[: min(COINCIDENCE_PROBES, n)])
     if cfg.perturb != 0.0:
         probes[0] += cfg.perturb
     report = audit_coincidence(spec, probes, n)
@@ -299,8 +287,8 @@ def _run_carlson(run: _Run) -> tuple[AuditReport, list[str]]:
             "beta_below_pi": cv.beta_below_pi,
             "integer_vanishing": cv.vanishing,
             "integer_scale_m": cfg.m,
-            "fit_log_C": audit.eq9_fit.B,
-            "fit_A": audit.eq9_fit.D,
+            "fit_log_C": run.eq9_fit.B,
+            "fit_A": run.eq9_fit.D,
             "a": audit.a,
             "b": audit.b,
         },
@@ -329,9 +317,8 @@ _AUDIT_RUNNERS = {
 }
 
 
-def _metadata(cfg: RunConfig) -> dict:
-    t_scan = _scan_height(cfg, _product_zero_count(cfg))
-    z_method, z_terms = hardy_z_method(t_scan)
+def _metadata(run: _Run) -> dict:
+    z_method, z_terms = hardy_z_method(run.t_scan)
     return {
         "tool": "xispec",
         "version": __version__,
@@ -343,7 +330,7 @@ def _metadata(cfg: RunConfig) -> dict:
             "claimed": CLAIMED_NORM_COEFF,
             "standard": STANDARD_NORM_COEFF,
         },
-        "config": {k: getattr(cfg, k) for k in ("t_max", "tol", "n_zeros", "perturb", "m")},
+        "config": {k: getattr(run.cfg, k) for k in ("t_max", "tol", "n_zeros", "perturb", "m")},
     }
 
 
@@ -359,7 +346,7 @@ def _cmd_zeros(args: argparse.Namespace) -> int:
         else contextlib.nullcontext()
     )
     with out as handle:
-        zeros = _gather_zeros(cfg)
+        zeros = _gather_zeros(cfg, cfg.t_max)
         table = "\n".join([*format_rows(zeros), ""])
         sys.stdout.write(table)
         if handle is not None:
@@ -405,7 +392,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     if args.which == "all":
         if cfg.format == "json":
             write_aggregate(
-                reports, _metadata(cfg), os.path.join(out_dir, "audit_all.json")
+                reports, _metadata(run), os.path.join(out_dir, "audit_all.json")
             )
         else:
             _write_lines(os.path.join(out_dir, "audit_all.csv"), report_csv_rows(reports))
@@ -451,8 +438,8 @@ def _cmd_plot(args: argparse.Namespace) -> int:
             ylabel="quadrature / closed form",
         )
     elif args.target == "product-convergence":
-        _, truncations, misfits, _ = _hadamard_curve(
-            _Run(cfg).zeros, grid=(10, 25) + HADAMARD_TRUNCATIONS, min_points=2
+        truncations, misfits, _ = _hadamard_curve(
+            _Run(cfg).product, grid=(10, 25) + HADAMARD_TRUNCATIONS, min_points=2
         )
         svg = render_line_plot(
             [float(n) for n in truncations],
@@ -502,8 +489,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for path in paths:
         # A missing or malformed file is a bad argument, never an audit failure.
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
+            payload = json.loads(_read_text(path))
             entries = payload["audits"] if "audits" in payload else [payload]
             reports = [AuditReport.from_dict(entry) for entry in entries]
         except KeyError as exc:

@@ -15,6 +15,7 @@ so typos and misplaced options fail fast with a usage error.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field, fields
 
@@ -31,6 +32,10 @@ T_MAX_CEILING = EM_MAX_T
 #: Highest m a run accepts.  The Carlson audit samples xi at m*1 .. m*10,
 #: and xi's Gamma factor overflows double precision at 35*10 = 350.
 M_CEILING = 34
+
+#: Longest config or report file a command reads: ``audit all`` writes
+#: reports of about 5 KB, and a config file sets at most 8 keys.
+_READ_MAX_BYTES = 2**20
 
 #: The subcommands; each field's metadata names those that read it.
 COMMANDS = ("zeros", "audit", "plot")
@@ -101,13 +106,23 @@ COMMAND_OPTIONS = {
 }
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of ``path``; OSError, UnicodeDecodeError, or ConfigError
+    for a file longer than ``_READ_MAX_BYTES``, which is not read past it."""
+    with open(path, "rb") as handle:
+        raw = handle.read(_READ_MAX_BYTES + 1)
+    if len(raw) > _READ_MAX_BYTES:
+        raise ConfigError(f"longer than {_READ_MAX_BYTES} bytes")
+    return raw.decode("utf-8")
+
+
 def parse_config_file(path: str, command: str) -> dict:
     """Flat key = value file -> override dict; keys ``command`` does not read rejected."""
     overrides: dict = {}
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
+        # Lines split as a text-mode read splits them: at \n, \r\n and \r.
+        lines = io.StringIO(_read_text(path), newline=None).readlines()
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()

@@ -213,7 +213,7 @@ class NormIntegralAudit:
     paper_closed_form: float | None
     ratio: float | None
     verdict: Verdict
-    error: str = ""
+    error: str
 
     @property
     def ok(self) -> bool:
@@ -312,10 +312,10 @@ class CouplingRecord:
     s: complex
     lam: complex
     nu: BesselOrder
-    source_zero_index: int | None = None
-    norm_integral: QuadratureResult | None = None
+    source_zero_index: int | None
+    norm_integral: QuadratureResult | None
     #: Relative tolerance the norm integral was asked for.
-    tol: float = 1e-9
+    tol: float
 
     @property
     def norm_converged(self) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Any
 
@@ -44,13 +44,13 @@ class AuditReport:
     """Outcome of one named check against its reference and tolerance."""
 
     name: str
-    params: dict[str, Any] = field(default_factory=dict)
-    measured: list[float] = field(default_factory=list)
-    reference: list[float] = field(default_factory=list)
-    ratio_or_residual: float = 0.0
-    tolerance: float = 0.0
-    verdict: Verdict = Verdict.INCONCLUSIVE
-    provenance: str = ""
+    params: dict[str, Any]
+    measured: list[float]
+    reference: list[float]
+    ratio_or_residual: float
+    tolerance: float
+    verdict: Verdict
+    provenance: str
 
     @property
     def failed(self) -> bool:

@@ -28,23 +28,22 @@ bracket list the scan refines, so no zero is found twice.
 
 The persistent cache is a plain text CSV with a checksummed header
 (64-bit BLAKE2b over the header's version, tol and tmax fields and the
-data-line bytes, newline included), written atomically via
-write-temp-then-rename.  A read takes at most ``_CACHE_MAX_BYTES``; a
-longer file is corrupt.  A cache of another version is a miss, so the run
-rescans and rewrites it.  ``ZeroCache.save`` formats each zero's row once,
-writes those rows and returns the zeros parsed back from them by the parser
-a cache read uses, so a run that writes the cache goes on with the zeros a
-later run reads from it, and its outputs are that run's.
+data-line bytes, newline included).  It is written to a new temp file,
+mode 0o666 less the umask as for the reports, then renamed over the cache.
+A read takes at most ``_CACHE_MAX_BYTES``; a longer file is corrupt.  A
+cache of another version is a miss, so the run rescans and rewrites it.
+``ZeroCache.save`` formats each zero's row once, writes those rows and
+returns the zeros a cache read parses from them, so a run that writes the
+cache goes on with the zeros a later run reads, and its outputs are that run's.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import tempfile
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # hashlib.blake2b is _blake2.blake2b; importing hashlib would also load
 # OpenSSL, about 3.6 MB more in every process, for one 64-bit hash.
@@ -389,7 +388,7 @@ class ZeroCache:
 
     t_max: float
     tol: float
-    zeros: list[CriticalZero] = field(default_factory=list)
+    zeros: list[CriticalZero]
 
     def save(self, path: str) -> list[CriticalZero]:
         """Write the cache atomically and return the zeros parsed back from
@@ -402,10 +401,11 @@ class ZeroCache:
         head = f"# xi-zeros {CACHE_VERSION} tol={self.tol:g} tmax={self.t_max!r}"
         header = f"{head} checksum={cache_checksum(head, data):016x}\n"
         directory = os.path.dirname(os.path.abspath(path))
+        name = os.path.join(directory, f".zeros-{os.urandom(8).hex()}.tmp")
         tmp = None
         try:
-            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".zeros-", suffix=".tmp")
-            with os.fdopen(fd, "wb") as handle:
+            with open(name, "xb") as handle:  # a new file, mode 0o666 less the umask
+                tmp = name
                 handle.write(header.encode("utf-8"))
                 handle.write(data)
             os.replace(tmp, path)

@@ -22,6 +22,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 AUDIT_ALL = ["audit", "all", "--t-max", "50", "--n-zeros", "800", "--cache", "zeros.csv"]
 COMMANDS = [
     ("audit-all-cold", AUDIT_ALL + ["--out", "audit-all-cold"]),
+    ("report-audit-all-cold", ["report", "--out", "audit-all-cold"]),
     ("audit-all-warm", AUDIT_ALL + ["--out", "audit-all-warm"]),
     ("audit-all-csv", AUDIT_ALL + ["--format", "csv", "--out", "audit-all-csv"]),
     ("audit-carlson", ["audit", "carlson", "--m", "3", "--out", "audit-carlson"]),

@@ -132,8 +132,8 @@ def test_difference_audit_on_true_xi():
     assert audit.verdict.beta_below_pi          # the model term dominates
     assert not audit.verdict.vanishing          # xi is not the exponential
     # constants rebuilt per the constraint: a = B + D, b = D - pi
-    assert audit.a == audit.eq9_fit.B + audit.eq9_fit.D
-    assert audit.b == audit.eq9_fit.D - math.pi
+    assert audit.a == XI_FIT.B + XI_FIT.D
+    assert audit.b == XI_FIT.D - math.pi
     repeat = audit_difference(10, XI_FIT)
     assert repeat.verdict == audit.verdict  # deterministic replay
 

@@ -1,4 +1,5 @@
 import argparse
+import bisect
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import xispec
-from xispec import carlson, cli
+from xispec import carlson, cli, config
 from xispec import zeros as zeros_module
 from xispec.config import RunConfig, parse_config_file
 from xispec.errors import NonConvergenceError
@@ -277,6 +278,31 @@ def test_audit_all_scans_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_audit_all_builds_one_product(monkeypatch):
+    # The Hadamard and coincidence audits share the product of the run's zeros.
+    built = []
+    spec = cli.ProductSpec
+
+    def counted(*args, **kwargs):
+        built.append(args or kwargs)
+        return spec(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ProductSpec", counted)
+    assert run(["audit", "all", "--t-max", "40", "--n-zeros", "50", "--out", "r"]) == 0
+    assert len(built) == 1
+
+
+def test_scan_height_holds_the_zeros_it_is_raised_for(zeros_for_products):
+    # A scan to _t_for_zero_count(n) finds at least n zeros for every n an
+    # audit can ask for (n_zeros capped at the largest truncation, 800), so
+    # a run never needs a second, higher scan.
+    gammas = [z.gamma for z in zeros_for_products]
+    assert max(cli.HADAMARD_TRUNCATIONS) == 800
+    assert cli._t_for_zero_count(800) <= gammas[-1]
+    for n in range(1, 801):
+        assert bisect.bisect_right(gammas, cli._t_for_zero_count(n)) >= n, n
+
+
 def test_audit_all_fits_eq9_once(monkeypatch):
     # The eq9 and Carlson audits share one fit of 51 xi samples; the rest is
     # the Hadamard targets (21) and the Carlson growth grids and integers
@@ -452,6 +478,23 @@ def test_report_bad_file_is_a_usage_error(capsys, content):
     assert err.count("\n") == 1
 
 
+def test_report_longer_than_bound_exit_code(capsys, monkeypatch):
+    assert run(["audit", "eq5", "--out", "reports"]) == 0
+    path = "reports/audit_eq5.json"
+    size = Path(path).stat().st_size
+    monkeypatch.setattr(config, "_READ_MAX_BYTES", size)
+    capsys.readouterr()
+    assert run(["report", path]) == 0
+    assert "norm-integral-ratio" in capsys.readouterr().out
+    monkeypatch.setattr(config, "_READ_MAX_BYTES", size - 1)
+    assert run(["report", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"xispec: usage error: {path}: longer than {size - 1} bytes"
+    ]
+
+
 def test_config_file_flow(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("t-max = 30\ntol = 1e-8\n")
@@ -473,6 +516,22 @@ def test_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"xispec: usage error: cannot read config file {cfg}: ")
     assert err.count("\n") == 1
+
+
+def test_config_longer_than_bound_exit_code(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t-max = 30\ntol = 1e-8\n")
+    size = cfg.stat().st_size
+    monkeypatch.setattr(config, "_READ_MAX_BYTES", size)
+    assert run(["zeros", "--config", str(cfg)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    monkeypatch.setattr(config, "_READ_MAX_BYTES", size - 1)
+    assert run(["zeros", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"xispec: usage error: cannot read config file {cfg}: longer than {size - 1} bytes"
+    ]
 
 
 def test_zeros_out_file(capsys):

@@ -365,14 +365,15 @@ def test_eq5_makes_one_k_call_per_round(monkeypatch):
 def test_norm_converged_needs_the_tolerance():
     order = BesselOrder.imaginary_order(1.0)
     result = QuadratureResult(value=2.0, err_estimate=1e-6, evaluations=9)
-    record = coupling.CouplingRecord(
-        s=0.5 + 1j, lam=-1.25, nu=order, norm_integral=result, tol=1e-9
-    )
-    assert not record.norm_converged
-    assert coupling.CouplingRecord(
-        s=0.5 + 1j, lam=-1.25, nu=order, norm_integral=result, tol=1e-6
-    ).norm_converged
-    assert not coupling.CouplingRecord(s=0.5 + 1j, lam=-1.25, nu=order).norm_converged
+    def record(norm_integral, tol):
+        return coupling.CouplingRecord(
+            s=0.5 + 1j, lam=-1.25, nu=order, source_zero_index=None,
+            norm_integral=norm_integral, tol=tol,
+        )
+
+    assert not record(result, 1e-9).norm_converged
+    assert record(result, 1e-6).norm_converged
+    assert not record(None, 1e-9).norm_converged
 
 
 def test_eq5_order_missing_its_tolerance_is_not_applicable(zeros_to_100):

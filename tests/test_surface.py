@@ -123,23 +123,11 @@ _SETTABLE_VALUES = {
     "xispec.config.RunConfig.perturb",
     "xispec.config.RunConfig.t_max",
     "xispec.config.RunConfig.tol",
-    "xispec.coupling.CouplingRecord.norm_integral",
-    "xispec.coupling.CouplingRecord.source_zero_index",
-    "xispec.coupling.CouplingRecord.tol",
-    "xispec.coupling.NormIntegralAudit.error",
     "xispec.coupling.coupling_spectrum(check_finiteness)",
     "xispec.coupling.coupling_spectrum(tol)",
     "xispec.coupling.norm_integral_quadrature(tol)",
-    "xispec.report.AuditReport.measured",
-    "xispec.report.AuditReport.params",
-    "xispec.report.AuditReport.provenance",
-    "xispec.report.AuditReport.ratio_or_residual",
-    "xispec.report.AuditReport.reference",
-    "xispec.report.AuditReport.tolerance",
-    "xispec.report.AuditReport.verdict",
     "xispec.specfun.besselk.bessel_k_values(which)",
     "xispec.svgplot.render_line_plot(logy)",
-    "xispec.zeros.ZeroCache.zeros",
     "xispec.zeros.refine_brackets(z_ends)",
 }
 

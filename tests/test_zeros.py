@@ -1,5 +1,7 @@
 import importlib
 import math
+import os
+import stat
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -488,6 +490,19 @@ def test_cache_checksum_frozen(tmp_path):
         "2,21.0220396387716,5.000e-09\n"
         "3,25.0108575801457,5.000e-09\n"
     )
+
+
+def test_cache_file_mode_follows_the_umask(tmp_path, zeros_to_100):
+    # Written as the reports are, so another account can read a shared
+    # cache; no temp file is left beside it.
+    path = tmp_path / "zeros.csv"
+    old = os.umask(0o022)
+    try:
+        ZeroCache(t_max=100.0, tol=1e-8, zeros=zeros_to_100).save(str(path))
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o644
+    assert os.listdir(tmp_path) == ["zeros.csv"]
 
 
 def test_cache_roundtrip(tmp_path, zeros_to_100):
