@@ -470,43 +470,51 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _read_reports(path: str) -> list[AuditReport]:
+    """The reports in one file: an aggregate's entries, or the one report."""
     import json
 
-    paths = args.paths
-    # In a directory, `audit all` leaves each audit both in its own file and
-    # in audit_all.json; a directory listing shows each distinct entry once.
-    seen: set[str] | None = None
-    if not paths:
-        out_dir = args.out or "reports"
-        try:
-            names = os.listdir(out_dir)
-        except OSError as exc:
-            raise ConfigError(f"{out_dir}: {exc}") from exc
-        paths = sorted(os.path.join(out_dir, p) for p in names if p.endswith(".json"))
-        seen = set()
+    # A missing or malformed file is a bad argument, never an audit failure.
+    try:
+        payload = json.loads(_read_text(path))
+        entries = payload["audits"] if "audits" in payload else [payload]
+        return [AuditReport.from_dict(entry) for entry in entries]
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing key {exc}") from exc
+    except (OSError, ValueError, TypeError, OverflowError, RecursionError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _report_files(directory: str) -> list[str]:
+    try:
+        names = os.listdir(directory)
+    except OSError as exc:
+        raise ConfigError(f"{directory}: {exc}") from exc
+    return sorted(os.path.join(directory, p) for p in names if p.endswith(".json"))
+
+
+def _cmd_report(args: argparse.Namespace) -> int:
+    # Each path names a report file or a directory of them; with none, --out
+    # (default "reports") names the directory.
+    targets = [(p, os.path.isdir(p)) for p in args.paths] or [(args.out or "reports", True)]
     failed = False
-    for path in paths:
-        # A missing or malformed file is a bad argument, never an audit failure.
-        try:
-            payload = json.loads(_read_text(path))
-            entries = payload["audits"] if "audits" in payload else [payload]
-            reports = [AuditReport.from_dict(entry) for entry in entries]
-        except KeyError as exc:
-            raise ConfigError(f"{path}: missing key {exc}") from exc
-        except (OSError, ValueError, TypeError, OverflowError, RecursionError) as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-        if seen is not None:
-            keys = [r.to_json() for r in reports]
-            reports = [r for r, key in zip(reports, keys) if key not in seen]
-            seen.update(keys)
-        for report in reports:
-            failed = failed or report.failed
-            print(
-                f"{os.path.basename(path)}: {report.name}: "
-                f"{_verdict_text(report.verdict)} "
-                f"[residual {report.ratio_or_residual:.6g}]"
-            )
+    for target, is_dir in targets:
+        # In a directory, `audit all` leaves each audit both in its own file
+        # and in audit_all.json; its listing shows each distinct entry once.
+        seen: set[str] = set()
+        for path in _report_files(target) if is_dir else [target]:
+            reports = _read_reports(path)
+            if is_dir:
+                keys = [r.to_json() for r in reports]
+                reports = [r for r, key in zip(reports, keys) if key not in seen]
+                seen.update(keys)
+            for report in reports:
+                failed = failed or report.failed
+                print(
+                    f"{os.path.basename(path)}: {report.name}: "
+                    f"{_verdict_text(report.verdict)} "
+                    f"[residual {report.ratio_or_residual:.6g}]"
+                )
     return EXIT_AUDIT_FAILURE if failed else EXIT_OK
 
 

@@ -201,6 +201,21 @@ def riemann_siegel_theta(t: float) -> float:
     return log_gamma(complex(0.25, 0.5 * t)).imag - 0.5 * t * math.log(math.pi)
 
 
+def theta_series(t: np.ndarray, log_t: np.ndarray) -> np.ndarray:
+    """theta(t) on an array of heights from its asymptotic series, given
+    ``log_t`` = log(t / 2 pi).
+
+    The first term left out, 127 / (430080 t^7), is below 1e-18 for
+    t >= RS_MIN_T and 4e-11 at t = 9.6; the series is much cheaper than
+    log Gamma.  It is accurate only where theta increases, t above about 6.3.
+    """
+    inv2 = 1.0 / (t * t)
+    return (
+        0.5 * t * log_t - 0.5 * t - 0.125 * math.pi
+        + (1.0 / 48.0 + inv2 * (7.0 / 5760.0 + inv2 * (31.0 / 80640.0))) / t
+    )
+
+
 def _rs_terms(n: int) -> tuple[tuple[float, float], ...]:
     global _RS_TERMS
     terms = _RS_TERMS
@@ -228,16 +243,10 @@ def _hardy_z_riemann_siegel(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = tau.astype(np.int64)
     order = np.argsort(-n, kind="stable")
     t, tau, n = t[order], tau[order], n[order]
-    # theta(t) from its asymptotic series: the first term left out is below
-    # 1e-18 for t >= RS_MIN_T, and the series is much cheaper than log Gamma.
     # math.log, not np.log: theta multiplies the log by t / 2, so numpy's
     # occasional 1-ulp difference would move Z by up to 1e-12 at t = 5000.
-    inv2 = 1.0 / (t * t)
     log_t = np.fromiter(map(math.log, (t / _TWO_PI).tolist()), np.float64, t.size)
-    theta = (
-        0.5 * t * log_t - 0.5 * t - 0.125 * math.pi
-        + (1.0 / 48.0 + inv2 * (7.0 / 5760.0 + inv2 * (31.0 / 80640.0))) / t
-    )
+    theta = theta_series(t, log_t)
     n_max = int(n[0])
     # reach[k - 1] = number of points with N >= k, a prefix of the sorted points.
     reach = np.searchsorted(-n, -np.arange(1, n_max + 1), side="right")

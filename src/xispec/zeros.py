@@ -12,19 +12,30 @@ it.  That holds up to ``specfun.xi.EM_MAX_T`` = 5e5, the highest t_max a run
 accepts; above it Euler-Maclaurin no longer converges, doubtful
 Riemann-Siegel signs are taken as they are, and the half-width leaves out
 their error.  ``refine_brackets`` is the one refinement loop: ``scan_zeros``
-passes it every bracket with the Z values its grid already holds at the
+passes it every bracket with the Z values its scan already holds at the
 bracket ends, and ``refine_zero`` is a one-bracket call of it.
 
-Every Z evaluation is one array call: ``hardy_z`` for the scan grid, one
-more for the fine-rescan grids of all suspiciously wide gaps together
-(less their grid points), and, per refinement step, ``hardy_z_with_bound``
-for the trial points of all the brackets still open, which advance in
-lockstep, then ``hardy_z`` for the points where a sign was in doubt.  The
-Euler-Maclaurin points of each call are one array call too
-(``specfun.xi``): a scan to t = 1188 at tol 1e-8 evaluates Euler-Maclaurin
-at 3,353 heights (1,776 below t = 200) in 15 calls, one to t = 5000 at tol
-1e-6 at 1,774 (1,723) in 9.  A gap's fine brackets replace it in the one
-bracket list the scan refines, so no zero is found twice.
+The scan samples Z at the Gram points g_n, where theta(g_n) = n pi (Brent,
+"On the zeros of the Riemann zeta function in the critical strip", Math.
+Comp. 33, 1979), from g_-1 ~ 9.667 (no zero lies below 14.13) to the
+first good one at or past t_max.  g_n is good where (-1)^n Z(g_n) > 0.
+Between two consecutive good Gram points lies a Rosser block of k
+intervals, and Rosser's rule, which holds far above the 5e5 ceiling, puts
+k zeros in it.  A block that shows fewer sign changes, as every block with
+a bad Gram point does at first, has its intervals split into 4, then 8,
+... equal parts until it shows them; one still short with its intervals
+split ``_BLOCK_SPLIT_CAP`` ways raises ``NonConvergenceError``, so a
+missed zero is an error, never a short list.
+The rule only guides the search: nothing here certifies the count.
+
+Every Z evaluation is one array call: ``hardy_z`` for the Gram points, one
+more per splitting round for the new points of all short blocks, and, per
+refinement step, ``hardy_z_with_bound`` for the trial points of all the
+brackets still open, which advance in lockstep, then ``hardy_z`` for the
+points where a sign was in doubt.  The Euler-Maclaurin points of each call
+are one array call too (``specfun.xi``): a scan to t = 1188 at tol 1e-8
+evaluates Euler-Maclaurin at 2,254 heights (603 below t = 200) in 25
+calls, one to t = 5003 at tol 1e-6 at 617 (555) in 17.
 
 The persistent cache is a plain text CSV with a checksummed header
 (64-bit BLAKE2b over the header's version, tol and tmax fields and the
@@ -41,7 +52,6 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -51,18 +61,22 @@ from _blake2 import blake2b
 
 import numpy as np
 
-from .errors import BracketError, CacheCorruptionError
-from .specfun import hardy_z, hardy_z_with_bound
+from .errors import BracketError, CacheCorruptionError, NonConvergenceError
+from .specfun import hardy_z, hardy_z_with_bound, riemann_siegel_theta
+from .specfun.xi import theta_series
 
-DEFAULT_SCAN_STEP = 0.25
 CACHE_VERSION = "v3"
 # About twice the largest cache a run can write: zero_count_estimate of
 # config.T_MAX_CEILING is 818,414 rows of at most 34 bytes, about 28 MB.
 _CACHE_MAX_BYTES = 64 * 2**20
 
-
-class StepResolutionWarning(UserWarning):
-    """Two sign changes landed inside one scan step; rescanned finer."""
+_TWO_PI = 2.0 * math.pi
+# Newton steps for the Gram points at most; 7 reach double precision.
+_GRAM_NEWTON_STEPS = 20
+# Gram points computed past the one at t_max, so one is usually good.
+_GRAM_SPARE = 4
+# A short Rosser block's intervals are split at most this many ways.
+_BLOCK_SPLIT_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -96,9 +110,11 @@ def refine_brackets(
     the spacing of doubles at a bracket is raised to it there: a tighter
     bracket cannot be resolved.
 
-    Chandrupatla's method: inverse quadratic interpolation through the two
-    bracket ends and the last point dropped, falling back to bisection
-    when the interpolant is not trusted.  Each trial point stays at least
+    Chandrupatla's method: the first trial point is the root of the chord
+    through the two ends, each later one comes from inverse quadratic
+    interpolation through the two bracket ends and the last point dropped,
+    falling back to bisection when the interpolant is not trusted.  Each
+    trial point stays at least
     tol/2 inside its bracket, so once the estimate has converged the next
     step straddles the root and closes the bracket.  A trial point whose
     Riemann-Siegel sign is in doubt lies within about B(t)/|Z'| of the
@@ -151,7 +167,10 @@ def refine_brackets(
     # a to b of the next trial point.
     live = np.flatnonzero(~zero_lo & ~zero_hi)
     a, f_a, b, f_b = hi[live], f_hi[live], lo[live], f_lo[live]
-    step = np.full(live.size, 0.5)
+    # The first trial point is the root of the chord through the two ends,
+    # clamped as every later one is.
+    clamp = 0.5 * tols[live] / (a - b)
+    step = np.minimum(np.maximum(f_a / (f_a - f_b), clamp), 1.0 - clamp)
     seen = np.zeros(live.size)  # B(t) at the bracket's last Riemann-Siegel point
     while True:
         closed = ~(np.abs(b - a) > tols[live])
@@ -231,84 +250,135 @@ def refine_zero(bracket: tuple[float, float], tol: float) -> CriticalZero:
     return zero
 
 
-def _grid(t_max: float, step: float, t_min: float = 0.0) -> np.ndarray:
-    """The points k * step in [t_min, t_max], ending exactly at t_max.
+def gram_points(first: int, last: int) -> np.ndarray:
+    """The Gram points g_first, ..., g_last, theta(g_n) = n pi, for first >= -1.
 
-    Every point is the same double whatever t_min is, so a sub-grid lines
-    up with the full grid it is cut from.
+    Newton on the array from the Lambert-W estimate
+    g_n ~ 2 pi e exp(W((n + 1/8) / e)) (Winitzki's approximation of W), with
+    theta from its asymptotic series.  g_-1 ~ 9.667 lies where theta
+    increases, past its minimum near t = 6.29.
     """
-    count = int(math.ceil(t_max / step))
-    first = max(int(math.floor(t_min / step)) - 1, 0)
-    grid = np.arange(first, count + 1, dtype=np.float64) * step
-    grid[-1] = min(grid[-1], t_max)
-    return grid[(grid >= t_min) & (grid <= t_max)]
+    n = np.arange(first, last + 1, dtype=np.float64)
+    w = np.log1p((n + 0.125) / math.e)
+    t = (_TWO_PI * math.e) * np.exp(w * (1.0 - np.log1p(w) / (2.0 + w)))
+    for _ in range(_GRAM_NEWTON_STEPS):
+        log_t = np.log(t / _TWO_PI)
+        step = (theta_series(t, log_t) - n * math.pi) / (0.5 * log_t - 1.0 / (48.0 * t * t))
+        t -= step
+        if not np.any(np.abs(step) > 1e-15 * t):
+            break
+    return t
+
+
+def _gram_scan(t_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gram points g_-1 ... g_K, Z there and which are good, where g_K is the
+    first good Gram point at or past t_max: (-1)^n Z(g_n) > 0.
+
+    The points run a few past the one at t_max, so that one Z call usually
+    reaches a good one; otherwise a further call adds the next few.
+    """
+    top = math.ceil(riemann_siegel_theta(max(t_max, 10.0)) / math.pi)  # g_top >= t_max
+    gram = gram_points(-1, top + _GRAM_SPARE)
+    values = hardy_z(gram)
+    while True:
+        # Position i holds g_(i-1): good where Z is positive at odd i, negative at even.
+        good = np.where(np.arange(gram.size) % 2 == 1, values > 0.0, values < 0.0)
+        past = np.flatnonzero(good & (gram >= t_max))
+        if past.size:
+            end = int(past[0]) + 1
+            return gram[:end], values[:end], good[:end]
+        more = gram_points(gram.size - 1, gram.size + 2 * _GRAM_SPARE)
+        gram, values = np.append(gram, more), np.append(values, hardy_z(more))
 
 
 def _sign_changes(values: np.ndarray) -> np.ndarray:
-    """The indices i at which Z changes sign between points i and i + 1."""
-    sign = np.sign(values)
-    sign[sign == 0.0] = 1.0
-    return np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
+    """Whether Z changes sign between points i and i + 1 along the last axis
+    (a zero counts as positive)."""
+    negative = values < 0.0
+    return negative[..., :-1] != negative[..., 1:]
+
+
+def _split_short_blocks(
+    gram: np.ndarray, values: np.ndarray, good: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram points and the points that split their short Rosser blocks,
+    in order, and Z at them.
+
+    A block runs from one good Gram point to the next; one of k intervals
+    is short while it shows fewer than k sign changes.  The first round
+    splits each interval of every short block into 4 equal parts; each
+    later round halves every part of the blocks still short.  A round is
+    one Z call at the new points of all of them.
+
+    Raises:
+        NonConvergenceError: for a block still short with its intervals
+            split ``_BLOCK_SPLIT_CAP`` ways.
+    """
+    starts = np.flatnonzero(good)
+    need = np.diff(starts)
+    # Gram interval i, from gram[i] to gram[i + 1], lies in block block_of[i].
+    block_of = np.cumsum(good)[:-1] - 1
+    shown = np.bincount(block_of, weights=_sign_changes(values), minlength=need.size)
+    # One row per interval of a short block: its points and Z there.
+    left = np.flatnonzero((shown < need)[block_of])
+    block = block_of[left]
+    t = np.column_stack([gram[left], gram[left + 1]])
+    z = np.column_stack([values[left], values[left + 1]])
+    found_t, found_z = [gram], [values]
+    ratio = 4
+    while block.size:
+        parts = (t.shape[1] - 1) * ratio
+        inner = t[:, :-1, None] + np.diff(t)[:, :, None] * (np.arange(1, ratio) / ratio)
+        inner_z = hardy_z(inner.ravel()).reshape(inner.shape)
+        t = np.column_stack([np.dstack([t[:, :-1, None], inner]).reshape(-1, parts), t[:, -1]])
+        z = np.column_stack([np.dstack([z[:, :-1, None], inner_z]).reshape(-1, parts), z[:, -1]])
+        shown = np.bincount(block, weights=_sign_changes(z).sum(axis=1), minlength=need.size)
+        done = (shown >= need)[block]
+        found_t.append(t[done, 1:-1].ravel())
+        found_z.append(z[done, 1:-1].ravel())
+        if parts >= _BLOCK_SPLIT_CAP and not done.all():
+            b = block[~done][0]
+            lo, hi = starts[b], starts[b + 1]
+            raise NonConvergenceError(
+                f"Rosser block [{gram[lo]:.6f}, {gram[hi]:.6f}] (Gram points g_{lo - 1} "
+                f"to g_{hi - 1}) shows {int(shown[b])} of its {need[b]} sign changes "
+                f"with each interval split {parts} ways"
+            )
+        t, z, block = t[~done], z[~done], block[~done]
+        ratio = 2
+    t, z = np.concatenate(found_t), np.concatenate(found_z)
+    order = np.argsort(t, kind="stable")
+    return t[order], z[order]
 
 
 def scan_zeros(t_max: float, tol: float) -> list[CriticalZero]:
     """All zeros of Xi on (0, t_max], in increasing order, refined to tol.
 
-    Z is scanned at DEFAULT_SCAN_STEP.  Every gap between sign changes
-    wider than 1.7 mean zero spacings is rescanned at step/8, all gaps in
-    one Z call; rescan points that are grid points take the grid's values.
-    A gap whose rescan finds sign changes emits a StepResolutionWarning,
-    and its fine brackets take its place in the one bracket list refined.
+    Z is sampled at the Gram points g_-1 ... g_K, g_K the first good one
+    at or past t_max.  Between two consecutive good Gram points, a Rosser
+    block of k intervals must show k sign changes; a block that shows
+    fewer is split finer until it does.  The sign changes over all the
+    points are the brackets refined, and zeros past t_max are dropped.
+
+    Raises:
+        NonConvergenceError: for a Rosser block still short at the finest
+            split (see ``_split_short_blocks``).
     """
     if not (t_max > 0.0):
         raise ValueError("t_max must be positive")
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
 
-    grid = _grid(t_max, DEFAULT_SCAN_STEP)
-    values = hardy_z(grid)
-    flips = _sign_changes(values)
-
-    # An anomalously long stretch without a sign change can hide an even
-    # number of them inside single steps.  Its ends have the same sign, so
-    # any sign change its rescan finds lies strictly inside it.  Mean zero
-    # spacing near its upper end t: 2 pi / log(max(t, 20) / 2 pi).
-    lows = np.concatenate([[0.0], grid[flips + 1]])
-    highs = np.append(grid[flips], float(t_max))
-    mean_gaps = 2.0 * math.pi / np.fromiter(
-        map(math.log, (np.maximum(highs, 20.0) / (2.0 * math.pi)).tolist()), np.float64
+    t, z = _split_short_blocks(*_gram_scan(t_max))
+    # The k-th bracket holds zero k; one starting past t_max holds none wanted.
+    i = np.flatnonzero(_sign_changes(z))
+    i = i[t[i] <= t_max]
+    zeros = refine_brackets(
+        np.column_stack([t[i], t[i + 1]]), tol, z_ends=np.column_stack([z[i], z[i + 1]])
     )
-    wide = highs - lows >= 1.7 * mean_gaps
-    gaps = list(zip(lows[wide].tolist(), highs[wide].tolist()))
-    subs = [_grid(hi, DEFAULT_SCAN_STEP / 8.0, lo) for lo, hi in gaps]
-    # Every eighth rescan point, and t_max, is a grid point, the same double
-    # (see _grid): Z there is taken from the grid.
-    fine = np.concatenate([np.empty(0), *subs])
-    at = np.searchsorted(grid, fine)
-    sub_values = values[at]
-    off_grid = grid[at] != fine
-    sub_values[off_grid] = hardy_z(fine[off_grid])
-    scans = [(grid, values, flips)]
-    for (lo, hi), sub, vals in zip(
-        gaps, subs, np.split(sub_values, np.cumsum([s.size for s in subs[:-1]]))
-    ):
-        fine = _sign_changes(vals)
-        if fine.size:
-            warnings.warn(
-                f"scan step {DEFAULT_SCAN_STEP} under-resolved ({lo:.3f}, {hi:.3f}): "
-                f"{fine.size} sign change(s) in the fine rescan",
-                StepResolutionWarning,
-                stacklevel=2,
-            )
-            scans.append((sub, vals, fine))
-
-    # Brackets never overlap, so in order of their lower ends the k-th
-    # holds zero k.
-    rows = np.concatenate(
-        [np.column_stack([ts[i], ts[i + 1], zs[i], zs[i + 1]]) for ts, zs, i in scans]
-    )
-    rows = rows[np.argsort(rows[:, 0])]
-    return refine_brackets(rows[:, :2], tol, z_ends=rows[:, 2:])
+    while zeros and zeros[-1].gamma > t_max:
+        zeros.pop()
+    return zeros
 
 
 def zero_count_main_term(t: float) -> float:

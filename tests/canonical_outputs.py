@@ -27,6 +27,8 @@ COMMANDS = [
     ("audit-all-csv", AUDIT_ALL + ["--format", "csv", "--out", "audit-all-csv"]),
     ("audit-carlson", ["audit", "carlson", "--m", "3", "--out", "audit-carlson"]),
     ("zeros", ["zeros", "--t-max", "5003.123", "--tol", "1e-6"]),
+    ("zeros-7010", ["zeros", "--t-max", "7010", "--tol", "1e-6"]),
+    ("zeros-1331", ["zeros", "--t-max", "1331", "--tol", "1e-8"]),
     ("plot-xi-critical", ["plot", "xi-critical"]),
     ("plot-eq5-ratio", ["plot", "eq5-ratio"]),
     ("plot-product-convergence", ["plot", "product-convergence"]),

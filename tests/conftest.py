@@ -7,8 +7,10 @@ special-function values; it is never imported by the package itself.
 from __future__ import annotations
 
 import mpmath as mp
+import numpy as np
 import pytest
 
+from xispec.specfun import hardy_z
 from xispec.zeros import CriticalZero, scan_zeros
 
 mp.mp.dps = 30
@@ -27,6 +29,13 @@ KNOWN_ZEROS_10 = (
     48.005150881167159,
     49.773832477672302,
 )
+
+
+def hardy_z_without_zeros_2_and_3(t: np.ndarray) -> np.ndarray:
+    """Z with its sign flipped between zeros 2 and 3: two sign changes gone,
+    and the Rosser block from g_0 to g_2 short however finely it is split."""
+    z = hardy_z(t)
+    return np.where((t > KNOWN_ZEROS_10[1]) & (t < KNOWN_ZEROS_10[2]), -z, z)
 
 
 def mp_gamma(z: complex) -> complex:

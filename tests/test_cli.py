@@ -4,12 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+
+from conftest import hardy_z_without_zeros_2_and_3
 
 import xispec
 from xispec import carlson, cli, config
@@ -442,6 +445,22 @@ def test_report_lists_each_audit_once(capsys):
     assert len({line.split(": ")[1] for line in lines}) == 5
 
 
+def test_report_directory_argument_lists_it_as_out_does(capsys):
+    args = ["audit", "all", "--t-max", "40", "--n-zeros", "50", "--out", "reports"]
+    assert run(args) == 0
+    capsys.readouterr()
+    assert run(["report", "--out", "reports"]) == 0
+    listed = capsys.readouterr()
+    assert run(["report", "reports"]) == 0
+    assert capsys.readouterr() == listed
+    assert len(listed.out.splitlines()) == 5
+    # A file and a directory in one call: the file's entry, then the listing.
+    assert run(["report", "reports/audit_eq5.json", "reports"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == listed.out.splitlines()
+    assert lines[0].startswith("audit_eq5.json: norm-integral-ratio: ")
+
+
 def test_report_command_flags_failures(capsys):
     assert (
         run(
@@ -671,17 +690,37 @@ def test_zeros_out_is_opened_before_the_scan(capsys, monkeypatch):
     assert captured.err.startswith("xispec: cannot write output:")
 
 
-def test_warning_is_one_line(capsys):
-    # Zeros 922 and 923 share one scan cell, so the fine rescan warns.
+def test_warning_is_one_line(capsys, monkeypatch):
+    # The scan of zeros 922 and 923, which share a 0.25 cell, warns no more:
+    # a Rosser block holds both.  A warning a command does raise is one line.
     assert run(["zeros", "--t-max", "1331"]) == 0
     captured = capsys.readouterr()
     assert len(captured.out.splitlines()) == 924
-    warned, summary = captured.err.splitlines()
-    assert warned == (
-        "xispec: warning: StepResolutionWarning: scan step 0.25 under-resolved "
-        "(1327.750, 1330.250): 2 sign change(s) in the fine rescan"
+    assert captured.err == "# 924 zeros <= 1331 (count estimate 924)\n"
+
+    def warning_scan(t_max, tol):
+        warnings.warn("synthetic", UserWarning)
+        return []
+
+    monkeypatch.setattr(cli, "scan_zeros", warning_scan)
+    assert run(["zeros", "--t-max", "30"]) == 0
+    warned, summary = capsys.readouterr().err.splitlines()
+    assert warned == "xispec: warning: UserWarning: synthetic"
+    assert summary.startswith("# 0 zeros <= 30 ")
+
+
+def test_short_rosser_block_exit_code(capsys, monkeypatch):
+    # Z without the sign changes of zeros 2 and 3: exit 4 with one line, and
+    # no rows.
+    monkeypatch.setattr(zeros_module, "hardy_z", hardy_z_without_zeros_2_and_3)
+    assert run(["zeros", "--t-max", "30"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "xispec: numerical failure: Rosser block [17.845600, 27.670182] (Gram "
+        "points g_0 to g_2) shows 0 of its 2 sign changes with each interval "
+        "split 4096 ways\n"
     )
-    assert summary.startswith("# 924 zeros <= 1331 ")
 
 
 def test_config_keys_are_the_run_config_fields(tmp_path):

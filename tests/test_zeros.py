@@ -2,7 +2,6 @@ import importlib
 import math
 import os
 import stat
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,17 +9,16 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import KNOWN_ZEROS_10
-from xispec.errors import BracketError, CacheCorruptionError
+from conftest import KNOWN_ZEROS_10, hardy_z_without_zeros_2_and_3
+from xispec.errors import BracketError, CacheCorruptionError, NonConvergenceError
 from xispec.specfun import RS_MIN_T, hardy_z, hardy_z_with_bound, xi_critical
 from xispec import zeros as zeros_module
 from xispec.zeros import (
-    DEFAULT_SCAN_STEP,
     CriticalZero,
     ZeroCache,
-    _grid,
     cache_checksum,
     format_rows,
+    gram_points,
     parse_rows,
     refine_brackets,
     refine_zero,
@@ -92,12 +90,11 @@ def test_tolerance_refinement_stability():
 
 
 def test_array_z_matches_scalar():
-    # The 20,001-point scan grid to t = 5000 crosses RS_MIN_T.  Riemann-Siegel
+    # A 20,001-point grid to t = 5000 crosses RS_MIN_T.  Riemann-Siegel
     # blocks are sorted by N, so a point's Z must not depend on which points
     # share its block: uneven chunks, and one-point scalar calls, give the
     # same values exactly.
-    grid = _grid(5000.0, DEFAULT_SCAN_STEP)
-    assert grid.size == 20001
+    grid = np.arange(20001) * 0.25
     values = hardy_z(grid)
     assert isinstance(values, np.ndarray) and values.shape == grid.shape
     cuts = np.cumsum([1, 7, 4095, 4097])
@@ -165,11 +162,13 @@ def test_refine_reuses_known_end_values(monkeypatch):
 
 
 def test_refinement_budget_per_zero(monkeypatch):
+    # Gram points, the points that split short Rosser blocks and every
+    # refinement point together: 8.29 per zero (13.9 on the 0.25 grid).
     calls = _count_z_points(monkeypatch)
     found = scan_zeros(1190.0, 1e-8)
     assert len(found) == 805
     assert calls["refine"] > 0
-    assert calls["refine"] / len(found) <= 6.0
+    assert (calls["scan"] + calls["refine"]) / len(found) <= 9.0
 
 
 def _count_em_heights(monkeypatch) -> list[np.ndarray]:
@@ -186,72 +185,33 @@ def _count_em_heights(monkeypatch) -> list[np.ndarray]:
 
 
 def test_scan_z_point_count(monkeypatch):
-    # Array evaluation makes each point cheaper, not fewer: one call for the
-    # scan grid and one for all fine rescans.  Riemann-Siegel from RS_MIN_T
-    # leaves Euler-Maclaurin the heights below it and the few where a
-    # Riemann-Siegel sign is in doubt, a few array calls per scan.
+    # Array evaluation makes each point cheaper, Gram points make them fewer:
+    # one call for the Gram points and one per round that splits the short
+    # Rosser blocks.  Riemann-Siegel from RS_MIN_T leaves Euler-Maclaurin the
+    # heights below it and the few where a Riemann-Siegel sign is in doubt,
+    # a few array calls per scan.
     calls = _count_z_points(monkeypatch)
     em_calls = _count_em_heights(monkeypatch)
     scan_zeros(1190.0, 1e-8)
-    assert calls["scan"] + calls["refine"] == 11184
-    assert calls["scan calls"] <= 2
+    assert (calls["scan"], calls["refine"]) == (1016, 5658)
+    assert calls["scan calls"] == 3
     em_heights = np.concatenate(em_calls)
-    assert em_heights.size == 3353
-    assert (em_heights < RS_MIN_T).sum() == 1776
-    assert len(em_calls) <= 20
-
-
-def _scan_evaluating_every_rescan_point(t_max, tol):
-    """``scan_zeros`` with the mean-gap test in Python floats and every rescan
-    point evaluated, one gap per Z call: the reference for the grid reuse."""
-    grid = _grid(t_max, DEFAULT_SCAN_STEP)
-    values = hardy_z(grid)
-    flips = zeros_module._sign_changes(values)
-    scans = [(grid, values, flips)]
-    for lo, hi in zip([0.0, *grid[flips + 1].tolist()], [*grid[flips].tolist(), t_max]):
-        if hi - lo >= 1.7 * (2.0 * math.pi / math.log(max(hi, 20.0) / (2.0 * math.pi))):
-            sub = _grid(hi, DEFAULT_SCAN_STEP / 8.0, lo)
-            sub_values = hardy_z(sub)
-            scans.append((sub, sub_values, zeros_module._sign_changes(sub_values)))
-    rows = np.concatenate(
-        [np.column_stack([ts[i], ts[i + 1], zs[i], zs[i + 1]]) for ts, zs, i in scans]
-    )
-    rows = rows[np.argsort(rows[:, 0])]
-    return refine_brackets(rows[:, :2], tol, z_ends=rows[:, 2:])
-
-
-@pytest.mark.parametrize("t_max", [1190.0, 1331.0])
-def test_fine_rescan_takes_grid_points_from_the_grid(monkeypatch, t_max):
-    # The rescan's Z call is never asked for a scan-grid point, and the scan
-    # gives the zeros of one that evaluates them (1331: a rescan with sign
-    # changes, zeros 922 and 923).
-    asked = []
-
-    def recording_z(t):
-        asked.append(np.array(t, copy=True))
-        return hardy_z(t)
-
-    reference = _scan_evaluating_every_rescan_point(t_max, 1e-8)
-    monkeypatch.setattr(zeros_module, "hardy_z", recording_z)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", zeros_module.StepResolutionWarning)
-        found = scan_zeros(t_max, 1e-8)
-    grid, rescan = asked[0], asked[1]
-    assert grid.tobytes() == _grid(t_max, DEFAULT_SCAN_STEP).tobytes()
-    assert rescan.size > 1000 and not np.isin(rescan, grid).any()
-    assert found == reference and len(found) == mp.nzeros(t_max)
+    assert em_heights.size == 2254
+    assert (em_heights < RS_MIN_T).sum() == 603
+    assert len(em_calls) <= 30
 
 
 def test_euler_maclaurin_share_to_5000(monkeypatch):
-    # The scan-grid, fine-rescan and refinement points of a 1e-6 scan to
+    # The Gram, block-splitting and refinement points of a 1e-6 scan to
     # t = 5000 used Euler-Maclaurin 7,023 times when Riemann-Siegel started
-    # at t = 800; from RS_MIN_T = 200 only the doubtful signs above it do.
+    # at t = 800, and 1,774 times on the 0.25 grid from RS_MIN_T = 200; on
+    # Gram points only the 555 below RS_MIN_T and the doubtful signs above
+    # it do.
     em_calls = _count_em_heights(monkeypatch)
-    with pytest.warns(zeros_module.StepResolutionWarning):
-        found = scan_zeros(5000.0, 1e-6)
+    found = scan_zeros(5000.0, 1e-6)
     assert len(found) == 4520
     em_heights = np.concatenate(em_calls)
-    assert em_heights.size <= 2000
+    assert em_heights.size <= 700
     assert (em_heights >= RS_MIN_T).sum() <= 150
     assert len(em_calls) <= 20
 
@@ -262,7 +222,9 @@ def _scalar_chandrupatla(bracket, tol, z, z_bound):
     tol = max(tol, 4.0 * math.ulp(max(abs(t_lo), abs(t_hi))))
     f_lo, f_hi = z(t_lo), z(t_hi)
     a, f_a, b, f_b = t_hi, f_hi, t_lo, f_lo
-    step, seen = 0.5, 0.0
+    # The first trial point is the root of the chord through the ends.
+    clamp = 0.5 * tol / abs(b - a)
+    step, seen = min(max(f_a / (f_a - f_b), clamp), 1.0 - clamp), 0.0
     while abs(b - a) > tol:
         trial = a + step * (b - a)
         # The doubt rule: a Riemann-Siegel sign in doubt, found or foreseen
@@ -319,7 +281,7 @@ def test_lockstep_refinement_matches_scalar_loop(monkeypatch, tol):
     # tolerances the doubt rule decides the last steps.
     monkeypatch.setattr(zeros_module, "hardy_z", _scalar_z)
     monkeypatch.setattr(zeros_module, "hardy_z_with_bound", _scalar_z_with_bound)
-    grid = _grid(830.0, DEFAULT_SCAN_STEP, 770.0)
+    grid = np.arange(3080, 3321) * 0.25
     values = _scalar_z(grid)
     flips = np.flatnonzero(np.sign(values[:-1]) != np.sign(values[1:]))
     brackets = [(float(grid[i]), float(grid[i + 1])) for i in flips]
@@ -383,22 +345,6 @@ def test_zeros_to_1190_against_independent_oracle(zeros_for_products):
         assert abs(zeros_for_products[k - 1].gamma - oracle) <= 1e-8, k
 
 
-def test_fine_subgrid_matches_masked_full_grid():
-    fine = DEFAULT_SCAN_STEP / 8.0
-    rng = np.random.default_rng(2008)
-    cases = [(0.0, 3.0), (fine, 2 * fine), (1000 * fine, 1200 * fine)]
-    for _ in range(500):
-        lo = float(rng.uniform(0.0, 5000.0))
-        cases.append((lo, lo + float(rng.uniform(1e-3, 40.0))))
-    for lo, hi in cases:
-        # The full-grid construction the sub-grid replaces, as reference.
-        full = np.arange(0, int(np.ceil(hi / fine)) + 1, dtype=np.float64) * fine
-        full[-1] = min(full[-1], hi)
-        expected = full[(full >= lo) & (full <= hi)]
-        sub = _grid(hi, fine, lo)
-        assert sub.tobytes() == expected.tobytes(), (lo, hi)
-
-
 def test_refine_below_double_spacing_terminates():
     z = refine_zero((14.0, 15.0), 1e-20)
     lo, hi = z.bracket
@@ -444,24 +390,65 @@ def test_remainder_bound_holds_at_the_scanned_zeros(zeros_for_products):
         assert abs(z.index - 1 - main) <= bound and abs(z.index - main) <= bound, z
 
 
-def test_coarse_step_recovers_hidden_zeros():
-    # Zeros 922 and 923 share the scan cell (1329.0, 1329.25), so the gap
-    # around them shows no sign change; its fine rescan must find both, say
-    # so once, and leave every zero mpmath counts to t = 1331.
-    from xispec.zeros import StepResolutionWarning
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        zeros = scan_zeros(1331.0, 1e-8)
-    assert [str(w.message) for w in caught] == [
-        "scan step 0.25 under-resolved (1327.750, 1330.250): "
-        "2 sign change(s) in the fine rescan"
-    ]
-    assert caught[0].category is StepResolutionWarning
+def test_close_pair_at_1329_keeps_its_indices():
+    # Zeros 922 and 923 lie 0.16 apart, in one cell of the 0.25 grid the
+    # scan used before Gram points; a Rosser block must hold both.
+    zeros = scan_zeros(1331.0, 1e-8)
     assert len(zeros) == mp.nzeros(1331) == 924
     assert [z.index for z in zeros[921:923]] == [922, 923]
     assert zeros[921].gamma == pytest.approx(1329.04351799652, abs=1e-8)
     assert zeros[922].gamma == pytest.approx(1329.20501878548, abs=1e-8)
+
+
+@pytest.mark.parametrize("t_max,count", [(1331.0, 924), (5000.0, 4520), (7010.0, 6714), (5e4, 63519)])
+def test_scan_finds_every_zero(t_max, count):
+    # ROADMAP defect 10: the 0.25 grid and its mean-gap rescan found 6,712
+    # zeros to 7010 and 63,505 to 5e4, and said nothing.
+    assert len(scan_zeros(t_max, 1e-6)) == mp.nzeros(t_max) == count
+
+
+@pytest.fixture(scope="module")
+def zeros_to_7010():
+    return scan_zeros(7010.0, 1e-6)
+
+
+def test_defect_10_pair_keeps_its_indices(zeros_to_7010):
+    # Zeros 6414 and 6415 share the 0.25 cell (6740.25, 6740.5): every
+    # index from 6414 up was 2 short.
+    pair = [z for z in zeros_to_7010 if 6740.0 < z.gamma < 6740.5]
+    assert [z.index for z in pair] == [6414, 6415]
+    for z in pair:
+        assert abs(mp.mpf(z.gamma) - mp.zetazero(z.index).imag) <= z.abs_err
+
+
+def test_sampled_zeros_to_7010_against_independent_oracle(zeros_to_7010):
+    # Zero n lies within abs_err of gamma_n when mpmath counts n - 1 zeros up
+    # to gamma_n - abs_err and n up to gamma_n + abs_err: what
+    # mpmath.zetazero(n) would show, at a tenth of its cost at these heights.
+    rng = np.random.default_rng(7010)
+    for n in sorted(rng.choice(len(zeros_to_7010), 20, replace=False) + 1):
+        z = zeros_to_7010[n - 1]
+        assert z.index == n
+        gamma = mp.mpf(z.gamma)
+        assert (mp.nzeros(gamma - z.abs_err), mp.nzeros(gamma + z.abs_err)) == (n - 1, n)
+
+
+def test_short_rosser_block_raises(monkeypatch):
+    # g_1 = 23.17 turns bad, and the block (g_0, g_2) shows no sign change
+    # however finely it is split: an error, never a list without them.
+    monkeypatch.setattr(zeros_module, "hardy_z", hardy_z_without_zeros_2_and_3)
+    with pytest.raises(NonConvergenceError) as caught:
+        scan_zeros(30.0, 1e-8)
+    assert str(caught.value) == (
+        "Rosser block [17.845600, 27.670182] (Gram points g_0 to g_2) shows 0 of "
+        "its 2 sign changes with each interval split 4096 ways"
+    )
+
+
+def test_gram_points_against_mpmath():
+    gram = gram_points(-1, 5000)
+    for n in (-1, 0, 1, 2, 100, 4999, 5000):
+        assert gram[n + 1] == pytest.approx(float(mp.grampoint(n)), rel=4e-15, abs=2e-10)
 
 
 @pytest.mark.parametrize("tol", [0.1, 1.0])
