@@ -2,7 +2,8 @@
 
 One `AuditReport` per named check; serialization is canonical JSON
 (UTF-8, keys sorted, fixed separators) so identical runs produce
-byte-identical files.  The published schema ships with the package.
+byte-identical files.  Every report file validates against the schema
+that ships with the package, ``schema/audit_report.schema.json``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import enum
 import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 from typing import Any
 
 
@@ -126,12 +126,3 @@ def report_csv_rows(reports: list[AuditReport]) -> list[str]:
         )
     return rows
 
-
-def get_report_schema() -> dict[str, Any]:
-    """The published JSON schema every report file validates against."""
-    text = (
-        resources.files("xispec")
-        .joinpath("schema/audit_report.schema.json")
-        .read_text(encoding="utf-8")
-    )
-    return json.loads(text)

@@ -20,32 +20,11 @@ takes over (the sinh division is exact, so the small scale e^{-pi mu / 2}
 costs no cancellation).  Between the two paths there remains a corner
 (mu large, x moderate) where double precision cannot reach 1e-10 relative
 accuracy; the error estimate reports the achievable level honestly, and a
-caller compares it with its own tolerance.  The trapezoid's estimate is at
-least the rounding of the exponent -x cosh t + log cosh(nu t) at the
-integrand's peak.
+caller compares it with its own tolerance.
 
-``bessel_k_values`` is the one implementation: it takes a 1-D array of
-arguments at one order, or an order per argument.  On the imaginary
-branch the order's constants 1/Gamma(1 + i mu) and 1/prod (k + i mu) come
-from a per-order table that grows on demand, and the series for the
-x <= 12 of all orders is a polynomial in q = x^2/4, summed in row blocks
-of the largest q first: the first block forms every coefficient, a later
-one only the terms the block before it needed, and each x stops at its
-own stopping term, the series' one stopping rule.  The trapezoid, for
-the imaginary order's 12 < x <= 745 and the real order's x <= 745, runs
-level by level with a convergence mask per x; each x keeps its own order
-and node range, and rows of different orders share row blocks, each with
-its own weight.  It sorts the x widest range first, once, so each row
-block forms only the nodes of its first row; at real order it
-exponentiates only the nodes a row sums.  The real order's range
-comes from a closed-form estimate of where the integrand has fallen e^-46
-below its peak, confirmed by the log-integrand on both sides.  Every
-point's value is bit for bit the term-by-term value of a
-one-point call.  A point it cannot evaluate comes back non-finite (NaN
-when not converged or when its node range would leave double range,
-inf when K overflows) instead of raising, so a caller may ask for points
-it will not use.  ``bessel_k_with_error`` is a one-point call of it that
-raises for such a point.
+``bessel_k_values`` is the one implementation, over a 1-D array of x at
+one order or an order per x; ``bessel_k_with_error`` is a one-point call
+of it that raises where the array call returns a non-finite value.
 """
 
 from __future__ import annotations
@@ -271,39 +250,17 @@ def _ln_g(nu: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
         return -x * np.cosh(t) + (u + np.log1p(np.exp(-2.0 * u)) - _LOG_2)
 
 
-def _half_steps(t: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """t + 0.5 + 0.5 + ..., ``count`` halves added one at a time, for t >= 0.5.
-
-    Adding 0.5 to a double in [2^e, 2^(e+1)), e <= 50, is exact; only the
-    addition that crosses into the next binade rounds.  So the sums go a
-    binade at a time, and land on the bits of the one-at-a-time loop.
-    """
-    t, count = t.copy(), count.copy()
-    while True:
-        live = count > 0
-        if not live.any():
-            return t
-        top = np.ldexp(1.0, np.frexp(t)[1])   # the next power of two
-        to_top = np.ceil(2.0 * (top - t)).astype(np.intp)   # additions that reach it
-        inside = live & (count < to_top)
-        t[inside] += 0.5 * count[inside]
-        count[inside] = 0
-        cross = live & ~inside
-        t[cross] = (t[cross] + 0.5 * (to_top[cross] - 1)) + 0.5
-        count[cross] -= to_top[cross]
-
-
 def _real_node_ranges(nu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(t_up, estimate floor) of each x at its real order nu.
 
-    t_up is the first of t* + 1, t* + 1.5, ... (summed 0.5 at a time) where
-    ln g has fallen 46 below its peak at t* = asinh(nu/x).  An estimate of
-    that crossing picks the step, and ln g on both sides of it confirms it.
-    t_up is inf where K overflows, and nan where the range would pass the
-    overflow of cosh t (tiny x), where the exponent cannot be formed.  The
-    floor is the rounding of the exponent at the peak.  t* and the peak
-    take ``math``'s asinh, cosh, exp and log1p, one x at a time, so the
-    floor and the 46 below the peak have the bits of a one-x call; the
+    t_up is the first t* + 1 + k/2, k = 0, 1, ..., where ln g has fallen
+    46 below its peak at t* = asinh(nu/x).  An estimate of that crossing
+    picks k, and ln g on both sides of it confirms it.  t_up is inf where
+    K overflows, and nan where the range would pass the overflow of
+    cosh t (tiny x), where the exponent cannot be formed.  The floor is
+    the rounding of the exponent at the peak.  t* and the peak take
+    ``math``'s asinh, cosh, exp and log1p, one x at a time, so the floor
+    and the 46 below the peak have the bits of a one-x call; the
     comparisons of ln g at the steps take numpy's.
     """
     t_up = np.full(len(x), math.nan)
@@ -330,21 +287,22 @@ def _real_node_ranges(nu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.nda
     with np.errstate(over="ignore", invalid="ignore"):
         ratio = (nu * t_first - low) / x
         t_cross = np.minimum(np.where(ratio > 1.0, np.arccosh(ratio), t_first), _T_COSH_MAX)
-    steps = np.maximum(np.ceil(2.0 * (t_cross - t_first)), 0.0).astype(np.intp)
+    steps = np.maximum(np.ceil(2.0 * (t_cross - t_first)), 0.0)
     while True:
-        back = steps > 0
-        t = _half_steps(t_first[back], steps[back] - 1)
+        back = steps > 0.0
+        t = t_first[back] + 0.5 * (steps[back] - 1.0)
         back[back] = _ln_g(nu[back], x[back], t) <= low[back]
         if not back.any():
             break
         steps -= back
-    up = _half_steps(t_first, steps)
+    up = t_first + 0.5 * steps
     ln_up = _ln_g(nu, x, up)
     while True:
         above = ln_up > low
         if not above.any():
             break
-        up[above] += 0.5
+        steps[above] += 1.0
+        up[above] = t_first[above] + 0.5 * steps[above]
         ln_up[above] = _ln_g(nu[above], x[above], up[above])
     up[ln_up == -math.inf] = math.nan
     t_up[np.flatnonzero(ok)[walk]] = up

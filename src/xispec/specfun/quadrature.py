@@ -22,22 +22,6 @@ running, and each integrand keeps its own levels, blocks, tail test and
 estimate, so it gets the bits it would get alone and its failure is its
 own.  ``integrate_semiinfinite`` is a one-integrand call of it.
 
-The lockstep state is arrays with one entry per side of every integrand
-(its level's node table, the nodes used and left, the next block, the
-running total, the peak and last three magnitudes, whether the last node
-was small, the block past a missed tail test) and Python numbers per
-integrand (level, h, centre, previous level sum, evaluations).  A round
-is a fixed number of array operations however many integrands run:
-gather every side's next block from the node tables, one call of the
-integrand, the tail and blow-up scan of all blocks at once, and the take
-for all sides at once; only the integrands that finish a level are
-visited one by one.  Each side's block is a row of a padded (sides x
-longest block) grid, and the bits follow one rule: the running total is
-``np.add.accumulate`` along a row that starts with the total so far,
-which makes the additions of a node-by-node loop, in its order, and is
-read at the last node taken; running peaks are maxima, exact in any
-order.
-
 Divergent integrands announce themselves here: the transformed node
 contributions toward an endpoint then grow (or blow past the double range)
 instead of dying off double-exponentially.  The node march reports that as
@@ -135,19 +119,6 @@ def _grow_tables(need: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     return _TABLES
 
 
-def _nodes(level: int, sign: float, needed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(x, w) of at least the first ``needed`` nodes of a level's side
-    (all of them, if it has fewer)."""
-    key = 2 * level + (sign < 0.0)
-    x_all, w_all, base, have = _TABLES
-    if key >= len(have) or have[key] < min(needed, _level_grid(level)[2]):
-        need = np.zeros(key + 1, dtype=np.intp)
-        need[key] = needed
-        x_all, w_all, base, have = _grow_tables(need)
-    table = slice(base[key], base[key] + have[key])
-    return x_all[table], w_all[table]
-
-
 def _label(sign: int) -> str:
     return "zero" if sign else "infinity"
 
@@ -175,9 +146,8 @@ def _cap_error(label: str, tail: list[float], peak: float) -> ArithmeticError | 
 # (doubling on each miss), and whether the last node it took was small.
 # A new level zeroes the last three.
 _TABLE, _ROOM, _BLOCK, _ID, _USED, _EXTRA, _SMALL = range(7)
-# _Marches.peak_tail holds a side's peak magnitude and its last three
-# magnitudes; a round reads them back from its (running peaks, magnitudes)
-# rows at these planes and column shifts.
+# A round reads a side's peak_tail back from its (running peaks,
+# magnitudes) rows at these planes and column shifts.
 _READ_PLANE = np.array([0, 1, 1, 1])
 _READ_SHIFT = np.array([3, 1, 2, 3])
 
@@ -408,17 +378,6 @@ def integrate_semiinfinite_batch(
     the calls number the rounds of the longest march, not the blocks of
     all of them.  Each integrand marches exactly as it would alone: its
     own levels, blocks, tail test and estimate, and the same bits.
-
-    The state is arrays with one entry per side (``_Marches``; the layout
-    is in the module docstring), so a round is a fixed number of array
-    operations whatever the number of integrands: gather every side's
-    block from the node tables, one f call (the blocks end to end in side
-    order, then, in the first round, each integrand's centre x = 1), the
-    tail and blow-up scan over all blocks, and the take for all sides at
-    once.  Only the integrands that finish a level in the round are
-    visited one by one.  A side's running total is ``np.add.accumulate``
-    along its block's row, which starts with the total so far: the
-    additions, in order, of a node-by-node loop over that side alone.
 
     Returns, per integrand, its ``QuadratureResult`` or the error that
     ended its march (``DivergenceError`` or ``NonConvergenceError``, as

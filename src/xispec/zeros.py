@@ -33,9 +33,7 @@ more per splitting round for the new points of all short blocks, and, per
 refinement step, ``hardy_z_with_bound`` for the trial points of all the
 brackets still open, which advance in lockstep, then ``hardy_z`` for the
 points where a sign was in doubt.  The Euler-Maclaurin points of each call
-are one array call too (``specfun.xi``): a scan to t = 1188 at tol 1e-8
-evaluates Euler-Maclaurin at 2,254 heights (603 below t = 200) in 25
-calls, one to t = 5003 at tol 1e-6 at 617 (555) in 17.
+are one array call too (``specfun.xi``).
 
 The persistent cache is a plain text CSV with a checksummed header
 (64-bit BLAKE2b over the header's version, tol and tmax fields and the
@@ -114,17 +112,19 @@ def refine_brackets(
     through the two ends, each later one comes from inverse quadratic
     interpolation through the two bracket ends and the last point dropped,
     falling back to bisection when the interpolant is not trusted.  Each
-    trial point stays at least
-    tol/2 inside its bracket, so once the estimate has converged the next
-    step straddles the root and closes the bracket.  A trial point whose
-    Riemann-Siegel sign is in doubt lies within about B(t)/|Z'| of the
-    root: Z at trial -+ tol/4 closes its bracket if their certain signs
-    differ, and only otherwise is the trial point's own sign settled by
-    Euler-Maclaurin (up to EM_MAX_T; see the module docstring).  All
+    trial point stays at least tol/2 inside its bracket, so once the
+    estimate has converged the next step straddles the root and closes the
+    bracket.  A trial point whose Riemann-Siegel sign is in doubt lies
+    within about B(t)/|Z'| of the root: Z at trial -+ tol/4 closes its
+    bracket if their certain signs differ, and only otherwise is the trial
+    point's own sign settled by Euler-Maclaurin (up to EM_MAX_T; see the
+    module docstring).  All
     brackets advance in lockstep: each iteration evaluates Z in one array
     call at the trial points of the brackets still open, and at most two
-    more for the brackets in doubt.  ``z_ends`` passes already known Z
-    values at the two ends of each bracket, saving their evaluation.
+    more for the brackets in doubt.  A Z of exactly 0.0, at a bracket end
+    or a trial point, gives that point as gamma, within tol/2.  ``z_ends``
+    passes already known Z values at the two ends of each bracket, saving
+    their evaluation.
 
     Raises:
         BracketError: if a bracket is empty or its ends do not straddle a
@@ -157,15 +157,13 @@ def refine_brackets(
 
     # Per bracket, as it closes: gamma, the bracket's two ends and abs_err.
     found = np.empty((4, lo.size))
-    i = zero_lo
-    found[:, i] = (lo[i], np.maximum(lo[i] - tols[i], 0.5 * lo[i]), hi[i], tols[i])
-    i = zero_hi & ~zero_lo
-    found[:, i] = (hi[i], lo[i], hi[i] + tols[i], tols[i])
+    at_end = zero_lo | zero_hi
+    _exact(found, at_end, np.where(zero_lo, lo, hi)[at_end], tols[at_end])
 
     # Per open bracket (its position in `live`): a, the newest end; b, the
     # other end; c, the end a replaced; step, the fraction of the way from
     # a to b of the next trial point.
-    live = np.flatnonzero(~zero_lo & ~zero_hi)
+    live = np.flatnonzero(~at_end)
     a, f_a, b, f_b = hi[live], f_hi[live], lo[live], f_lo[live]
     # The first trial point is the root of the chord through the two ends,
     # clamped as every later one is.
@@ -210,9 +208,7 @@ def refine_brackets(
             straddled[shut] = True
             f_trial[settle] = hardy_z(trial[settle])
         hit = (f_trial == 0.0) & ~straddled
-        i, t = live[hit], trial[hit]
-        half = 0.5 * tols[i]
-        found[:, i] = (t, np.maximum(t - half, lo[i]), t + half, half)
+        _exact(found, live[hit], trial[hit], tols[live[hit]])
         keep = ~(hit | straddled)
         live, a, f_a, b, f_b, trial, f_trial, seen = (
             x[keep] for x in (live, a, f_a, b, f_b, trial, f_trial, seen)
@@ -238,6 +234,12 @@ def refine_brackets(
 def _close(found: np.ndarray, i: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray) -> None:
     """Columns i of ``found`` from closed brackets: the midpoint, within half the width."""
     found[:, i] = (0.5 * (t_lo + t_hi), t_lo, t_hi, 0.5 * (t_hi - t_lo))
+
+
+def _exact(found: np.ndarray, i: np.ndarray, t: np.ndarray, tol: np.ndarray) -> None:
+    """Columns i of ``found`` from a Z of exactly 0.0 at t: t, within tol/2."""
+    half = 0.5 * tol
+    found[:, i] = (t, t - half, t + half, half)
 
 
 def refine_zero(bracket: tuple[float, float], tol: float) -> CriticalZero:
@@ -396,10 +398,14 @@ def zero_count_remainder_bound(t: float) -> float:
 
 
 def zero_count_estimate(t_max: float) -> int:
-    """Rounded asymptotic count of critical-line zeros up to t_max."""
-    if t_max <= 0.0:
+    """Rounded asymptotic count of critical-line zeros up to t_max.
+
+    0 up to t = 2 pi, where M(t) has its minimum, -1/8; below it M rises
+    toward 7/8, a count no zero there supports.
+    """
+    if t_max <= _TWO_PI:
         return 0
-    return max(int(round(zero_count_main_term(t_max))), 0)
+    return int(round(zero_count_main_term(t_max)))
 
 
 # --------------------------- persistent cache ---------------------------

@@ -6,10 +6,14 @@ special-function values; it is never imported by the package itself.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import mpmath as mp
 import numpy as np
 import pytest
 
+import xispec
 from xispec.specfun import hardy_z
 from xispec.zeros import CriticalZero, scan_zeros
 
@@ -36,6 +40,13 @@ def hardy_z_without_zeros_2_and_3(t: np.ndarray) -> np.ndarray:
     and the Rosser block from g_0 to g_2 short however finely it is split."""
     z = hardy_z(t)
     return np.where((t > KNOWN_ZEROS_10[1]) & (t < KNOWN_ZEROS_10[2]), -z, z)
+
+
+def report_schema() -> dict:
+    """The published JSON schema every report file validates against: the
+    package's ``schema/audit_report.schema.json``."""
+    path = Path(xispec.__file__).with_name("schema") / "audit_report.schema.json"
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def mp_gamma(z: complex) -> complex:
@@ -74,6 +85,21 @@ def zeros_for_products() -> list[CriticalZero]:
     return zeros
 
 
+def _nodes(level: int, sign: float, needed: int):
+    """(x, w) of at least the first ``needed`` nodes of a quadrature level's
+    side (all of them, if it has fewer), from the package's node tables."""
+    from xispec.specfun import quadrature as q
+
+    key = 2 * level + (sign < 0.0)
+    x_all, w_all, base, have = q._TABLES
+    if key >= len(have) or have[key] < min(needed, q._level_grid(level)[2]):
+        need = np.zeros(key + 1, dtype=np.intp)
+        need[key] = needed
+        x_all, w_all, base, have = q._grow_tables(need)
+    table = slice(base[key], base[key] + have[key])
+    return x_all[table], w_all[table]
+
+
 def march_one(f, tol: float, max_levels: int = 10):
     """One integrand's exp-sinh march, node by node (reference).
 
@@ -104,7 +130,7 @@ def march_one(f, tol: float, max_levels: int = 10):
             live = [side for side in sides if not side["done"]]
             chunks = []
             for side in live:
-                x, w = q._nodes(level, side["sign"], side["used"] + side["block"])
+                x, w = _nodes(level, side["sign"], side["used"] + side["block"])
                 side["x"], side["w"] = x, w
                 chunks.append(x[side["used"]:side["used"] + side["block"]])
             first = level == 0 and centre is None

@@ -286,29 +286,32 @@ def _trapezoid_by_levels(mu, x):
     return math.nan, math.inf
 
 
+def _ln_g_by_terms(nu, x, t):
+    """The real-order log-integrand -x cosh t + log cosh(nu t) through ``math``."""
+    lc = 0.0
+    if nu > 0.0:
+        u = nu * t
+        lc = u + math.log1p(math.exp(-2.0 * u)) - besselk._LOG_2
+    return -x * math.cosh(t) + lc
+
+
 def _node_range_by_steps(nu, x):
-    """(t_up, floor) by the 0.5-step search from t* + 1 (reference).
+    """(t_up, floor) by the 0.5-step search t* + 1 + k/2, k = 0, 1, ... (reference).
 
     ``math.cosh`` raises OverflowError past t = 710.48, so the search raises
     where it would have to pass that point, long before its 1500 cap.
     """
     t_star = math.asinh(nu / x) if nu > 0.0 else 0.0
-
-    def ln_g(t):
-        lc = 0.0
-        if nu > 0.0:
-            u = nu * t
-            lc = u + math.log1p(math.exp(-2.0 * u)) - besselk._LOG_2
-        return -x * math.cosh(t) + lc
-
-    ln_peak = ln_g(t_star)
+    ln_peak = _ln_g_by_terms(nu, x, t_star)
     # Rounding of the exponent -x cosh t + log cosh(nu t) at the peak.
     floor = 2.0 * besselk._EPS * (x * math.cosh(t_star) + nu * t_star + 1.0)
     if ln_peak > 690.0:
         return math.inf, floor
-    t_up = t_star + 1.0
-    while ln_g(t_up) > ln_peak - 46.0 and t_up < 1500.0:
-        t_up += 0.5
+    t_first = t_up = t_star + 1.0
+    k = 0
+    while _ln_g_by_terms(nu, x, t_up) > ln_peak - 46.0 and t_up < 1500.0:
+        k += 1
+        t_up = t_first + 0.5 * k
     return t_up, floor
 
 
@@ -407,7 +410,8 @@ NODE_RANGE_XS = np.concatenate([
 
 
 @pytest.mark.parametrize(
-    "nu", [0.0, 1e-3, 0.1, 0.3, 0.5, 0.9, 1.0, 2.0, 5.5, 13.0, 30.0, 60.0, 200.0]
+    "nu",
+    [0.0, 1e-3, 0.01, 0.03, 0.1, 0.3, 0.5, 0.9, 1.0, 2.0, 5.5, 13.0, 30.0, 60.0, 200.0],
 )
 def test_node_range_matches_the_step_search(nu):
     # The estimate-and-check search, over all the x at once, must land on
@@ -416,9 +420,15 @@ def test_node_range_matches_the_step_search(nu):
     # OverflowError there, before its 1500 cap can bind) or nu/x overflows,
     # the point cannot be evaluated.
     # At large nu and small x the peak passes 690 and K overflows (inf).
+    # At nu < 0.035 and x near nu the range crosses several binades from
+    # t* + 1 ~ 1.9, where adding 0.5 one step at a time would round
+    # differently from t* + 1 + k/2 in one rounding.
+    xs = NODE_RANGE_XS
+    if nu:
+        xs = np.concatenate([xs, nu * np.linspace(0.5, 2.0, 201)])
     widest, outcomes = 0.0, set()
-    t_ups, floors = besselk._real_node_ranges(np.full(len(NODE_RANGE_XS), nu), NODE_RANGE_XS)
-    for x, t_up, floor in zip(NODE_RANGE_XS.tolist(), t_ups.tolist(), floors.tolist()):
+    t_ups, floors = besselk._real_node_ranges(np.full(len(xs), nu), xs)
+    for x, t_up, floor in zip(xs.tolist(), t_ups.tolist(), floors.tolist()):
         try:
             expected = _node_range_by_steps(nu, x)
         except OverflowError:
@@ -435,6 +445,30 @@ def test_node_range_matches_the_step_search(nu):
     assert ("inf" in outcomes) == (nu >= 1.0)
     if nu < 1.0:   # the grid reaches the last range below cosh's overflow
         assert widest > 709.0
+
+
+def test_node_range_is_the_first_half_step_past_the_crossing():
+    # t_up = t* + 1 + k/2 in one rounding, with ln g at or below the peak
+    # less 46 there, and above it one step before (unless k = 0).
+    rng = np.random.default_rng(24)
+    nu = 10.0 ** rng.uniform(-3.0, 2.0, 3000)
+    x = np.concatenate([10.0 ** rng.uniform(-6.0, math.log10(700.0), 2000),
+                        nu[2000:] * rng.uniform(0.5, 2.0, 1000)])
+    t_up, _ = besselk._real_node_ranges(nu, x)
+    finite = np.isfinite(t_up)
+    assert finite.mean() > 0.9
+    nu, x, t_up = nu[finite], x[finite], t_up[finite]
+    t_star = np.array([math.asinh(n / v) for n, v in zip(nu.tolist(), x.tolist())])
+    peak = np.array([_ln_g_by_terms(n, v, t) for n, v, t in zip(nu, x, t_star)])
+    t_first = t_star + 1.0
+    k = np.round(2.0 * (t_up - t_first))
+    assert (k >= 0.0).all()
+    assert np.array_equal(t_up, t_first + 0.5 * k)
+    assert (besselk._ln_g(nu, x, t_up) <= peak - 46.0).all()
+    step = k > 0.0
+    before = t_first[step] + 0.5 * (k[step] - 1.0)
+    assert (besselk._ln_g(nu[step], x[step], before) > peak[step] - 46.0).all()
+    assert step.any() and not step.all()
 
 
 def test_x_whose_node_range_leaves_double_range_is_not_converged():

@@ -12,14 +12,13 @@ import jsonschema
 import numpy as np
 import pytest
 
-from conftest import hardy_z_without_zeros_2_and_3
+from conftest import hardy_z_without_zeros_2_and_3, report_schema
 
 import xispec
 from xispec import carlson, cli, config
 from xispec import zeros as zeros_module
 from xispec.config import RunConfig, parse_config_file
 from xispec.errors import NonConvergenceError
-from xispec.report import get_report_schema
 from xispec.specfun import xi_critical
 from xispec.zeros import CACHE_VERSION, cache_checksum
 
@@ -184,7 +183,7 @@ def test_cache_rows_not_utf8_exit_code(capsys):
 def test_audit_eq5_report(capsys):
     assert run(["audit", "eq5", "--out", "reports"]) == 0
     payload = json.loads(Path("reports/audit_eq5.json").read_text())
-    jsonschema.validate(payload, get_report_schema())
+    jsonschema.validate(payload, report_schema())
     assert payload["verdict"] == "CONSISTENT_UP_TO_CONSTANT"
     assert payload["params"]["claimed_coefficient"] == 0.125
     assert payload["params"]["standard_coefficient"] == 0.5
@@ -244,7 +243,7 @@ def test_audit_all_aggregate_and_determinism():
     aggregate = json.loads(Path("r1/audit_all.json").read_text())
     assert len(aggregate["audits"]) == 5
     for entry in aggregate["audits"]:
-        jsonschema.validate(entry, get_report_schema())
+        jsonschema.validate(entry, report_schema())
     assert aggregate["metadata"]["tool"] == "xispec"
     assert "em_order_cap" in aggregate["metadata"]
     # 50 zeros need t = 149.7, below the Riemann-Siegel crossover.
@@ -688,6 +687,13 @@ def test_zeros_out_is_opened_before_the_scan(capsys, monkeypatch):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("xispec: cannot write output:")
+
+
+def test_zeros_below_the_first_zero_estimate_none(capsys):
+    assert run(["zeros", "--t-max", "0.5"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "# 0 zeros <= 0.5 (count estimate 0)\n"
 
 
 def test_warning_is_one_line(capsys, monkeypatch):

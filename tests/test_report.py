@@ -3,11 +3,12 @@ import json
 import jsonschema
 import pytest
 
+from conftest import report_schema
+
 from xispec.report import (
     AuditReport,
     Verdict,
     canonical_json,
-    get_report_schema,
     report_csv_rows,
     write_report,
 )
@@ -33,21 +34,21 @@ def test_roundtrip(sample_report):
 
 
 def test_schema_validation(sample_report):
-    jsonschema.validate(sample_report.to_dict(), get_report_schema())
+    jsonschema.validate(sample_report.to_dict(), report_schema())
 
 
 def test_schema_rejects_bad_verdict(sample_report):
     payload = sample_report.to_dict()
     payload["verdict"] = "MAYBE"
     with pytest.raises(jsonschema.ValidationError):
-        jsonschema.validate(payload, get_report_schema())
+        jsonschema.validate(payload, report_schema())
 
 
 def test_non_finite_encoded_as_strings(sample_report):
     sample_report.measured = [float("nan"), float("inf")]
     payload = sample_report.to_dict()
     assert payload["measured"] == ["nan", "inf"]
-    jsonschema.validate(payload, get_report_schema())
+    jsonschema.validate(payload, report_schema())
     # canonical serialization stays strict JSON
     json.loads(canonical_json(payload))
 

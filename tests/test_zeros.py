@@ -298,13 +298,15 @@ def test_lockstep_refinement_matches_scalar_loop(monkeypatch, tol):
 
 
 def test_lockstep_zero_at_bracket_end():
+    # A Z of exactly 0.0 at a bracket end is recorded as at a trial point:
+    # that end, within tol/2.
     found = refine_brackets(
         [(14.0, 15.0), (20.0, 21.0), (21.0, 22.0)],
         1e-9,
         z_ends=[(0.0, 1.0), (-1.0, 0.0), (hardy_z(21.0), hardy_z(22.0))],
     )
-    assert found[0] == CriticalZero(1, 14.0, (14.0 - 1e-9, 15.0), 1e-9)
-    assert found[1] == CriticalZero(2, 21.0, (20.0, 21.0 + 1e-9), 1e-9)
+    assert found[0] == CriticalZero(1, 14.0, (14.0 - 0.5e-9, 14.0 + 0.5e-9), 0.5e-9)
+    assert found[1] == CriticalZero(2, 21.0, (21.0 - 0.5e-9, 21.0 + 0.5e-9), 0.5e-9)
     assert found[2].gamma == pytest.approx(21.022039638771555, abs=1e-9)
     assert [type(z.index) for z in found] == [int, int, int]
 
@@ -375,6 +377,12 @@ def test_refine_rejects_bad_bracket():
 def test_count_estimate_values():
     assert zero_count_estimate(10.0) == 0
     assert zero_count_estimate(100.0) == 29
+    # Below its minimum at t = 2 pi, M(t) = (t/2 pi) log(t/2 pi e) + 7/8
+    # rises toward 7/8 as t -> 0, and rounded to 1 below t ~ 0.75.
+    assert zero_count_main_term(0.5) > 0.5
+    for t in (1e-300, 1e-3, 0.5, 0.75, 1.0, 2.0 * math.pi, 7.0, 14.0):
+        assert zero_count_estimate(t) == 0, t
+    assert zero_count_estimate(15.0) == 1
 
 
 def test_remainder_bound_holds_at_the_scanned_zeros(zeros_for_products):
