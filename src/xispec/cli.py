@@ -56,7 +56,15 @@ from .report import (
     write_aggregate,
     write_report,
 )
-from .specfun import BesselOrder, EM_ORDER_CAP, EM_TERMS_CAP, hardy_z_method, xi, xi_critical
+from .specfun import (
+    BesselOrder,
+    EM_ORDER_CAP,
+    EM_TERMS_CAP,
+    hardy_z,
+    hardy_z_method,
+    xi,
+    xi_critical,
+)
 from .zeros import (
     CriticalZero,
     ZeroCache,
@@ -125,7 +133,13 @@ def _gather_zeros(cfg: RunConfig, t_max: float, need: int = 0) -> list[CriticalZ
     if cfg.cache and os.path.exists(cfg.cache):
         cache = ZeroCache.load(cfg.cache)  # corruption propagates: exit 3
         if cache is not None and cache.matches(t_max, cfg.tol):
-            zeros = [z for z in cache.zeros if z.gamma <= t_max]
+            zeros = [z for z in cache.zeros if z.bracket[0] <= t_max]
+            # List the zero whose bracket holds t_max as a scan to t_max
+            # would: when Z(t_max) has the sign Z takes just past zero k,
+            # (-1)^(k+1), 0.0 counting as positive.
+            if zeros and zeros[-1].bracket[1] > t_max:
+                if (hardy_z(t_max) < 0.0) != (zeros[-1].index % 2 == 0):
+                    zeros.pop()
             if len(zeros) >= need:
                 return zeros
     zeros = scan_zeros(t_max, cfg.tol)

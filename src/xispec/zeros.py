@@ -32,8 +32,9 @@ Every Z evaluation is one array call: ``hardy_z`` for the Gram points, one
 more per splitting round for the new points of all short blocks, and, per
 refinement step, ``hardy_z_with_bound`` for the trial points of all the
 brackets still open, which advance in lockstep, then ``hardy_z`` for the
-points where a sign was in doubt.  The Euler-Maclaurin points of each call
-are one array call too (``specfun.xi``).
+two sides of each trial point whose sign was in doubt.  The
+Euler-Maclaurin points of each call are one array call too
+(``specfun.xi``).
 
 The persistent cache is a plain text CSV with a checksummed header
 (64-bit BLAKE2b over the header's version, tol and tmax fields and the
@@ -115,16 +116,20 @@ def refine_brackets(
     trial point stays at least tol/2 inside its bracket, so once the
     estimate has converged the next step straddles the root and closes the
     bracket.  A trial point whose Riemann-Siegel sign is in doubt lies
-    within about B(t)/|Z'| of the root: Z at trial -+ tol/4 closes its
-    bracket if their certain signs differ, and only otherwise is the trial
-    point's own sign settled by Euler-Maclaurin (up to EM_MAX_T; see the
-    module docstring).  All
-    brackets advance in lockstep: each iteration evaluates Z in one array
-    call at the trial points of the brackets still open, and at most two
-    more for the brackets in doubt.  A Z of exactly 0.0, at a bracket end
-    or a trial point, gives that point as gamma, within tol/2.  ``z_ends``
-    passes already known Z values at the two ends of each bracket, saving
-    their evaluation.
+    within about B(t)/|Z'| of the root, so ``hardy_z`` takes the two
+    sides trial -+ o instead, with o = 2 B / |s| for the secant slope s
+    through the bracket ends, kept in [tol/4, 0.49 tol]: where B/|Z'| is
+    below tol/2 both are certain Riemann-Siegel signs, and only elsewhere
+    does Euler-Maclaurin settle a side (up to EM_MAX_T; see the module
+    docstring).  Sides whose signs differ close the bracket, at most tol
+    wide; where they agree, the side next to the end of the other sign
+    takes the trial point's place, and no sign at the trial point itself
+    is needed.  All brackets advance in lockstep: each iteration evaluates
+    Z in one array call at the trial points of the brackets still open,
+    and one more at the sides of those in doubt.  A Z of exactly 0.0, at a
+    bracket end or a trial point, gives that point as gamma, within tol/2.
+    ``z_ends`` passes already known Z values at the two ends of each
+    bracket, saving their evaluation.
 
     Raises:
         BracketError: if a bracket is empty or its ends do not straddle a
@@ -138,7 +143,8 @@ def refine_brackets(
     if empty.size:
         i = empty[0]
         raise BracketError(f"empty bracket ({float(lo[i])!r}, {float(hi[i])!r})")
-    tols = np.maximum(tol, 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
+    spacing = np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+    tols = np.maximum(tol, 4.0 * spacing)
     if z_ends is None:
         f_ends = hardy_z(np.concatenate([lo, hi])).reshape(2, -1).T
     else:
@@ -196,17 +202,29 @@ def refine_brackets(
         doubt = np.flatnonzero(doubt)
         straddled = np.zeros(live.size, dtype=bool)
         if doubt.size:
-            # Certain signs of Z at trial -+ tol/4 that differ close the
-            # bracket; where they agree, hardy_z gives the trial point's own.
-            quarter = 0.25 * tols[live[doubt]]
-            side_lo = np.maximum(trial[doubt] - quarter, np.minimum(a[doubt], b[doubt]))
-            side_hi = np.minimum(trial[doubt] + quarter, np.maximum(a[doubt], b[doubt]))
+            # Z at trial -+ o, o = 2 B / |s| for the secant slope s through
+            # the ends, kept in [tol/4, 0.49 tol] and within the bracket:
+            # where B/|Z'| < tol/2, both sides are past Riemann-Siegel's doubt.
+            # Certain signs that differ close the bracket; where they agree,
+            # the side next to the end of the other sign takes the trial
+            # point's place, or the far side where that one lies within
+            # 2 ulps of the end and would leave too narrow a bracket.
+            d_tol, d_a, d_b, d_trial = tols[live[doubt]], a[doubt], b[doubt], trial[doubt]
+            slope = np.abs((f_b[doubt] - f_a[doubt]) / (d_b - d_a))
+            o = np.minimum(np.maximum(2.0 * seen[doubt] / slope, 0.25 * d_tol), 0.49 * d_tol)
+            side_lo = np.maximum(d_trial - o, np.minimum(d_a, d_b))
+            side_hi = np.minimum(d_trial + o, np.maximum(d_a, d_b))
             f_side = hardy_z(np.concatenate([side_lo, side_hi])).reshape(2, -1)
             closes = np.signbit(f_side[0]) != np.signbit(f_side[1])
-            shut, settle = doubt[closes], doubt[~closes]
+            shut, moved = doubt[closes], doubt[~closes]
             _close(found, live[shut], side_lo[closes], side_hi[closes])
             straddled[shut] = True
-            f_trial[settle] = hardy_z(trial[settle])
+            s_lo, s_hi, f_s = side_lo[~closes], side_hi[~closes], f_side[:, ~closes]
+            end = np.where(np.signbit(f_a[moved]) != np.signbit(f_s[0]), a[moved], b[moved])
+            up = end > trial[moved]
+            up ^= np.abs(end - np.where(up, s_hi, s_lo)) < 2.0 * spacing[live[moved]]
+            trial[moved] = np.where(up, s_hi, s_lo)
+            f_trial[moved] = np.where(up, f_s[1], f_s[0])
         hit = (f_trial == 0.0) & ~straddled
         _exact(found, live[hit], trial[hit], tols[live[hit]])
         keep = ~(hit | straddled)
@@ -272,23 +290,25 @@ def gram_points(first: int, last: int) -> np.ndarray:
     return t
 
 
-def _gram_scan(t_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gram points g_-1 ... g_K, Z there and which are good, where g_K is the
-    first good Gram point at or past t_max: (-1)^n Z(g_n) > 0.
+def _gram_scan(t_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Gram points g_-1 ... g_K, Z there, which are good, and Z(t_max), where
+    g_K is the first good Gram point at or past t_max: (-1)^n Z(g_n) > 0.
 
-    The points run a few past the one at t_max, so that one Z call usually
-    reaches a good one; otherwise a further call adds the next few.
+    The points run a few past the one at t_max, so that one Z call, which
+    takes t_max too, usually reaches a good one; otherwise a further call
+    adds the next few.
     """
     top = math.ceil(riemann_siegel_theta(max(t_max, 10.0)) / math.pi)  # g_top >= t_max
     gram = gram_points(-1, top + _GRAM_SPARE)
-    values = hardy_z(gram)
+    values = hardy_z(np.append(gram, t_max))
+    values, z_top = values[:-1], float(values[-1])
     while True:
         # Position i holds g_(i-1): good where Z is positive at odd i, negative at even.
         good = np.where(np.arange(gram.size) % 2 == 1, values > 0.0, values < 0.0)
         past = np.flatnonzero(good & (gram >= t_max))
         if past.size:
             end = int(past[0]) + 1
-            return gram[:end], values[:end], good[:end]
+            return gram[:end], values[:end], good[:end], z_top
         more = gram_points(gram.size - 1, gram.size + 2 * _GRAM_SPARE)
         gram, values = np.append(gram, more), np.append(values, hardy_z(more))
 
@@ -360,7 +380,10 @@ def scan_zeros(t_max: float, tol: float) -> list[CriticalZero]:
     at or past t_max.  Between two consecutive good Gram points, a Rosser
     block of k intervals must show k sign changes; a block that shows
     fewer is split finer until it does.  The sign changes over all the
-    points are the brackets refined, and zeros past t_max are dropped.
+    points below t_max and t_max itself are the brackets refined: Z at
+    t_max, taken in the Gram points' call, cuts the one bracket that holds
+    it, so a zero is listed exactly when its sign change lies at or below
+    t_max, whatever the tolerance.
 
     Raises:
         NonConvergenceError: for a Rosser block still short at the finest
@@ -371,16 +394,15 @@ def scan_zeros(t_max: float, tol: float) -> list[CriticalZero]:
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
 
-    t, z = _split_short_blocks(*_gram_scan(t_max))
-    # The k-th bracket holds zero k; one starting past t_max holds none wanted.
+    gram, values, good, z_top = _gram_scan(t_max)
+    t, z = _split_short_blocks(gram, values, good)
+    # t_max cuts the bracket that holds it; the k-th bracket holds zero k.
+    below = np.searchsorted(t, t_max)
+    t, z = np.append(t[:below], t_max), np.append(z[:below], z_top)
     i = np.flatnonzero(_sign_changes(z))
-    i = i[t[i] <= t_max]
-    zeros = refine_brackets(
+    return refine_brackets(
         np.column_stack([t[i], t[i + 1]]), tol, z_ends=np.column_stack([z[i], z[i + 1]])
     )
-    while zeros and zeros[-1].gamma > t_max:
-        zeros.pop()
-    return zeros
 
 
 def zero_count_main_term(t: float) -> float:

@@ -34,6 +34,8 @@ COMMANDS = [
     ("zeros", ["zeros", "--t-max", "5003.123", "--tol", "1e-6"]),
     ("zeros-7010", ["zeros", "--t-max", "7010", "--tol", "1e-6"]),
     ("zeros-1331", ["zeros", "--t-max", "1331", "--tol", "1e-8"]),
+    ("zeros-25.05", ["zeros", "--t-max", "25.05", "--tol", "0.5"]),
+    ("zeros-20000", ["zeros", "--t-max", "20000", "--tol", "1e-8"]),
     ("plot-xi-critical", ["plot", "xi-critical"]),
     ("plot-eq5-ratio", ["plot", "eq5-ratio"]),
     ("plot-product-convergence", ["plot", "product-convergence"]),

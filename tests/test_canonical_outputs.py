@@ -23,7 +23,7 @@ def test_canonical_outputs_run_whole(tmp_path):
     assert _children_cpu_s() - before <= 10.0
     assert done.returncode == 0, done.stderr
     exits = sorted(tmp_path.glob("*.exit"))
-    assert len(exits) == 13
+    assert len(exits) == 15
     for path in exits:
         assert path.read_text(encoding="utf-8") == "0\n", path.name
     cold = sorted(p.name for p in (tmp_path / "audit-all-cold").glob("*.json"))

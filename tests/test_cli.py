@@ -61,6 +61,25 @@ def test_zeros_cache_reuse_is_identical(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("t_max", ["25.05", "30.3749"])
+def test_zeros_at_t_max_cold_and_from_a_higher_cache(capsys, monkeypatch, t_max):
+    # gamma_3 = 25.0109 and gamma_4 = 30.4249: three zeros in both cases, at
+    # tol 0.5 too, where zero 3 of a scan to 40 has its bracket midpoint at
+    # 25.096 and zero 4 at 30.307.  A cache to 40 lists what a cold scan does.
+    assert run(["zeros", "--t-max", t_max, "--tol", "0.5"]) == 0
+    cold = [row.split(",")[0] for row in capsys.readouterr().out.splitlines()]
+    assert cold == ["1", "2", "3"]
+    assert run(["zeros", "--t-max", "40", "--tol", "0.5", "--cache", "zeros.csv"]) == 0
+    capsys.readouterr()
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the cache covers this run; no scan is needed")
+
+    monkeypatch.setattr(cli, "scan_zeros", no_scan)
+    assert run(["zeros", "--t-max", t_max, "--tol", "0.5", "--cache", "zeros.csv"]) == 0
+    assert [row.split(",")[0] for row in capsys.readouterr().out.splitlines()] == cold
+
+
 def test_zeros_run_does_not_import_mpmath(tmp_path):
     # mpmath is the tests' oracle only; a Riemann-Siegel scan must not need
     # it.  Nor may a zeros run, an audit run or a coupling spectrum load the

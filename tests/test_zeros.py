@@ -162,13 +162,15 @@ def test_refine_reuses_known_end_values(monkeypatch):
 
 
 def test_refinement_budget_per_zero(monkeypatch):
-    # Gram points, the points that split short Rosser blocks and every
-    # refinement point together: 8.29 per zero (13.9 on the 0.25 grid).
+    # Gram points, t_max, the points that split short Rosser blocks and
+    # every refinement point together: 8.05 per zero (8.29 with the doubt
+    # rule's sides at -+ tol/4 and a settled trial point, 13.9 on the 0.25
+    # grid).
     calls = _count_z_points(monkeypatch)
     found = scan_zeros(1190.0, 1e-8)
     assert len(found) == 805
     assert calls["refine"] > 0
-    assert (calls["scan"] + calls["refine"]) / len(found) <= 9.0
+    assert (calls["scan"] + calls["refine"]) / len(found) <= 8.2
 
 
 def _count_em_heights(monkeypatch) -> list[np.ndarray]:
@@ -186,19 +188,19 @@ def _count_em_heights(monkeypatch) -> list[np.ndarray]:
 
 def test_scan_z_point_count(monkeypatch):
     # Array evaluation makes each point cheaper, Gram points make them fewer:
-    # one call for the Gram points and one per round that splits the short
-    # Rosser blocks.  Riemann-Siegel from RS_MIN_T leaves Euler-Maclaurin the
-    # heights below it and the few where a Riemann-Siegel sign is in doubt,
-    # a few array calls per scan.
+    # one call for the Gram points and t_max, and one per round that splits
+    # the short Rosser blocks.  Riemann-Siegel from RS_MIN_T leaves
+    # Euler-Maclaurin the heights below it and the sides of a doubtful trial
+    # point that lie within B(t)/|Z'| of the root, a few array calls per scan.
     calls = _count_z_points(monkeypatch)
     em_calls = _count_em_heights(monkeypatch)
     scan_zeros(1190.0, 1e-8)
-    assert (calls["scan"], calls["refine"]) == (1016, 5658)
+    assert (calls["scan"], calls["refine"]) == (1017, 5462)
     assert calls["scan calls"] == 3
     em_heights = np.concatenate(em_calls)
-    assert em_heights.size == 2254
+    assert em_heights.size == 1798
     assert (em_heights < RS_MIN_T).sum() == 603
-    assert len(em_calls) <= 30
+    assert len(em_calls) <= 20
 
 
 def test_euler_maclaurin_share_to_5000(monkeypatch):
@@ -206,20 +208,56 @@ def test_euler_maclaurin_share_to_5000(monkeypatch):
     # t = 5000 used Euler-Maclaurin 7,023 times when Riemann-Siegel started
     # at t = 800, and 1,774 times on the 0.25 grid from RS_MIN_T = 200; on
     # Gram points only the 555 below RS_MIN_T and the doubtful signs above
-    # it do.
+    # it do: 62 of them with the doubt rule's sides at -+ tol/4, 16 with
+    # sides that grow to B(t)/|Z'|.
     em_calls = _count_em_heights(monkeypatch)
     found = scan_zeros(5000.0, 1e-6)
     assert len(found) == 4520
     em_heights = np.concatenate(em_calls)
-    assert em_heights.size <= 700
-    assert (em_heights >= RS_MIN_T).sum() <= 150
-    assert len(em_calls) <= 20
+    assert em_heights.size <= 600
+    assert (em_heights >= RS_MIN_T).sum() <= 30
+    assert len(em_calls) <= 16
+
+
+@pytest.fixture(scope="module")
+def deep_scan():
+    """scan_zeros(2e4, 1e-8) and the heights at which it evaluates Euler-Maclaurin."""
+    with pytest.MonkeyPatch.context() as patch:
+        em_calls = _count_em_heights(patch)
+        zeros = scan_zeros(2e4, 1e-8)
+    return zeros, np.concatenate(em_calls)
+
+
+def test_deep_scan_budget(deep_scan):
+    # ROADMAP defect 12: with the doubt rule's sides at -+ tol/4 and the
+    # trial point settled where their signs agreed, Euler-Maclaurin took
+    # 2,273 heights from RS_MIN_T up (445 in [1e4, 2e4]); sides that grow
+    # to B(t)/|Z'|, one of which takes the trial point's place, leave 1,285.
+    zeros, em_heights = deep_scan
+    assert len(zeros) == mp.nzeros(20000) == 22491
+    assert (em_heights >= RS_MIN_T).sum() <= 1400
+
+
+@pytest.mark.parametrize("t_max", [1190.0, 2e4])
+def test_bracket_ends_are_certified(t_max, zeros_for_products, deep_scan):
+    # Every closed bracket is at most tol wide, holds its gamma strictly
+    # inside and has certain signs of Z at its ends that differ.
+    zeros = zeros_for_products if t_max == 1190.0 else deep_scan[0]
+    assert zeros[-1].gamma <= t_max
+    lo, hi = np.array([z.bracket for z in zeros]).T
+    gamma = np.array([z.gamma for z in zeros])
+    assert (hi - lo <= 1e-8).all()
+    assert ((lo < gamma) & (gamma < hi)).all()
+    z_lo, z_hi = hardy_z(lo), hardy_z(hi)
+    assert (z_lo != 0.0).all() and (z_hi != 0.0).all()
+    assert ((z_lo < 0.0) != (z_hi < 0.0)).all()
 
 
 def _scalar_chandrupatla(bracket, tol, z, z_bound):
     """One bracket at a time, in Python floats: the lockstep loop's reference."""
     t_lo, t_hi = bracket
-    tol = max(tol, 4.0 * math.ulp(max(abs(t_lo), abs(t_hi))))
+    spacing = math.ulp(max(abs(t_lo), abs(t_hi)))
+    tol = max(tol, 4.0 * spacing)
     f_lo, f_hi = z(t_lo), z(t_hi)
     a, f_a, b, f_b = t_hi, f_hi, t_lo, f_lo
     # The first trial point is the root of the chord through the ends.
@@ -228,18 +266,26 @@ def _scalar_chandrupatla(bracket, tol, z, z_bound):
     while abs(b - a) > tol:
         trial = a + step * (b - a)
         # The doubt rule: a Riemann-Siegel sign in doubt, found or foreseen
-        # on the line through the ends, makes Z at trial -+ tol/4 close the
-        # bracket if their signs differ, and z settle the trial otherwise.
+        # on the line through the ends, makes Z at trial -+ o close the
+        # bracket if their signs differ, and the side next to the end of the
+        # other sign (the far side within 2 ulps of it) replace the trial
+        # point otherwise.
         f_line = f_a + (trial - a) * ((f_b - f_a) / (b - a))
         doubt = seen > 0.0 and not abs(f_line) > seen
         if not doubt:
             (f_trial,), (seen,), (doubt,) = z_bound(np.array([trial]))
         if doubt:
-            s_lo = max(trial - 0.25 * tol, min(a, b))
-            s_hi = min(trial + 0.25 * tol, max(a, b))
-            if math.copysign(1.0, z(s_lo)) != math.copysign(1.0, z(s_hi)):
+            o = min(max(2.0 * seen / abs((f_b - f_a) / (b - a)), 0.25 * tol), 0.49 * tol)
+            s_lo = max(trial - o, min(a, b))
+            s_hi = min(trial + o, max(a, b))
+            f_s_lo, f_s_hi = z(s_lo), z(s_hi)
+            if math.copysign(1.0, f_s_lo) != math.copysign(1.0, f_s_hi):
                 return 0.5 * (s_lo + s_hi), (s_lo, s_hi), 0.5 * (s_hi - s_lo)
-            f_trial = z(trial)
+            end = a if math.copysign(1.0, f_a) != math.copysign(1.0, f_s_lo) else b
+            up = end > trial
+            if abs(end - (s_hi if up else s_lo)) < 2.0 * spacing:
+                up = not up
+            trial, f_trial = (s_hi, f_s_hi) if up else (s_lo, f_s_lo)
         if math.copysign(1.0, f_trial) == math.copysign(1.0, f_a):
             c, f_c = a, f_a
         else:
@@ -413,6 +459,19 @@ def test_scan_finds_every_zero(t_max, count):
     # ROADMAP defect 10: the 0.25 grid and its mean-gap rescan found 6,712
     # zeros to 7010 and 63,505 to 5e4, and said nothing.
     assert len(scan_zeros(t_max, 1e-6)) == mp.nzeros(t_max) == count
+
+
+@pytest.mark.parametrize("t_max,count", [(25.05, 3), (30.3749, 3)])
+def test_zeros_listed_by_their_sign_change_at_t_max(t_max, count):
+    # At tol 0.5 the midpoint of a bracket may lie on the other side of t_max
+    # from its zero: gamma_3 = 25.0109 was dropped at t_max = 25.05, and
+    # zero 4 listed at 30.307 +- 0.145 though gamma_4 = 30.4249.
+    zeros = scan_zeros(t_max, 0.5)
+    assert [z.index for z in zeros] == list(range(1, count + 1))
+    assert len(zeros) == mp.nzeros(t_max)
+    for z in zeros:
+        assert z.bracket[1] <= t_max
+        assert abs(mp.mpf(z.gamma) - mp.zetazero(z.index).imag) <= z.abs_err
 
 
 @pytest.fixture(scope="module")
