@@ -152,11 +152,11 @@ def _gather_zeros(cfg: RunConfig, t_max: float, need: int = 0) -> list[CriticalZ
 
 class _Run:
     """One audit or plot command and what it derives, each worked out once:
-    the zeros the product audits ``need`` and the height ``t_scan`` whose
-    scan holds them, the one product of those zeros (Hadamard, coincidence,
-    product plot) and the eq9 fit (eq9, Carlson, residual plot).  The last
-    two are computed on first use, so audits that need no zeros run (and
-    write their reports) before a scan or a cache read can fail.
+    how many zeros the product audits ``need`` and the height ``t_scan``
+    whose scan holds them, those ``zeros`` (Hadamard, coincidence, product
+    plot), their one product and the eq9 fit (eq9, Carlson, residual plot).
+    The last three are computed on first use, so audits that need no zeros
+    run (and write their reports) before a scan or a cache read can fail.
     """
 
     def __init__(self, cfg: RunConfig) -> None:
@@ -165,9 +165,12 @@ class _Run:
         self.t_scan = max(cfg.t_max, _t_for_zero_count(self.need))
 
     @functools.cached_property
+    def zeros(self) -> list[CriticalZero]:
+        return _gather_zeros(self.cfg, self.t_scan, self.need)
+
+    @functools.cached_property
     def product(self) -> ProductSpec:
-        zeros = _gather_zeros(self.cfg, self.t_scan, self.need)
-        return ProductSpec(zero_ordinates=tuple(z.gamma for z in zeros))
+        return ProductSpec(zero_ordinates=tuple(z.gamma for z in self.zeros))
 
     @functools.cached_property
     def eq9_fit(self) -> PrefactorFit:
@@ -217,14 +220,15 @@ def _run_eq9(run: _Run) -> tuple[AuditReport, list[str]]:
 
 
 def _hadamard_curve(
-    spec: ProductSpec,
+    run: _Run,
     grid: tuple[int, ...] = HADAMARD_TRUNCATIONS,
     min_points: int = 1,
 ) -> tuple[list[int], list[float], list[float]]:
-    """(truncations, misfits, bounds) for the truncations in grid.
+    """(truncations, misfits, bounds) of the run's product, truncated at grid.
 
     ConfigError if fewer than min_points truncations fit the product's zeros.
     """
+    spec = run.product
     count = len(spec.zero_ordinates)
     truncations = [n for n in grid if n <= count]
     if len(truncations) < min_points:
@@ -234,13 +238,14 @@ def _hadamard_curve(
         )
     xs = np.linspace(-1.0, 2.0, 21)
     targets = np.array([xi(complex(x, 0.0)).real for x in xs])
-    misfits, bounds = zip(*(fitted_misfit(xs, targets, spec, n) for n in truncations))
+    abs_err = [z.abs_err for z in run.zeros]
+    misfits, bounds = zip(*(fitted_misfit(xs, targets, spec, n, abs_err) for n in truncations))
     return truncations, list(misfits), list(bounds)
 
 
 def _run_hadamard(run: _Run) -> tuple[AuditReport, list[str]]:
     spec = run.product
-    truncations, misfits, bounds = _hadamard_curve(spec)
+    truncations, misfits, bounds = _hadamard_curve(run)
     heights = [tail_sum(spec, n)[0] for n in truncations]
     residuals = [zero_sum_residual(spec, n) for n in truncations]
     worst = max(m / b for m, b in zip(misfits, bounds))
@@ -270,18 +275,15 @@ def _run_hadamard(run: _Run) -> tuple[AuditReport, list[str]]:
 
 
 def _run_coincidence(run: _Run) -> tuple[AuditReport, list[str]]:
-    cfg, spec = run.cfg, run.product
-    n = min(len(spec.zero_ordinates), cfg.n_zeros)
-    # Probe only zeros the truncated product keeps as factors.
-    probes = list(spec.zero_ordinates[: min(COINCIDENCE_PROBES, n)])
-    if cfg.perturb != 0.0:
-        probes[0] += cfg.perturb
-    report = audit_coincidence(spec, probes, n)
-    report.params["perturb"] = cfg.perturb
-    rows = ["probe,product_magnitude,is_member"]
+    probes = [z.gamma for z in run.zeros[: min(COINCIDENCE_PROBES, run.cfg.n_zeros)]]
+    if run.cfg.perturb != 0.0:
+        probes[0] += run.cfg.perturb
+    report = audit_coincidence(run.zeros, probes)
+    report.params["perturb"] = run.cfg.perturb
+    rows = ["probe,abs_z,verdict"]
     rows += [
-        f"{p:.15g},{v:.6e},{m}"
-        for p, v, m in zip(probes, report.measured, report.params["probe_is_member"])
+        f"{p:.15g},{v:.6e},{verdict}"
+        for p, v, verdict in zip(probes, report.measured, report.params["probe_verdicts"])
     ]
     return report, rows
 
@@ -453,7 +455,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         )
     elif args.target == "product-convergence":
         truncations, misfits, _ = _hadamard_curve(
-            _Run(cfg).product, grid=(10, 25) + HADAMARD_TRUNCATIONS, min_points=2
+            _Run(cfg), grid=(10, 25) + HADAMARD_TRUNCATIONS, min_points=2
         )
         svg = render_line_plot(
             [float(n) for n in truncations],

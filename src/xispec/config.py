@@ -51,11 +51,11 @@ class RunConfig:
         "bracket width each zero is refined to (default 1e-8)"
     )})
     n_zeros: int = field(default=200, metadata={"commands": ("audit", "plot"), "help": (
-        "factors of the Hadamard product and coincidence audits, scanning past "
-        "--t-max for them if needed (default 200)"
+        "zeros of the Hadamard product (800 at most) and the coincidence audit, which "
+        "probes the first five; scans past --t-max for them if needed (default 200)"
     )})
     perturb: float = field(default=0.0, metadata={"commands": ("audit",), "help": (
-        "shift added to the first coincidence probe (default 0)"
+        "shift added to the first coincidence probe, which must stay in (0, 5e5] (default 0)"
     )})
     m: int = field(default=1, metadata={"commands": ("audit", "plot"), "help": (
         "integer grid scale of the Carlson audit, which samples xi at m, 2m, "

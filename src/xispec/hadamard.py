@@ -8,35 +8,32 @@ Function*, 1974, §2.8), xi(s) = 1/2 prod_n (lambda_n - u)/lambda_n: nothing
 is fitted.  ``paired_product`` is the product over the first n pairs.  Its
 division is done componentwise against the *real* lambda_n, so it is
 exactly 1/2 at s = 0 and exactly 0 at s = 1/2 + i gamma_k for any stored
-ordinate, where lambda_k - u cancels; the coincidence discriminator is
-built on that annihilation.
+ordinate, where lambda_k - u cancels.
 
 The pairs after the n-th contribute about e^{u tau}, where ``tail_sum``
-takes tau = sum_{k>n} 1/(1/4 + gamma_k^2) from the Riemann-von Mangoldt
-main term of the zero count (``zeros.zero_count_main_term``) and bounds its
-error with Trudgian's remainder (``zeros.zero_count_remainder_bound``).
-``fitted_misfit`` turns that into a bound on the closed form's misfit
-against xi, and the Hadamard audit passes only if every truncation is
-within its bound.  ``zero_sum_residual`` checks the same tail against
-ZERO_SUM.  The misfit and the coincidence audit take all their sample
-points as one blocked 2-D product, the same factors multiplied in the same
-order as a one-point call.
+takes tau = sum_{k>n} 1/(1/4 + gamma_k^2) from the Riemann-von Mangoldt main
+term of the zero count (``zeros.zero_count_main_term``) and bounds its error
+with Trudgian's remainder (``zeros.zero_count_remainder_bound``).
+``fitted_misfit`` turns that and the ordinates' own errors into a bound on
+the closed form's misfit against xi, and the Hadamard audit passes only if
+every truncation is within its bound.  ``zero_sum_residual`` checks the same
+tail against ZERO_SUM.  The misfit takes all its sample points as one
+blocked 2-D product, the factors multiplied in a one-point call's order.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .report import AuditReport, Verdict
-from .zeros import zero_count_main_term, zero_count_remainder_bound
-
-#: Offset (in ordinate units) used to measure the local product scale when
-#: deriving the coincidence threshold.
-COINCIDENCE_PROBE_OFFSET = 1e-4
+from .specfun import hardy_z
+from .specfun.xi import EM_MAX_T
+from .zeros import CriticalZero, zero_count_main_term, zero_count_remainder_bound
 
 #: xi(0), the constant of the product.
 XI_AT_ZERO = 0.5
@@ -78,12 +75,6 @@ class ProductSpec:
         return self._ordinates[:n]
 
 
-def _lambdas(spec: ProductSpec, n: int) -> np.ndarray:
-    """lambda_k = -(1/4 + gamma_k^2) of the first n pairs."""
-    g = spec.truncated(n)
-    return -(0.25 + g * g)
-
-
 def _poly_products(u: np.ndarray, lam: np.ndarray) -> list[complex]:
     """prod_n (lambda_n - u) / lambda_n at each u of a 1-D complex array.
 
@@ -115,7 +106,8 @@ def _poly_products(u: np.ndarray, lam: np.ndarray) -> list[complex]:
 
 def _products(spec: ProductSpec, n: int, points: list[complex]) -> list[complex]:
     """paired_product(s, spec, n) at each point, as one batched product."""
-    polys = _poly_products(np.array([s * (s - 1.0) for s in points]), _lambdas(spec, n))
+    g = spec.truncated(n)
+    polys = _poly_products(np.array([s * (s - 1.0) for s in points]), -(0.25 + g * g))
     # Componentwise: a complex product would turn 0 * inf into NaN.
     return [complex(XI_AT_ZERO * p.real, XI_AT_ZERO * p.imag) for p in polys]
 
@@ -156,7 +148,11 @@ def zero_sum_residual(spec: ProductSpec, n: int) -> float:
 
 
 def fitted_misfit(
-    sample_points: np.ndarray, target_values: np.ndarray, spec: ProductSpec, n: int
+    sample_points: np.ndarray,
+    target_values: np.ndarray,
+    spec: ProductSpec,
+    n: int,
+    abs_err: Sequence[float],
 ) -> tuple[float, float]:
     """(misfit, bound) of the closed form at truncation n against xi's values.
 
@@ -164,13 +160,24 @@ def fitted_misfit(
     (perfbench/spans.py) times the audit's per-truncation misfit under it.
     The model at real s is paired_product(s, spec, n) e^{u tau}, tau from
     ``tail_sum``; the misfit is the largest |model/target - 1|.  model/xi
-    = e^z, z = u (tau - tau_n) + sum_{k>n} (u/a_k - log(1 + u/a_k)) with
+    = e^{z + D}, z = u (tau - tau_n) + sum_{k>n} (u/a_k - log(1 + u/a_k)) with
     a_k = 1/4 + gamma_k^2 > T^2.  While |u| <= T^2/2 each term of the sum is
     at most |u|^2/a_k^2, and sum_{k>n} 1/a_k^2 <= tau_n/T^2, so at the
-    samples' largest |u|, |z| <= E = |u| err + |u|^2 (tau + err)/T^2.  The
-    bound is e^E - 1 plus 3n + 64 units in the last place of rounding: three
-    per factor, and 64 for xi (within 19 of mpmath on the audit's samples),
-    e^{u tau} and the quotient.  Above |u| = T^2/2 it is inf.
+    samples' largest |u|, |z| <= E = |u| err + |u|^2 (tau + err)/T^2.
+
+    D is what moving each gamma_k by up to e_k = abs_err[k], to the true
+    ordinate, does to log(1 + u/a_k).  Its x-derivative -2xu/(a(a + u)),
+    a = 1/4 + x^2 >= x^2, is at most 2|u|/(sqrt(a)(a - |u|)), falling in a,
+    and a >= m_k = 1/4 + max(gamma_k - e_k, 0)^2 there; so while each
+    m_k > |u|, |D| <= sum_{k<=n} 2|u| e_k/(sqrt(m_k)(m_k - |u|)).  With
+    m_k = a_k - 2 gamma_k e_k + e_k^2 that is, to second order,
+    2|u| e_k/a_k^{3/2} (1 + (3 gamma_k e_k + |u|)/a_k): the first-order
+    |d log(1 + u/a_k)/d gamma_k| e_k and the terms the interval and |u| add.
+
+    The bound is e^{E + |D|} - 1 plus 3n + 64 units in the last place of
+    rounding: three per factor, and 64 for xi (within 19 of mpmath on the
+    audit's samples), e^{u tau} and the quotient.  Above |u| = T^2/2, or
+    with some m_k <= |u|, it is inf.
     """
     xs = [float(x) for x in sample_points]
     products = _products(spec, n, [complex(x, 0.0) for x in xs])
@@ -181,73 +188,64 @@ def fitted_misfit(
         for p, u, t in zip(products, us, target_values, strict=True)
     )
     u_max = max(abs(u) for u in us)
-    if u_max > 0.5 * height**2:
+    e = np.asarray(abs_err[:n], dtype=np.float64)
+    m = 0.25 + np.maximum(spec.truncated(n) - e, 0.0) ** 2
+    if u_max > 0.5 * height**2 or (m <= u_max).any():
         return misfit, math.inf
     tail = u_max * err + u_max**2 * (tau + err) / height**2
-    return misfit, math.expm1(tail) + (3 * n + 64) * 2.0**-52
+    shift = float(np.sum(2.0 * u_max * e / (np.sqrt(m) * (m - u_max))))
+    return misfit, math.expm1(tail + shift) + (3 * n + 64) * 2.0**-52
 
 
-def _coincidence_threshold(
-    spec: ProductSpec, probe_ordinates: list[float], n: int
-) -> float:
-    """Discrimination threshold: local product scale one offset away.
+def audit_coincidence(zeros: Sequence[CriticalZero], probes: Sequence[float]) -> AuditReport:
+    """Does xi vanish at each probe?  Judged by Hardy's Z, which has xi's
+    zeros: one ``hardy_z`` call reads it at each probe p and at gamma_k -+ w,
+    gamma_k the listed zero nearest p and w twice its ``abs_err``.
 
-    For each probe, the product magnitude is measured at the nearest stored
-    ordinate shifted by COINCIDENCE_PROBE_OFFSET; the maximum over probes is
-    the scale a "same zero, tiny numeric difference" probe could reach.
+    p is COINCIDE when |p - gamma_k| <= w and Z(gamma_k - w), Z(gamma_k + w)
+    are non-zero with opposite signs (a zero of xi lies within 2w of p);
+    DISTINCT when |p - gamma_k| > w and Z(p) != 0; and INCONCLUSIVE
+    otherwise.  The bracket's own ends are not used: one lies within
+    rounding of the root, and a cache's 15-digit rows move it.  The report
+    is DISTINCT if any probe is, COINCIDE if all are, else INCONCLUSIVE;
+    ``measured`` is |Z(p)|, ``reference`` the nearest gamma_k.
+
+    Raises:
+        DomainError: before Z is read anywhere, for a probe outside
+            (0, EM_MAX_T], where Z's signs are not certain, or with no zeros.
     """
-    if not probe_ordinates:
-        return 0.0
-    g = spec.truncated(n)
-    shifted = [
-        complex(0.5, float(g[int(np.argmin(np.abs(g - p)))]) + COINCIDENCE_PROBE_OFFSET)
-        for p in probe_ordinates
+    probes = [float(p) for p in probes]
+    for p in probes:
+        if not 0.0 < p <= EM_MAX_T:
+            raise DomainError(f"coincidence probe {p!r} is outside (0, {EM_MAX_T:g}]")
+    if probes and not zeros:
+        raise DomainError("no listed zero to judge the coincidence probes by")
+    g = np.array([z.gamma for z in zeros])
+    nearest = [zeros[int(np.argmin(np.abs(g - p)))] for p in probes]
+    sides = [z.gamma + d * z.abs_err for z in nearest for d in (-2.0, 2.0)]
+    values = hardy_z(np.array(probes + sides))
+    k = len(probes)
+    opposite = np.sign(values[k::2]) * np.sign(values[k + 1::2]) < 0.0
+    verdicts = [
+        (Verdict.COINCIDE if o else Verdict.INCONCLUSIVE)
+        if abs(p - z.gamma) <= 2.0 * z.abs_err
+        else (Verdict.DISTINCT if v != 0.0 else Verdict.INCONCLUSIVE)
+        for p, z, v, o in zip(probes, nearest, values[:k], opposite)
     ]
-    return max(0.0, *(abs(v) for v in _products(spec, n, shifted)))
-
-
-def audit_coincidence(
-    spec_a: ProductSpec, probe_ordinates: list[float], n: int
-) -> AuditReport:
-    """Zero-coincidence discriminator (the vanishing-product evaluation).
-
-    COINCIDE when every probe annihilates the truncated product to within
-    the threshold (``_coincidence_threshold``); DISTINCT when some probe
-    outside the stored set leaves a magnitude above 10x the threshold;
-    INCONCLUSIVE between.  The report's ``tail_bound`` is |u| (tau + err)
-    at the first probe (``tail_sum``): it bounds |u| times the tail sum,
-    the size of the log of the factors left out.
-    """
-    probes = [float(p) for p in probe_ordinates]
-    threshold = _coincidence_threshold(spec_a, probes, n)
-    stored = set(spec_a.truncated(n).tolist())
-    values = [abs(v) for v in _products(spec_a, n, [complex(0.5, p) for p in probes])]
-    member = [p in stored for p in probes]
-
-    foreign = [v for v, m in zip(values, member) if not m]
-    if foreign and max(foreign) > 10.0 * threshold:
-        verdict = Verdict.DISTINCT
-    elif all(v <= threshold for v in values):
-        verdict = Verdict.COINCIDE
-    else:
-        verdict = Verdict.INCONCLUSIVE
-
-    worst = max(values) if values else 0.0
-    s_probe = complex(0.5, probes[0]) if probes else complex(0.5, 0.0)
-    _, tau, err = tail_sum(spec_a, n)
+    verdict = next((v for v in (Verdict.DISTINCT, Verdict.INCONCLUSIVE) if v in verdicts),
+                   Verdict.COINCIDE)
+    measured = np.abs(values[:k]).tolist()
     return AuditReport(
         name="zero-coincidence",
         params={
-            "n_factors": n,
             "probe_count": len(probes),
-            "probe_is_member": member,
-            "probe_offset": COINCIDENCE_PROBE_OFFSET,
-            "tail_bound": abs(s_probe * (s_probe - 1.0)) * (tau + err),
+            "probe_verdicts": [v.value for v in verdicts],
+            "note": "tolerance 0 until Euler-Maclaurin Z has an error bound; verdicts use signs",
         },
-        measured=values,
-        reference=[threshold],
-        ratio_or_residual=(worst / threshold) if threshold > 0.0 else worst,
-        tolerance=threshold,
+        measured=measured,
+        reference=[z.gamma for z in nearest],
+        ratio_or_residual=max(measured, default=0.0),
+        tolerance=0.0,
         verdict=verdict,
         provenance="coincidence",
     )

@@ -59,8 +59,7 @@ class AuditReport:
     def to_dict(self) -> dict[str, Any]:
         return {
             "name": self.name,
-            # A non-finite float param (a tail bound at a far probe) is
-            # written as the measurements write it.
+            # A non-finite float param is written as the measurements write it.
             "params": {
                 k: _jsonable_number(v) if isinstance(v, float) else v
                 for k, v in sorted(self.params.items())

@@ -31,6 +31,11 @@ COMMANDS = [
     ("audit-all-warm", AUDIT_ALL + ["--out", "audit-all-warm"]),
     ("audit-all-csv", AUDIT_ALL + ["--format", "csv", "--out", "audit-all-csv"]),
     ("audit-carlson", ["audit", "carlson", "--m", "3", "--out", "audit-carlson"]),
+    ("audit-coincidence-perturbed",
+     ["audit", "coincidence", "--perturb", "0.01", "--out", "audit-coincidence-perturbed"]),
+    ("audit-hadamard-tol-0.1",
+     ["audit", "hadamard", "--n-zeros", "800", "--t-max", "50", "--tol", "0.1",
+      "--out", "audit-hadamard-tol-0.1"]),
     ("zeros", ["zeros", "--t-max", "5003.123", "--tol", "1e-6"]),
     ("zeros-7010", ["zeros", "--t-max", "7010", "--tol", "1e-6"]),
     ("zeros-1331", ["zeros", "--t-max", "1331", "--tol", "1e-8"]),

@@ -122,17 +122,18 @@ def test_criterion_5_hadamard_product():
     xs = np.linspace(-1.0, 2.0, 21)
     targets = np.array([xi(complex(x, 0.0)).real for x in xs])
 
-    def curve(ordinates):
-        spec = ProductSpec(zero_ordinates=tuple(ordinates))
-        return [fitted_misfit(xs, targets, spec, n) for n in (50, 100, 200, 400, 800)]
+    def curve(listed):
+        spec = ProductSpec(zero_ordinates=tuple(z.gamma for z in listed))
+        abs_err = [z.abs_err for z in listed]
+        return [fitted_misfit(xs, targets, spec, n, abs_err) for n in (50, 100, 200, 400, 800)]
 
     gammas = [z.gamma for z in zeros]
-    misfits = curve(gammas)
+    misfits = curve(zeros)
     elapsed = time.monotonic() - start
 
     ok = all(m <= b for m, b in misfits)
     # A list without zero 10 passed the fitted form (misfit 1.8e-3 < 2e-2).
-    ok = ok and not all(m <= b for m, b in curve(gammas[:9] + gammas[10:]))
+    ok = ok and not all(m <= b for m, b in curve(zeros[:9] + zeros[10:]))
     spec = ProductSpec(zero_ordinates=tuple(gammas))
     ok = ok and paired_product(0.0, spec, 800) == 0.5
     ok = ok and elapsed < 120.0
@@ -147,11 +148,11 @@ def test_criterion_5_hadamard_product():
 def test_criterion_6_coincidence_discriminator(zeros_for_products):
     spec = ProductSpec(zero_ordinates=tuple(z.gamma for z in zeros_for_products))
     own = list(spec.zero_ordinates[:5])
-    report = audit_coincidence(spec, own, 800)
+    report = audit_coincidence(zeros_for_products, own)
     ok = report.verdict is Verdict.COINCIDE
 
     perturbed = [spec.zero_ordinates[0] + 0.01]
-    report = audit_coincidence(spec, perturbed, 800)
+    report = audit_coincidence(zeros_for_products, perturbed)
     ok = ok and report.verdict is Verdict.DISTINCT
     ok = ok and report.measured[0] >= 10.0 * report.tolerance
     assert _line(6, "zero-coincidence discriminator", ok)

@@ -23,9 +23,11 @@ def test_canonical_outputs_run_whole(tmp_path):
     assert _children_cpu_s() - before <= 10.0
     assert done.returncode == 0, done.stderr
     exits = sorted(tmp_path.glob("*.exit"))
-    assert len(exits) == 15
+    assert len(exits) == 17
     for path in exits:
-        assert path.read_text(encoding="utf-8") == "0\n", path.name
+        # The perturbed coincidence probe is DISTINCT: an audit failure.
+        code = "1\n" if path.name == "audit-coincidence-perturbed.exit" else "0\n"
+        assert path.read_text(encoding="utf-8") == code, path.name
     cold = sorted(p.name for p in (tmp_path / "audit-all-cold").glob("*.json"))
     assert cold and cold == sorted(p.name for p in (tmp_path / "audit-all-warm").glob("*.json"))
     for name in cold:

@@ -225,30 +225,65 @@ def test_audit_coincidence_perturbed_fails(capsys):
     assert payload["params"]["perturb"] == 0.01
 
 
-@pytest.mark.parametrize("perturb", ["1e5", "1e300"])
-def test_audit_coincidence_far_probe_fails(capsys, perturb):
-    # A probe so far off that the 800-factor product overflows is DISTINCT
-    # (exit 1), not INCONCLUSIVE with a NaN residual and numpy warnings,
-    # and not an OverflowError traceback.
+@pytest.mark.parametrize("perturb", ["1e5", "1e300", "-20"])
+def test_audit_coincidence_far_probe_fails(capsys, monkeypatch, perturb):
+    # A far probe within Z's range is judged by Z there: DISTINCT, exit 1.
+    # One outside (0, EM_MAX_T] is a one-line error, exit 2, and Z is never
+    # evaluated there (at 1e300 its main sum would need about 4e149 terms).
+    from xispec import hadamard
+
+    z = hadamard.hardy_z
+    heights = []
+    monkeypatch.setattr(hadamard, "hardy_z", lambda t: heights.append(t) or z(t))
     args = ["audit", "coincidence", "--t-max", "30", "--n-zeros", "800",
             f"--perturb={perturb}", "--out", "reports"]
-    assert run(args) == 1
+    code = run(args)
     captured = capsys.readouterr()
-    assert captured.err == ""
-    assert captured.out.startswith("zero-coincidence: DISTINCT [residual inf")
-    payload = json.loads(Path("reports/audit_coincidence.json").read_text())
-    assert payload["verdict"] == "DISTINCT"
-    assert payload["measured"][0] == "inf"
+    if perturb == "1e5":
+        assert code == 1
+        assert heights[0][0] == pytest.approx(1e5 + 14.134725141734693)
+        assert captured.err == ""
+        assert captured.out.startswith("zero-coincidence: DISTINCT [residual ")
+        payload = json.loads(Path("reports/audit_coincidence.json").read_text())
+        assert payload["verdict"] == "DISTINCT"
+        assert payload["params"]["probe_verdicts"][0] == "DISTINCT"
+        assert 0.0 < payload["measured"][0] < 10.0
+    else:
+        assert code == 2
+        assert heights == []
+        assert captured.out == ""
+        assert captured.err.startswith("xispec: error: coincidence probe ")
+        assert captured.err.count("\n") == 1
+        assert not Path("reports/audit_coincidence.json").exists()
 
 
 def test_audit_coincidence_probes_only_kept_factors():
-    # With fewer factors than probes, a probe beyond the product's zeros
-    # must not read as a foreign zero.
+    # With fewer zeros asked for than probes, only those zeros are probed.
     assert run(["audit", "coincidence", "--n-zeros", "4", "--out", "reports"]) == 0
     payload = json.loads(Path("reports/audit_coincidence.json").read_text())
     assert payload["verdict"] == "COINCIDE"
     assert payload["params"]["probe_count"] == 4
-    assert all(payload["params"]["probe_is_member"])
+    assert payload["params"]["probe_verdicts"] == ["COINCIDE"] * 4
+
+
+def test_audit_coincidence_csv_rows():
+    assert run(["audit", "coincidence", "--format", "csv", "--out", "reports"]) == 0
+    rows = Path("reports/audit_coincidence.csv").read_text().splitlines()
+    assert rows[0] == "probe,abs_z,verdict"
+    assert len(rows) == 6
+    assert all(row.endswith(",COINCIDE") for row in rows[1:])
+    assert float(rows[1].split(",")[0]) == pytest.approx(14.134725141734693, abs=1e-8)
+
+
+def test_audit_hadamard_passes_at_a_coarse_tol(capsys):
+    # The listed ordinates are off by up to 0.05 at tol 0.1; the bound
+    # covers that, so the true list does not FAIL (it did, residual 2.13).
+    args = ["audit", "hadamard", "--n-zeros", "800", "--t-max", "50", "--tol", "0.1",
+            "--out", "reports"]
+    assert run(args) == 0
+    payload = json.loads(Path("reports/audit_hadamard.json").read_text())
+    assert payload["verdict"] == "PASS"
+    assert payload["ratio_or_residual"] <= 1.0
 
 
 def test_audit_all_aggregate_and_determinism():

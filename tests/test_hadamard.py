@@ -22,7 +22,9 @@ from xispec.hadamard import (
     zero_sum_residual,
 )
 from xispec.report import Verdict
-from xispec.specfun import xi
+from xispec.specfun import hardy_z, xi
+from xispec.specfun.xi import EM_MAX_T
+from xispec.zeros import CriticalZero, ZeroCache, scan_zeros
 
 TEN_ZERO_SPEC = ProductSpec(zero_ordinates=KNOWN_ZEROS_10)
 EMPTY_SPEC = ProductSpec(zero_ordinates=())
@@ -79,6 +81,7 @@ def test_batched_product_matches_fresh_arrays(zeros_for_products, xi_samples):
     # One spec reused for every truncation and sample must give, bit for bit,
     # what arrays built afresh per call give.
     ordinates = tuple(z.gamma for z in zeros_for_products)
+    abs_err = [z.abs_err for z in zeros_for_products]
     spec = ProductSpec(ordinates)
     xs, targets = xi_samples
     for n in (1, 50, 800):
@@ -92,7 +95,7 @@ def test_batched_product_matches_fresh_arrays(zeros_for_products, xi_samples):
             _product_by_fresh_arrays(x, ordinates, n).real * math.exp(x * (x - 1.0) * tau)
             for x in xs
         ]
-        misfit, _ = fitted_misfit(xs, targets, spec, n)
+        misfit, _ = fitted_misfit(xs, targets, spec, n, abs_err)
         assert misfit == max(abs(m / t - 1.0) for m, t in zip(models, targets))
 
 
@@ -100,25 +103,12 @@ def test_spec_keeps_no_arrays_per_truncation(zeros_for_products, xi_samples):
     # Queried at many truncations, a spec holds only its field and the one
     # ordinate array: nothing grows with the number of n asked for.
     spec = ProductSpec(tuple(z.gamma for z in zeros_for_products))
+    abs_err = [z.abs_err for z in zeros_for_products]
     xs, targets = xi_samples
     for n in range(1, 801, 7):
         paired_product(2.0, spec, n)
-        fitted_misfit(xs, targets, spec, n)
+        fitted_misfit(xs, targets, spec, n, abs_err)
     assert set(vars(spec)) == {"zero_ordinates", "_ordinates"}
-
-
-def test_coincidence_matches_one_point_products(zeros_for_products):
-    # The audit takes its probes as one batched product; each magnitude and
-    # the threshold must be what one-point paired_product calls give.
-    spec = ProductSpec(tuple(z.gamma for z in zeros_for_products))
-    g = spec.zero_ordinates
-    probes = [g[0], g[3] + 0.01, 100.0, g[120] + 0.2, g[10] - 1e-9, 5.0, g[200], 17.5, g[50], g[51]]
-    report = audit_coincidence(spec, probes, 800)
-    assert report.measured == [abs(paired_product(complex(0.5, p), spec, 800)) for p in probes]
-    nearest = [min(g, key=lambda v: abs(v - p)) for p in probes]
-    assert report.tolerance == max(
-        abs(paired_product(complex(0.5, v + 1e-4), spec, 800)) for v in nearest
-    )
 
 
 def test_origin_normalization_exact(zeros_for_products):
@@ -182,7 +172,8 @@ def test_fit_to_xi_with_many_zeros(zeros_for_products, xi_samples):
     # exactly, where the fitted e^B came within 2e-2 of it.
     xs, targets = xi_samples
     spec = ProductSpec(zero_ordinates=tuple(z.gamma for z in zeros_for_products))
-    misfit, bound = fitted_misfit(xs, targets, spec, 800)
+    abs_err = [z.abs_err for z in zeros_for_products]
+    misfit, bound = fitted_misfit(xs, targets, spec, 800, abs_err)
     assert misfit <= bound < 2e-5
     assert paired_product(0.0, spec, 800) == 0.5
 
@@ -192,11 +183,34 @@ def test_truncation_monotonicity(zeros_for_products, xi_samples):
     # it; the misfits themselves need not shrink.
     xs, targets = xi_samples
     spec = ProductSpec(zero_ordinates=tuple(z.gamma for z in zeros_for_products))
-    curve = [fitted_misfit(xs, targets, spec, n) for n in (50, 100, 200, 400, 800)]
+    abs_err = [z.abs_err for z in zeros_for_products]
+    curve = [fitted_misfit(xs, targets, spec, n, abs_err) for n in (50, 100, 200, 400, 800)]
     bounds = [b for _, b in curve]
     assert all(b < a for a, b in zip(bounds, bounds[1:]))
     assert all(m <= b for m, b in curve)
     assert curve[-1][0] < 1e-7
+
+
+def test_bound_covers_the_ordinates_error(zeros_for_products, xi_samples):
+    # At tol 0.1 the listed ordinates are off by up to their abs_err; the
+    # bound's ordinate term must cover what that moves the product by, so
+    # the true list never FAILs (it did, misfit 2.4e-5 against 1.1e-5).
+    xs, targets = xi_samples
+    coarse = scan_zeros(1188.36, 0.1)
+    spec = ProductSpec(tuple(z.gamma for z in coarse))
+    fine = ProductSpec(tuple(z.gamma for z in zeros_for_products))
+    abs_err = [z.abs_err for z in coarse]
+    for n in (50, 100, 200, 400, 800):
+        misfit, bound = fitted_misfit(xs, targets, spec, n, abs_err)
+        assert misfit <= bound
+        _, exact_list_bound = fitted_misfit(xs, targets, spec, n, [0.0] * n)
+        moved = max(
+            abs(paired_product(x, spec, n).real / paired_product(x, fine, n).real - 1.0)
+            for x in xs
+        )
+        assert moved <= bound - exact_list_bound
+    # Where an ordinate's interval reaches down to |u|, no bound holds.
+    assert fitted_misfit(xs, targets, TEN_ZERO_SPEC, 10, [14.0] * 10)[1] == math.inf
 
 
 def test_product_approximates_xi_at_two(zeros_for_products):
@@ -250,39 +264,104 @@ def test_audit_fails_with_a_zero_missing(
 
 
 def test_coincidence_own_ordinates(zeros_for_products):
-    spec = ProductSpec(zero_ordinates=tuple(z.gamma for z in zeros_for_products))
-    probes = list(spec.zero_ordinates[:5])
-    report = audit_coincidence(spec, probes, 800)
+    probes = [z.gamma for z in zeros_for_products[:5]]
+    report = audit_coincidence(zeros_for_products, probes)
     assert report.verdict is Verdict.COINCIDE
-    assert report.measured == [0.0] * 5
+    assert report.params["probe_verdicts"] == ["COINCIDE"] * 5
+    assert report.reference == probes
+    assert report.measured == [abs(v) for v in hardy_z(np.array(probes))]
 
 
 def test_coincidence_perturbed_probe(zeros_for_products):
-    spec = ProductSpec(zero_ordinates=tuple(z.gamma for z in zeros_for_products))
-    probes = [spec.zero_ordinates[0] + 0.01]
-    report = audit_coincidence(spec, probes, 800)
+    probes = [zeros_for_products[0].gamma + 0.01]
+    report = audit_coincidence(zeros_for_products, probes)
     assert report.verdict is Verdict.DISTINCT
     threshold = report.tolerance
     assert report.measured[0] > 10.0 * threshold
+    assert report.measured[0] == abs(hardy_z(probes[0])) > 7e-3
 
 
-@pytest.mark.parametrize("perturb", [1e5, 1e300])
+def test_coincidence_judges_every_probe_with_one_z_call(zeros_for_products, monkeypatch):
+    # Z at each probe and two abs_err either side of its nearest zero, all
+    # in one hardy_z call: near probes are judged by the sides, far ones by
+    # Z at the probe.
+    import xispec.hadamard as hadamard
+
+    calls = []
+    monkeypatch.setattr(hadamard, "hardy_z", lambda t: calls.append(t) or hardy_z(t))
+    zs = zeros_for_products
+    probes = [zs[0].gamma, zs[3].gamma + 0.01, 100.0, zs[10].gamma + zs[10].abs_err]
+    report = audit_coincidence(zs, probes)
+    assert len(calls) == 1
+    nearest = [zs[0], zs[3], zs[28], zs[10]]
+    assert report.reference == [z.gamma for z in nearest]
+    sides = [z.gamma + d * 2.0 * z.abs_err for z in nearest for d in (-1.0, 1.0)]
+    assert calls[0].tolist() == probes + sides
+    assert report.params["probe_verdicts"] == ["COINCIDE", "DISTINCT", "DISTINCT", "COINCIDE"]
+    assert report.verdict is Verdict.DISTINCT
+
+
+def test_coincidence_shifted_list_is_not_coincide(zeros_for_products):
+    # Every ordinate moved by +0.3, probed at its own ordinates: the old
+    # audit, which asked the list's own product, called this COINCIDE.
+    shifted = [
+        CriticalZero(z.index, z.gamma + 0.3, (z.bracket[0] + 0.3, z.bracket[1] + 0.3), z.abs_err)
+        for z in zeros_for_products
+    ]
+    report = audit_coincidence(shifted, [z.gamma for z in shifted[:5]])
+    assert report.verdict is not Verdict.COINCIDE
+    assert report.params["probe_verdicts"] == ["INCONCLUSIVE"] * 5
+
+
+@pytest.fixture(scope="module", params=[1e-8, 1e-6, 0.1])
+def listed_and_cached(request, tmp_path_factory):
+    """(scanned, cache round-tripped) zeros to 1188.36 at each tol."""
+    tol = request.param
+    zeros = scan_zeros(1188.36, tol)
+    path = tmp_path_factory.mktemp("cache") / "zeros.csv"
+    return zeros, ZeroCache(t_max=1188.36, tol=tol, zeros=zeros).save(str(path))
+
+
+def test_coincidence_every_listed_zero_coincides(listed_and_cached):
+    # The cache's 15-digit rows move a bracket end that refinement left
+    # within rounding of its root; the sides at 2 abs_err are past that.
+    for zeros in listed_and_cached:
+        assert len(zeros) == 803
+        report = audit_coincidence(zeros, [z.gamma for z in zeros])
+        assert report.params["probe_verdicts"] == ["COINCIDE"] * 803
+        assert report.verdict is Verdict.COINCIDE
+
+
+@pytest.mark.parametrize("perturb", [1e5])
 def test_coincidence_far_probe_is_distinct(zeros_for_products, perturb):
-    # Far from every ordinate the 800-factor product passes double range:
-    # it counts as magnitude inf (np.prod alone gave NaN, and |s|^2 at
-    # 1e300 raised OverflowError), with no warning, and the report still
-    # writes as strict JSON.
-    spec = ProductSpec(zero_ordinates=tuple(z.gamma for z in zeros_for_products))
-    probes = list(spec.zero_ordinates[:5])
+    # A probe far past every listed zero, but within Z's range, is judged by
+    # Z there: DISTINCT, and the report writes as strict JSON.
+    probes = [z.gamma for z in zeros_for_products[:5]]
     probes[0] += perturb
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = audit_coincidence(spec, probes, 800)
+        report = audit_coincidence(zeros_for_products, probes)
         payload = json.loads(report.to_json())
     assert report.verdict is Verdict.DISTINCT
-    assert report.measured == [math.inf, 0.0, 0.0, 0.0, 0.0]
-    assert payload["ratio_or_residual"] == "inf"
-    assert (payload["params"]["tail_bound"] == "inf") == (perturb == 1e300)
+    assert report.params["probe_verdicts"] == ["DISTINCT"] + ["COINCIDE"] * 4
+    assert report.reference[0] == zeros_for_products[-1].gamma
+    assert math.isfinite(payload["ratio_or_residual"]) and report.measured[0] > 0.0
+
+
+@pytest.mark.parametrize(
+    "probe", [1e300, -5.865, 0.0, math.nextafter(EM_MAX_T, math.inf), math.inf, math.nan],
+)
+def test_coincidence_probe_outside_z_range_raises(zeros_for_products, monkeypatch, probe):
+    # Past EM_MAX_T no sign of Z is certain (and at 1e300 the Riemann-Siegel
+    # sum would need about 4e149 terms): refused before Z is evaluated.
+    import xispec.hadamard as hadamard
+
+    def no_z(t):
+        raise AssertionError("Z evaluated")
+
+    monkeypatch.setattr(hadamard, "hardy_z", no_z)
+    with pytest.raises(DomainError):
+        audit_coincidence(zeros_for_products, [14.0, probe])
 
 
 def test_overflowing_product_keeps_its_size():
@@ -298,17 +377,8 @@ def test_overflowing_product_keeps_its_size():
     assert [abs(p) for p in products[1:]] == [math.inf, math.inf]
 
 
-def test_coincidence_vacuous():
-    report = audit_coincidence(TEN_ZERO_SPEC, [], 10)
-    assert report.verdict is Verdict.COINCIDE
-
-
-def test_tail_bound_decreases_with_truncation(zeros_for_products):
-    spec = ProductSpec(zero_ordinates=tuple(z.gamma for z in zeros_for_products))
-    reports = [audit_coincidence(spec, [14.1], n) for n in (50, 200, 800)]
-    bounds = [r.params["tail_bound"] for r in reports]
-    assert all(b > 0.0 for b in bounds)
-    assert bounds[0] > bounds[1] > bounds[2]
-    # |u| (tau + err) at s = 1/2 + 14.1 i, with |u| = 1/4 + 14.1^2.
-    _, tau, err = tail_sum(spec, 800)
-    assert bounds[2] == pytest.approx((0.25 + 14.1**2) * (tau + err), rel=1e-15)
+def test_coincidence_vacuous(zeros_for_products):
+    assert audit_coincidence(zeros_for_products, []).verdict is Verdict.COINCIDE
+    assert audit_coincidence([], []).verdict is Verdict.COINCIDE
+    with pytest.raises(DomainError):
+        audit_coincidence([], [14.0])
