@@ -60,11 +60,13 @@ from .specfun import (
     BesselOrder,
     EM_ORDER_CAP,
     EM_TERMS_CAP,
+    em_truncation,
     hardy_z,
-    hardy_z_method,
+    hardy_z_paths,
     xi,
     xi_critical,
 )
+from .specfun.xi import Z_RIEMANN_SIEGEL
 from .zeros import (
     CriticalZero,
     ZeroCache,
@@ -333,8 +335,18 @@ _AUDIT_RUNNERS = {
 }
 
 
+def _z_method(t: float) -> tuple[str, int]:
+    """The formula ``hardy_z(t)`` takes and its number of main-sum terms."""
+    (path,) = hardy_z_paths(np.array([t]))[2]
+    if path == Z_RIEMANN_SIEGEL:
+        return "riemann-siegel", int(math.sqrt(t / (2.0 * math.pi)))
+    return "euler-maclaurin", em_truncation(complex(0.5, t))
+
+
 def _metadata(run: _Run) -> dict:
-    z_method, z_terms = hardy_z_method(run.t_scan)
+    # One Z at t_scan even on a cache hit, which evaluates none there, so
+    # that warm and cold reports match.
+    z_method, z_terms = _z_method(run.t_scan)
     return {
         "tool": "xispec",
         "version": __version__,

@@ -19,11 +19,8 @@ from .quadrature import (
 )
 from .xi import (
     RS_MIN_T,
-    XI_SIGN_FROM_Z,
     hardy_z,
-    hardy_z_method,
-    hardy_z_with_bound,
-    riemann_siegel_theta,
+    hardy_z_paths,
     xi,
     xi_critical,
 )
@@ -36,18 +33,15 @@ __all__ = [
     "EM_ORDER_CAP",
     "EM_TERMS_CAP",
     "RS_MIN_T",
-    "XI_SIGN_FROM_Z",
     "bessel_k_values",
     "bessel_k_with_error",
     "em_truncation",
     "gamma",
     "hardy_z",
-    "hardy_z_method",
-    "hardy_z_with_bound",
+    "hardy_z_paths",
     "integrate_semiinfinite",
     "integrate_semiinfinite_batch",
     "log_gamma",
-    "riemann_siegel_theta",
     "xi",
     "xi_critical",
     "zeta",

@@ -39,22 +39,24 @@ comes with a bound B(t) on its error, the sum of two parts:
 B is 1.3e-6 at t = 200, 2.8e-8 at 800 and 8.3e-10 at 5000, and at least
 30 times the error measured against mpmath at 2,003 heights in [200, 6000].
 So from t = 200 up, Z values are accurate to B(t), not to the 1e-12 or so
-of Euler-Maclaurin.  ``hardy_z`` returns the Riemann-Siegel value only where
-|Z_RS| > B(t), so its sign is certain, and Euler-Maclaurin elsewhere: the
-doubt rule.  Euler-Maclaurin settles a doubtful sign only up to
-``EM_MAX_T`` = 5e5, where its correction series still converges; above it
-no reference is left and the Riemann-Siegel value stands, sign and all.
-``hardy_z_with_bound`` gives the values before that rule together with B
-(0.0 for Euler-Maclaurin values) and the points the rule would settle, for
-callers that can do better than Euler-Maclaurin with a doubtful sign.
+of Euler-Maclaurin.  ``hardy_z_paths`` gives, at a 1-D array of heights,
+the values, their bounds (0.0 for Euler-Maclaurin, the reference) and a
+path code per point: ``Z_EULER_MACLAURIN`` below ``RS_MIN_T``, ``Z_DOUBT``
+where |Z_RS| <= B(t) up to ``EM_MAX_T`` = 5e5, ``Z_RIEMANN_SIEGEL``
+elsewhere.  ``hardy_z`` takes Euler-Maclaurin at the ``Z_DOUBT`` points,
+so its signs are certain: the doubt rule.  Above ``EM_MAX_T`` the
+Euler-Maclaurin correction series stops converging near a zero; no
+reference is left and the Riemann-Siegel value stands, sign and all.
 
 ``hardy_z`` takes a 1-D array of heights; a scalar height is a one-point
 array.  The Riemann-Siegel points are evaluated together, in blocks of
 ``RS_BLOCK`` points sorted by N, so each point sums only its own N terms.
-The Euler-Maclaurin points are evaluated together too: each call makes
-one ``euler_maclaurin_zeta`` call for its points below ``RS_MIN_T`` and
-``hardy_z`` one more for the doubtful points, with theta(t) from the
-Lanczos form of log Gamma on the same array.  The scalar ``zeta`` and ``xi`` keep their one-point path.
+The Euler-Maclaurin points are evaluated together too: each
+``hardy_z_paths`` call makes one ``euler_maclaurin_zeta`` call for its
+points below ``RS_MIN_T`` and ``hardy_z`` one more for its ``Z_DOUBT``
+points, with theta(t) from the Lanczos form of log Gamma on the same array.
+
+The scalar ``zeta`` and ``xi`` keep their one-point path.
 """
 
 from __future__ import annotations
@@ -65,8 +67,8 @@ import math
 import numpy as np
 
 from ..errors import RealnessError
-from .gamma import _LANCZOS_G, _lanczos_sum, gamma, log_gamma
-from .zeta import EM_TERMS_CAP, RS_BLOCK, em_truncation, euler_maclaurin_zeta, zeta
+from .gamma import _LANCZOS_G, _lanczos_sum, gamma
+from .zeta import EM_TERMS_CAP, RS_BLOCK, euler_maclaurin_zeta, zeta
 
 _TWO_PI = 2.0 * math.pi
 
@@ -159,9 +161,10 @@ _RS_HORNER = np.array(
 # replaced whole, so concurrent readers always see a consistent tuple.
 _RS_TERMS = tuple((1.0 / math.sqrt(n), math.log(n)) for n in range(1, 17))
 
-# Xi(t) = -(t^2 + 1/4)/2 * pi^(-1/4) * |Gamma(1/4 + it/2)| * Z(t), so the
-# bracket-to-Xi sign map used by the zero finder is a fixed flip.
-XI_SIGN_FROM_Z = -1.0
+#: Path codes of ``hardy_z_paths``: how Z at each point was computed.
+Z_EULER_MACLAURIN = 0  # below RS_MIN_T
+Z_RIEMANN_SIEGEL = 1  # a certain sign, or any sign above EM_MAX_T
+Z_DOUBT = 2  # |Z_RS| <= B(t) at heights up to EM_MAX_T
 
 
 def xi(s: complex) -> complex:
@@ -195,12 +198,6 @@ def _real_part(value: complex, rel_bound: float, label: str) -> float:
     return value.real
 
 
-def riemann_siegel_theta(t: float) -> float:
-    """theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi, continuous in t."""
-    t = float(t)
-    return log_gamma(complex(0.25, 0.5 * t)).imag - 0.5 * t * math.log(math.pi)
-
-
 def theta_series(t: np.ndarray, log_t: np.ndarray) -> np.ndarray:
     """theta(t) on an array of heights from its asymptotic series, given
     ``log_t`` = log(t / 2 pi).
@@ -224,11 +221,6 @@ def _rs_terms(n: int) -> tuple[tuple[float, float], ...]:
         terms = tuple((1.0 / math.sqrt(k), math.log(k)) for k in range(1, size + 1))
         _RS_TERMS = terms
     return terms
-
-
-def _uses_riemann_siegel(t):
-    """Whether Z at ``t`` (a float or an array of heights) is Riemann-Siegel."""
-    return (t >= RS_MIN_T) & (t < math.inf)
 
 
 def _hardy_z_riemann_siegel(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -303,48 +295,37 @@ def _hardy_z_euler_maclaurin(t: np.ndarray) -> np.ndarray:
     return values.real
 
 
-def hardy_z_method(t: float) -> tuple[str, int]:
-    """The formula ``hardy_z(t)`` uses and its number of main-sum terms.
-
-    Riemann-Siegel only where it applies and the doubt rule keeps its value;
-    Euler-Maclaurin otherwise, the doubtful points it settles included.
-    """
-    t = float(t)
-    if _uses_riemann_siegel(t):
-        _, _, (doubt,) = hardy_z_with_bound(np.array([t]))
-        if not doubt:
-            return "riemann-siegel", int(math.sqrt(t / _TWO_PI))
-    return "euler-maclaurin", em_truncation(complex(0.5, t))
-
-
 def hardy_z(t: float | np.ndarray) -> float | np.ndarray:
     """Hardy's Z(t): real, O(1), with the same critical-line zeros as Xi.
 
-    sign(Xi(t)) = XI_SIGN_FROM_Z * sign(Z(t)).  Riemann-Siegel from RS_MIN_T
-    up, accurate to its bound B(t), and Euler-Maclaurin below it and where
-    the doubt rule settles a Riemann-Siegel sign (see the module
-    docstring), so every sign is certain up to EM_MAX_T.  A 1-D numpy
-    array of heights gives the array of Z values; a scalar height is
-    evaluated as a one-point array and gives a float.
+    Xi(t) = -(t^2 + 1/4)/2 * pi^(-1/4) * |Gamma(1/4 + it/2)| * Z(t), so
+    sign(Xi(t)) = -sign(Z(t)).  ``hardy_z_paths`` with Euler-Maclaurin at
+    its ``Z_DOUBT`` points (see the module docstring), so every sign is
+    certain up to EM_MAX_T; Riemann-Siegel values are accurate to their
+    bound B(t).  A 1-D numpy array of heights gives the array of Z values;
+    a scalar height is evaluated as a one-point array and gives a float.
 
     Raises:
         RealnessError: when the rotated zeta value fails to be real.
     """
-    if isinstance(t, np.ndarray) and t.ndim == 1:
-        return _hardy_z_array(t)
-    return float(_hardy_z_array(np.array([float(t)]))[0])
+    array = isinstance(t, np.ndarray) and t.ndim == 1
+    heights = t if array else np.array([float(t)])
+    values, _, paths = hardy_z_paths(heights)
+    doubt = paths == Z_DOUBT
+    values[doubt] = _hardy_z_euler_maclaurin(heights[doubt])
+    return values if array else float(values[0])
 
 
-def hardy_z_with_bound(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Z at a 1-D array of heights before the doubt rule: values, bounds, doubt.
+def hardy_z_paths(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Z at a 1-D array of heights before the doubt rule: values, bounds, paths.
 
-    Riemann-Siegel values where ``hardy_z`` would try it, each with its
-    bound B(t); Euler-Maclaurin values elsewhere, with bound 0.0 (they are
-    the reference).  ``doubt`` marks the Riemann-Siegel values whose sign
-    the doubt rule settles, |Z| <= B(t) at heights up to EM_MAX_T: exactly
-    the points at which ``hardy_z`` returns Euler-Maclaurin instead.  Every
-    other sign is certain, except a Riemann-Siegel one with |Z| <= B above
-    EM_MAX_T.
+    Riemann-Siegel values from RS_MIN_T up, each with its bound B(t);
+    Euler-Maclaurin values below it, with bound 0.0.  ``paths`` holds
+    ``Z_DOUBT`` where a Riemann-Siegel sign is in doubt, |Z| <= B(t) at
+    heights up to EM_MAX_T: exactly the points at which ``hardy_z`` takes
+    Euler-Maclaurin instead.  Every other Riemann-Siegel point is
+    ``Z_RIEMANN_SIEGEL``, its sign certain except where |Z| <= B above
+    EM_MAX_T, and the rest ``Z_EULER_MACLAURIN``.
 
     Raises:
         RealnessError: when the rotated zeta value fails to be real.
@@ -352,18 +333,12 @@ def hardy_z_with_bound(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     t = t.astype(np.float64, copy=False)
     values = np.empty_like(t)
     bounds = np.zeros_like(t)
-    rs = _uses_riemann_siegel(t)
+    rs = (t >= RS_MIN_T) & (t < math.inf)
     values[~rs] = _hardy_z_euler_maclaurin(t[~rs])
     rs_index = np.flatnonzero(rs)
     for start in range(0, rs_index.size, RS_BLOCK):
         block = rs_index[start : start + RS_BLOCK]
         values[block], bounds[block] = _hardy_z_riemann_siegel(t[block])
-    doubt = (bounds > 0.0) & ~(np.abs(values) > bounds) & (t <= EM_MAX_T)
-    return values, bounds, doubt
-
-
-def _hardy_z_array(t: np.ndarray) -> np.ndarray:
-    values, _, doubt = hardy_z_with_bound(t)
-    values[doubt] = _hardy_z_euler_maclaurin(t[doubt])
-    return values
-
+    paths = np.where(rs, Z_RIEMANN_SIEGEL, Z_EULER_MACLAURIN)
+    paths[rs & ~(np.abs(values) > bounds) & (t <= EM_MAX_T)] = Z_DOUBT
+    return values, bounds, paths

@@ -30,9 +30,9 @@ The rule only guides the search: nothing here certifies the count.
 
 Every Z evaluation is one array call: ``hardy_z`` for the Gram points, one
 more per splitting round for the new points of all short blocks, and, per
-refinement step, ``hardy_z_with_bound`` for the trial points of all the
+refinement step, ``hardy_z_paths`` for the trial points of all the
 brackets still open, which advance in lockstep, then ``hardy_z`` for the
-two sides of each trial point whose sign was in doubt.  The
+two sides of each trial point whose path code is ``Z_DOUBT``.  The
 Euler-Maclaurin points of each call are one array call too
 (``specfun.xi``).
 
@@ -61,8 +61,8 @@ from _blake2 import blake2b
 import numpy as np
 
 from .errors import BracketError, CacheCorruptionError, NonConvergenceError
-from .specfun import hardy_z, hardy_z_with_bound, riemann_siegel_theta
-from .specfun.xi import theta_series
+from .specfun import hardy_z, hardy_z_paths
+from .specfun.xi import Z_DOUBT, theta_series
 
 CACHE_VERSION = "v3"
 # About twice the largest cache a run can write: zero_count_estimate of
@@ -190,14 +190,15 @@ def refine_brackets(
 
         trial = a + step * (b - a)
         # A trial point whose Riemann-Siegel sign is in doubt lies near the
-        # root.  It is in doubt where hardy_z_with_bound says so, and taken to
+        # root.  It is in doubt where hardy_z_paths says Z_DOUBT, and taken to
         # be, unevaluated, where the line through the ends puts |Z| <= B(t)
         # of the last Riemann-Siegel point already: an interpolated point is
         # closer to the root than that.
         f_line = f_a + (trial - a) * ((f_b - f_a) / (b - a))
         near = (seen > 0.0) & ~(np.abs(f_line) > seen)
         f_trial, bound, doubt = np.zeros_like(trial), np.zeros_like(trial), near.copy()
-        f_trial[~near], bound[~near], doubt[~near] = hardy_z_with_bound(trial[~near])
+        f_trial[~near], bound[~near], paths = hardy_z_paths(trial[~near])
+        doubt[~near] = paths == Z_DOUBT
         seen = np.where(near, seen, bound)
         doubt = np.flatnonzero(doubt)
         straddled = np.zeros(live.size, dtype=bool)
@@ -298,7 +299,8 @@ def _gram_scan(t_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]
     takes t_max too, usually reaches a good one; otherwise a further call
     adds the next few.
     """
-    top = math.ceil(riemann_siegel_theta(max(t_max, 10.0)) / math.pi)  # g_top >= t_max
+    t_top = np.array([max(t_max, 10.0)])  # g_top >= t_max
+    top = math.ceil(theta_series(t_top, np.log(t_top / _TWO_PI))[0] / math.pi)
     gram = gram_points(-1, top + _GRAM_SPARE)
     values = hardy_z(np.append(gram, t_max))
     values, z_top = values[:-1], float(values[-1])

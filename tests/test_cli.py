@@ -321,6 +321,24 @@ def test_count_driven_cache_is_reused(monkeypatch):
         assert Path("r1", name).read_bytes() == Path("r2", name).read_bytes()
 
 
+def test_riemann_siegel_metadata_cold_and_warm(monkeypatch):
+    # 800 zeros need t = 1188, above RS_MIN_T: 13 main-sum terms.  A warm
+    # run evaluates no Z at that height, yet writes the same metadata.
+    args = ["audit", "all", "--t-max", "50", "--n-zeros", "800", "--cache", "C"]
+    assert run(args + ["--out", "r1"]) == 0
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the cache covers this run; no scan is needed")
+
+    monkeypatch.setattr(cli, "scan_zeros", no_scan)
+    assert run(args + ["--out", "r2"]) == 0
+    cold, warm = (Path(d, "audit_all.json").read_bytes() for d in ("r1", "r2"))
+    assert cold == warm
+    metadata = json.loads(cold)["metadata"]
+    assert metadata["z_method_at_scan_top"] == "riemann-siegel"
+    assert metadata["z_terms_at_scan_top"] == 13
+
+
 def test_audit_all_scans_once(monkeypatch):
     calls = []
     scan = cli.scan_zeros

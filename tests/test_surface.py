@@ -50,18 +50,15 @@ def test_specfun_surface():
         "OrderKind",
         "QuadratureResult",
         "RS_MIN_T",
-        "XI_SIGN_FROM_Z",
         "bessel_k_values",
         "bessel_k_with_error",
         "em_truncation",
         "gamma",
         "hardy_z",
-        "hardy_z_method",
-        "hardy_z_with_bound",
+        "hardy_z_paths",
         "integrate_semiinfinite",
         "integrate_semiinfinite_batch",
         "log_gamma",
-        "riemann_siegel_theta",
         "xi",
         "xi_critical",
         "zeta",

@@ -9,21 +9,27 @@ import numpy as np
 import pytest
 
 from conftest import rel_err
+from xispec.cli import _z_method
 from xispec.errors import NonConvergenceError, PoleError
 from make_siegelz_oracle import PATH as ORACLE_PATH, oracle_heights, siegelz
 from xispec.specfun import (
     RS_MIN_T,
-    XI_SIGN_FROM_Z,
     em_truncation,
     hardy_z,
-    hardy_z_method,
-    hardy_z_with_bound,
-    riemann_siegel_theta,
+    hardy_z_paths,
+    log_gamma,
     xi,
     xi_critical,
     zeta,
 )
-from xispec.specfun.xi import EM_MAX_T, _RS_C, _hardy_z_euler_maclaurin
+from xispec.specfun.xi import (
+    EM_MAX_T,
+    Z_DOUBT,
+    Z_EULER_MACLAURIN,
+    Z_RIEMANN_SIEGEL,
+    _RS_C,
+    _hardy_z_euler_maclaurin,
+)
 from xispec.specfun.zeta import euler_maclaurin_zeta
 from xispec.zeros import scan_zeros
 
@@ -77,9 +83,8 @@ def test_hardy_z_shares_signs_with_xi():
     for t in (2.0, 10.0, 14.2, 20.0, 26.0, 40.0, 75.0):
         xi_val = xi_critical(t)
         z_val = hardy_z(t)
-        assert math.copysign(1.0, xi_val) == XI_SIGN_FROM_Z * math.copysign(
-            1.0, z_val
-        )
+        # Xi = -(t^2 + 1/4)/2 pi^(-1/4) |Gamma(1/4 + it/2)| Z, so the signs flip.
+        assert math.copysign(1.0, xi_val) == -math.copysign(1.0, z_val)
 
 
 def test_hardy_z_survives_large_t():
@@ -90,8 +95,10 @@ def test_hardy_z_survives_large_t():
 
 
 def _euler_maclaurin_z(t):
-    """The scalar formula: the reference for the array Euler-Maclaurin path."""
-    value = cmath.exp(1j * riemann_siegel_theta(t)) * zeta(complex(0.5, t))
+    """The scalar formula, theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi:
+    the reference for the array Euler-Maclaurin path."""
+    theta = log_gamma(complex(0.25, 0.5 * t)).imag - 0.5 * t * math.log(math.pi)
+    value = cmath.exp(1j * theta) * zeta(complex(0.5, t))
     return value.real
 
 
@@ -155,39 +162,42 @@ def test_riemann_siegel_bound_against_oracle():
     assert heights.tolist() == oracle_heights()
     for k in (0, 1000, len(rows) - 1):
         assert abs(rows[k][1] - siegelz(rows[k][0])) <= 1e-15
-    values, bounds, doubt = hardy_z_with_bound(heights)
+    values, bounds, paths = hardy_z_paths(heights)
     assert (bounds > 0.0).all()
-    assert (doubt == ~(np.abs(values) > bounds)).all()
+    doubt = ~(np.abs(values) > bounds)
+    assert (paths == np.where(doubt, Z_DOUBT, Z_RIEMANN_SIEGEL)).all()
     assert (np.abs(values - np.array([z for _, z in rows])) <= bounds / 4.0).all()
-    (b_5000,) = hardy_z_with_bound(np.array([5000.0]))[1]
+    (b_5000,) = hardy_z_paths(np.array([5000.0]))[1]
     assert b_5000 <= 1e-9
     # Below RS_MIN_T, Euler-Maclaurin is the reference.
-    values, bounds, doubt = hardy_z_with_bound(np.array([150.0, 199.75]))
-    assert bounds.tolist() == [0.0, 0.0] and not doubt.any()
+    values, bounds, paths = hardy_z_paths(np.array([150.0, 199.75]))
+    assert bounds.tolist() == [0.0, 0.0]
+    assert paths.tolist() == [Z_EULER_MACLAURIN] * 2
     assert values.tolist() == [_em_path(150.0), _em_path(199.75)]
 
 
 def test_doubtful_riemann_siegel_sign_falls_back():
     # At the double nearest zero 100, |Z_RS| is below its bound B(t): the
-    # sign is in doubt, so hardy_z and hardy_z_method use Euler-Maclaurin.
+    # sign is in doubt (Z_DOUBT), so hardy_z uses Euler-Maclaurin.
     t = float(mp.zetazero(100).imag)
-    (z_rs,), (bound,), (doubt,) = hardy_z_with_bound(np.array([t]))
-    assert RS_MIN_T < t and abs(z_rs) <= bound and doubt
+    (z_rs,), (bound,), (path,) = hardy_z_paths(np.array([t]))
+    assert RS_MIN_T < t and abs(z_rs) <= bound and path == Z_DOUBT
     assert hardy_z(t) == _em_path(t)
     assert hardy_z(np.array([250.0, t])).tolist() == [hardy_z(250.0), hardy_z(t)]
-    assert hardy_z_method(t) == ("euler-maclaurin", em_truncation(complex(0.5, t)))
-    assert hardy_z_method(250.0) == ("riemann-siegel", 6)
+    assert _z_method(t) == ("euler-maclaurin", em_truncation(complex(0.5, t)))
+    assert hardy_z_paths(np.array([250.0]))[2].tolist() == [Z_RIEMANN_SIEGEL]
+    assert _z_method(250.0) == ("riemann-siegel", 6)
 
 
 def _doubtful_height(t_min):
     """A height just above t_min where |Z_RS| <= B(t): bisect a sign change."""
     grid = t_min + 0.01 * np.arange(200)
-    values = hardy_z_with_bound(grid)[0]
+    values = hardy_z_paths(grid)[0]
     i = np.flatnonzero(np.signbit(values[:-1]) != np.signbit(values[1:]))[0]
     lo, hi = float(grid[i]), float(grid[i + 1])
     while True:
         mid = 0.5 * (lo + hi)
-        (value,), (bound,), _ = hardy_z_with_bound(np.array([mid]))
+        (value,), (bound,), _ = hardy_z_paths(np.array([mid]))
         if not abs(value) > bound:
             return mid
         if np.signbit(value) == np.signbit(values[i]):
@@ -201,26 +211,55 @@ def test_doubt_rule_stops_where_euler_maclaurin_does():
     # capped corrections stop converging, and the Riemann-Siegel value stands.
     below = _doubtful_height(EM_MAX_T - 2.0)
     assert below <= EM_MAX_T
-    assert hardy_z_with_bound(np.array([below]))[2].tolist() == [True]
+    assert hardy_z_paths(np.array([below]))[2].tolist() == [Z_DOUBT]
     assert hardy_z(below) == _em_path(below)
-    assert hardy_z_method(below)[0] == "euler-maclaurin"
+    assert _z_method(below)[0] == "euler-maclaurin"
     above = _doubtful_height(1e6 - 2.0)
-    (z_rs,), (bound,), (doubt,) = hardy_z_with_bound(np.array([above]))
-    assert abs(z_rs) <= bound and not doubt
+    (z_rs,), (bound,), (path,) = hardy_z_paths(np.array([above]))
+    assert abs(z_rs) <= bound and path == Z_RIEMANN_SIEGEL
     assert hardy_z(above) == z_rs
-    assert hardy_z_method(above) == ("riemann-siegel", int(math.sqrt(above / (2 * math.pi))))
+    assert _z_method(above) == ("riemann-siegel", int(math.sqrt(above / (2 * math.pi))))
     with pytest.raises(NonConvergenceError):
         _euler_maclaurin_z(above)
 
 
 def test_z_method_switches_at_rs_min_t():
-    assert hardy_z_method(RS_MIN_T - 1e-9) == (
-        "euler-maclaurin", em_truncation(complex(0.5, RS_MIN_T - 1e-9)))
-    assert hardy_z_method(RS_MIN_T) == ("riemann-siegel", 5)
-    assert hardy_z_method(5000.0) == ("riemann-siegel", 28)
+    below = RS_MIN_T - 1e-9
+    paths = hardy_z_paths(np.array([below, RS_MIN_T, 5000.0]))[2]
+    assert paths.tolist() == [Z_EULER_MACLAURIN, Z_RIEMANN_SIEGEL, Z_RIEMANN_SIEGEL]
+    assert _z_method(below) == ("euler-maclaurin", em_truncation(complex(0.5, below)))
+    assert _z_method(RS_MIN_T) == ("riemann-siegel", 5)
+    assert _z_method(5000.0) == ("riemann-siegel", 28)
     assert hardy_z(RS_MIN_T - 1e-9) == _em_path(RS_MIN_T - 1e-9)
     # The two formulas agree where both apply.
     assert abs(hardy_z(1150.0) - _em_path(1150.0)) <= 1e-10
+
+
+def test_path_codes_split_the_points():
+    # One call over heights below RS_MIN_T, the oracle heights in
+    # [200, 6000], a doubtful height below EM_MAX_T and one above it.
+    rows = json.loads(ORACLE_PATH.read_text())
+    heights = np.concatenate([
+        np.linspace(0.5, RS_MIN_T - 1e-9, 40),
+        [t for t, _ in rows],
+        [float(mp.zetazero(100).imag), _doubtful_height(1e6 - 2.0)],
+    ])
+    values, bounds, paths = hardy_z_paths(heights)
+    rs = heights >= RS_MIN_T
+    assert ((paths == Z_EULER_MACLAURIN) == ~rs).all()
+    doubt = rs & ~(np.abs(values) > bounds) & (heights <= EM_MAX_T)
+    assert ((paths == Z_DOUBT) == doubt).all()
+    assert ((paths == Z_RIEMANN_SIEGEL) == (rs & ~doubt)).all()
+    assert doubt[-2] and not doubt[-1] and paths[-1] == Z_RIEMANN_SIEGEL
+    assert set(paths.tolist()) == {Z_EULER_MACLAURIN, Z_RIEMANN_SIEGEL, Z_DOUBT}
+    # hardy_z is the returned value except at Z_DOUBT, where it is Euler-Maclaurin.
+    z = hardy_z(heights)
+    assert z[~doubt].tolist() == values[~doubt].tolist()
+    assert z[doubt].tolist() == _hardy_z_euler_maclaurin(heights[doubt]).tolist()
+    # The one array call gives what one-point calls give.
+    alone = [hardy_z_paths(heights[i : i + 1]) for i in range(heights.size)]
+    for k, part in enumerate((values, bounds, paths)):
+        assert [p[k][0] for p in alone] == part.tolist()
 
 
 def _doubtful_scan_heights(monkeypatch):

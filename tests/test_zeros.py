@@ -11,7 +11,8 @@ import pytest
 
 from conftest import KNOWN_ZEROS_10, hardy_z_without_zeros_2_and_3
 from xispec.errors import BracketError, CacheCorruptionError, NonConvergenceError
-from xispec.specfun import RS_MIN_T, hardy_z, hardy_z_with_bound, xi_critical
+from xispec.specfun import RS_MIN_T, hardy_z, hardy_z_paths, xi_critical
+from xispec.specfun.xi import Z_DOUBT, Z_EULER_MACLAURIN
 from xispec import zeros as zeros_module
 from xispec.zeros import (
     CriticalZero,
@@ -120,7 +121,7 @@ def _count_z_points(monkeypatch) -> dict[str, int]:
     """Count the heights Z is evaluated at through ``xispec.zeros``, by phase,
     and (under "<phase> calls") the array calls that evaluate them.
 
-    Both entry points count: ``hardy_z`` and refinement's ``hardy_z_with_bound``.
+    Both entry points count: ``hardy_z`` and refinement's ``hardy_z_paths``.
     """
     calls = {"scan": 0, "refine": 0, "scan calls": 0, "refine calls": 0}
     phase = ["scan"]
@@ -131,10 +132,10 @@ def _count_z_points(monkeypatch) -> dict[str, int]:
         calls[phase[0] + " calls"] += 1
         return hardy_z(t)
 
-    def counted_bounded(t):
+    def counted_paths(t):
         calls[phase[0]] += np.size(t)
         calls[phase[0] + " calls"] += 1
-        return hardy_z_with_bound(t)
+        return hardy_z_paths(t)
 
     def counted_refine(*args, **kwargs):
         phase[0] = "refine"
@@ -144,7 +145,7 @@ def _count_z_points(monkeypatch) -> dict[str, int]:
             phase[0] = "scan"
 
     monkeypatch.setattr(zeros_module, "hardy_z", counted_z)
-    monkeypatch.setattr(zeros_module, "hardy_z_with_bound", counted_bounded)
+    monkeypatch.setattr(zeros_module, "hardy_z_paths", counted_paths)
     monkeypatch.setattr(zeros_module, "refine_brackets", counted_refine)
     return calls
 
@@ -253,7 +254,7 @@ def test_bracket_ends_are_certified(t_max, zeros_for_products, deep_scan):
     assert ((z_lo < 0.0) != (z_hi < 0.0)).all()
 
 
-def _scalar_chandrupatla(bracket, tol, z, z_bound):
+def _scalar_chandrupatla(bracket, tol, z, z_paths):
     """One bracket at a time, in Python floats: the lockstep loop's reference."""
     t_lo, t_hi = bracket
     spacing = math.ulp(max(abs(t_lo), abs(t_hi)))
@@ -273,7 +274,8 @@ def _scalar_chandrupatla(bracket, tol, z, z_bound):
         f_line = f_a + (trial - a) * ((f_b - f_a) / (b - a))
         doubt = seen > 0.0 and not abs(f_line) > seen
         if not doubt:
-            (f_trial,), (seen,), (doubt,) = z_bound(np.array([trial]))
+            (f_trial,), (seen,), (path,) = z_paths(np.array([trial]))
+            doubt = path == Z_DOUBT
         if doubt:
             o = min(max(2.0 * seen / abs((f_b - f_a) / (b - a)), 0.25 * tol), 0.49 * tol)
             s_lo = max(trial - o, min(a, b))
@@ -313,9 +315,9 @@ def _scalar_z(t):
     return hardy_z(t)
 
 
-def _scalar_z_with_bound(t):
-    """``hardy_z_with_bound`` one height per call."""
-    points = [hardy_z_with_bound(np.array([x])) for x in t.tolist()]
+def _scalar_z_paths(t):
+    """``hardy_z_paths`` one height per call."""
+    points = [hardy_z_paths(np.array([x])) for x in t.tolist()]
     return tuple(np.array([p[k][0] for p in points]) for k in range(3))
 
 
@@ -326,7 +328,7 @@ def test_lockstep_refinement_matches_scalar_loop(monkeypatch, tol):
     # exactly.  Near t = 800 the bound B(t) is 2.8e-8, so at the two tighter
     # tolerances the doubt rule decides the last steps.
     monkeypatch.setattr(zeros_module, "hardy_z", _scalar_z)
-    monkeypatch.setattr(zeros_module, "hardy_z_with_bound", _scalar_z_with_bound)
+    monkeypatch.setattr(zeros_module, "hardy_z_paths", _scalar_z_paths)
     grid = np.arange(3080, 3321) * 0.25
     values = _scalar_z(grid)
     flips = np.flatnonzero(np.sign(values[:-1]) != np.sign(values[1:]))
@@ -337,7 +339,7 @@ def test_lockstep_refinement_matches_scalar_loop(monkeypatch, tol):
     assert [z.index for z in found] == list(range(1, len(brackets) + 1))
     for z, bracket in zip(found, brackets):
         assert (z.gamma, z.bracket, z.abs_err) == _scalar_chandrupatla(
-            bracket, tol, _scalar_z, _scalar_z_with_bound
+            bracket, tol, _scalar_z, _scalar_z_paths
         )
         if tol < 1e-15:
             assert z.bracket[1] - z.bracket[0] <= 4 * np.spacing(bracket[1])
@@ -366,8 +368,8 @@ def test_lockstep_zero_at_trial_point(monkeypatch):
     monkeypatch.setattr(zeros_module, "hardy_z", sine)
     monkeypatch.setattr(
         zeros_module,
-        "hardy_z_with_bound",
-        lambda t: (sine(t), np.zeros(t.size), np.zeros(t.size, dtype=bool)),
+        "hardy_z_paths",
+        lambda t: (sine(t), np.zeros(t.size), np.full(t.size, Z_EULER_MACLAURIN)),
     )
     first, second = refine_brackets([(14.0, 15.0), (15.25, 16.0)], 1e-9)
     assert first == CriticalZero(1, 14.5, (14.5 - 0.5e-9, 14.5 + 0.5e-9), 0.5e-9)
