@@ -40,6 +40,16 @@ _READ_MAX_BYTES = 2**20
 #: The subcommands; each field's metadata names those that read it.
 COMMANDS = ("zeros", "audit", "plot")
 
+#: The tol each subcommand scans at when neither a flag nor a config key
+#: sets it.  ``zeros`` lists ordinates to 1e-8.  The audits need less: the
+#: Hadamard bound covers the listed abs_err (``hadamard.fitted_misfit``),
+#: and at 1e-6 that term is about 7.5e-10 at 800 zeros, under a tenth of
+#: every truncation's bound; the coincidence audit judges a probe by Z's
+#: signs two abs_err either side of its zero; eq5 and Carlson read no zeros.
+#: A scan to t = 1188 at 1e-6 evaluates Euler-Maclaurin at 16 heights from
+#: RS_MIN_T up, against 1,195 at 1e-8.
+DEFAULT_TOL = {"zeros": 1e-8, "audit": 1e-6, "plot": 1e-6}
+
 
 @dataclass
 class RunConfig:
@@ -47,8 +57,9 @@ class RunConfig:
         "scan critical-line zeros up to this height (default 50, at most "
         f"{T_MAX_CEILING:g})"
     )})
-    tol: float = field(default=1e-8, metadata={"commands": COMMANDS, "help": (
-        "bracket width each zero is refined to (default 1e-8)"
+    tol: float = field(default=DEFAULT_TOL["zeros"], metadata={"commands": COMMANDS, "help": (
+        "bracket width each zero is refined to (default 1e-8 for zeros, 1e-6 "
+        "for audit and plot)"
     )})
     n_zeros: int = field(default=200, metadata={"commands": ("audit", "plot"), "help": (
         "zeros of the Hadamard product (800 at most) and the coincidence audit, which "
@@ -150,8 +161,11 @@ def build_config(file_path: str | None, flag_overrides: dict, command: str) -> R
     """Merge defaults, config file, then explicit flags (None = not given).
 
     ``command`` is the subcommand the config is for: the file may set only
-    the options it reads (``COMMAND_OPTIONS``).
+    the options it reads (``COMMAND_OPTIONS``), and its tol defaults to
+    ``DEFAULT_TOL[command]``.
     """
-    merged = parse_config_file(file_path, command) if file_path is not None else {}
+    merged = {"tol": DEFAULT_TOL[command]}
+    if file_path is not None:
+        merged.update(parse_config_file(file_path, command))
     merged.update((k, v) for k, v in flag_overrides.items() if v is not None)
     return RunConfig(**merged)

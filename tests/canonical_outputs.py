@@ -30,6 +30,8 @@ COMMANDS = [
     ("report-audit-all-cold", ["report", "--out", "audit-all-cold"]),
     ("audit-all-warm", AUDIT_ALL + ["--out", "audit-all-warm"]),
     ("audit-all-csv", AUDIT_ALL + ["--format", "csv", "--out", "audit-all-csv"]),
+    ("audit-all-tol-1e-8",
+     AUDIT_ALL[:-1] + ["zeros-tol-1e-8.csv", "--tol", "1e-8", "--out", "audit-all-tol-1e-8"]),
     ("audit-carlson", ["audit", "carlson", "--m", "3", "--out", "audit-carlson"]),
     ("audit-coincidence-perturbed",
      ["audit", "coincidence", "--perturb", "0.01", "--out", "audit-coincidence-perturbed"]),

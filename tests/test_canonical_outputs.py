@@ -23,7 +23,7 @@ def test_canonical_outputs_run_whole(tmp_path):
     assert _children_cpu_s() - before <= 10.0
     assert done.returncode == 0, done.stderr
     exits = sorted(tmp_path.glob("*.exit"))
-    assert len(exits) == 17
+    assert len(exits) == 18
     for path in exits:
         # The perturbed coincidence probe is DISTINCT: an audit failure.
         code = "1\n" if path.name == "audit-coincidence-perturbed.exit" else "0\n"

@@ -267,7 +267,8 @@ def test_audit_coincidence_probes_only_kept_factors():
 
 
 def test_audit_coincidence_csv_rows():
-    assert run(["audit", "coincidence", "--format", "csv", "--out", "reports"]) == 0
+    args = ["audit", "coincidence", "--tol", "1e-8", "--format", "csv", "--out", "reports"]
+    assert run(args) == 0
     rows = Path("reports/audit_coincidence.csv").read_text().splitlines()
     assert rows[0] == "probe,abs_z,verdict"
     assert len(rows) == 6
@@ -455,6 +456,70 @@ def test_cache_mismatch_recomputes(capsys):
     assert len(out) == 3
     header = Path("zc.csv").read_text().splitlines()[0]
     assert "tol=1e-08" in header
+
+
+def _verdicts(out_dir: str) -> list[str]:
+    audits = json.loads(Path(out_dir, "audit_all.json").read_text())["audits"]
+    return [a["verdict"] for a in audits]
+
+
+def _cache_tol(path: str) -> str:
+    """The tol field of a cache file's header."""
+    header = Path(path).read_text().splitlines()[0]
+    return next(field for field in header.split() if field.startswith("tol="))
+
+
+def test_audit_default_tol_keeps_the_verdicts_of_1e_8():
+    # audit and plot scan at 1e-6 unless told otherwise; no verdict moves.
+    args = ["audit", "all", "--t-max", "50", "--n-zeros", "800"]
+    assert run(args + ["--cache", "fine.csv", "--tol", "1e-8", "--out", "fine"]) == 0
+    assert run(args + ["--cache", "coarse.csv", "--out", "coarse"]) == 0
+    assert _verdicts("coarse") == _verdicts("fine") == [
+        "CONSISTENT_UP_TO_CONSTANT", "NOT_APPLICABLE", "PASS", "COINCIDE", "INCONCLUSIVE",
+    ]
+    metadata = json.loads(Path("coarse/audit_all.json").read_text())["metadata"]
+    assert metadata["config"]["tol"] == 1e-06
+    assert _cache_tol("coarse.csv") == "tol=1e-06"
+    assert _cache_tol("fine.csv") == "tol=1e-08"
+
+
+def test_audit_config_file_tol_wins_over_the_default(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol = 1e-8\n")
+    args = ["audit", "all", "--t-max", "40", "--n-zeros", "50", "--cache", "C"]
+    assert run(args + ["--config", str(cfg), "--out", "r"]) == 0
+    metadata = json.loads(Path("r/audit_all.json").read_text())["metadata"]
+    assert metadata["config"]["tol"] == 1e-08
+    assert _cache_tol("C") == "tol=1e-08"
+
+
+def test_zeros_and_audit_share_a_cache_file(capsys, monkeypatch):
+    # The cache is keyed by tol: zeros (1e-8) and audit (1e-6) each miss the
+    # other's cache, rescan and rewrite it, and the audit writes a cold
+    # audit's reports.  Each cache covers the next run's height (50 zeros
+    # need t = 149.7), so only the tol makes it miss.
+    scans = []
+    scan = cli.scan_zeros
+
+    def counted(t_max, tol):
+        scans.append(tol)
+        return scan(t_max, tol)
+
+    monkeypatch.setattr(cli, "scan_zeros", counted)
+    audit = ["audit", "all", "--n-zeros", "50"]
+    assert run(audit + ["--cache", "cold.csv", "--out", "cold"]) == 0
+    assert run(["zeros", "--t-max", "150", "--cache", "c.csv"]) == 0
+    assert _cache_tol("c.csv") == "tol=1e-08"
+    assert run(audit + ["--cache", "c.csv", "--out", "shared"]) == 0
+    assert _cache_tol("c.csv") == "tol=1e-06"
+    assert run(["zeros", "--t-max", "149", "--cache", "c.csv"]) == 0
+    assert _cache_tol("c.csv") == "tol=1e-08"
+    assert scans == [1e-6, 1e-8, 1e-6, 1e-8]
+    assert "Traceback" not in capsys.readouterr().err
+    names = sorted(os.listdir("cold"))
+    assert names == sorted(os.listdir("shared"))
+    for name in names:
+        assert Path("shared", name).read_bytes() == Path("cold", name).read_bytes(), name
 
 
 def test_audit_exit_4_on_numerical_failure(monkeypatch):

@@ -12,24 +12,33 @@ from xispec.specfun.xi import EM_MAX_T
 
 
 def test_defaults():
+    # zeros lists ordinates to 1e-8; audit and plot scan at 1e-6, which
+    # their bounds need (config.DEFAULT_TOL).
     cfg = build_config(None, {}, "audit")
     assert cfg.t_max == 50.0
-    assert cfg.tol == 1e-8
+    assert cfg.tol == 1e-6
     assert cfg.format == "json"
+    assert build_config(None, {}, "plot").tol == 1e-6
+    assert build_config(None, {}, "zeros").tol == 1e-8
+    assert RunConfig().tol == 1e-8
 
 
 def test_flag_overrides():
     cfg = build_config(None, {"t_max": 30.0, "tol": None}, "audit")
     assert cfg.t_max == 30.0
-    assert cfg.tol == 1e-8
+    assert cfg.tol == 1e-6
+    assert build_config(None, {"tol": None}, "zeros").tol == 1e-8
+    assert build_config(None, {"tol": 1e-8}, "audit").tol == 1e-8
+    assert build_config(None, {"tol": 1e-3}, "zeros").tol == 1e-3
 
 
 def test_file_then_flags(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("t-max = 40\nn-zeros = 300   # product zeros\n\n# comment\n")
+    path.write_text("t-max = 40\nn-zeros = 300   # product zeros\ntol = 1e-7\n\n# comment\n")
     cfg = build_config(str(path), {"t_max": 60.0}, "audit")
     assert cfg.t_max == 60.0       # flag wins
     assert cfg.n_zeros == 300
+    assert cfg.tol == 1e-7         # the file wins over the command's default
 
 
 def test_threads_key_rejected(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import KNOWN_ZEROS_10
 from xispec import cli
+from xispec.config import build_config
 from xispec.errors import DomainError
 from xispec.hadamard import (
     ZERO_SUM,
@@ -211,6 +212,25 @@ def test_bound_covers_the_ordinates_error(zeros_for_products, xi_samples):
         assert moved <= bound - exact_list_bound
     # Where an ordinate's interval reaches down to |u|, no bound holds.
     assert fitted_misfit(xs, targets, TEN_ZERO_SPEC, 10, [14.0] * 10)[1] == math.inf
+
+
+def test_audit_default_tol_leaves_the_bound_ten_times_the_ordinates_term(xi_samples):
+    # An audit without --tol scans at config.DEFAULT_TOL["audit"].  The part
+    # of each truncation's bound that the listed abs_err adds (defect 16's
+    # term, about 7.5e-10 at tol 1e-6) must stay under a tenth of the bound,
+    # so the coarser list costs the audit no sharpness; and the misfit of the
+    # list it scans stays within its bound.
+    xs, targets = xi_samples
+    run = cli._Run(build_config(None, {"n_zeros": 800}, "audit"))
+    zeros = scan_zeros(run.t_scan, run.cfg.tol)
+    assert run.cfg.tol == 1e-6 and len(zeros) >= 800
+    spec = ProductSpec(tuple(z.gamma for z in zeros))
+    abs_err = [z.abs_err for z in zeros]
+    for n in cli.HADAMARD_TRUNCATIONS:
+        misfit, bound = fitted_misfit(xs, targets, spec, n, abs_err)
+        _, exact_list_bound = fitted_misfit(xs, targets, spec, n, [0.0] * n)
+        assert 0.0 < bound - exact_list_bound <= bound / 10.0, n
+        assert misfit <= bound, n
 
 
 def test_product_approximates_xi_at_two(zeros_for_products):

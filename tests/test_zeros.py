@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import KNOWN_ZEROS_10, hardy_z_without_zeros_2_and_3
+from xispec import cli
+from xispec.config import build_config
 from xispec.errors import BracketError, CacheCorruptionError, NonConvergenceError
 from xispec.specfun import RS_MIN_T, hardy_z, hardy_z_paths, xi_critical
 from xispec.specfun.xi import Z_DOUBT, Z_EULER_MACLAURIN
@@ -218,6 +220,20 @@ def test_euler_maclaurin_share_to_5000(monkeypatch):
     assert em_heights.size <= 600
     assert (em_heights >= RS_MIN_T).sum() <= 30
     assert len(em_calls) <= 16
+
+
+def test_euler_maclaurin_share_of_the_audit_scan(monkeypatch):
+    # An audit without --tol scans to t = 1188.36 for 800 zeros at
+    # config.DEFAULT_TOL["audit"] = 1e-6: Euler-Maclaurin at 571 heights, 16
+    # of them from RS_MIN_T up.  At the zeros command's 1e-8 it took 1,798
+    # and 1,195 (test_scan_z_point_count).
+    run = cli._Run(build_config(None, {"n_zeros": 800}, "audit"))
+    em_calls = _count_em_heights(monkeypatch)
+    found = scan_zeros(run.t_scan, run.cfg.tol)
+    assert len(found) == 803
+    em_heights = np.concatenate(em_calls)
+    assert em_heights.size <= 600
+    assert (em_heights >= RS_MIN_T).sum() <= 30
 
 
 @pytest.fixture(scope="module")
