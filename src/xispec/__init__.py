@@ -34,7 +34,7 @@ from .specfun import (
     xi_critical,
     zeta,
 )
-from .zeros import CriticalZero, ZeroCache, refine_zero, scan_zeros
+from .zeros import CriticalZero, ZeroCache, ZeroTable, refine_zero, scan_zeros
 
 __version__ = "0.1.0"
 
@@ -49,6 +49,7 @@ __all__ = [
     "QuadratureResult",
     "Verdict",
     "ZeroCache",
+    "ZeroTable",
     "__version__",
     "coupling_spectrum",
     "gamma",

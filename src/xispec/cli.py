@@ -67,13 +67,7 @@ from .specfun import (
     xi_critical,
 )
 from .specfun.xi import Z_RIEMANN_SIEGEL
-from .zeros import (
-    CriticalZero,
-    ZeroCache,
-    format_rows,
-    scan_zeros,
-    zero_count_estimate,
-)
+from .zeros import ZeroCache, ZeroTable, format_rows, scan_zeros, zero_count_estimate
 
 EXIT_OK = 0
 EXIT_AUDIT_FAILURE = 1
@@ -130,18 +124,18 @@ def _t_for_zero_count(count: int) -> float:
     return hi + 2.0
 
 
-def _gather_zeros(cfg: RunConfig, t_max: float, need: int = 0) -> list[CriticalZero]:
+def _gather_zeros(cfg: RunConfig, t_max: float, need: int = 0) -> ZeroTable:
     """Zeros up to t_max, via the cache when it covers t_max and holds need."""
     if cfg.cache and os.path.exists(cfg.cache):
         cache = ZeroCache.load(cfg.cache)  # corruption propagates: exit 3
         if cache is not None and cache.matches(t_max, cfg.tol):
-            zeros = [z for z in cache.zeros if z.bracket[0] <= t_max]
+            zeros = cache.zeros[cache.zeros.lo <= t_max]
             # List the zero whose bracket holds t_max as a scan to t_max
             # would: when Z(t_max) has the sign Z takes just past zero k,
             # (-1)^(k+1), 0.0 counting as positive.
-            if zeros and zeros[-1].bracket[1] > t_max:
-                if (hardy_z(t_max) < 0.0) != (zeros[-1].index % 2 == 0):
-                    zeros.pop()
+            if zeros and zeros.hi[-1] > t_max:
+                if (hardy_z(t_max) < 0.0) != (len(zeros) % 2 == 0):
+                    zeros = zeros[:-1]
             if len(zeros) >= need:
                 return zeros
     zeros = scan_zeros(t_max, cfg.tol)
@@ -167,12 +161,12 @@ class _Run:
         self.t_scan = max(cfg.t_max, _t_for_zero_count(self.need))
 
     @functools.cached_property
-    def zeros(self) -> list[CriticalZero]:
+    def zeros(self) -> ZeroTable:
         return _gather_zeros(self.cfg, self.t_scan, self.need)
 
     @functools.cached_property
     def product(self) -> ProductSpec:
-        return ProductSpec(zero_ordinates=tuple(z.gamma for z in self.zeros))
+        return ProductSpec(zero_ordinates=tuple(self.zeros.gamma.tolist()))
 
     @functools.cached_property
     def eq9_fit(self) -> PrefactorFit:
@@ -240,7 +234,7 @@ def _hadamard_curve(
         )
     xs = np.linspace(-1.0, 2.0, 21)
     targets = np.array([xi(complex(x, 0.0)).real for x in xs])
-    abs_err = [z.abs_err for z in run.zeros]
+    abs_err = run.zeros.abs_err
     misfits, bounds = zip(*(fitted_misfit(xs, targets, spec, n, abs_err) for n in truncations))
     return truncations, list(misfits), list(bounds)
 
@@ -277,7 +271,7 @@ def _run_hadamard(run: _Run) -> tuple[AuditReport, list[str]]:
 
 
 def _run_coincidence(run: _Run) -> tuple[AuditReport, list[str]]:
-    probes = [z.gamma for z in run.zeros[: min(COINCIDENCE_PROBES, run.cfg.n_zeros)]]
+    probes = run.zeros.gamma[: min(COINCIDENCE_PROBES, run.cfg.n_zeros)].tolist()
     if run.cfg.perturb != 0.0:
         probes[0] += run.cfg.perturb
     report = audit_coincidence(run.zeros, probes)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -324,11 +325,11 @@ class CouplingRecord:
 
 
 def coupling_spectrum(
-    zeros: list[CriticalZero],
+    zeros: Sequence[CriticalZero],
     check_finiteness: bool = True,
     tol: float = 1e-9,
 ) -> list[CouplingRecord]:
-    """Coupling records for a list of critical-line zeros.
+    """Coupling records for a sequence of critical-line zeros.
 
     Each lambda is real with lambda < -1/4 by exact arithmetic; when
     ``check_finiteness`` is set, the norm integral is evaluated at each

@@ -33,7 +33,7 @@ from .errors import DomainError
 from .report import AuditReport, Verdict
 from .specfun import hardy_z
 from .specfun.xi import EM_MAX_T
-from .zeros import CriticalZero, zero_count_main_term, zero_count_remainder_bound
+from .zeros import ZeroTable, zero_count_main_term, zero_count_remainder_bound
 
 #: xi(0), the constant of the product.
 XI_AT_ZERO = 0.5
@@ -197,7 +197,7 @@ def fitted_misfit(
     return misfit, math.expm1(tail + shift) + (3 * n + 64) * 2.0**-52
 
 
-def audit_coincidence(zeros: Sequence[CriticalZero], probes: Sequence[float]) -> AuditReport:
+def audit_coincidence(zeros: ZeroTable, probes: Sequence[float]) -> AuditReport:
     """Does xi vanish at each probe?  Judged by Hardy's Z, which has xi's
     zeros: one ``hardy_z`` call reads it at each probe p and at gamma_k -+ w,
     gamma_k the listed zero nearest p and w twice its ``abs_err``.
@@ -220,17 +220,16 @@ def audit_coincidence(zeros: Sequence[CriticalZero], probes: Sequence[float]) ->
             raise DomainError(f"coincidence probe {p!r} is outside (0, {EM_MAX_T:g}]")
     if probes and not zeros:
         raise DomainError("no listed zero to judge the coincidence probes by")
-    g = np.array([z.gamma for z in zeros])
-    nearest = [zeros[int(np.argmin(np.abs(g - p)))] for p in probes]
-    sides = [z.gamma + d * z.abs_err for z in nearest for d in (-2.0, 2.0)]
-    values = hardy_z(np.array(probes + sides))
+    nearest = [int(np.argmin(np.abs(zeros.gamma - p))) for p in probes]
+    g, w = zeros.gamma[nearest], 2.0 * zeros.abs_err[nearest]
+    values = hardy_z(np.concatenate([probes, np.column_stack([g - w, g + w]).ravel()]))
     k = len(probes)
     opposite = np.sign(values[k::2]) * np.sign(values[k + 1::2]) < 0.0
     verdicts = [
         (Verdict.COINCIDE if o else Verdict.INCONCLUSIVE)
-        if abs(p - z.gamma) <= 2.0 * z.abs_err
+        if near
         else (Verdict.DISTINCT if v != 0.0 else Verdict.INCONCLUSIVE)
-        for p, z, v, o in zip(probes, nearest, values[:k], opposite)
+        for near, v, o in zip(np.abs(np.subtract(probes, g)) <= w, values[:k], opposite)
     ]
     verdict = next((v for v in (Verdict.DISTINCT, Verdict.INCONCLUSIVE) if v in verdicts),
                    Verdict.COINCIDE)
@@ -243,7 +242,7 @@ def audit_coincidence(zeros: Sequence[CriticalZero], probes: Sequence[float]) ->
             "note": "tolerance 0 until Euler-Maclaurin Z has an error bound; verdicts use signs",
         },
         measured=measured,
-        reference=[z.gamma for z in nearest],
+        reference=g.tolist(),
         ratio_or_residual=max(measured, default=0.0),
         tolerance=0.0,
         verdict=verdict,

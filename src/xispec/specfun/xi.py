@@ -168,7 +168,11 @@ Z_DOUBT = 2  # |Z_RS| <= B(t) at heights up to EM_MAX_T
 
 
 def xi(s: complex) -> complex:
-    """Completed xi function; entire, with xi(0) = xi(1) = 1/2."""
+    """Completed xi function; entire, with xi(0) = xi(1) = 1/2.
+
+    Raises:
+        NonConvergenceError: as ``zeta`` does, from about |Im s| = 5.7e5.
+    """
     s = complex(s)
     if s == 1.0:
         pole_unit = complex(1.0)  # lim (s-1) zeta(s)
@@ -185,6 +189,7 @@ def xi_critical(t: float) -> float:
 
     Raises:
         RealnessError: when the imaginary residue exceeds the bound.
+        NonConvergenceError: where ``xi`` raises it, from about t = 5.7e5.
     """
     return _real_part(xi(complex(0.5, float(t))), 1e-10, f"xi_critical({t!r})")
 

@@ -211,6 +211,8 @@ def zeta(s: complex) -> complex:
 
     Raises:
         PoleError: at s = 1.
+        NonConvergenceError: from about |Im s| = 5.7e5, where Euler-Maclaurin
+            with its truncation point capped at ``EM_TERMS_CAP`` does not converge.
     """
     s = complex(s)
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):

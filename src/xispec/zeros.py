@@ -76,6 +76,7 @@ _GRAM_NEWTON_STEPS = 20
 _GRAM_SPARE = 4
 # A short Rosser block's intervals are split at most this many ways.
 _BLOCK_SPLIT_CAP = 4096
+_COLUMNS = ("gamma", "lo", "hi", "abs_err")
 
 
 @dataclass(frozen=True)
@@ -97,12 +98,47 @@ class CriticalZero:
             raise ValueError("indices start at 1")
 
 
+@dataclass(frozen=True, eq=False)
+class ZeroTable(Sequence[CriticalZero]):
+    """Zeros 1, 2, ..., n as read-only float64 columns: row k is zero k + 1,
+    its ``gamma`` strictly inside (``lo``, ``hi``), within ``abs_err``.
+    An integer index gives that row as a ``CriticalZero``; a slice or a
+    boolean mask gives the table of those rows, numbered from 1 again."""
+
+    gamma: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    abs_err: np.ndarray
+
+    def __post_init__(self) -> None:
+        columns = np.array([getattr(self, f) for f in _COLUMNS], dtype=np.float64)
+        if columns.ndim != 2:
+            raise ValueError("the columns must be 1-d and of one length")
+        columns.flags.writeable = False
+        for name, column in zip(_COLUMNS, columns):
+            object.__setattr__(self, name, column)
+        if not ((self.lo < self.gamma) & (self.gamma < self.hi)).all():
+            raise ValueError("gamma must lie strictly inside its bracket")
+        if (self.abs_err < 0.0).any():
+            raise ValueError("abs_err must be non-negative")
+
+    def __len__(self) -> int:
+        return self.gamma.size
+
+    def __getitem__(self, key: int | slice | np.ndarray) -> "CriticalZero | ZeroTable":
+        if isinstance(key, (slice, np.ndarray)):
+            return ZeroTable(*(getattr(self, f)[key] for f in _COLUMNS))
+        k = range(len(self))[key]
+        g, lo, hi, e = (float(getattr(self, f)[k]) for f in _COLUMNS)
+        return CriticalZero(k + 1, g, (lo, hi), e)
+
+
 def refine_brackets(
     brackets: Sequence[tuple[float, float]],
     tol: float,
     *,
     z_ends: Sequence[tuple[float, float]] | None = None,
-) -> list[CriticalZero]:
+) -> ZeroTable:
     """Refine sign-change brackets of Xi (equivalently Z) to width <= tol.
 
     The k-th bracket gives the zero with index k.  A tol below four times
@@ -183,10 +219,7 @@ def refine_brackets(
             x[~closed] for x in (live, a, f_a, b, f_b, step, seen)
         )
         if live.size == 0:  # every column of found is set by now
-            return [
-                CriticalZero(i, g, (l, h), e)
-                for i, (g, l, h, e) in enumerate(zip(*found.tolist()), start=1)
-            ]
+            return ZeroTable(*found)
 
         trial = a + step * (b - a)
         # A trial point whose Riemann-Siegel sign is in doubt lies near the
@@ -267,8 +300,7 @@ def refine_zero(bracket: tuple[float, float], tol: float) -> CriticalZero:
     Raises:
         BracketError: if the endpoints do not straddle a sign change.
     """
-    (zero,) = refine_brackets([bracket], tol)
-    return zero
+    return refine_brackets([bracket], tol)[0]
 
 
 def gram_points(first: int, last: int) -> np.ndarray:
@@ -375,7 +407,7 @@ def _split_short_blocks(
     return t[order], z[order]
 
 
-def scan_zeros(t_max: float, tol: float) -> list[CriticalZero]:
+def scan_zeros(t_max: float, tol: float) -> ZeroTable:
     """All zeros of Xi on (0, t_max], in increasing order, refined to tol.
 
     Z is sampled at the Gram points g_-1 ... g_K, g_K the first good one
@@ -443,12 +475,13 @@ def cache_checksum(head: str, data: bytes) -> int:
     return int.from_bytes(digest.digest(), "big")
 
 
-def format_rows(zeros: list[CriticalZero]) -> list[str]:
+def format_rows(zeros: ZeroTable) -> list[str]:
     """One `index,gamma,abs_err` row per zero: the cache and `xispec zeros` format."""
-    return [f"{z.index},{z.gamma:.15g},{z.abs_err:.3e}" for z in zeros]
+    rows = zip(range(1, len(zeros) + 1), zeros.gamma.tolist(), zeros.abs_err.tolist())
+    return ["%d,%.15g,%.3e" % row for row in rows]
 
 
-def parse_rows(lines: list[str], source: str) -> list[CriticalZero]:
+def parse_rows(lines: list[str], source: str) -> ZeroTable:
     """Zeros from `index,gamma,abs_err` rows, the first on line 2 of ``source``.
 
     Gamma and abs_err come back as the doubles their 15 and 4 significant
@@ -459,27 +492,37 @@ def parse_rows(lines: list[str], source: str) -> list[CriticalZero]:
         CacheCorruptionError: for a row that does not parse, indices that
             do not run 1, 2, ..., or a gamma that does not increase.
     """
-    zeros: list[CriticalZero] = []
+    index, rows, unparsed = [], [], None
     for lineno, line in enumerate(lines, start=2):
         try:
             idx_s, gamma_s, err_s = line.split(",")
-            gamma = float(gamma_s)
-            err = float(err_s)
-            zeros.append(CriticalZero(int(idx_s), gamma, (gamma - err, gamma + err), err))
+            row = float(gamma_s), float(err_s)
+            index.append(int(idx_s))
         except ValueError as exc:
-            raise CacheCorruptionError(
-                f"cache {source}: bad row at line {lineno}: {exc}"
-            ) from exc
-        if zeros[-1].index != lineno - 1:
-            raise CacheCorruptionError(
-                f"cache {source}: index {zeros[-1].index} at line {lineno}, "
-                f"expected {lineno - 1}"
-            )
-        if len(zeros) > 1 and not zeros[-1].gamma > zeros[-2].gamma:
-            raise CacheCorruptionError(
-                f"cache {source}: gamma does not increase at line {lineno}"
-            )
-    return zeros
+            unparsed = exc  # raised unless an earlier line has a fault
+            break
+        rows.append(row)
+    g, e = np.array(rows).reshape(-1, 2).T
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, as with floats
+        lo, hi = g - e, g + e
+    # Faults: a CriticalZero check, a wrong index (any int), a gamma that falls.
+    bad = ~((lo < g) & (g < hi)) | (e < 0.0) | (np.array(index) != np.arange(1, g.size + 1))
+    bad[1:] |= ~(g[1:] > g[:-1])
+    k = int(np.argmax(bad)) if bad.any() else len(rows)
+    try:
+        if k == len(rows):
+            if unparsed is None:
+                return ZeroTable(g, lo, hi, e)
+            raise unparsed
+        gamma, err = rows[k]
+        CriticalZero(index[k], gamma, (gamma - err, gamma + err), err)
+    except ValueError as exc:
+        raise CacheCorruptionError(f"cache {source}: bad row at line {k + 2}: {exc}") from exc
+    if index[k] == k + 1:
+        raise CacheCorruptionError(f"cache {source}: gamma does not increase at line {k + 2}")
+    raise CacheCorruptionError(
+        f"cache {source}: index {index[k]} at line {k + 2}, expected {k + 1}"
+    )
 
 
 @dataclass
@@ -488,9 +531,9 @@ class ZeroCache:
 
     t_max: float
     tol: float
-    zeros: list[CriticalZero]
+    zeros: ZeroTable
 
-    def save(self, path: str) -> list[CriticalZero]:
+    def save(self, path: str) -> ZeroTable:
         """Write the cache atomically and return the zeros parsed back from
         the rows written: those any later ``load`` of it gives.  They are
         parsed in memory, not re-read: another run on the same path may
@@ -498,7 +541,7 @@ class ZeroCache:
         rows = format_rows(self.zeros)
         zeros = parse_rows(rows, path)
         data = "".join(row + "\n" for row in rows).encode("utf-8")
-        head = f"# xi-zeros {CACHE_VERSION} tol={self.tol:g} tmax={self.t_max!r}"
+        head = f"# xi-zeros {CACHE_VERSION} tol={float(self.tol)!r} tmax={float(self.t_max)!r}"
         header = f"{head} checksum={cache_checksum(head, data):016x}\n"
         directory = os.path.dirname(os.path.abspath(path))
         name = os.path.join(directory, f".zeros-{os.urandom(8).hex()}.tmp")
@@ -560,4 +603,4 @@ class ZeroCache:
         return cls(t_max=t_max, tol=tol, zeros=parse_rows(text.splitlines(), path))
 
     def matches(self, t_max: float, tol: float) -> bool:
-        return f"{self.tol:g}" == f"{tol:g}" and self.t_max >= t_max - 1e-12
+        return self.tol == tol and self.t_max >= t_max - 1e-12

@@ -41,6 +41,9 @@ COMMANDS = [
     ("zeros", ["zeros", "--t-max", "5003.123", "--tol", "1e-6"]),
     ("zeros-7010", ["zeros", "--t-max", "7010", "--tol", "1e-6"]),
     ("zeros-1331", ["zeros", "--t-max", "1331", "--tol", "1e-8"]),
+    ("zeros-1331-cache", ["zeros", "--t-max", "1331", "--tol", "1e-8", "--cache", "zeros-1331.csv"]),
+    ("zeros-1000.5-cache-hit",
+     ["zeros", "--t-max", "1000.5", "--tol", "1e-8", "--cache", "zeros-1331.csv"]),
     ("zeros-25.05", ["zeros", "--t-max", "25.05", "--tol", "0.5"]),
     ("zeros-20000", ["zeros", "--t-max", "20000", "--tol", "1e-8"]),
     ("plot-xi-critical", ["plot", "xi-critical"]),
@@ -73,7 +76,7 @@ def library() -> None:
     rng = random.Random(24)
     width = 20.0 / 28
     drawn = [rng.uniform(0.5 + k * width, 0.5 + (k + 1) * width) for k in range(28)]
-    zeros = scan_zeros(50.0, 1e-8)[:10] + [
+    zeros = list(scan_zeros(50.0, 1e-8)[:10]) + [
         CriticalZero(n, g, (g - 1e-12 * g, g + 1e-12 * g), 1e-12 * g)
         for n, g in enumerate(drawn, start=11)
     ]

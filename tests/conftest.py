@@ -15,7 +15,7 @@ import pytest
 
 import xispec
 from xispec.specfun import hardy_z
-from xispec.zeros import CriticalZero, scan_zeros
+from xispec.zeros import ZeroTable, scan_zeros
 
 mp.mp.dps = 30
 
@@ -70,12 +70,12 @@ def rel_err(value: complex, reference: complex) -> float:
 
 
 @pytest.fixture(scope="session")
-def zeros_to_100() -> list[CriticalZero]:
+def zeros_to_100() -> ZeroTable:
     return scan_zeros(100.0, 1e-8)
 
 
 @pytest.fixture(scope="session")
-def zeros_for_products() -> list[CriticalZero]:
+def zeros_for_products() -> ZeroTable:
     """At least 800 zeros, for the product-truncation studies."""
     t_max = 1190.0
     zeros = scan_zeros(t_max, 1e-8)

@@ -843,7 +843,7 @@ def test_warning_is_one_line(capsys, monkeypatch):
 
     def warning_scan(t_max, tol):
         warnings.warn("synthetic", UserWarning)
-        return []
+        return zeros_module.ZeroTable(*np.empty((4, 0)))
 
     monkeypatch.setattr(cli, "scan_zeros", warning_scan)
     assert run(["zeros", "--t-max", "30"]) == 0

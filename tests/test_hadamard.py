@@ -25,7 +25,7 @@ from xispec.hadamard import (
 from xispec.report import Verdict
 from xispec.specfun import hardy_z, xi
 from xispec.specfun.xi import EM_MAX_T
-from xispec.zeros import CriticalZero, ZeroCache, scan_zeros
+from xispec.zeros import ZeroCache, ZeroTable, scan_zeros
 
 TEN_ZERO_SPEC = ProductSpec(zero_ordinates=KNOWN_ZEROS_10)
 EMPTY_SPEC = ProductSpec(zero_ordinates=())
@@ -271,7 +271,7 @@ def test_audit_fails_with_a_zero_missing(
 ):
     # The same scan with zero 1 or zero 10 left out: every factor after it
     # is off by one, and the misfit leaves its bound.
-    zeros = [z for z in zeros_for_products if z.index != deleted]
+    zeros = zeros_for_products[np.arange(1, len(zeros_for_products) + 1) != (deleted or 0)]
     monkeypatch.setattr(cli, "scan_zeros", lambda t_max, tol: zeros)
     out = tmp_path / "reports"
     argv = ["audit", "hadamard", "--n-zeros", "800", "--out", str(out)]
@@ -324,10 +324,8 @@ def test_coincidence_judges_every_probe_with_one_z_call(zeros_for_products, monk
 def test_coincidence_shifted_list_is_not_coincide(zeros_for_products):
     # Every ordinate moved by +0.3, probed at its own ordinates: the old
     # audit, which asked the list's own product, called this COINCIDE.
-    shifted = [
-        CriticalZero(z.index, z.gamma + 0.3, (z.bracket[0] + 0.3, z.bracket[1] + 0.3), z.abs_err)
-        for z in zeros_for_products
-    ]
+    z = zeros_for_products
+    shifted = ZeroTable(z.gamma + 0.3, z.lo + 0.3, z.hi + 0.3, z.abs_err)
     report = audit_coincidence(shifted, [z.gamma for z in shifted[:5]])
     assert report.verdict is not Verdict.COINCIDE
     assert report.params["probe_verdicts"] == ["INCONCLUSIVE"] * 5
@@ -399,6 +397,7 @@ def test_overflowing_product_keeps_its_size():
 
 def test_coincidence_vacuous(zeros_for_products):
     assert audit_coincidence(zeros_for_products, []).verdict is Verdict.COINCIDE
-    assert audit_coincidence([], []).verdict is Verdict.COINCIDE
+    none = zeros_for_products[:0]
+    assert audit_coincidence(none, []).verdict is Verdict.COINCIDE
     with pytest.raises(DomainError):
-        audit_coincidence([], [14.0])
+        audit_coincidence(none, [14.0])

@@ -25,6 +25,7 @@ def test_package_surface():
         "QuadratureResult",
         "Verdict",
         "ZeroCache",
+        "ZeroTable",
         "__version__",
         "coupling_spectrum",
         "gamma",

@@ -19,6 +19,7 @@ from xispec import zeros as zeros_module
 from xispec.zeros import (
     CriticalZero,
     ZeroCache,
+    ZeroTable,
     cache_checksum,
     format_rows,
     gram_points,
@@ -35,7 +36,7 @@ xi_module = importlib.import_module("xispec.specfun.xi")
 
 
 def test_no_zeros_below_ten():
-    assert scan_zeros(10.0, 1e-8) == []
+    assert len(scan_zeros(10.0, 1e-8)) == 0
 
 
 def test_single_zero_below_fifteen():
@@ -150,6 +151,72 @@ def _count_z_points(monkeypatch) -> dict[str, int]:
     monkeypatch.setattr(zeros_module, "hardy_z_paths", counted_paths)
     monkeypatch.setattr(zeros_module, "refine_brackets", counted_refine)
     return calls
+
+
+def _bits(zero: CriticalZero) -> tuple:
+    return (zero.index, *(x.hex() for x in (zero.gamma, *zero.bracket, zero.abs_err)))
+
+
+@pytest.mark.parametrize("case", ["scan-5003", "zeros-at-ends"])
+def test_table_rows_are_the_records_refinement_built(monkeypatch, case):
+    # refine_brackets built its records as CriticalZero(k, gamma, (lo, hi),
+    # abs_err) from found.tolist(), found its (4, n) array of those columns:
+    # the rows the table yields are those records, field for field and bit
+    # for bit, plain closes and exact zeros (at a bracket end) alike.
+    arrays = []
+
+    def keeping(write):
+        def kept(found, *args):
+            arrays.append(found)
+            write(found, *args)
+        return kept
+
+    for name in ("_close", "_exact"):
+        monkeypatch.setattr(zeros_module, name, keeping(getattr(zeros_module, name)))
+    if case == "scan-5003":
+        table = scan_zeros(5003.123, 1e-6)
+    else:
+        ends = [(0.0, 1.0), (-1.0, 0.0), (hardy_z(21.0), hardy_z(22.0))]
+        table = refine_brackets([(14.0, 15.0), (20.0, 21.0), (21.0, 22.0)], 1e-9, z_ends=ends)
+    found = arrays[-1]
+    assert all(a is found for a in arrays)
+    records = [CriticalZero(k, g, (lo, hi), e)
+               for k, (g, lo, hi, e) in enumerate(zip(*found.tolist()), start=1)]
+    assert len(table) == len(records) == (4524 if case == "scan-5003" else 3)
+    assert [_bits(z) for z in table] == [_bits(z) for z in records]
+    assert [_bits(table[k]) for k in (0, 1, -1)] == [_bits(records[k]) for k in (0, 1, -1)]
+    assert all(type(x) is float for x in (*table[0].bracket, table[0].gamma, table[0].abs_err))
+
+
+def test_no_per_zero_records_on_the_hot_paths(monkeypatch, tmp_path, capsys):
+    # The scan, `xispec zeros` and a cold and a warm `audit all` carry the
+    # zeros as one table: none of them builds a CriticalZero.
+    built = []
+    check = CriticalZero.__post_init__
+
+    def counted(zero):
+        built.append(zero)
+        check(zero)
+
+    monkeypatch.setattr(CriticalZero, "__post_init__", counted)
+    assert len(scan_zeros(5003.123, 1e-6)) == 4524
+    assert built == []
+    assert cli.main(["zeros", "--t-max", "5003.123", "--tol", "1e-6"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4524
+    assert built == []
+    monkeypatch.chdir(tmp_path)
+    audit = ["audit", "all", "--t-max", "50", "--n-zeros", "800", "--cache", "zeros.csv"]
+    assert cli.main(audit + ["--out", "cold"]) == 0
+    assert built == []
+
+    def no_scan(t_max, tol):
+        raise AssertionError("the warm run must read the cache")
+
+    monkeypatch.setattr(cli, "scan_zeros", no_scan)
+    assert cli.main(audit + ["--out", "warm"]) == 0
+    assert built == []
+    assert refine_zero((14.0, 15.0), 1e-9).index == 1
+    assert len(built) == 1  # the count sees a record that is built
 
 
 def test_refine_reuses_known_end_values(monkeypatch):
@@ -399,7 +466,7 @@ def test_lockstep_rejects_bad_bracket():
         refine_brackets([(14.0, 15.0), (14.0, 14.0001)], 1e-9)
     with pytest.raises(BracketError, match="empty bracket"):
         refine_brackets([(14.0, 15.0), (15.0, 14.0)], 1e-9)
-    assert refine_brackets([], 1e-9) == []
+    assert len(refine_brackets([], 1e-9)) == 0
 
 
 def test_zeros_to_1190_against_independent_oracle(zeros_for_products):
@@ -467,7 +534,7 @@ def test_close_pair_at_1329_keeps_its_indices():
     # scan used before Gram points; a Rosser block must hold both.
     zeros = scan_zeros(1331.0, 1e-8)
     assert len(zeros) == mp.nzeros(1331) == 924
-    assert [z.index for z in zeros[921:923]] == [922, 923]
+    assert [zeros[k].index for k in (921, 922)] == [922, 923]
     assert zeros[921].gamma == pytest.approx(1329.04351799652, abs=1e-8)
     assert zeros[922].gamma == pytest.approx(1329.20501878548, abs=1e-8)
 
@@ -552,8 +619,8 @@ def test_cache_checksum_frozen(tmp_path):
     # A fixed three-zero cache: its header, checksum included, is frozen.
     # The checksum is 64-bit BLAKE2b over the header before its checksum
     # field, a newline and the rows.
-    zeros = [CriticalZero(n, g, (g - 5e-9, g + 5e-9), 5e-9)
-             for n, g in enumerate(KNOWN_ZEROS_10[:3], start=1)]
+    g = np.array(KNOWN_ZEROS_10[:3])
+    zeros = ZeroTable(g, g - 5e-9, g + 5e-9, np.full(3, 5e-9))
     path = tmp_path / "zeros.csv"
     ZeroCache(t_max=30.0, tol=1e-8, zeros=zeros).save(str(path))
     assert path.read_text() == (
@@ -652,8 +719,43 @@ def test_rows_parse_to_the_zeros_a_cache_read_gives(tmp_path, zeros_to_100):
     path = str(tmp_path / "zeros.csv")
     saved = ZeroCache(t_max=100.0, tol=1e-8, zeros=zeros_to_100).save(path)
     assert Path(path).read_text().splitlines()[1:] == rows
-    assert saved == ZeroCache.load(path).zeros
-    assert saved == parse_rows(rows, path)
+    assert list(saved) == list(ZeroCache.load(path).zeros)
+    assert list(saved) == list(parse_rows(rows, path))
+
+
+def test_cache_key_is_the_exact_tol(tmp_path, capsys):
+    # The header held tol as %g, 6 digits: a cache written at tol 0.4000004
+    # read "tol=0.4", and a tol-0.4 run that hit it printed zero 2 as
+    # 21.0268026538505, where a tol-0.4 scan gives 21.0268027538505.
+    path = tmp_path / "c.csv"
+    assert cli.main(["zeros", "--t-max", "30", "--tol", "0.4000004", "--cache", str(path)]) == 0
+    assert path.read_text().startswith("# xi-zeros v3 tol=0.4000004 tmax=30.0 ")
+    assert not ZeroCache.load(str(path)).matches(30.0, 0.4)
+    capsys.readouterr()
+    assert cli.main(["zeros", "--t-max", "30", "--tol", "0.4", "--cache", str(path)]) == 0
+    cached = capsys.readouterr().out
+    assert cli.main(["zeros", "--t-max", "30", "--tol", "0.4"]) == 0
+    assert cached == capsys.readouterr().out
+    assert cached.splitlines()[1] == "2,21.0268027538505,1.000e-01"
+    assert ZeroCache.load(str(path)).tol == 0.4
+
+
+@pytest.mark.parametrize("tol,text", [(1e-6, "1e-06"), (1e-8, "1e-08"), (0.1, "0.1"), (0.5, "0.5")])
+def test_cache_header_keeps_the_bytes_of_the_usual_tols(tmp_path, zeros_to_100, tol, text):
+    # repr writes these as %g did, so their caches keep their bytes.
+    path = tmp_path / "zeros.csv"
+    ZeroCache(t_max=100.0, tol=tol, zeros=zeros_to_100).save(str(path))
+    assert path.read_text().startswith(f"# xi-zeros v3 tol={text} tmax=100.0 checksum=")
+    assert ZeroCache.load(str(path)).matches(100.0, tol)
+
+
+def test_cache_header_takes_numpy_floats(tmp_path, zeros_to_100):
+    # repr(np.float64(30.0)) is "np.float64(30.0)": a header written from it
+    # could not be read back.
+    path = tmp_path / "zeros.csv"
+    ZeroCache(t_max=np.float64(30.0), tol=np.float64(1e-8), zeros=zeros_to_100).save(str(path))
+    assert path.read_text().startswith("# xi-zeros v3 tol=1e-08 tmax=30.0 checksum=")
+    assert ZeroCache.load(str(path)).matches(30.0, 1e-8)
 
 
 def test_cache_keeps_full_tmax(tmp_path, zeros_to_100):
@@ -684,6 +786,33 @@ def test_cache_rejects_rows_out_of_order(tmp_path, zeros_to_100, reorder):
     path.write_bytes(_reseal(header, data) + data)
     with pytest.raises(CacheCorruptionError):
         ZeroCache.load(str(path))
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        (["1,14.1,1e-3", "x,21.0,1e-3", "5,1.0,-1"],
+         "bad row at line 3: invalid literal for int() with base 10: 'x'"),
+        (["1,14.1,1e-3", "3,21.0,-1e-3", "x"],
+         "bad row at line 3: gamma must lie strictly inside its bracket"),
+        (["1,14.1,1e-3", "0,21.0,1e-3"], "bad row at line 3: indices start at 1"),
+        (["1,14.1,1e-3", "3,13.0,1e-3"], "index 3 at line 3, expected 2"),
+        (["1,14.1,1e-3", "2,13.0,1e-3", "x"], "gamma does not increase at line 3"),
+        (["1,14.1,1e-3", "99999999999999999999999,21.0,1e-3"],
+         "index 99999999999999999999999 at line 3, expected 2"),
+        (["1,14.1,1e-3", "2,21.0", "0,1,1"],
+         "bad row at line 3: not enough values to unpack (expected 3, got 2)"),
+        (["1,inf,inf"], "bad row at line 2: gamma must lie strictly inside its bracket"),
+    ],
+)
+def test_cache_fault_names_the_first_line_at_fault(rows, message):
+    # The rows are checked as arrays, but the error is the one a row-by-row
+    # read gives: the first line at fault, and of its faults a row's own
+    # (unparsable, then bracket, abs_err, index < 1), then a wrong index,
+    # then a gamma that does not increase.
+    with pytest.raises(CacheCorruptionError) as caught:
+        parse_rows(rows, "c.csv")
+    assert str(caught.value) == f"cache c.csv: {message}"
 
 
 def test_cache_rejects_malformed_header(tmp_path):

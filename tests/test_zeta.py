@@ -7,7 +7,7 @@ import pytest
 
 from conftest import mp_zeta, rel_err
 from xispec.errors import NonConvergenceError, PoleError
-from xispec.specfun import zeta
+from xispec.specfun import xi_critical, zeta
 from xispec.specfun.zeta import euler_maclaurin_zeta
 
 
@@ -28,6 +28,15 @@ def test_classical_values(s, expected):
 def test_pole():
     with pytest.raises(PoleError):
         zeta(1.0)
+
+
+def test_zeta_past_the_capped_truncation_raises():
+    # N is capped at EM_TERMS_CAP, so from about t = 5.7e5 the corrections
+    # do not converge: an error, never a value.
+    with pytest.raises(NonConvergenceError, match="not converged"):
+        zeta(0.5 + 7e5j)
+    with pytest.raises(NonConvergenceError, match="not converged"):
+        xi_critical(7e5)
 
 
 def test_trivial_zeros_exact():
