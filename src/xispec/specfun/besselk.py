@@ -1,18 +1,28 @@
 """Modified Bessel function K of real and purely imaginary order.
 
-One integral representation serves both branches:
+Three regimes.  The integral representation
 
     K_nu(x)    = int_0^inf exp(-x cosh t) cosh(nu t) dt      (real nu)
     K_{i mu}(x) = int_0^inf exp(-x cosh t) cos(mu t)  dt      (imaginary)
 
-evaluated by the trapezoidal rule in t, which is spectrally accurate here
-because the integrand already decays double-exponentially.  One level loop
-serves both: a real order adds log cosh(nu t) to the exponent, an imaginary
-one multiplies by cos(mu t).  The real-order integrand is positive, so that
-path is accurate at machine level across the whole working box.
+is evaluated by the trapezoidal rule in t, spectrally accurate here because
+the integrand already decays double-exponentially; one level loop serves
+both kinds (a real order adds log cosh(nu t) to the exponent, an imaginary
+one multiplies by cos(mu t)).  The real-order integrand is positive, so the
+trapezoid is accurate at machine level, but toward x = 0 it needs ever more
+nodes; at x <= 0.5, for orders at least 0.05 from every integer, the
+ascending series
+
+    K_nu(x) = pi (I_{-nu}(x) - I_nu(x)) / (2 sin pi nu)
+
+takes over: a dozen terms in x^2/4, with coefficients 1/(k! Gamma(k+1-/+nu))
+from an exact Taylor series of 1/Gamma, and an estimate built from the
+rounding of every step times the cancellation of the two series.  Order
+0, orders near an integer and any point whose series is not finite keep
+the trapezoid.
 
 The imaginary-order integrand oscillates, and for small x the integral is
-exponentially smaller than its terms; there the ascending series
+exponentially smaller than its terms; at x <= 12 the ascending series
 
     K_{i mu}(x) = -pi * Im I_{i mu}(x) / sinh(pi mu)
 
@@ -30,6 +40,7 @@ of it that raises where the array call returns a non-finite value.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 from collections.abc import Sequence
@@ -48,6 +59,23 @@ _SERIES_X_MAX = 12.0
 # of a call: at x <= 12 (q <= 36) every order with pi mu <= 700 stops
 # within 29, the count at q = 36 and mu near 0.
 _SERIES_COLUMNS = 64
+# Real orders take the series at x <= _REAL_SERIES_X_MAX, at least
+# _REAL_SERIES_GAP from every integer (1/sin pi nu grows toward them) and at
+# most _REAL_SERIES_NU_MAX (K_nu(x <= 0.5) overflows doubles from nu = 135);
+# at q = x^2/4 <= 1/16 the last of the columns is below 1e-23 of the peak.
+_REAL_SERIES_X_MAX, _REAL_SERIES_GAP, _REAL_SERIES_NU_MAX = 0.5, 0.05, 150.0
+_REAL_SERIES_COLUMNS = 12
+_U = 0.5 * _EPS   # the unit roundoff
+# 1/Gamma(1 + w) = sum_k _RGAMMA[k] w^k (DLMF 5.7.1), the exact coefficients
+# rounded once; at |w| <= 1/2 the terms past these sum below 1e-21.
+_RGAMMA = (
+    1.0, 0.5772156649015329, -0.6558780715202539, -0.04200263503409524, 0.16653861138229148,
+    -0.04219773455554433, -0.009621971527876973, 0.0072189432466631, -0.0011651675918590652,
+    -0.00021524167411495098, 0.0001280502823881162, -2.013485478078824e-05,
+    -1.2504934821426706e-06, 1.133027231981696e-06, -2.056338416977607e-07,
+    6.116095104481416e-09, 5.002007644469223e-09, -1.18127457048702e-09, 1.0434267116911005e-10,
+    7.782263439905071e-12, -3.696805618642206e-12, 5.100370287454476e-13, -2.0583260535665066e-14,
+)
 _TRAP_BASE_STEP = 0.25
 _TRAP_LEVEL_CAP = 9
 # exp(-x) underflows doubles past this; K_nu(x) <= sqrt(pi/2x) e^{-x}.
@@ -157,24 +185,13 @@ def _imag_series(
     return values, rel
 
 
-# The _SERIES_COLUMNS coefficients r_k of each order mu a call has needed.
-# An entry is only written whole, so a reader never sees part of one.
-_RECIPS: dict[float, np.ndarray] = {}
-# The table is dropped whole when it holds this many orders.
-_RECIPS_ORDERS_MAX = 1024
-
-
+@functools.lru_cache(maxsize=1024)
 def _series_recips(mu: float) -> np.ndarray:
-    """r_0 ... r_{_SERIES_COLUMNS - 1} of order mu, from its table."""
-    recips = _RECIPS.get(mu)
-    if recips is None:
-        terms = [1.0 / gamma(complex(1.0, mu))]
-        for k in range(1, _SERIES_COLUMNS):
-            terms.append(terms[-1] / complex(k, mu))
-        if len(_RECIPS) >= _RECIPS_ORDERS_MAX:
-            _RECIPS.clear()
-        recips = _RECIPS[mu] = np.array(terms)
-    return recips
+    """r_0 ... r_{_SERIES_COLUMNS - 1} of order mu, kept per order."""
+    terms = [1.0 / gamma(complex(1.0, mu))]
+    for k in range(1, _SERIES_COLUMNS):
+        terms.append(terms[-1] / complex(k, mu))
+    return np.array(terms)
 
 
 def _series_sums(
@@ -241,6 +258,71 @@ def _series_block(
     rows = np.arange(len(stop))
     return (sum_re[rows, stop], sum_im[rows, stop], peaks[rows, stop],
             done[rows, stop], stop)
+
+
+@functools.lru_cache(maxsize=1024)
+def _real_series_table(nu: float) -> tuple[np.ndarray, float]:
+    """``_real_series``' table at real order nu, and its factor
+    2^nu pi / (2 sin pi nu).  Row k holds c_k = 1/(k! Gamma(k + 1 -/+ nu))
+    and d_k for the minus and the plus series.
+
+    Horner passes of c_k in q and of d_k in |q| give y and a bound
+    u (b - |y|) on its error: Higham's running bound (Accuracy and
+    Stability of Numerical Algorithms, alg. 5.1) to first order in u, each
+    partial value |y_k| <= sum_{j>=k} |c_j q^{j-k}|, so d_k is
+    2 (k + 1) |c_k| plus the error of c_k over u.  With nu = n + r,
+    |r| <= 1/2, 1/Gamma(1 - nu) = prod_{j<n} (-r - j) / Gamma(1 - r) and
+    1/Gamma(1 + nu) = 1 / (Gamma(1 + r) prod_{j<=n} (j + r)): two roundings
+    a factor; a step in k divides by k (k -/+ nu), three more; and q's
+    rounding adds k u.
+    """
+    n = round(nu)
+    r = nu - n
+    coef, bound = [], []
+    for sign in (-1.0, 1.0):
+        c = b = 0.0
+        for k, a in reversed(list(enumerate(_RGAMMA))):   # 1/Gamma(1 + sign r)
+            c = c * sign * r + a
+            b = b * abs(r) + (2 * k + 3) * abs(a)
+        rel = b / c - 1.0 + 2.0 * n   # in units of u
+        for j in range(n):
+            c = c * (-r - j) if sign < 0.0 else c / (j + 1 + r)
+        column = [c]
+        for k in range(1, _REAL_SERIES_COLUMNS):
+            column.append(column[-1] / (k * (k + sign * nu)))
+        coef.append(column)
+        bound.append([abs(c) * (rel + 6.0 * k + 2.0) for k, c in enumerate(column)])
+    table = np.array([coef, bound]).transpose(2, 0, 1)
+    table.flags.writeable = False   # every caller shares it
+    return table, (-1.0) ** n * math.pi * 2.0**nu / (2.0 * math.sin(math.pi * r))
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _real_series(nu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K_nu(x), each x at its own real order, by DLMF 10.27.4 with 10.25.2:
+    pi (x/2)^-nu (S_-(q) - (x/2)^{2 nu} S_+(q)) / (2 sin pi nu), with
+    S_-/+(q) = sum_k q^k / (k! Gamma(k + 1 -/+ nu)), q = x^2/4, in one
+    Horner pass; (x/2)^-nu is x^-nu times the table's factor (x/2 rounds
+    at subnormal x).  The estimate adds each step's rounding over the
+    difference (the Horner bounds; 3u of S_+ for (x/2)^{2 nu}, np.power
+    within 1 ulp, and the product; u of the difference), then 12u for the
+    common factor (8u for the table's: pi, 2^nu, the sine, three
+    operations; 2u for x^-nu; 2u for two products).
+    """
+    orders = sorted(set(nu.tolist()))
+    tables = [_real_series_table(v) for v in orders]
+    at = np.searchsorted(orders, nu)
+    columns = np.moveaxis(np.array([t for t, _ in tables])[at], 0, -1)
+    q = 0.25 * x * x
+    z = columns[-1]
+    for column in columns[-2::-1]:
+        z = z * q + column
+    (minus, plus), (b_minus, b_plus) = z
+    ratio = np.power(0.5 * x, 2.0 * nu)
+    diff = minus - ratio * plus
+    values = np.array([f for _, f in tables])[at] * np.power(x, -nu) * diff
+    bound = b_minus - np.abs(minus) + ratio * (b_plus + 2.0 * np.abs(plus))
+    return values, _U * (bound / np.abs(diff) + 13.0)
 
 
 def _ln_g(nu: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -462,10 +544,16 @@ def bessel_k_values(
     nu = mags[which]
     imag = live & oscillating[which]
     real = live & ~imag
-    if real.any():
-        xs, nus = x[real], nu[real]
+    series = real & (x <= _REAL_SERIES_X_MAX) & (nu <= _REAL_SERIES_NU_MAX)
+    series &= np.abs(nu - np.round(nu)) >= _REAL_SERIES_GAP
+    if series.any():
+        values[series], rel[series] = _real_series(nu[series], x[series])
+        series[series] = np.isfinite(values[series]) & np.isfinite(rel[series])
+    trap = real & ~series
+    if trap.any():
+        xs, nus = x[trap], nu[trap]
         t_up, floor = _real_node_ranges(nus, xs)
-        values[real], rel[real] = _trapezoid(nus, False, xs, t_up, floor)
+        values[trap], rel[trap] = _trapezoid(nus, False, xs, t_up, floor)
     if not imag.any():
         return values, rel
     present = np.zeros(len(orders), dtype=bool)

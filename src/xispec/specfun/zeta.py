@@ -116,6 +116,28 @@ def _zeta_euler_maclaurin(s: complex) -> complex:
     raise _not_converged(s, n)
 
 
+def _head_sums(s: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """sum_{k=1}^{N-1} k^{-s} at points s whose truncation points n do not
+    increase, a block of rows at a time.
+
+    Rows are formed as wide as the block's first (largest) N, but each takes
+    the exp of, and sums, its own N - 1 columns only: a masked row sum of a
+    prefix adds in the same order as the 1-D sum of ``zeta``.
+    """
+    total = np.empty(s.size, dtype=np.complex128)
+    logs = _logs_up_to(int(n[0]) - 1) if s.size else None
+    start = 0
+    while start < s.size:
+        width = int(n[start]) - 1
+        rows = slice(start, min(s.size, start + max(1, RS_BLOCK // width)))
+        inside = np.arange(width) < n[rows, None] - 1
+        terms = -s[rows, None] * logs[:width]
+        np.exp(terms, out=terms, where=inside)
+        total[rows] = np.add.reduce(terms, axis=1, where=inside)
+        start = rows.stop
+    return total
+
+
 def euler_maclaurin_zeta(s: np.ndarray) -> np.ndarray:
     """zeta at a 1-D complex array of points with Re s >= 0, in their order.
 
@@ -135,29 +157,7 @@ def euler_maclaurin_zeta(s: np.ndarray) -> np.ndarray:
     order = np.argsort(-n, kind="stable")
     s_sorted, n = s[order], n[order]
     n_list = n.tolist()
-    # group_end[i]: one past the last sorted point with the N of point i.
-    group_end = np.searchsorted(-n, -n, side="right").tolist()
-
-    # sum_{k=1}^{N-1} k^{-s}, a block of rows at a time.  Rows are formed
-    # as wide as the block's first (largest) N, but each run of equal N is
-    # summed over its own N - 1 columns only: numpy sums along a row the
-    # same way as over the 1-D array of ``zeta``.
-    total = np.empty(s.size, dtype=np.complex128)
-    logs = _logs_up_to(n_list[0] - 1) if n_list else None
-    start = 0
-    while start < s.size:
-        width = n_list[start] - 1
-        stop = min(s.size, start + max(1, RS_BLOCK // width))
-        terms = np.exp(-s_sorted[start:stop, None] * logs[:width])
-        row = start
-        while row < stop:
-            end = min(stop, group_end[row])
-            total[row:end] = terms[row - start : end - start, : n_list[row] - 1].sum(
-                axis=1
-            )
-            row = end
-        start = stop
-
+    total = _head_sums(s_sorted, n)
     n = n.astype(np.float64)
     n_minus_s = np.exp(-s_sorted * np.fromiter(map(math.log, n_list), np.float64, s.size))
     total += n_minus_s * (0.5 + n / (s_sorted - 1.0))

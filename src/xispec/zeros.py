@@ -477,8 +477,12 @@ def cache_checksum(head: str, data: bytes) -> int:
 
 def format_rows(zeros: ZeroTable) -> list[str]:
     """One `index,gamma,abs_err` row per zero: the cache and `xispec zeros` format."""
-    rows = zip(range(1, len(zeros) + 1), zeros.gamma.tolist(), zeros.abs_err.tolist())
-    return ["%d,%.15g,%.3e" % row for row in rows]
+    # A scan's errors take few distinct values: each is formatted once,
+    # keyed by its bits, so that 0.0 and -0.0 keep their own text.
+    bits = zeros.abs_err.view(np.int64).tolist()
+    text = {b: "%.3e" % e for b, e in dict(zip(bits, zeros.abs_err.tolist())).items()}
+    rows = zip(range(1, len(zeros) + 1), zeros.gamma.tolist(), map(text.__getitem__, bits))
+    return ["%d,%.15g,%s" % row for row in rows]
 
 
 def parse_rows(lines: list[str], source: str) -> ZeroTable:

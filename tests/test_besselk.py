@@ -347,12 +347,45 @@ def _k_real(nu, x):
     return math.nan, math.inf
 
 
+def _real_series_by_terms(nu, x):
+    """The real-order series at one x, term by term (reference).
+
+    The coefficients and their bound weights are the order's table; the
+    powers are np.power on one-element arrays, as the array path takes them.
+    """
+    table, factor = besselk._real_series_table(nu)
+    q = 0.25 * x * x
+    ys, bs = [], []
+    for sign in (0, 1):
+        y, b = table[-1, 0, sign], table[-1, 1, sign]
+        for k in range(len(table) - 2, -1, -1):
+            y = y * q + table[k, 0, sign]
+            b = b * q + table[k, 1, sign]
+        ys.append(float(y))
+        bs.append(float(b))
+    with np.errstate(over="ignore"):
+        ratio = float(np.power(np.array([0.5 * x]), np.array([2.0 * nu]))[0])
+        power = float(np.power(np.array([x]), np.array([-nu]))[0])
+    diff = ys[0] - ratio * ys[1]
+    bound = bs[0] - abs(ys[0]) + ratio * (bs[1] + 2.0 * abs(ys[1]))
+    return factor * power * diff, besselk._U * (bound / abs(diff) + 13.0)
+
+
 def _k_by_terms(order, x):
     """K at one x through the reference loops."""
     if x > besselk._X_UNDERFLOW:
         return 0.0, 0.0
     if order.kind is OrderKind.REAL or order.magnitude == 0.0:
-        return _k_real(order.magnitude, x)
+        nu = order.magnitude
+        if (
+            x <= besselk._REAL_SERIES_X_MAX
+            and nu <= besselk._REAL_SERIES_NU_MAX
+            and abs(nu - round(nu)) >= besselk._REAL_SERIES_GAP
+        ):
+            value, rel = _real_series_by_terms(nu, x)
+            if math.isfinite(value) and math.isfinite(rel):
+                return value, rel
+        return _k_real(nu, x)
     loop = _series_by_terms if x <= besselk._SERIES_X_MAX else _trapezoid_by_levels
     return loop(order.magnitude, x)
 
@@ -472,16 +505,22 @@ def test_node_range_is_the_first_half_step_past_the_crossing():
 
 
 def test_x_whose_node_range_leaves_double_range_is_not_converged():
-    # nu/x overflows at x = 1e-320 (K_0.3 is about 3e96 there), and at
+    # At the integer order 1, nu/x overflows at x = 1e-320, and at
     # x = 1e-307 the nu = 0 range would pass the overflow of cosh t: both
     # come back NaN with an infinite estimate, beside an ordinary point.
-    for nu, x in ((0.3, 1e-320), (0.0, 1e-307)):
+    for nu, x in ((1.0, 1e-320), (0.0, 1e-307)):
         order = BesselOrder.real_order(nu)
         values, rel = bessel_k_values(order, np.array([x, 1.0]))
         assert math.isnan(values[0]) and rel[0] == math.inf
         assert (values[1], rel[1]) == bessel_k_with_error(order, 1.0)
         with pytest.raises(NonConvergenceError, match=f"x={x:g}"):
             bessel_k_with_error(order, x)
+    # nu/x overflows at order 0.3 too, but there the series needs no node
+    # range: K_0.3(1e-320) is about 3e96.
+    order = BesselOrder.real_order(0.3)
+    value, rel = bessel_k_with_error(order, 1e-320)
+    assert 1e96 < value < 1e97
+    assert _true_rel_err(order, 1e-320, value) <= rel <= 1e-14
 
 
 def _true_rel_err(order, x, value):
@@ -537,11 +576,13 @@ def test_call_with_an_order_per_point_matches_the_one_x_loops(orders):
     # order, NaN and inf marks included (x = 1e-30 overflows at real
     # order 30, x = 800 is past the cut; at x = 1e-320, where the real
     # order's range leaves double range and the loops do not apply, the
-    # reference is the one-point call).
+    # reference is the one-point call; both are also put at order 30, the
+    # last, to show each mark).
     rng = np.random.default_rng(14)
     xs = np.concatenate([np.geomspace(1e-12, 700.0, 300), [1e-30, 1e-320, 800.0]])
     xs = rng.permutation(np.repeat(xs, 2))
     which = rng.integers(0, len(orders), len(xs))
+    xs, which = np.append(xs, [1e-30, 1e-320]), np.append(which, [len(orders) - 1] * 2)
     values, rel = bessel_k_values(orders, xs, which)
     marks = set()
     for x, k, value, err in zip(xs.tolist(), which.tolist(), values.tolist(), rel.tolist()):
@@ -572,3 +613,72 @@ def test_order_per_point_beyond_sinh_range_names_the_first():
     assert values[1] == 0.0
     with pytest.raises(AccuracyError, match="order 300 "):
         bessel_k_values(orders, np.array([1.0, 2.0, 3.0]), [2, 1, 0])
+
+
+EQ5_REAL_NUS = [k / 10.0 for k in range(1, 10)]
+
+
+@pytest.mark.parametrize("nu", [0.05] + EQ5_REAL_NUS + [0.95, 1.05, 1.5, 2.5, 7.3])
+def test_real_series_estimate_bounds_the_true_error(nu):
+    # x <= 0.5 at orders at least 0.05 from an integer: the series.  Its
+    # estimate covers the true error (mpmath, 30 digits) at every point;
+    # toward x = 0.5 the two series cancel most.  Where K overflows
+    # doubles the point is the trapezoid's inf.
+    order = BesselOrder.real_order(nu)
+    xs = np.concatenate([np.geomspace(1e-300, 0.5, 61), np.linspace(0.3, 0.5, 9)])
+    values, rel = bessel_k_values(order, xs)
+    finite = np.isfinite(values)
+    assert (values[~finite] == math.inf).all() and finite.sum() >= 15
+    assert np.isfinite(rel[finite]).all()
+    with mp.workdps(30):
+        errors = [_true_rel_err(order, x, v) for x, v in zip(xs[finite], values[finite])]
+    assert (np.array(errors) <= rel[finite]).all()
+    if nu in EQ5_REAL_NUS:
+        assert finite.all() and max(errors) <= 3e-15 and rel.max() <= 1e-14
+
+
+def test_real_series_tables_hold_their_sums():
+    # _RGAMMA is the Taylor series of 1/Gamma(1 + w) rounded once, and its
+    # tail at |w| = 1/2 is below 1e-21.  At q = 1/16 (x = 0.5), where the
+    # series converge slowest, the last column of every order is below
+    # 1e-23 of the largest term.
+    # 1/Gamma(1 + w) = exp(sum_k b_k w^k), b_1 = gamma, b_k = (-1)^(k+1)
+    # zeta(k) / k (DLMF 5.7.3); a_n = sum_{k<=n} k b_k a_{n-k} / n.
+    size = len(besselk._RGAMMA)
+    with mp.workdps(40):
+        b = [mp.mpf(0), +mp.euler] + [(-1) ** (k + 1) * mp.zeta(k) / k for k in range(2, 60)]
+        a = [mp.mpf(1)]
+        for n in range(1, 60):
+            a.append(sum(k * b[k] * a[n - k] for k in range(1, n + 1)) / n)
+        assert besselk._RGAMMA == tuple(float(c) for c in a[:size])
+        assert sum(abs(c) * mp.mpf(0.5) ** k for k, c in enumerate(a) if k >= size) < 1e-21
+    q = 1.0 / 16.0
+    powers = q ** np.arange(besselk._REAL_SERIES_COLUMNS)[:, None]
+    for nu in np.arange(0.05, besselk._REAL_SERIES_NU_MAX, 0.05):
+        if abs(nu - round(nu)) < besselk._REAL_SERIES_GAP:
+            continue
+        terms = np.abs(besselk._real_series_table(float(nu))[0][:, 0]) * powers
+        finite = np.isfinite(terms).all(axis=0) & (terms.max(axis=0) > 0.0)
+        assert (terms[-1, finite] <= 1e-23 * terms[:, finite].max(axis=0)).all(), nu
+
+
+def test_eq5_sends_no_small_real_x_to_the_trapezoid(monkeypatch):
+    # Every real-order point the eq5 audit asks for at x <= 0.5 is a
+    # series point: neither the node search nor the trapezoid sees it.
+    from xispec.cli import EQ5_ORDERS
+    from xispec.coupling import audit_eq5
+
+    seen = []
+    for name in ("_trapezoid", "_real_node_ranges"):
+        def spy(*args, _inner=getattr(besselk, name), _name=name):
+            oscillating = args[1] if _name == "_trapezoid" else False
+            x = args[2] if _name == "_trapezoid" else args[1]
+            if not oscillating:
+                seen.append((_name, int((x <= 0.5).sum()), len(x)))
+            return _inner(*args)
+
+        monkeypatch.setattr(besselk, name, spy)
+    audits, _ = audit_eq5(list(EQ5_ORDERS))
+    assert all(a.ok for a in audits)
+    assert seen and sum(n for _, _, n in seen) > 0
+    assert [small for _, small, _ in seen] == [0] * len(seen)

@@ -841,3 +841,20 @@ def test_critical_zero_validation():
         CriticalZero(index=1, gamma=5.0, bracket=(5.5, 6.0), abs_err=1e-9)
     with pytest.raises(ValueError):
         CriticalZero(index=0, gamma=5.0, bracket=(4.0, 6.0), abs_err=1e-9)
+
+
+def test_rows_format_each_zero_as_its_own_row(zeros_to_100):
+    # format_rows formats each distinct error once; every row must still be
+    # the one formatting gives it alone, 0.0 and -0.0 each keeping its text.
+    g = np.array([14.0, 21.0, 25.0, 30.0, 32.0, 37.0])
+    errs = np.array([5e-9, 0.0, -0.0, 5e-9, -0.0, 0.0])
+    tables = [zeros_to_100, scan_zeros(200.0, 1e-6), ZeroTable(g, g - 1.0, g + 1.0, errs)]
+    for zeros in tables:
+        expected = [
+            "%d,%.15g,%.3e" % (k, zero.gamma, zero.abs_err)
+            for k, zero in enumerate(zeros, start=1)
+        ]
+        assert format_rows(zeros) == expected
+    assert [row.split(",")[2] for row in format_rows(tables[2])] == [
+        "5.000e-09", "0.000e+00", "-0.000e+00", "5.000e-09", "-0.000e+00", "0.000e+00"
+    ]

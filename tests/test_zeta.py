@@ -8,7 +8,7 @@ import pytest
 from conftest import mp_zeta, rel_err
 from xispec.errors import NonConvergenceError, PoleError
 from xispec.specfun import xi_critical, zeta
-from xispec.specfun.zeta import euler_maclaurin_zeta
+from xispec.specfun.zeta import em_truncation, euler_maclaurin_zeta
 
 
 @pytest.mark.parametrize(
@@ -125,3 +125,21 @@ def test_euler_maclaurin_names_the_first_unconverged_point(monkeypatch, passes):
     with pytest.raises(NonConvergenceError, match=message):
         euler_maclaurin_zeta(points)
     assert euler_maclaurin_zeta(points[:3]).size == 3
+
+
+def test_head_sums_are_each_points_one_dimensional_sum():
+    # One call over points of many truncation points N, several to a row
+    # block (rows as wide as the block's largest N, N - 1 up to 1800 here):
+    # each head sum has the bits of the 1-D sum over its own N - 1 terms.
+    zeta_module = importlib.import_module("xispec.specfun.zeta")
+    rng = np.random.default_rng(31)
+    heights = np.concatenate([rng.uniform(0.0, 3000.0, 300), [0.0, 1.0, 100.0, 100.0]])
+    points = np.concatenate([0.5 + 1j * heights, rng.uniform(0.0, 2.0, 100) + 1j * heights[:100]])
+    n = em_truncation(points)
+    order = np.argsort(-n, kind="stable")
+    points, n = points[order], n[order]
+    heads = zeta_module._head_sums(points, n)
+    logs = zeta_module._logs_up_to(int(n[0]))
+    for s, big_n, head in zip(points.tolist(), n.tolist(), heads.tolist()):
+        expected = complex(np.sum(np.exp(-s * logs[: big_n - 1])))
+        assert (head.real.hex(), head.imag.hex()) == (expected.real.hex(), expected.imag.hex())
