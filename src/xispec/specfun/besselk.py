@@ -10,8 +10,8 @@ the integrand already decays double-exponentially; one level loop serves
 both kinds (a real order adds log cosh(nu t) to the exponent, an imaginary
 one multiplies by cos(mu t)).  The real-order integrand is positive, so the
 trapezoid is accurate at machine level, but toward x = 0 it needs ever more
-nodes; at x <= 0.5, for orders at least 0.05 from every integer, the
-ascending series
+nodes; at x <= 0.5, for orders at least 0.05 from every integer and at
+most 150, the ascending series
 
     K_nu(x) = pi (I_{-nu}(x) - I_nu(x)) / (2 sin pi nu)
 
