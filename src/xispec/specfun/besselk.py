@@ -27,7 +27,8 @@ exponentially smaller than its terms; at x <= 12 the ascending series
     K_{i mu}(x) = -pi * Im I_{i mu}(x) / sinh(pi mu)
 
 takes over (the sinh division is exact, so the small scale e^{-pi mu / 2}
-costs no cancellation).  Between the two paths there remains a corner
+costs no cancellation); a row block of x forms the terms a bound on them
+needs at its largest x.  Between the two paths there remains a corner
 (mu large, x moderate) where double precision cannot reach 1e-10 relative
 accuracy; the error estimate reports the achievable level honestly, and a
 caller compares it with its own tolerance.
@@ -55,10 +56,6 @@ _EPS = 2.220446049250313e-16
 _LOG_2 = math.log(2.0)
 # Switch point between the series and the integral on the imaginary branch.
 _SERIES_X_MAX = 12.0
-# Coefficients of the series per order, all formed for the first row block
-# of a call: at x <= 12 (q <= 36) every order with pi mu <= 700 stops
-# within 29, the count at q = 36 and mu near 0.
-_SERIES_COLUMNS = 64
 # Real orders take the series at x <= _REAL_SERIES_X_MAX, at least
 # _REAL_SERIES_GAP from every integer (1/sin pi nu grows toward them) and at
 # most _REAL_SERIES_NU_MAX (K_nu(x <= 0.5) overflows doubles from nu = 135);
@@ -178,11 +175,30 @@ def _imag_series(
     abs_floor = 4.0 * _EPS * (peak + np.hypot(s_re, s_im))
     with np.errstate(over="ignore"):
         rel = np.maximum(abs_floor / np.maximum(np.abs(im_part), 5e-324), 2.0 * _EPS)
-    # Only where _SERIES_COLUMNS cut a sum short: a fault guard, no x <= 12
-    # at pi mu <= 700 gets here.
+    # Only where a sum did not stop (a NaN coefficient): a fault guard,
+    # ``_series_width`` stops every x <= 12 at pi mu <= 700.
     values[~stopped] = math.nan
     rel[~stopped] = math.inf
     return values, rel
+
+
+def _series_width(q: float) -> int:
+    """Columns within which every imaginary-order series at q or below stops.
+
+    |k + i mu| >= k, so |r_k| <= |r_0| / k! and term k is at most
+    q^k / k!^2 times term 0, itself at most the running peak: the stopping
+    test |term| <= 1e-18 (|sum| + peak) holds once q^k / k!^2 <= 1e-19
+    (the factor 10 covers the rounding of the terms and the test).
+    """
+    k, bound = 1, q
+    while bound > 1e-19:
+        k += 1
+        bound *= q / (k * k)
+    return k + 1
+
+
+# Coefficients of the series per order, 32: enough at its largest x, 12.
+_SERIES_COLUMNS = _series_width(0.25 * _SERIES_X_MAX**2)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -199,35 +215,18 @@ def _series_sums(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-q partial sum and peak term at its stopping term, and whether it stopped.
 
-    Row i sums the coefficients re[ids[i]] + i im[ids[i]].  Most x stop
-    long before the last coefficient, so rows go largest q first, in row
-    blocks of at most _BLOCK_ELEMENTS; the first block forms all the
-    columns, and each later one only as many as the block before it
-    needed.  A row that has not stopped within its block's columns is
-    summed again over all of them.  A row's sums up to its stopping term
-    do not depend on the columns past it.
+    Row i sums the coefficients re[ids[i]] + i im[ids[i]].  Rows go largest
+    q first, in row blocks of at most _BLOCK_ELEMENTS, each as wide as
+    ``_series_width`` of its first q.  A row's sums up to its stopping
+    term do not depend on the columns past it.
     """
-    columns = re.shape[1]
     out = (np.empty(len(q)), np.empty(len(q)), np.empty(len(q)), np.empty(len(q), dtype=bool))
     rows = np.argsort(-q, kind="stable")
-    width, again = columns, []
     while rows.size:
+        width = _series_width(float(q[rows[0]]))
         count = max(1, _BLOCK_ELEMENTS // width)
         block, rows = rows[:count], rows[count:]
-        *sums, stop = _series_block(q[block], re, im, ids[block], width)
-        for part, value in zip(out, sums):
-            part[block] = value
-        stopped = sums[-1]
-        if width < columns:
-            again.append(block[~stopped])
-        # The rows to come have smaller q, so they need about as many
-        # columns as the last quarter of this block did.
-        tail = slice(-max(1, len(block) // 4), None)
-        width = int(stop[tail].max()) + 1 if stopped[tail].all() else columns
-    redo = np.concatenate(again) if again else rows
-    step = max(1, _BLOCK_ELEMENTS // columns)
-    for block in (redo[i:i + step] for i in range(0, len(redo), step)):
-        for part, value in zip(out, _series_block(q[block], re, im, ids[block], columns)):
+        for part, value in zip(out, _series_block(q[block], re, im, ids[block], width)):
             part[block] = value
     return out
 
@@ -235,8 +234,7 @@ def _series_sums(
 def _series_block(
     q: np.ndarray, re: np.ndarray, im: np.ndarray, ids: np.ndarray, width: int
 ) -> tuple[np.ndarray, ...]:
-    """``_series_sums`` of some rows over the first ``width`` columns, and
-    each row's stopping column."""
+    """``_series_sums`` of some rows over the first ``width`` columns."""
     # Column k holds q^k / k!, built as 1 * (q/1) * ... * (q/k).
     ks = np.arange(0.0, width)
     ks[0] = math.inf
@@ -256,8 +254,7 @@ def _series_block(
     done[:, 0] = False
     stop = np.argmax(done, axis=1)
     rows = np.arange(len(stop))
-    return (sum_re[rows, stop], sum_im[rows, stop], peaks[rows, stop],
-            done[rows, stop], stop)
+    return sum_re[rows, stop], sum_im[rows, stop], peaks[rows, stop], done[rows, stop]
 
 
 @functools.lru_cache(maxsize=1024)

@@ -18,8 +18,9 @@ points with Re s >= 0, the form Hardy's Z uses on the critical line: it
 sorts them by truncation point N and forms the head sums in blocks of at
 most ``RS_BLOCK`` terms, each point summed over exactly its own N - 1
 terms, so a point's head sum has the same bits as ``zeta``'s whatever
-points share its call.  The correction series then runs for all points
-in lockstep, each with its own stopping test.
+points share its call.  The correction series then forms all
+``EM_ORDER_CAP`` orders for every point in one pass, each point with its
+own stopping test.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .gamma import _log_sin_pi, log_gamma
 
 EM_ORDER_CAP = 30       # number of B_{2k}/(2k)! correction terms kept
 EM_TERMS_CAP = 200_000  # hard cap on the truncation point N
-_EM_FIRST_ORDERS = 20  # terms the array path forms before it forms all EM_ORDER_CAP
 
 #: Elements per block of the array paths: heights of the Riemann-Siegel path
 #: in xi.py; here terms of the Euler-Maclaurin head sums (a head sum longer
@@ -162,35 +162,31 @@ def euler_maclaurin_zeta(s: np.ndarray) -> np.ndarray:
     n_minus_s = np.exp(-s_sorted * np.fromiter(map(math.log, n_list), np.float64, s.size))
     total += n_minus_s * (0.5 + n / (s_sorted - 1.0))
 
-    # The correction terms of ``_zeta_euler_maclaurin``, formed and summed in
-    # its loop's order, a block of points at a time; each point stops at its
-    # own first term that passes the loop's test, and later terms (which may
-    # overflow) go unused.  Points stop by order 14-16, a little later next to
-    # a zero: a first pass forms _EM_FIRST_ORDERS terms, a second all EM_ORDER_CAP
-    # for the points that did not stop, with the same bits (running sums).
-    sums, done = np.empty_like(total), np.zeros(s.size, dtype=bool)
-    points = np.arange(s.size)
+    # All EM_ORDER_CAP correction terms of ``_zeta_euler_maclaurin``, formed
+    # and summed in its loop's order, a block of points at a time; each
+    # point stops at its own first term that passes the loop's test, and
+    # later terms (which may overflow) go unused.
+    sums, done = np.empty_like(total), np.empty(s.size, dtype=bool)
+    two_k = np.arange(2, 2 * EM_ORDER_CAP, 2)
+    step = RS_BLOCK // (EM_ORDER_CAP + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        for orders in (_EM_FIRST_ORDERS, EM_ORDER_CAP):
-            two_k = np.arange(2, 2 * orders, 2)
-            for start in range(0, points.size, RS_BLOCK // (orders + 1)):
-                block = points[start : start + RS_BLOCK // (orders + 1)]
-                s_b, n_b, head = s_sorted[block, None], n[block, None], total[block, None]
-                factors = np.empty((s_b.size, orders), dtype=np.complex128)
-                factors[:, :1] = s_b
-                factors[:, 1:] = (s_b + (two_k - 1)) * (s_b + two_k)
-                steps = np.empty_like(factors)
-                steps[:, :1] = n_minus_s[block, None] / n_b
-                steps[:, 1:] = n_b * n_b
-                rising = np.cumprod(factors, axis=1)
-                terms = _B2K_ARRAY[:orders] * rising * np.divide.accumulate(steps, axis=1)
-                partial = np.cumsum(np.concatenate([head, terms], axis=1), axis=1)[:, 1:]
-                stop = np.abs(terms) <= 1e-18 * np.maximum(np.abs(head), np.abs(partial))
-                k, here = stop.argmax(axis=1), np.arange(s_b.size)
-                sums[block], done[block] = partial[here, k], stop[here, k]
-            points = np.flatnonzero(~done)
-    if points.size:
-        point = complex(s[order[points].min()])
+        for start in range(0, s.size, step):
+            block = slice(start, start + step)
+            s_b, n_b, head = s_sorted[block, None], n[block, None], total[block, None]
+            factors = np.empty((s_b.size, EM_ORDER_CAP), dtype=np.complex128)
+            factors[:, :1] = s_b
+            factors[:, 1:] = (s_b + (two_k - 1)) * (s_b + two_k)
+            steps = np.empty_like(factors)
+            steps[:, :1] = n_minus_s[block, None] / n_b
+            steps[:, 1:] = n_b * n_b
+            rising = np.cumprod(factors, axis=1)
+            terms = _B2K_ARRAY * rising * np.divide.accumulate(steps, axis=1)
+            partial = np.cumsum(np.concatenate([head, terms], axis=1), axis=1)[:, 1:]
+            stop = np.abs(terms) <= 1e-18 * np.maximum(np.abs(head), np.abs(partial))
+            k, here = stop.argmax(axis=1), np.arange(s_b.size)
+            sums[block], done[block] = partial[here, k], stop[here, k]
+    if not done.all():
+        point = complex(s[order[~done].min()])
         raise _not_converged(point, em_truncation(point))
     values = np.empty_like(sums)
     values[order] = sums

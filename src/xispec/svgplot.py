@@ -31,7 +31,7 @@ def _ticks(lo: float, hi: float) -> list[float]:
     first = math.ceil(lo / step) * step
     out = []
     value = first
-    while value <= hi + 1e-12 * max(abs(hi), 1.0):
+    while value <= hi + 1e-6 * step:
         out.append(0.0 if abs(value) < 1e-12 * step else value)
         value += step
     return out
@@ -63,7 +63,10 @@ def render_line_plot(
         pad = max(abs(y_hi), 1.0) * 0.1
         y_lo, y_hi = y_lo - pad, y_hi + pad
     else:
-        pad = 0.05 * (y_hi - y_lo)
+        # A padded span of at least five units of the labels' 6th digit:
+        # no repeated labels, no rounding noise drawn as a curve.
+        digit = 10.0 ** (math.floor(math.log10(max(abs(y_lo), abs(y_hi)))) - 5)
+        pad = max(0.05 * (y_hi - y_lo), 2.5 * digit - 0.5 * (y_hi - y_lo))
         y_lo, y_hi = y_lo - pad, y_hi + pad
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R

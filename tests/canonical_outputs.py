@@ -55,13 +55,15 @@ COMMANDS = [
 
 def library() -> None:
     """Print, to full precision, the zero records of two scans, the coupling
-    records of ten zeta zeros and 28 seeded orders, the eq5 audit entries
-    and K on a grid of real and imaginary orders."""
+    records of ten zeta zeros and 28 seeded orders, the eq5 audit entries,
+    K on a grid of real and imaginary orders and the Euler-Maclaurin zeta
+    at 200 points."""
     import numpy as np
 
     from xispec.cli import EQ5_ORDERS
     from xispec.coupling import audit_eq5, coupling_spectrum
     from xispec.specfun import BesselOrder, bessel_k_values
+    from xispec.specfun.zeta import euler_maclaurin_zeta
     from xispec.zeros import CriticalZero, scan_zeros
 
     def line(*values) -> None:
@@ -96,6 +98,10 @@ def library() -> None:
         print(f"bessel_k_values({order.kind.value}:{order.magnitude!r})")
         for x, value, rel in zip(xs.tolist(), *(a.tolist() for a in bessel_k_values(order, xs))):
             line(x, value, rel)
+    print("euler_maclaurin_zeta")
+    points = np.add.outer([0.0, 0.25, 0.5, 2.0], 1j * np.linspace(0.0, 3000.0, 50)).ravel()
+    for s, value in zip(points.tolist(), euler_maclaurin_zeta(points).tolist()):
+        line(s.real, s.imag, value.real, value.imag)
 
 
 def main(argv: list[str]) -> int:

@@ -224,11 +224,12 @@ def test_array_domain_errors(bad):
 
 
 def _series_by_terms(mu, x):
-    """The imaginary-order series summed term by term (reference)."""
+    """The imaginary-order series summed term by term (reference), up to
+    64 terms: its own cap, not the size of the code's table."""
     recip = 1.0 / besselk.gamma(complex(1.0, mu))
     coeff, q = 1.0, 0.25 * x * x
     series, peak = recip, abs(recip)
-    for k in range(1, besselk._SERIES_COLUMNS):
+    for k in range(1, 64):
         coeff *= q / k
         recip = recip / complex(k, mu)
         term = coeff * recip
@@ -243,19 +244,31 @@ def _series_by_terms(mu, x):
 
 
 def test_series_columns_stop_within_the_first_pass():
-    # q = 36 is the series' largest (x = 12), where an order needs the most
-    # coefficients; pi mu <= 700 is the largest order K accepts.  Every row
-    # stops well within the full table, so a row never needs the NaN guard.
+    # The series' largest q is 36 (x = 12), pi mu <= 700 the largest order K
+    # accepts, and mu near 0 needs the most columns.  At every q of a grid,
+    # every row of a block _series_width(q) wide stops, with the sums a
+    # 64-column table gives: no row needs more columns than the bound, so a
+    # row never reaches the NaN guard.
     mus = np.concatenate(
         [np.geomspace(1e-12, 1.0, 200), np.linspace(1.0, 700.0 / math.pi, 2000)]
     )
-    recips = np.array([besselk._series_recips(mu) for mu in mus.tolist()])
-    *_, stopped, stop = besselk._series_block(
-        np.full(len(mus), 36.0), recips.real, recips.imag, np.arange(len(mus)),
-        besselk._SERIES_COLUMNS,
-    )
-    assert stopped.all()
-    assert stop.max() + 1 <= 29 < besselk._SERIES_COLUMNS
+    recips = []
+    for mu in mus.tolist():
+        column = list(besselk._series_recips(mu))
+        while len(column) < 64:
+            column.append(column[-1] / complex(len(column), mu))
+        recips.append(column)
+    recips = np.array(recips)
+    ids = np.arange(len(mus))
+    assert besselk._series_width(36.0) == besselk._SERIES_COLUMNS
+    for q in np.concatenate([np.geomspace(1e-9, 1.0, 10), np.linspace(1.5, 36.0, 24)]):
+        rows = np.full(len(mus), q)
+        width = besselk._series_width(float(q))
+        sums = besselk._series_block(rows, recips.real, recips.imag, ids, width)
+        full = besselk._series_block(rows, recips.real, recips.imag, ids, 64)
+        assert len(sums) == 4 and sums[-1].all() and full[-1].all(), q
+        for got, want in zip(sums, full):
+            assert got.tobytes() == want.tobytes(), q
 
 
 def _trapezoid_by_levels(mu, x):

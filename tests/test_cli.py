@@ -2,6 +2,7 @@ import argparse
 import bisect
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -15,7 +16,7 @@ import pytest
 from conftest import hardy_z_without_zeros_2_and_3, report_schema
 
 import xispec
-from xispec import carlson, cli, config
+from xispec import carlson, cli, config, svgplot
 from xispec import zeros as zeros_module
 from xispec.config import RunConfig, parse_config_file
 from xispec.errors import NonConvergenceError
@@ -416,6 +417,20 @@ def test_plot_remaining_targets():
     assert os.path.exists("ratio.svg")
     assert run(["plot", "residuals", "--out", "res.svg"]) == 0
     assert os.path.exists("res.svg")
+
+
+def test_flat_series_gets_few_y_ticks_inside_the_box():
+    # Values that agree to 6e-14, like the eq5 ratios: the y span is floored
+    # at five of the 6-significant-digit labels' last digit, so a few ticks,
+    # each inside the plot box and with its own label.
+    ys = [4.0 + 3e-14 * (-1) ** i for i in range(12)]
+    svg = svgplot.render_line_plot([float(i) for i in range(12)], ys, "t", "x", "y")
+    tick = rf'<line x1="{svgplot._MARGIN_L - 5}" y1="([-0-9.]+)"[^\n]*\n<text[^>]*>([^<]*)</text>'
+    ticks = re.findall(tick, svg)
+    box = (svgplot._MARGIN_T, svgplot._HEIGHT - svgplot._MARGIN_B)
+    assert 2 <= len(ticks) <= 10
+    assert all(box[0] <= float(y) <= box[1] for y, _ in ticks)
+    assert len({label for _, label in ticks}) == len(ticks)
 
 
 def test_audit_csv_format():

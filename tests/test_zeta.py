@@ -87,18 +87,51 @@ def test_bernoulli_constants_are_the_exact_ratios_rounded_once():
     assert [v.hex() for v in _B2K_OVER_FACT] == [v.hex() for v in exact]
 
 
-def _first_pass_of_one_order(monkeypatch):
-    """Send every point of ``euler_maclaurin_zeta`` through its second pass:
-    no point's series stops at its first correction term."""
+def _array_product(a, b):
+    """a * b rounded as numpy's array loops round it: they may fuse the
+    multiply-add of a complex product, which Python's complex product and
+    np.cumprod's running product do not."""
+    return complex(np.multiply(np.array([a]), np.array([b]))[0])
+
+
+def _corrections_by_terms(points):
+    """``euler_maclaurin_zeta`` with the correction terms formed one at a
+    time, the way ``zeta``'s scalar loop forms them, from the array path's
+    head sums and N^-s terms (reference).  Each product and quotient is
+    rounded as the array path rounds it: the factors of the rising product
+    and the terms as array products, the rising product as a running
+    product, N^{1-s-2k} by numpy's complex division."""
     zeta_module = importlib.import_module("xispec.specfun.zeta")
-    monkeypatch.setattr(zeta_module, "_EM_FIRST_ORDERS", 1)
+    b2k = zeta_module._B2K_OVER_FACT
+    n = em_truncation(points)
+    order = np.argsort(-n, kind="stable")
+    s_sorted, n = points[order], n[order]
+    totals = zeta_module._head_sums(s_sorted, n)
+    n = n.astype(np.float64)
+    n_minus_s = np.exp(-s_sorted * np.array([math.log(v) for v in n.tolist()]))
+    totals += n_minus_s * (0.5 + n / (s_sorted - 1.0))
+    values = np.empty_like(totals)
+    for i in range(points.size):
+        s, total = complex(s_sorted[i]), complex(totals[i])
+        rising, n_pow, scale = s, n_minus_s[i] / n[i], abs(total)
+        for k in range(1, zeta_module.EM_ORDER_CAP + 1):
+            term = _array_product(_array_product(b2k[k - 1], rising), n_pow)
+            total += term
+            if abs(term) <= 1e-18 * max(scale, abs(total)):
+                break
+            rising *= _array_product(s + (2 * k - 1), s + 2 * k)
+            n_pow /= n[i] * n[i]
+        else:
+            raise AssertionError(f"not converged at {s!r}")
+        values[order[i]] = total
+    return values
 
 
-def test_euler_maclaurin_second_pass_keeps_every_bit(monkeypatch):
-    # A point's sum up to its stopping term is a running sum, so the pass
-    # that forms it does not change its bits: critical-line heights in
-    # (0, 5e4) and points with Re s in [0, 3], by the default passes and
-    # with every point redone over all EM_ORDER_CAP orders.
+def test_euler_maclaurin_matches_the_term_by_term_corrections():
+    # Critical-line heights in (0, 5e4) and points with Re s in [0, 3]: the
+    # array path's corrections have the bits of a loop that forms them one
+    # at a time, each point stopped at its own first term that passes the
+    # test.
     rng = np.random.default_rng(2020)
     heights = np.concatenate([rng.uniform(0.0, 5e4, 300), rng.uniform(0.0, 200.0, 300)])
     points = np.concatenate([
@@ -106,20 +139,16 @@ def test_euler_maclaurin_second_pass_keeps_every_bit(monkeypatch):
         rng.uniform(0.0, 3.0, 300) + 1j * rng.uniform(-300.0, 300.0, 300),
         [0.0, 3.0, 0.5 + 14.134725141734695j, 2.0 + 1e-3j],
     ])
-    default = euler_maclaurin_zeta(points)
-    _first_pass_of_one_order(monkeypatch)
-    redone = euler_maclaurin_zeta(points)
-    assert [(v.real.hex(), v.imag.hex()) for v in redone.tolist()] == [
-        (v.real.hex(), v.imag.hex()) for v in default.tolist()
+    got = euler_maclaurin_zeta(points)
+    want = _corrections_by_terms(points)
+    assert [(v.real.hex(), v.imag.hex()) for v in got.tolist()] == [
+        (v.real.hex(), v.imag.hex()) for v in want.tolist()
     ]
 
 
-@pytest.mark.parametrize("passes", ["default", "all-redone"])
-def test_euler_maclaurin_names_the_first_unconverged_point(monkeypatch, passes):
+def test_euler_maclaurin_names_the_first_unconverged_point():
     # Above t ~ 6e5, with N capped, the corrections stop shrinking fast
     # enough: the error names the first such point in the caller's order.
-    if passes == "all-redone":
-        _first_pass_of_one_order(monkeypatch)
     points = np.array([0.5 + 14j, 2.0 + 7.5e5j, 0.5 + 30j, 0.5 + 7.2e5j, 0.5 + 7e5j])
     message = r"not converged at s=\(0\.5\+720000j\) \(N=200000, order cap 30\)"
     with pytest.raises(NonConvergenceError, match=message):
