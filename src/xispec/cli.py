@@ -126,6 +126,8 @@ def _t_for_zero_count(count: int) -> float:
 
 def _gather_zeros(cfg: RunConfig, t_max: float, need: int = 0) -> ZeroTable:
     """Zeros up to t_max, via the cache when it covers t_max and holds need."""
+    if cfg.cache and os.path.isdir(cfg.cache):
+        raise ConfigError(f"cache {cfg.cache}: is a directory")
     if cfg.cache and os.path.exists(cfg.cache):
         cache = ZeroCache.load(cfg.cache)  # corruption propagates: exit 3
         if cache is not None and cache.matches(t_max, cfg.tol):

@@ -1,8 +1,9 @@
 """Complex special functions and quadrature engines.
 
-Everything here is pure and reentrant: no shared mutable state beyond
-read-mostly caches that are rebuilt atomically, so concurrent callers are
-safe.
+Everything here is pure and reentrant: each call builds the tables it
+needs and keeps none.  The only state kept between calls is the two
+per-order ``lru_cache``s of ``besselk``'s series coefficients, whose arrays
+are read-only.
 """
 
 from .besselk import (

@@ -207,7 +207,9 @@ def _series_recips(mu: float) -> np.ndarray:
     terms = [1.0 / gamma(complex(1.0, mu))]
     for k in range(1, _SERIES_COLUMNS):
         terms.append(terms[-1] / complex(k, mu))
-    return np.array(terms)
+    recips = np.array(terms)
+    recips.flags.writeable = False   # every caller shares it
+    return recips
 
 
 def _series_sums(

@@ -20,7 +20,8 @@ cannot evaluate as non-finite instead of raising, and runs under
 each round is one call for the next blocks of every integrand still
 running, and each integrand keeps its own levels, blocks, tail test and
 estimate, so it gets the bits it would get alone and its failure is its
-own.  ``integrate_semiinfinite`` is a one-integrand call of it.
+own.  ``integrate_semiinfinite`` is a one-integrand call of it.  A batch
+builds its own node tables; the module keeps none between calls.
 
 Divergent integrands announce themselves here: the transformed node
 contributions toward an endpoint then grow (or blow past the double range)
@@ -72,14 +73,6 @@ class QuadratureResult:
             raise ValueError("evaluations must be at least 1")
 
 
-# The node tables, laid end to end.  Table k = 2 level (toward infinity) or
-# 2 level + 1 (toward zero) holds the abscissas x[base[k]:base[k] + have[k]]
-# and their weights, outward from t = 0, built on first use only as far as
-# a march has asked.  The four arrays are replaced together when a table
-# grows, so a reader always holds a matching set.
-_TABLES = (np.empty(0), np.empty(0), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp))
-
-
 def _level_grid(level: int) -> tuple[float, float, int]:
     """First |t|, spacing and node count of one side of a level.
 
@@ -91,22 +84,25 @@ def _level_grid(level: int) -> tuple[float, float, int]:
     return start, stride, int((_T_MAX - start) / stride) + 1
 
 
-def _grow_tables(need: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The tables, table k grown to at least ``need[k]`` nodes (or all its
-    level has), laid again.
+def _grow_tables(
+    tables: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], need: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``tables`` with table k grown to at least ``need[k]`` nodes (or all
+    its level has), laid again.
 
+    The node tables (x, w, base, have) lie end to end: table k = 2 level
+    (toward infinity) or 2 level + 1 (toward zero) holds the abscissas
+    x[base[k]:base[k] + have[k]] and their weights, outward from t = 0.
     Weights exclude the step h.  Built with ``math``: numpy's SIMD exp,
     sinh and cosh can differ in the last bit, and so would the nodes.
     """
-    global _TABLES
-    x_all, w_all, base, have = _TABLES
+    x_all, w_all, base, have = tables
     xs, ws = [], []
-    for key in range(max(len(need), len(have))):
-        old = slice(base[key], base[key] + have[key]) if key < len(have) else slice(0, 0)
-        x, w = x_all[old], w_all[old]
+    for key, (first, count, want) in enumerate(zip(base.tolist(), have.tolist(), need.tolist())):
+        x, w = x_all[first:first + count], w_all[first:first + count]
         start, stride, size = _level_grid(key >> 1)
-        if key < len(need) and len(x) < min(size, need[key]):
-            k = np.arange(len(x), min(size, need[key]))
+        if count < min(size, want):
+            k = np.arange(count, min(size, want))
             t = (-1.0 if key & 1 else 1.0) * (start + stride * k)
             sinh_t = np.fromiter(map(math.sinh, t), float, len(t))
             x_new = np.fromiter(map(math.exp, _HALF_PI * sinh_t), float, len(t))
@@ -115,8 +111,7 @@ def _grow_tables(need: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
         xs.append(x)
         ws.append(w)
     have = np.array([len(x) for x in xs], dtype=np.intp)
-    _TABLES = (np.concatenate(xs), np.concatenate(ws), np.cumsum(have) - have, have)
-    return _TABLES
+    return np.concatenate(xs), np.concatenate(ws), np.cumsum(have) - have, have
 
 
 def _label(sign: int) -> str:
@@ -162,9 +157,10 @@ class _Marches:
     dropped in the round it ends.  A side that reaches a NaN or a
     blow-up gets its error in ``errors``, formatted then; a side at the
     parameter cap is classified when its integrand finishes the level.
-    Per integrand, as Python numbers (only level finishes read them):
-    level, h, centre, the previous level sum, evaluations and the
-    outcome.
+    ``tables`` holds the node tables (``_grow_tables``), built only as far
+    as these marches have asked.  Per integrand, as Python numbers (only
+    level finishes read them): level, h, centre, the previous level sum,
+    evaluations and the outcome.
     """
 
     def __init__(self, tols: Sequence[float]):
@@ -181,7 +177,8 @@ class _Marches:
         self.peak_tail = np.zeros((2 * n, 4))
         self.ids = list(range(n))
         self.errors: dict[int, ArithmeticError] = {}
-        self.tables = _TABLES
+        none = np.zeros(2 * len(self.sizes), dtype=np.intp)
+        self.tables = (np.empty(0), np.empty(0), none, none)
         self.tols = list(tols)
         self.levels = [0] * n
         self.h = [_BASE_STEP] * n
@@ -201,11 +198,11 @@ class _Marches:
         ints = self.ints
         lengths, used, table = ints[_BLOCK], ints[_USED], ints[_TABLE]
         top = used + lengths
-        x_all, w_all, base, have = self.tables = _TABLES
-        if len(have) < 2 * len(self.sizes) or (top > have[table]).any():
+        x_all, w_all, base, have = self.tables
+        if (top > have[table]).any():
             need = np.zeros(2 * len(self.sizes), dtype=np.intp)
             np.maximum.at(need, table, top)
-            x_all, w_all, base, have = self.tables = _grow_tables(need)
+            x_all, w_all, base, have = self.tables = _grow_tables(self.tables, need)
         width = int(lengths.max()) + 2
         columns = self.columns[:width]
         valid = columns < lengths[:, None]

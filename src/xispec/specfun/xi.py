@@ -157,10 +157,6 @@ _RS_HORNER = np.array(
     [[0.0] * (22 - len(c)) + list(reversed(c)) for c in _RS_C]
 ).T[:, :, None].copy()
 
-# Main-sum terms (n^{-1/2}, log n) for n = 1, 2, ...: grown on demand and
-# replaced whole, so concurrent readers always see a consistent tuple.
-_RS_TERMS = tuple((1.0 / math.sqrt(n), math.log(n)) for n in range(1, 17))
-
 #: Path codes of ``hardy_z_paths``: how Z at each point was computed.
 Z_EULER_MACLAURIN = 0  # below RS_MIN_T
 Z_RIEMANN_SIEGEL = 1  # a certain sign, or any sign above EM_MAX_T
@@ -218,16 +214,6 @@ def theta_series(t: np.ndarray, log_t: np.ndarray) -> np.ndarray:
     )
 
 
-def _rs_terms(n: int) -> tuple[tuple[float, float], ...]:
-    global _RS_TERMS
-    terms = _RS_TERMS
-    if n > len(terms):
-        size = 1 << (n - 1).bit_length()
-        terms = tuple((1.0 / math.sqrt(k), math.log(k)) for k in range(1, size + 1))
-        _RS_TERMS = terms
-    return terms
-
-
 def _hardy_z_riemann_siegel(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Riemann-Siegel formula of the module docstring on an array of heights.
 
@@ -240,7 +226,8 @@ def _hardy_z_riemann_siegel(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = tau.astype(np.int64)
     order = np.argsort(-n, kind="stable")
     t, tau, n = t[order], tau[order], n[order]
-    # math.log, not np.log: theta multiplies the log by t / 2, so numpy's
+    # math.log, not np.log, here and for the main sum's log n: theta
+    # multiplies this log by t / 2 and a cos argument log n by t, so numpy's
     # occasional 1-ulp difference would move Z by up to 1e-12 at t = 5000.
     log_t = np.fromiter(map(math.log, (t / _TWO_PI).tolist()), np.float64, t.size)
     theta = theta_series(t, log_t)
@@ -248,8 +235,8 @@ def _hardy_z_riemann_siegel(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # reach[k - 1] = number of points with N >= k, a prefix of the sorted points.
     reach = np.searchsorted(-n, -np.arange(1, n_max + 1), side="right")
     main = np.zeros_like(t)
-    for (inv_sqrt, log_k), m in zip(_rs_terms(n_max), reach):
-        main[:m] += inv_sqrt * np.cos(theta[:m] - t[:m] * log_k)
+    for k, m in enumerate(reach.tolist(), start=1):
+        main[:m] += (1.0 / math.sqrt(k)) * np.cos(theta[:m] - t[:m] * math.log(k))
 
     z = tau - n - 0.5
     w = z * z

@@ -59,18 +59,6 @@ _B2K_OVER_FACT = (
 )
 _B2K_ARRAY = np.array(_B2K_OVER_FACT)
 
-# Cached log(n) table, grown on demand; read-mostly and rebuilt atomically,
-# so concurrent readers always see a consistent array.
-_LOG_TABLE = np.log(np.arange(1, 257, dtype=np.float64))
-
-
-def _logs_up_to(n: int) -> np.ndarray:
-    global _LOG_TABLE
-    if n > _LOG_TABLE.size:
-        size = 1 << max(8, (n - 1).bit_length())
-        _LOG_TABLE = np.log(np.arange(1, size + 1, dtype=np.float64))
-    return _LOG_TABLE[:n]
-
 
 def em_truncation(s):
     """Truncation point N used by the Euler-Maclaurin sum at s.
@@ -94,9 +82,8 @@ def _not_converged(s: complex, n: int) -> NonConvergenceError:
 
 def _zeta_euler_maclaurin(s: complex) -> complex:
     n = em_truncation(s)
-    logs = _logs_up_to(n - 1)
     # sum_{k=1}^{N-1} k^{-s}
-    head = complex(np.sum(np.exp(-s * logs)))
+    head = complex(np.sum(np.exp(-s * np.log(np.arange(1.0, n)))))
 
     log_n = math.log(n)
     n_minus_s = cmath.exp(-s * log_n)
@@ -125,7 +112,9 @@ def _head_sums(s: np.ndarray, n: np.ndarray) -> np.ndarray:
     prefix adds in the same order as the 1-D sum of ``zeta``.
     """
     total = np.empty(s.size, dtype=np.complex128)
-    logs = _logs_up_to(int(n[0]) - 1) if s.size else None
+    # np.log gives an element the same bits whatever the array's length, so
+    # a row's prefix holds the logs ``zeta`` takes over its own range.
+    logs = np.log(np.arange(1.0, n[0])) if s.size else None
     start = 0
     while start < s.size:
         width = int(n[start]) - 1

@@ -1,17 +1,19 @@
-"""Write the canonical command outputs of this checkout into OUTDIR.
+"""Write the canonical command outputs of a checkout into OUTDIR.
 
-    python tests/canonical_outputs.py OUTDIR
+    python tests/canonical_outputs.py [--src DIR] OUTDIR
 
 Each command runs in a fresh interpreter, inside OUTDIR, with the package
-from this checkout's ``src``; its reports, plots and cache land in OUTDIR,
-and its stdout, stderr and exit code in NAME.stdout, NAME.stderr and
-NAME.exit.  One more fresh interpreter writes ``library.txt`` (with
-library.stderr and library.exit): library values no command prints in
-full, every float as its ``repr``.  Every path a command sees is relative
-to OUTDIR, so the outputs of two checkouts compare with
-``diff -r OUTDIR_A OUTDIR_B``: a change that keeps every output
-byte-identical shows no difference.  OUTDIR must be new or empty, so
-that the cold run finds no cache.
+from DIR, by default this checkout's ``src``; its reports, plots and cache
+land in OUTDIR, and its stdout, stderr and exit code in NAME.stdout,
+NAME.stderr and NAME.exit.  One more fresh interpreter, with the same
+package, writes ``library.txt`` (with library.stderr and library.exit):
+library values no command prints in full, every float as its ``repr``.
+Every path a command sees is relative to OUTDIR, so the outputs of two
+checkouts compare with ``diff -r OUTDIR_A OUTDIR_B``: a change that keeps
+every output byte-identical shows no difference.  With ``--src``, one
+version of this script writes both sides (``--src PARENT/src A``, then
+``--src src B``).  OUTDIR must be new or empty, so that the cold run finds
+no cache.
 """
 
 from __future__ import annotations
@@ -108,15 +110,18 @@ def main(argv: list[str]) -> int:
     if argv == ["--library"]:
         library()
         return 0
+    src = SRC
+    if len(argv) == 3 and argv[0] == "--src":
+        src, argv = Path(argv[1]).resolve(), argv[2:]
     if len(argv) != 1:
-        print("usage: python tests/canonical_outputs.py OUTDIR", file=sys.stderr)
+        print("usage: python tests/canonical_outputs.py [--src DIR] OUTDIR", file=sys.stderr)
         return 2
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
     if any(out.iterdir()):
         print(f"{out}: not empty", file=sys.stderr)
         return 2
-    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     for name, args in COMMANDS:
         done = subprocess.run(
             [sys.executable, "-m", "xispec.cli", *args],

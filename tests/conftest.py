@@ -6,7 +6,9 @@ special-function values; it is never imported by the package itself.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from pathlib import Path
 
 import mpmath as mp
@@ -85,19 +87,17 @@ def zeros_for_products() -> ZeroTable:
     return zeros
 
 
-def _nodes(level: int, sign: float, needed: int):
-    """(x, w) of at least the first ``needed`` nodes of a quadrature level's
-    side (all of them, if it has fewer), from the package's node tables."""
+@functools.lru_cache(maxsize=None)
+def _nodes(level: int, sign: float):
+    """(x, w) of all the nodes of a quadrature level's side, outward from
+    t = 0, each from ``math`` as the package builds them (reference)."""
     from xispec.specfun import quadrature as q
 
-    key = 2 * level + (sign < 0.0)
-    x_all, w_all, base, have = q._TABLES
-    if key >= len(have) or have[key] < min(needed, q._level_grid(level)[2]):
-        need = np.zeros(key + 1, dtype=np.intp)
-        need[key] = needed
-        x_all, w_all, base, have = q._grow_tables(need)
-    table = slice(base[key], base[key] + have[key])
-    return x_all[table], w_all[table]
+    start, stride, size = q._level_grid(level)
+    ts = [sign * (start + stride * k) for k in range(size)]
+    x = [math.exp(0.5 * math.pi * math.sinh(t)) for t in ts]
+    w = [0.5 * math.pi * math.cosh(t) * x_k for t, x_k in zip(ts, x)]
+    return np.array(x), np.array(w)
 
 
 def march_one(f, tol: float, max_levels: int = 10):
@@ -130,7 +130,7 @@ def march_one(f, tol: float, max_levels: int = 10):
             live = [side for side in sides if not side["done"]]
             chunks = []
             for side in live:
-                x, w = _nodes(level, side["sign"], side["used"] + side["block"])
+                x, w = _nodes(level, side["sign"])
                 side["x"], side["w"] = x, w
                 chunks.append(x[side["used"]:side["used"] + side["block"]])
             first = level == 0 and centre is None

@@ -271,6 +271,24 @@ def test_series_columns_stop_within_the_first_pass():
             assert got.tobytes() == want.tobytes(), q
 
 
+@pytest.mark.parametrize(
+    "order, table",
+    [(BesselOrder.imaginary_order(3.25), lambda: besselk._series_recips(3.25)),
+     (BesselOrder.real_order(0.3), lambda: besselk._real_series_table(0.3)[0])],
+    ids=["imaginary", "real"],
+)
+def test_per_order_caches_are_read_only(order, table):
+    # Every K at the order shares the cached array: a write must fail, not
+    # change the K of every later call.
+    xs = np.geomspace(1e-3, 0.5, 9)
+    before = bessel_k_values(order, xs)
+    assert not table().flags.writeable
+    with pytest.raises(ValueError):
+        table()[0] = 0.0
+    after = bessel_k_values(order, xs)
+    assert [a.tobytes() for a in after] == [b.tobytes() for b in before]
+
+
 def _trapezoid_by_levels(mu, x):
     """The imaginary-order trapezoid, one x and one level at a time (reference)."""
     t_up = math.acosh(1.0 + 50.0 / x) + 0.25

@@ -841,6 +841,27 @@ def test_zeros_out_is_opened_before_the_scan(capsys, monkeypatch):
     assert captured.err.startswith("xispec: cannot write output:")
 
 
+@pytest.mark.parametrize(
+    "argv, reports",
+    [(["zeros", "--t-max", "30"], []),
+     (["audit", "all", "--t-max", "30", "--n-zeros", "50"], ["audit_eq5.json", "audit_eq9.json"])],
+    ids=["zeros", "audit-all"],
+)
+def test_cache_naming_a_directory_is_a_usage_error(capsys, monkeypatch, argv, reports):
+    # Exit 2 before any scan, not a cache read that fails as corruption
+    # (exit 3); the audits that read no zeros have written their reports.
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned with a directory for --cache")
+
+    monkeypatch.setattr(cli, "scan_zeros", no_scan)
+    os.mkdir("cache_dir")
+    assert run([*argv, "--cache", "cache_dir"]) == 2
+    assert capsys.readouterr().err == "xispec: usage error: cache cache_dir: is a directory\n"
+    written = sorted(os.listdir("reports")) if os.path.isdir("reports") else []
+    assert written == reports
+    assert os.listdir("cache_dir") == []
+
+
 def test_zeros_below_the_first_zero_estimate_none(capsys):
     assert run(["zeros", "--t-max", "0.5"]) == 0
     captured = capsys.readouterr()

@@ -1,21 +1,20 @@
-"""Reentrancy checks: shared caches must not corrupt concurrent callers."""
+"""Reentrancy checks: concurrent callers get the serial values, and the
+special functions keep no table that a call grows."""
 
-import importlib
-import math
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 
+import xispec
 from xispec.specfun import RS_MIN_T, hardy_z, xi, zeta
-from xispec.specfun.zeta import _logs_up_to
-
-# The package re-exports the function xi, which hides the module's name.
-xi_module = importlib.import_module("xispec.specfun.xi")
 
 
 def test_concurrent_zeta_matches_serial():
-    # Heights chosen to force the shared log-table cache to grow midway.
+    # Heights from 0.25 to 395.25: truncation points N from 25 to 262.
     points = [complex(0.5, 5.0 * k + 0.25) for k in range(80)]
     serial = [zeta(s) for s in points]
     with ThreadPoolExecutor(max_workers=8) as pool:
@@ -31,33 +30,18 @@ def test_concurrent_xi_matches_serial():
     assert threaded == serial
 
 
-def test_log_table_growth_is_consistent():
-    table = _logs_up_to(5000)
-    assert table.size == 5000
-    assert table[0] == 0.0
-    smaller = _logs_up_to(10)
-    assert smaller.size == 10
-    assert (smaller == table[:10]).all()
-
-
-def test_concurrent_riemann_siegel_matches_serial(monkeypatch):
-    # Riemann-Siegel heights whose main sums (up to 57 terms) outgrow the
-    # 16-entry n-table twice while the threads run, first in scalar calls,
-    # then in array calls of 8 heights each.
+def test_concurrent_riemann_siegel_matches_serial():
+    # Riemann-Siegel heights whose main sums take up to 57 terms, first in
+    # scalar calls, then in array calls of 8 heights each.
     heights = [RS_MIN_T + 250.0 * k + 0.125 for k in range(80)]
     arrays = [np.array(heights[k : k + 8]) for k in range(0, len(heights), 8)]
-    small = xi_module._RS_TERMS[:16]
-    monkeypatch.setattr(xi_module, "_RS_TERMS", small)
     serial = [hardy_z(t) for t in heights]
-    monkeypatch.setattr(xi_module, "_RS_TERMS", small)
     serial_arrays = [hardy_z(t).tolist() for t in arrays]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        monkeypatch.setattr(xi_module, "_RS_TERMS", small)
         with ThreadPoolExecutor(max_workers=8) as pool:
             threaded = list(pool.map(hardy_z, heights, timeout=60))
-        monkeypatch.setattr(xi_module, "_RS_TERMS", small)
         with ThreadPoolExecutor(max_workers=8) as pool:
             threaded_arrays = [v.tolist() for v in pool.map(hardy_z, arrays, timeout=60)]
     finally:
@@ -66,4 +50,40 @@ def test_concurrent_riemann_siegel_matches_serial(monkeypatch):
     assert threaded_arrays == serial_arrays
     flat = np.concatenate(serial_arrays)
     assert np.abs(flat - np.array(serial)).max() <= 1e-12
-    assert len(xi_module._RS_TERMS) >= int(math.sqrt(heights[-1] / (2 * math.pi)))
+
+
+# Keeps every module-level value of the specfun modules, runs calls that
+# would grow a table kept between calls, and prints each name rebound,
+# added or removed.  Compared with ``is``: an id can be reused once its
+# object is freed.
+_MODULE_STATE = """
+import importlib
+import numpy as np
+from xispec.cli import EQ5_ORDERS
+from xispec.coupling import audit_eq5
+from xispec.specfun import hardy_z, zeta
+from xispec.zeros import scan_zeros
+modules = [importlib.import_module("xispec.specfun." + name)
+           for name in ("xi", "zeta", "quadrature", "besselk", "gamma")]
+before = [dict(vars(module)) for module in modules]
+scan_zeros(5003.123, 1e-6)
+zeta(0.5 + 3000j)
+hardy_z(np.array([4.9e5]))
+audit_eq5(list(EQ5_ORDERS))
+for module, old in zip(modules, before):
+    new = vars(module)
+    for name in sorted(old.keys() | new.keys()):
+        if name not in old or name not in new or old[name] is not new[name]:
+            print(module.__name__, name)
+"""
+
+
+def test_specfun_calls_rebind_no_module_name():
+    # A fresh interpreter, so that no earlier call has grown a table already.
+    src = str(Path(xispec.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _MODULE_STATE], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == ""
